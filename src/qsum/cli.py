@@ -1,14 +1,20 @@
 """Command-line front end.
 
 Subcommands: check, polygon, directions, solve, borel, continue, square,
-resum, verify, growth, report.  All artifacts are UTF-8; JSON is emitted
-pretty-printed with sorted keys and CSV with a header row, so identical
-inputs produce byte-identical files (timings are quarantined in their own
-report field).
+resum, verify, growth, report.  Each is a view of one `pipeline.Run`,
+the one place the stages are computed: a view reads only the stages it
+needs.  `check`, `polygon`, `directions` and `square` read the equation
+at the requested z-window.  The views that solve check the conditions
+there first and again on the padded equation they solve.  All artifacts
+are UTF-8; JSON is emitted pretty-printed with sorted keys and CSV with
+a header row, so identical inputs produce byte-identical files (timings
+are quarantined in their own report field).
 
 Exit codes: 0 success; 2 a polygon-level condition failed; 3 singular or
 effectively singular direction; 4 numerical failure (grid too short, seed
-unreachable, root finding); 5 usage or parse error.
+unreachable, root finding); 5 usage or parse error (bad arguments, an
+unreadable file, a bad configuration value, or an option value the
+methods cannot use, such as an epsilon at or above (q-1)/(q+1)).
 """
 
 import argparse
@@ -16,19 +22,14 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
-from .equation import from_json, parse_equation, to_json, validate
-from .errors import (GridTooShortError, ParseError, QsumError,
-                     RadiusTooSmallError, RootFindingError, SchemaError,
-                     SingularDirectionError)
-from .formal import gevrey_fit, solve_formal
+from .equation import to_json
+from .errors import (ConditionsFailed, ParseError, QsumError, SchemaError,
+                     SingularDirectionError, UsageError)
 from .growth import fit_growth
-from .newton import (characteristic_polynomial, check_shape, newton_polygon,
-                     reduced_coefficients, singular_directions)
-from .pipeline import ConditionsFailed, Options, run_report, size_parse_window
-from .qborel import (borel_transform, borel_transformed_equation,
-                     continue_spiral, fit_spiral_bound)
-from .qlaplace import q_laplace, asymptotic_check
+from .pipeline import HARD_CONDITIONS, Options, Run, polygon_doc
+from .qlaplace import q_laplace
 from .report_schema import validate_report
 from .square import substitute_square
 
@@ -37,18 +38,6 @@ EXIT_CONDITION = 2
 EXIT_SINGULAR = 3
 EXIT_NUMERIC = 4
 EXIT_USAGE = 5
-
-
-def _read_equation_text(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
-def _load_equation(path, Kt, Kz):
-    text = _read_equation_text(path)
-    if text.lstrip().startswith("{"):
-        return from_json(text)
-    return parse_equation(text, Kt=Kt, Kz=Kz)
 
 
 def _parse_complex(s):
@@ -79,25 +68,24 @@ def _json_default(o):
     raise TypeError(type(o).__name__)
 
 
-def _emit_json(doc, path):
-    text = json.dumps(doc, indent=2, sort_keys=True, default=_json_default)
+def _write(text, path):
     if path in (None, "-"):
-        print(text)
+        sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
+
+
+def _emit_json(doc, path):
+    """Complex numbers are written as {"re": ..., "im": ...}."""
+    _write(json.dumps(doc, indent=2, sort_keys=True, default=_json_default) + "\n", path)
 
 
 def _emit_csv(rows, header, path):
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_csv_cell(x) for x in row))
-    text = "\n".join(lines) + "\n"
-    if path in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write("\n".join(lines) + "\n", path)
 
 
 def _csv_cell(x):
@@ -108,16 +96,24 @@ def _csv_cell(x):
     return str(x)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error by raising it, so main() maps it to exit 5."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(prog="qsum",
-                                 description="Resummation toolkit for linear q-difference-differential equations")
+    ap = _Parser(prog="qsum",
+                 description="Resummation toolkit for linear q-difference-differential equations")
     ap.add_argument("--config", default="qsum.toml", help="key=value config file (flags win)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, with_lambda=True):
         p.add_argument("equation", help="equation file (.qde DSL text or .json)")
         p.add_argument("--orders", type=int, default=None, help="formal orders to compute (default 40)")
-        p.add_argument("--zorder", type=int, default=None, help="requested z-window Kz (default 8)")
+        p.add_argument("--zorder", dest="Kz", type=int, default=None,
+                       help="requested z-window Kz (default 8)")
         p.add_argument("--json", nargs="?", const="-", default=None, metavar="PATH")
         p.add_argument("--emit-csv", dest="csv", default=None, metavar="PATH")
         if with_lambda:
@@ -135,246 +131,205 @@ def build_parser():
         if name in ("verify", "report"):
             p.add_argument("--epsilon", type=float, default=None)
             p.add_argument("--N", dest="n_check", type=int, default=None)
-            p.add_argument("--jobs", type=int, default=None)
     return ap
 
 
-def _options_from(args, config):
-    def pick(flag, key, cast, default):
-        if flag is not None:
-            return flag
-        if key in config:
-            return cast(config[key])
-        return default
+# (Options field and parser dest, config key, parse) of every setting
+_SETTINGS = (("orders", "orders", int), ("Kz", "zorder", int), ("mmax", "mmax", int),
+             ("epsilon", "epsilon", float), ("n_check", "N", int), ("lam", "lambda", _parse_complex))
 
-    opt = Options()
-    opt.orders = pick(getattr(args, "orders", None), "orders", int, 40)
-    opt.Kz = pick(getattr(args, "zorder", None), "zorder", int, 8)
-    opt.mmax = pick(getattr(args, "mmax", None), "mmax", int, 40)
-    opt.epsilon = pick(getattr(args, "epsilon", None), "epsilon", float, 0.3)
-    opt.n_check = pick(getattr(args, "n_check", None), "N", int, 12)
-    opt.jobs = pick(getattr(args, "jobs", None), "jobs", int, 1)
-    lam = getattr(args, "lam", None)
-    if lam is None and "lambda" in config:
-        lam = _parse_complex(config["lambda"])
-    opt.lam = lam if lam is not None else complex(1.0, 0.0)
-    opt.Kt = opt.orders + 1
-    return opt
+
+def _options_from(args, config):
+    """Flags win over the config file, and the file over the Options defaults."""
+    values = {}
+    for name, key, parse in _SETTINGS:
+        value = getattr(args, name, None)
+        if value is None and key in config:
+            try:
+                value = parse(config[key])
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise UsageError("config %s = %r: %s" % (key, config[key], exc))
+        if value is not None:
+            values[name] = value
+    return Options(**values)
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    config = _load_config(args.config)
     try:
-        opt = _options_from(args, config)
-        return _dispatch(args, opt)
-    except (ParseError, SchemaError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
+        args = build_parser().parse_args(argv)
+        opt = _options_from(args, _load_config(args.config))
+        if args.command == "solve":
+            opt = replace(opt, mmax=0)  # no march: pad the z-window for the recursion only
+        with open(args.equation, "r", encoding="utf-8") as fh:
+            run = Run(fh.read(), opt)
+        return VIEWS[args.command](run, args)
+    except (ParseError, SchemaError, UsageError, OSError) as exc:
+        return _fail(exc, EXIT_USAGE)
     except ConditionsFailed as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_CONDITION
+        return _fail(exc, EXIT_CONDITION)
     except SingularDirectionError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_SINGULAR
-    except (GridTooShortError, RadiusTooSmallError, RootFindingError,
-            ArithmeticError, QsumError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_NUMERIC
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(exc, EXIT_SINGULAR)
+    except (ArithmeticError, QsumError) as exc:
+        return _fail(exc, EXIT_NUMERIC)
 
 
-def _conditions(eq):
-    polygon = newton_polygon(eq)
-    shape = check_shape(polygon)
-    return polygon, shape
+def _fail(exc, code):
+    print("error: %s" % exc, file=sys.stderr)
+    return code
 
 
-def _dispatch(args, opt):
-    cmd = args.command
-    if cmd == "report":
-        return _cmd_report(args, opt)
+# ---------------------------------------------------------------- views
 
-    eq = _load_equation(args.equation, opt.Kt, opt.Kz)
-
-    if cmd == "check":
-        report = validate(eq)
-        polygon, shape = _conditions(eq)
-        doc = {"validation": {"violations": report.violations, "warnings": report.warnings},
-               "shape": {"ok": shape.ok, "m0": shape.m0, "reasons": shape.reasons}}
-        if shape.ok:
-            from .newton import check_interior, check_nondegeneracy, check_strong_margin
-            interior = check_interior(eq, polygon, shape.m0)
-            red = reduced_coefficients(eq, shape.m0)
-            nondeg = check_nondegeneracy(eq, red, shape.m0)
-            strong = check_strong_margin(eq, shape.m0)
-            doc["interior"] = {"ok": interior.passed, "messages": interior.messages}
-            doc["nondegeneracy"] = {"ok": nondeg.passed, "messages": nondeg.messages}
-            doc["strong_margin"] = {"ok": strong.passed, "messages": strong.messages}
-        _emit_json(doc, args.json)
-        if not (report.ok and shape.ok and doc.get("interior", {}).get("ok")
-                and doc.get("nondegeneracy", {}).get("ok")):
-            return EXIT_CONDITION
+def _check(run, args):
+    cond = run.conditions
+    validation, shape = cond["validation"], cond["shape"]
+    doc = {"validation": {"violations": validation.violations, "warnings": validation.warnings},
+           "shape": {"ok": shape.ok, "m0": shape.m0, "reasons": shape.reasons}}
+    if shape.ok:
+        for key in ("interior", "nondegeneracy", "strong_margin"):
+            doc[key] = {"ok": cond[key].passed, "messages": cond[key].messages}
+    _emit_json(doc, args.json)
+    if validation.ok and shape.ok and all(cond[c].passed for c in HARD_CONDITIONS):
         return EXIT_OK
-
-    if cmd == "polygon":
-        polygon, shape = _conditions(eq)
-        if args.csv is not None:
-            rows = []
-            for p in polygon.support:
-                on_boundary = p.ord_t == max(0, p.j - shape.m0) if shape.ok else ""
-                interior = (p.j < eq.m and p.ord_t > max(0, p.j - shape.m0)) if shape.ok else ""
-                rows.append((p.j, "|".join(map(str, p.alpha)), p.ord_t, on_boundary, interior))
-            for v in polygon.vertices:
-                rows.append((v[0], "vertex", v[1], "", ""))
-            _emit_csv(rows, ("j", "alpha", "ord_t", "on_boundary", "interior"), args.csv)
-        doc = {"support": [{"j": p.j, "alpha": list(p.alpha), "ord_t": p.ord_t} for p in polygon.support],
-               "vertices": [list(v) for v in polygon.vertices],
-               "slopes": [s if math.isfinite(s) else "inf" for s in polygon.slopes],
-               "m0": shape.m0, "ok": shape.ok, "reasons": shape.reasons}
-        _emit_json(doc, args.json)
-        return EXIT_OK if shape.ok else EXIT_CONDITION
-
-    if cmd == "directions":
-        polygon, shape = _conditions(eq)
-        if not shape.ok:
-            print("error: polygon shape condition fails", file=sys.stderr)
-            return EXIT_CONDITION
-        red = reduced_coefficients(eq, shape.m0)
-        P = characteristic_polynomial(eq, red, shape.m0)
-        ds = singular_directions(P)
-        _emit_json({"roots": [{"re": r.real, "im": r.imag} for r in ds.roots],
-                    "rays": list(ds.rays)}, args.json)
-        return EXIT_OK
-
-    if cmd == "square":
-        sq = substitute_square(eq)
-        _emit_json(json.loads(to_json(sq.equation)), args.json)
-        return EXIT_OK
-
-    if cmd == "solve":
-        # derivative terms consume z-window per order; repad DSL input
-        text = _read_equation_text(args.equation)
-        if not text.lstrip().startswith("{"):
-            from dataclasses import replace
-            eq = size_parse_window(text, replace(opt, mmax=0))
-        sol = solve_formal(eq, opt.orders)
-        fit = gevrey_fit(sol)
-        if args.csv is not None:
-            rows = [(n, m.log_abs() / math.log(10.0) if not m.is_zero() else "-inf",
-                     fit.g[n] if fit.g[n] is not None else "")
-                    for n, m in enumerate(fit.norms)]
-            _emit_csv(rows, ("n", "log10_norm", "g_n"), args.csv)
-        doc = {"orders": sol.count, "A": fit.A, "h": fit.h,
-               "coefficients": [{"n": n,
-                                 "v": [[k[0], list(k[1]), c.real, c.imag] for k, c in v.items()],
-                                 "log10_norm": (fit.norms[n].log_abs() / math.log(10.0)
-                                                if not fit.norms[n].is_zero() else None),
-                                 "g": fit.g[n]}
-                                for n, v in enumerate(sol.scaled)]}
-        _emit_json(doc, args.json)
-        return EXIT_OK
-
-    # the remaining commands run the front half of the pipeline
-    text = _read_equation_text(args.equation)
-    eq = size_parse_window(text, opt)
-    polygon, shape = _conditions(eq)
-    if not shape.ok:
-        print("error: polygon shape condition fails: %s" % shape, file=sys.stderr)
-        return EXIT_CONDITION
-    sol = solve_formal(eq, opt.orders)
-    u = borel_transform(sol)
-
-    if cmd == "borel":
-        doc = {"radius_est": u.radius_est if math.isfinite(u.radius_est) else "inf",
-               "coefficients": [[[k[0], list(k[1]), c.real, c.imag] for k, c in v.items()]
-                                for v in u.coeffs]}
-        _emit_json(doc, args.json)
-        return EXIT_OK
-
-    beq = borel_transformed_equation(eq, shape.m0)
-    grid = continue_spiral(beq, u, opt.lam, opt.mmax)
-
-    if cmd == "continue":
-        fitb = fit_spiral_bound(grid, rz=u.R1)
-        if args.csv is not None:
-            rows = [(m, fitb.diag[m] if 0 <= m < len(fitb.diag) and fitb.diag[m] is not None else "")
-                    for m in range(grid.m_min, grid.m_max + 1)]
-            _emit_csv(rows, ("m", "diagnostic"), args.csv)
-        doc = {"lambda": {"re": grid.lam.real, "im": grid.lam.imag},
-               "m_min": grid.m_min, "m_max": grid.m_max, "seed_top": grid.seed_top,
-               "C": fitb.C, "H": fitb.H, "bounded": fitb.bounded,
-               "values": [{"m": m,
-                           "value_z0": _split_value(grid, m),
-                           "sup_logq": grid.values[m].norm_logq(grid.q, u.R1)}
-                          for m in range(max(grid.m_min, -10), grid.m_max + 1)]}
-        _emit_json(doc, args.json)
-        return EXIT_OK
-
-    if cmd == "resum":
-        w = q_laplace(grid, args.t, epsilon=min(opt.epsilon, 0.1))
-        _emit_json({"t": {"re": args.t.real, "im": args.t.imag},
-                    "W": {"re": w.real, "im": w.imag}}, args.json)
-        return EXIT_OK
-
-    if cmd == "verify":
-        rep = asymptotic_check(sol, grid, opt.epsilon, opt.n_check, jobs=opt.jobs)
-        if args.csv is not None:
-            rows = []
-            for N in range(0, opt.n_check + 1):
-                e_max = max(rep.EN[N]) if rep.EN[N] else 0.0
-                bound = (rep.M * rep.H ** N / rep.epsilon
-                         * grid.q ** (N * (N - 1) / 2.0)
-                         * max(abs(t) for t in rep.samples) ** N)
-                rows.append((N, e_max, bound, rep.rho[N] if rep.rho[N] is not None else ""))
-            _emit_csv(rows, ("N", "max_E_N", "bound", "rho_N"), args.csv)
-        _emit_json({"verdict": rep.verdict, "M": rep.M, "H": rep.H,
-                    "epsilon": rep.epsilon, "reasons": rep.reasons,
-                    "samples": len(rep.samples)}, args.json)
-        return EXIT_OK if rep.passed else EXIT_NUMERIC
-
-    if cmd == "growth":
-        samples = [grid.lam * grid.q ** float(m) for m in range(0, grid.m_max + 1, 2)]
-        norms = grid.norms_logq(u.R1)
-
-        def ev(t):
-            m = round(math.log(abs(t) / abs(grid.lam)) / math.log(grid.q))
-            return math.exp(norms[m] * math.log(grid.q)) if math.isfinite(norms[m]) else 0.0
-
-        fitg = fit_growth(ev, grid.q, samples)
-        if args.csv is not None:
-            rows = []
-            for t in samples:
-                lt = math.log(abs(t))
-                fv = ev(t)
-                bound = math.log(fitg.M) + lt * lt / (2 * math.log(grid.q)) + fitg.alpha * lt
-                rows.append((lt, math.log(fv) if fv > 0 else "", bound))
-            _emit_csv(rows, ("log_t", "log_f", "log_bound"), args.csv)
-        _emit_json({"M": fitg.M, "alpha": fitg.alpha, "samples": len(samples)}, args.json)
-        return EXIT_OK
-
-    raise QsumError("unhandled command %r" % cmd)
+    return EXIT_CONDITION
 
 
-def _split_value(grid, m):
-    v = grid.values[m]
-    c = v.series.constant_term()
-    return {"mantissa": {"re": c.real, "im": c.imag}, "qexp": v.qexp}
+def _polygon(run, args):
+    polygon, shape = run.conditions["polygon"], run.conditions["shape"]
+    if args.csv is not None:
+        rows = []
+        for p in polygon.support:
+            on_boundary = p.ord_t == max(0, p.j - shape.m0) if shape.ok else ""
+            interior = (p.j < polygon.m and p.ord_t > max(0, p.j - shape.m0)) if shape.ok else ""
+            rows.append((p.j, "|".join(map(str, p.alpha)), p.ord_t, on_boundary, interior))
+        for v in polygon.vertices:
+            rows.append((v[0], "vertex", v[1], "", ""))
+        _emit_csv(rows, ("j", "alpha", "ord_t", "on_boundary", "interior"), args.csv)
+    _emit_json(dict(polygon_doc(polygon, shape), ok=shape.ok, reasons=shape.reasons), args.json)
+    return EXIT_OK if shape.ok else EXIT_CONDITION
 
 
-def _cmd_report(args, opt):
-    text = _read_equation_text(args.equation)
-    report = run_report(text, opt)
-    doc = report.to_dict()
+def _directions(run, args):
+    run.require("nondegeneracy")
+    ds = run.directions
+    _emit_json({"roots": list(ds.roots), "rays": list(ds.rays)}, args.json)
+    return EXIT_OK
+
+
+def _square(run, args):
+    run.require()
+    sq = substitute_square(run.requested, run.conditions["shape"].m0)
+    _emit_json(json.loads(to_json(sq.equation)), args.json)
+    return EXIT_OK
+
+
+def _solve(run, args):
+    sol, fit = run.solution, run.gevrey
+    if args.csv is not None:
+        rows = [(n, m.log_abs() / math.log(10.0) if not m.is_zero() else "-inf",
+                 fit.g[n] if fit.g[n] is not None else "")
+                for n, m in enumerate(fit.norms)]
+        _emit_csv(rows, ("n", "log10_norm", "g_n"), args.csv)
+    doc = {"orders": sol.count, "A": fit.A, "h": fit.h,
+           "coefficients": [{"n": n,
+                             "v": [[k[0], list(k[1]), c.real, c.imag] for k, c in v.items()],
+                             "log10_norm": (fit.norms[n].log_abs() / math.log(10.0)
+                                            if not fit.norms[n].is_zero() else None),
+                             "g": fit.g[n]}
+                            for n, v in enumerate(sol.scaled)]}
+    _emit_json(doc, args.json)
+    return EXIT_OK
+
+
+def _borel(run, args):
+    run.require_solvable()
+    u = run.borel
+    doc = {"radius_est": u.radius_est if math.isfinite(u.radius_est) else "inf",
+           "coefficients": [[[k[0], list(k[1]), c.real, c.imag] for k, c in v.items()]
+                            for v in u.coeffs]}
+    _emit_json(doc, args.json)
+    return EXIT_OK
+
+
+def _continue(run, args):
+    run.require_solvable()
+    grid, fitb, rz = run.grid, run.spiral_bound, run.borel.R1
+    if args.csv is not None:
+        rows = [(m, fitb.diag[m] if 0 <= m < len(fitb.diag) and fitb.diag[m] is not None else "")
+                for m in range(grid.m_min, grid.m_max + 1)]
+        _emit_csv(rows, ("m", "diagnostic"), args.csv)
+    doc = {"lambda": grid.lam,
+           "m_min": grid.m_min, "m_max": grid.m_max, "seed_top": grid.seed_top,
+           "C": fitb.C, "H": fitb.H, "bounded": fitb.bounded,
+           "values": [{"m": m,
+                       "value_z0": {"mantissa": grid.values[m].series.constant_term(),
+                                    "qexp": grid.values[m].qexp},
+                       "sup_logq": grid.values[m].norm_logq(grid.q, rz)}
+                      for m in range(max(grid.m_min, -10), grid.m_max + 1)]}
+    _emit_json(doc, args.json)
+    return EXIT_OK
+
+
+def _resum(run, args):
+    run.require_solvable()
+    w = q_laplace(run.grid, args.t, epsilon=min(run.options.epsilon, 0.1))
+    _emit_json({"t": args.t, "W": w}, args.json)
+    return EXIT_OK
+
+
+def _verify(run, args):
+    run.require_solvable()
+    rep, grid, n_check = run.asymptotic, run.grid, run.options.n_check
+    if args.csv is not None:
+        rows = []
+        for N in range(0, n_check + 1):
+            e_max = max(rep.EN[N]) if rep.EN[N] else 0.0
+            bound = (rep.M * rep.H ** N / rep.epsilon
+                     * grid.q ** (N * (N - 1) / 2.0)
+                     * max(abs(t) for t in rep.samples) ** N)
+            rows.append((N, e_max, bound, rep.rho[N] if rep.rho[N] is not None else ""))
+        _emit_csv(rows, ("N", "max_E_N", "bound", "rho_N"), args.csv)
+    _emit_json({"verdict": rep.verdict, "M": rep.M, "H": rep.H,
+                "epsilon": rep.epsilon, "reasons": rep.reasons,
+                "samples": len(rep.samples)}, args.json)
+    return EXIT_OK if rep.passed else EXIT_NUMERIC
+
+
+def _growth(run, args):
+    run.require_solvable()
+    grid = run.grid
+    samples = [grid.lam * grid.q ** float(m) for m in range(0, grid.m_max + 1, 2)]
+    norms = grid.norms_logq(run.borel.R1)
+
+    def ev(t):
+        m = round(math.log(abs(t) / abs(grid.lam)) / math.log(grid.q))
+        return math.exp(norms[m] * math.log(grid.q)) if math.isfinite(norms[m]) else 0.0
+
+    fitg = fit_growth(ev, grid.q, samples)
+    if args.csv is not None:
+        rows = []
+        for t in samples:
+            lt = math.log(abs(t))
+            fv = ev(t)
+            bound = math.log(fitg.M) + lt * lt / (2 * math.log(grid.q)) + fitg.alpha * lt
+            rows.append((lt, math.log(fv) if fv > 0 else "", bound))
+        _emit_csv(rows, ("log_t", "log_f", "log_bound"), args.csv)
+    _emit_json({"M": fitg.M, "alpha": fitg.alpha, "samples": len(samples)}, args.json)
+    return EXIT_OK
+
+
+def _report(run, args):
+    doc = run.report().to_dict()
     problems = validate_report(doc)
     if problems:
         raise QsumError("report schema violation: " + "; ".join(problems))
-    _emit_json(doc, args.json if args.json is not None else "-")
-    hard_fail = any(v["status"] == "fail" for k, v in report.verdicts.items()
-                    if k in ("shape", "interior", "nondegeneracy"))
-    return EXIT_CONDITION if hard_fail else EXIT_OK
+    _emit_json(doc, args.json)
+    return EXIT_OK
+
+
+VIEWS = {"check": _check, "polygon": _polygon, "directions": _directions, "solve": _solve,
+         "borel": _borel, "continue": _continue, "square": _square, "resum": _resum,
+         "verify": _verify, "growth": _growth, "report": _report}
 
 
 if __name__ == "__main__":

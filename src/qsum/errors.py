@@ -36,6 +36,14 @@ class SchemaError(QsumError):
         super().__init__("%s: %s" % (pointer or "/", message))
 
 
+class UsageError(QsumError, ValueError):
+    """An argument, option or configuration value the methods cannot use."""
+
+
+class ConditionsFailed(QsumError):
+    """A polygon-level condition (shape, interior, nondegeneracy) fails."""
+
+
 class IndeterminatePolygonError(QsumError):
     """A coefficient's t-order is truncation-limited, so the polygon is unknown."""
 

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ResonanceError, UnsupportedEquationError
+from .growth import last_third
 from .scaled import QScaled
 from .series import TruncatedSeries
 
@@ -181,7 +182,7 @@ class GevreyFit:
         return True
 
 
-def gevrey_fit(sol, window_fraction=1.0 / 3.0):
+def gevrey_fit(sol):
     """Envelope constants (A, h) with ||X_n|| <= A h^n q^{n(n-1)/2}.
 
     h is the largest ||v_n||^{1/n} over the stabilized window (the last
@@ -201,9 +202,7 @@ def gevrey_fit(sol, window_fraction=1.0 / 3.0):
     for n in nonzero:
         g[n] = logs[n] / n
     if nonzero:
-        start = max(1, int(math.ceil((1.0 - window_fraction) * sol.count)))
-        window = [n for n in nonzero if n >= start] or nonzero[-max(1, len(nonzero) // 3):]
-        logh = max(g[n] for n in window)
+        logh = max(g[n] for n in last_third(nonzero, sol.count))
         h = math.exp(logh)
     else:
         logh, h = 0.0, 1.0

@@ -28,7 +28,7 @@ class CoeffBound:
         return True
 
 
-def fit_coeff_bound(coeffs, q, window_fraction=1.0 / 3.0, trend_tol=0.05):
+def fit_coeff_bound(coeffs, q, trend_tol=0.05):
     """Envelope (A, H) for |a_n| <= A H^n q^{-n(n-1)/2}.
 
     H is the largest (|a_n| q^{n(n-1)/2})^{1/n} over the stabilized window;
@@ -48,13 +48,11 @@ def fit_coeff_bound(coeffs, q, window_fraction=1.0 / 3.0, trend_tol=0.05):
     if not usable:
         a0 = abs(coeffs[0])
         return CoeffBound(a0, 1.0, h_seq, False)
-    start = max(1, int(math.ceil((1.0 - window_fraction) * n_top)))
-    window = [n for n in usable if n >= start] or usable[-max(1, len(usable) // 3):]
-    logH = max(h_seq[n] for n in window)
+    logH = max(h_seq[n] for n in last_third(usable, n_top))
     logA = max((math.log(abs(coeffs[n])) + n * (n - 1) / 2.0 * lnq - n * logH)
                for n in range(n_top + 1) if coeffs[n] != 0)
     half = [n for n in usable if n >= max(1, n_top // 2)]
-    slope = _slope([(float(n), h_seq[n]) for n in half]) if len(half) >= 3 else 0.0
+    slope = ls_slope([(float(n), h_seq[n]) for n in half]) if len(half) >= 3 else 0.0
     return CoeffBound(math.exp(logA), math.exp(logH), h_seq, slope > trend_tol)
 
 
@@ -107,12 +105,13 @@ def fit_growth(evaluator, q, samples):
     xs = [x for x, _ in pts]
     if max(xs) - min(xs) < 1e-6:
         raise ValueError("degenerate sample spread in log|t|")
-    alpha = _slope(pts)
+    alpha = ls_slope(pts)
     logM = max(y - alpha * x for x, y in pts)
     return GrowthBound(math.exp(logM), alpha)
 
 
-def _slope(points):
+def ls_slope(points, degenerate=0.0):
+    """Least-squares slope of (x, y) points; `degenerate` when every x is equal."""
     n = len(points)
     sx = sum(x for x, _ in points)
     sy = sum(y for _, y in points)
@@ -120,8 +119,20 @@ def _slope(points):
     sxy = sum(x * y for x, y in points)
     denom = n * sxx - sx * sx
     if denom == 0:
-        return 0.0
+        return degenerate
     return (n * sxy - sx * sy) / denom
+
+
+def last_third(indices, n, fallback=True):
+    """The indices from ceil(2n/3) on: the last third of the orders 1..n,
+    where the pre-asymptotic wobble of an envelope fit has died out.  When
+    none fall there, the last third of `indices` itself, unless `fallback`
+    is false."""
+    start = max(1, (2 * n + 2) // 3)
+    window = [k for k in indices if k >= start]
+    if window or not fallback:
+        return window
+    return indices[-max(1, len(indices) // 3):]
 
 
 def truncated_entire_eval(coeffs):

@@ -41,13 +41,6 @@ class NewtonPolygon:
             return False
         return y >= self._floor(x)
 
-    def interior_contains(self, x, y):
-        if not self.support:
-            return False
-        if x >= max(p.j for p in self.support):
-            return False
-        return y > self._floor(x)
-
     def _floor(self, x):
         """Lower boundary height of the hull region at abscissa x."""
         verts = self.vertices

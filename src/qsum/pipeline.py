@@ -2,6 +2,14 @@
 continuation, kernel resummation, and the asymptotic verdict, collected
 into one machine-readable report.
 
+`Run` is the one place the stages run.  Each stage is computed on first
+read and at most once, and its own time (without the stages it reads) is
+added to its `timings` key.  `run_report` reads the stages in order; the
+CLI subcommands read only the stages they need.  The polygon conditions
+are read at the requested window before the padded parse solves
+anything, and again on the padded equation that the solve and the march
+use, which the report's verdicts describe.
+
 The z-window is sized here: every z-derivative in the coefficient
 recursion and in the continuation march consumes one unit of window per
 step, so the parse window is padded by alpha_max * (orders + march span)
@@ -10,10 +18,11 @@ to leave the requested depth at the top of the grid."""
 import cmath
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
-from .equation import parse_equation, validate
-from .errors import QsumError, SingularDirectionError
+from .equation import from_json, parse_equation, validate
+from .errors import ConditionsFailed, SingularDirectionError, UnsupportedEquationError
 from .formal import gevrey_fit, solve_formal, verify_formal
 from .newton import (characteristic_polynomial, check_interior,
                      check_nondegeneracy, check_order_floors, check_shape,
@@ -23,6 +32,10 @@ from .qborel import (borel_transform, borel_transformed_equation,
                      continue_spiral, fit_spiral_bound, lead_roots)
 from .qlaplace import asymptotic_check, residual_check, zone_membership, SpiralGeometry
 
+# with the polygon shape, the conditions every stage past them needs
+HARD_CONDITIONS = ("interior", "nondegeneracy")
+RESIDUAL_SAMPLES = 10
+
 
 @dataclass
 class Options:
@@ -30,17 +43,12 @@ class Options:
     orders: int = 40
     mmax: int = 40
     Kz: int = 8
-    Kt: int = None        # defaults to orders + 1
     epsilon: float = 0.3
     n_check: int = 12
-    rays: int = 8
-    radii: int = 12
-    r_max: float = None
-    jobs: int = 1
-    residual_samples: int = 10
 
     def kt(self):
-        return self.Kt if self.Kt is not None else self.orders + 1
+        """The t-window: one order past the formal solve."""
+        return self.orders + 1
 
 
 @dataclass
@@ -56,22 +64,10 @@ class RunReport:
     timings: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {
-            "equation": self.equation,
-            "polygon": self.polygon,
-            "verdicts": self.verdicts,
-            "directions": self.directions,
-            "gevrey": self.gevrey,
-            "spiral_bound": self.spiral_bound,
-            "residuals": self.residuals,
-            "asymptotic": self.asymptotic,
-            "timings": self.timings,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def _verdict(ok, detail="", skipped=False):
-    if skipped:
-        return {"status": "skipped", "reason": detail}
+def _verdict(ok, detail=""):
     return {"status": "pass" if ok else "fail", "detail": detail}
 
 
@@ -79,26 +75,45 @@ def _cnum(c):
     return {"re": c.real, "im": c.imag}
 
 
-def size_parse_window(text, options):
+def _is_json(text):
+    return text.lstrip().startswith("{")
+
+
+def parse_requested(text, options):
+    """The equation at the requested window.  JSON documents carry fixed
+    coefficient data and are returned as stored."""
+    if _is_json(text):
+        return from_json(text)
+    return parse_equation(text, Kt=options.kt(), Kz=max(options.Kz, 1))
+
+
+def size_parse_window(text, options, requested=None):
     """Parse once at the padded window the march and recursion will need.
 
     A small probe solve estimates the seed index so the march span (and
-    with it the derivative budget) is known before the real solve.  JSON
-    documents carry fixed coefficient data and are returned as stored."""
-    if text.lstrip().startswith("{"):
-        from .equation import from_json
-        return from_json(text)
+    with it the derivative budget) is known before the real solve.  A
+    probe the recursion cannot solve gives no estimate; the conditions on
+    the padded equation, or the real solve, then report why.  Where
+    nothing is padded, a JSON document or an equation without
+    z-derivatives, this is `requested`, the parse at the requested window
+    (made here when the caller has not)."""
+    if requested is None:
+        requested = parse_requested(text, options)
+    if _is_json(text):
+        return requested
     probe = parse_equation(text, Kt=options.kt(), Kz=2)
     alpha_max = probe.max_alpha()
     if alpha_max == 0:
-        return parse_equation(text, Kt=options.kt(), Kz=max(options.Kz, 1))
+        return requested
     probe_kz = 14
     probe_big = parse_equation(text, Kt=options.kt(), Kz=probe_kz)
     probe_orders = max(2, min(options.orders, (probe_kz - 2) // alpha_max))
-    sol = solve_formal(probe_big, probe_orders)
-    u = borel_transform(sol)
-    if math.isfinite(u.radius_est) and u.radius_est > 0:
-        seed_est = math.floor(math.log(0.5 * u.radius_est / abs(complex(options.lam)), probe.q))
+    try:
+        radius = borel_transform(solve_formal(probe_big, probe_orders)).radius_est
+    except UnsupportedEquationError:
+        radius = math.inf
+    if math.isfinite(radius) and radius > 0:
+        seed_est = math.floor(math.log(0.5 * radius / abs(complex(options.lam)), probe.q))
     else:
         seed_est = 0
     span = options.mmax - min(seed_est, 0) + 4
@@ -106,9 +121,17 @@ def size_parse_window(text, options):
     return parse_equation(text, Kt=options.kt(), Kz=options.Kz + pad)
 
 
+def polygon_doc(polygon, shape):
+    """The polygon's support, vertices and slopes and the corner offset m0."""
+    return {"support": [{"j": p.j, "alpha": list(p.alpha), "ord_t": p.ord_t} for p in polygon.support],
+            "vertices": [list(v) for v in polygon.vertices],
+            "slopes": [s if math.isfinite(s) else "inf" for s in polygon.slopes],
+            "m0": shape.m0}
+
+
 def analyze_conditions(eq):
     """Polygon, shape/interior/floor checks, reduced coefficients,
-    nondegeneracy, strong margin, characteristic polynomial, directions."""
+    nondegeneracy and strong margin."""
     out = {}
     out["validation"] = validate(eq)
     out["polygon"] = newton_polygon(eq)
@@ -120,151 +143,219 @@ def analyze_conditions(eq):
         out["reduced"] = reduced_coefficients(eq, m0)
         out["nondegeneracy"] = check_nondegeneracy(eq, out["reduced"], m0)
         out["strong_margin"] = check_strong_margin(eq, m0)
-        if out["nondegeneracy"].passed:
-            out["charpoly"] = characteristic_polynomial(eq, out["reduced"], m0)
-            out["directions"] = singular_directions(out["charpoly"])
     return out
 
 
-def run_report(text, options=None):
-    """The full pipeline on a DSL equation text; raises the module errors
-    for singular directions and numerical failures, which the CLI maps to
-    exit codes."""
-    options = options or Options()
-    lam = complex(options.lam)
-    timings = {}
-    t0 = time.perf_counter()
+def _stage(key):
+    """A Run attribute computed on first read; its own time, without the
+    stages it reads, is added to timings[key]."""
+    def wrap(fn):
+        def compute(self):
+            t0 = time.perf_counter()
+            outer, self._nested = self._nested, 0.0
+            try:
+                return fn(self)
+            finally:
+                took = time.perf_counter() - t0
+                self.timings[key] = self.timings.get(key, 0.0) + took - self._nested
+                self._nested = outer + took
+        compute.__doc__ = fn.__doc__
+        return cached_property(compute)
+    return wrap
 
-    eq = size_parse_window(text, options)
-    timings["parse"] = time.perf_counter() - t0
 
-    t1 = time.perf_counter()
-    cond = analyze_conditions(eq)
-    timings["conditions"] = time.perf_counter() - t1
-    shape = cond["shape"]
-    verdicts = {
-        "shape": _verdict(shape.ok, str(shape)),
-        "interior": _verdict(cond["interior"].passed, str(cond["interior"])) if shape.ok
-                    else _verdict(False, "not evaluated", skipped=True),
-        "order_floors": _verdict(cond["floors"].passed, str(cond["floors"])) if shape.ok
-                        else _verdict(False, "not evaluated", skipped=True),
-        "nondegeneracy": _verdict(cond["nondegeneracy"].passed, str(cond["nondegeneracy"]))
-                         if shape.ok else _verdict(False, "not evaluated", skipped=True),
-        "strong_margin": _verdict(cond.get("strong_margin") and cond["strong_margin"].passed,
-                                  str(cond.get("strong_margin", "not evaluated")))
-                         if shape.ok else _verdict(False, "not evaluated", skipped=True),
-    }
-    report = RunReport(
-        equation={"q": eq.q, "delta": {"num": eq.delta.numerator, "den": eq.delta.denominator},
-                  "m": eq.m, "d": eq.d, "terms": len(eq.terms),
-                  "Kt": eq.Kt, "Kz": eq.Kz, "lambda": _cnum(lam)},
-        polygon={}, verdicts=verdicts, directions={}, gevrey={}, spiral_bound={},
-        residuals={}, asymptotic={}, timings=timings)
-    report.polygon = {
-        "support": [{"j": p.j, "alpha": list(p.alpha), "ord_t": p.ord_t} for p in cond["polygon"].support],
-        "vertices": [list(v) for v in cond["polygon"].vertices],
-        "slopes": [s if math.isfinite(s) else "inf" for s in cond["polygon"].slopes],
-        "m0": shape.m0,
-        "m": eq.m,
-    }
-    if not (shape.ok and cond["interior"].passed and cond["nondegeneracy"].passed):
-        raise ConditionsFailed(report)
+class Run:
+    """The stages of the pipeline on one equation text (DSL or JSON)."""
 
-    ds = cond["directions"]
-    clearance = direction_clearance(ds, lam)
-    report.directions = {
-        "roots": [_cnum(r) for r in ds.roots],
-        "rays": list(ds.rays),
-        "clearance": clearance,
-    }
-    if clearance <= 1e-9:
-        raise SingularDirectionError("lambda lies on a singular ray (clearance %.2e)" % clearance)
+    def __init__(self, text, options=None):
+        self.text = text
+        self.options = options or Options()
+        self.timings = {}
+        self._nested = 0.0
 
-    t2 = time.perf_counter()
-    sol = solve_formal(eq, options.orders)
-    formal_residual = verify_formal(eq, sol)
-    fit = gevrey_fit(sol)
-    timings["formal"] = time.perf_counter() - t2
-    report.gevrey = {
-        "A": fit.A, "h": fit.h,
-        "g_tail": [g for g in fit.g[-5:]],
-        "certificate": fit.certificate_holds(eq.q),
-        "formal_residual": formal_residual.max_relative,
-    }
-    verdicts["formal_residual"] = _verdict(formal_residual.passed, str(formal_residual))
-    verdicts["gevrey_certificate"] = _verdict(fit.certificate_holds(eq.q))
+    @_stage("parse")
+    def requested(self):
+        """The equation at the requested window, where `check` reads the conditions."""
+        return parse_requested(self.text, self.options)
 
-    t3 = time.perf_counter()
-    u = borel_transform(sol)
-    beq = borel_transformed_equation(eq, shape.m0)
-    grid = continue_spiral(beq, u, lam, options.mmax)
-    bound = fit_spiral_bound(grid, rz=u.R1)
-    timings["continuation"] = time.perf_counter() - t3
-    report.spiral_bound = {
-        "C": bound.C, "H": bound.H, "bounded": bound.bounded,
-        "trend_slope": bound.trend_slope,
-        "grid": {"m_min": grid.m_min, "seed_top": grid.seed_top, "m_max": grid.m_max},
-        "radius_est": u.radius_est if math.isfinite(u.radius_est) else "inf",
-        "theta_budget": grid.theta_budget,
-        "lead_roots": [_cnum(r) for r in lead_roots(beq)],
-    }
-    verdicts["spiral_bound"] = _verdict(bound.bounded, str(bound))
+    @_stage("conditions")
+    def conditions(self):
+        return analyze_conditions(self.requested)
 
-    t4 = time.perf_counter()
-    samples = _residual_samples(grid, options)
-    res = residual_check(eq, grid, samples, epsilon=min(options.epsilon, 0.1))
-    timings["residual"] = time.perf_counter() - t4
-    report.residuals = {
-        "max_absolute": res.max_absolute,
-        "max_relative": res.max_relative,
-        "count": len(res.samples),
-        "rejected": len(res.rejected),
-        "samples": [{"t": _cnum(s.t), "abs": s.absolute, "rel": s.relative} for s in res.samples],
-    }
-    verdicts["residual"] = _verdict(res.max_absolute <= 1e-5, str(res))
+    @_stage("conditions")
+    def directions(self):
+        cond = self.conditions
+        return singular_directions(characteristic_polynomial(self.requested, cond["reduced"],
+                                                             cond["shape"].m0))
 
-    t5 = time.perf_counter()
+    def require(self, *checks, padded=False):
+        """Raise ConditionsFailed unless the polygon shape and the named
+        checks hold at the requested window, or on the padded equation."""
+        cond, where = self.conditions, ""
+        if padded:
+            cond = self.solved_conditions
+            where = " on the padded equation (Kz=%d)" % self.equation.Kz
+        if cond["shape"].ok:
+            failed = [(c, cond[c].messages) for c in checks if not cond[c].passed]
+        else:
+            failed = [("shape", cond["shape"].reasons)]
+        if failed:
+            raise ConditionsFailed("conditions failed%s: %s" % (where, ", ".join(
+                "%s (%s)" % (c, "; ".join(why)) for c, why in failed)))
+
+    def require_solvable(self):
+        """The gate of the views that solve: the hard conditions at the
+        requested window, then on the padded equation.  When both hold, the
+        corner offset m0 and the singular directions agree: the padded
+        window adds only monomials of z-degree >= Kz, and a corner or a
+        derivative term that only they put on the t-order floor fails
+        nondegeneracy or interior there."""
+        self.require(*HARD_CONDITIONS)
+        self.require(*HARD_CONDITIONS, padded=True)
+
+    @_stage("parse")
+    def equation(self):
+        """The equation at the padded window the solve and the march use."""
+        return size_parse_window(self.text, self.options, requested=self.requested)
+
+    @_stage("conditions")
+    def solved_conditions(self):
+        eq = self.equation
+        return self.conditions if eq is self.requested else analyze_conditions(eq)
+
+    @_stage("formal")
+    def solution(self):
+        return solve_formal(self.equation, self.options.orders)
+
+    @_stage("formal")
+    def formal_residual(self):
+        return verify_formal(self.equation, self.solution)
+
+    @_stage("formal")
+    def gevrey(self):
+        return gevrey_fit(self.solution)
+
+    @_stage("continuation")
+    def borel(self):
+        return borel_transform(self.solution)
+
+    @_stage("continuation")
+    def borel_equation(self):
+        return borel_transformed_equation(self.equation, self.solved_conditions["shape"].m0)
+
+    @_stage("continuation")
+    def grid(self):
+        u = self.borel
+        return continue_spiral(self.borel_equation, u, self.options.lam, self.options.mmax)
+
+    @_stage("continuation")
+    def spiral_bound(self):
+        return fit_spiral_bound(self.grid, rz=self.borel.R1)
+
+    @_stage("residual")
+    def residuals(self):
+        eps = min(self.options.epsilon, 0.1)
+        return residual_check(self.equation, self.grid, _residual_samples(self.grid, eps), epsilon=eps)
+
     # the expansion property quantifies over all small epsilon; the report
     # checks a fixed pair and states each verdict separately
-    per_eps = []
-    for eps in (options.epsilon, options.epsilon / 2.0):
-        asym = asymptotic_check(sol, grid, eps, options.n_check,
-                                rays=options.rays, radii=options.radii,
-                                r_max=options.r_max, jobs=options.jobs)
-        per_eps.append(asym)
-    timings["asymptotic"] = time.perf_counter() - t5
-    primary = per_eps[0]
-    report.asymptotic = {
-        "verdict": primary.verdict,
-        "M": primary.M, "H": primary.H,
-        "epsilon": primary.epsilon,
-        "samples": len(primary.samples),
-        "rho": [r if r is not None else None for r in primary.rho],
-        "reasons": primary.reasons,
-        "per_epsilon": [{"epsilon": a.epsilon, "verdict": a.verdict,
-                         "M": a.M, "H": a.H} for a in per_eps],
-    }
-    all_pass = all(a.passed for a in per_eps)
-    reasons = [r for a in per_eps for r in a.reasons]
-    verdicts["asymptotic"] = _verdict(all_pass, "; ".join(reasons))
-    return report
+    @_stage("asymptotic")
+    def asymptotic(self):
+        return asymptotic_check(self.solution, self.grid, self.options.epsilon, self.options.n_check)
+
+    @_stage("asymptotic")
+    def asymptotic_half(self):
+        return asymptotic_check(self.solution, self.grid, self.options.epsilon / 2.0,
+                                self.options.n_check)
+
+    def report(self):
+        """Every stage, read in order, as a RunReport.  Raises
+        ConditionsFailed, SingularDirectionError and the numerical errors,
+        which the CLI maps to exit codes."""
+        lam = complex(self.options.lam)
+        self.require_solvable()
+        cond = self.solved_conditions
+        shape = cond["shape"]
+        verdicts = {"shape": _verdict(shape.ok, str(shape))}
+        for name, key in (("interior", "interior"), ("order_floors", "floors"),
+                          ("nondegeneracy", "nondegeneracy"), ("strong_margin", "strong_margin")):
+            verdicts[name] = _verdict(cond[key].passed, str(cond[key]))
+        polygon = dict(polygon_doc(cond["polygon"], shape), m=cond["polygon"].m)
+
+        ds = self.directions
+        clearance = direction_clearance(ds, lam)
+        directions = {"roots": [_cnum(r) for r in ds.roots], "rays": list(ds.rays),
+                      "clearance": clearance}
+        if clearance <= 1e-9:
+            raise SingularDirectionError("lambda lies on a singular ray (clearance %.2e)" % clearance)
+
+        eq = self.equation
+        formal_residual, fit = self.formal_residual, self.gevrey
+        certificate = fit.certificate_holds(eq.q)
+        gevrey = {
+            "A": fit.A, "h": fit.h,
+            "g_tail": fit.g[-5:],
+            "certificate": certificate,
+            "formal_residual": formal_residual.max_relative,
+        }
+        verdicts["formal_residual"] = _verdict(formal_residual.passed, str(formal_residual))
+        verdicts["gevrey_certificate"] = _verdict(certificate)
+
+        u, grid, bound = self.borel, self.grid, self.spiral_bound
+        spiral_bound = {
+            "C": bound.C, "H": bound.H, "bounded": bound.bounded,
+            "trend_slope": bound.trend_slope,
+            "grid": {"m_min": grid.m_min, "seed_top": grid.seed_top, "m_max": grid.m_max},
+            "radius_est": u.radius_est if math.isfinite(u.radius_est) else "inf",
+            "theta_budget": grid.theta_budget,
+            "lead_roots": [_cnum(r) for r in lead_roots(self.borel_equation)],
+        }
+        verdicts["spiral_bound"] = _verdict(bound.bounded, str(bound))
+
+        res = self.residuals
+        residuals = {
+            "max_absolute": res.max_absolute,
+            "max_relative": res.max_relative,
+            "count": len(res.samples),
+            "rejected": len(res.rejected),
+            "samples": [{"t": _cnum(s.t), "abs": s.absolute, "rel": s.relative} for s in res.samples],
+        }
+        verdicts["residual"] = _verdict(res.max_absolute <= 1e-5, str(res))
+
+        per_eps = [self.asymptotic, self.asymptotic_half]
+        primary = per_eps[0]
+        asymptotic = {
+            "verdict": primary.verdict,
+            "M": primary.M, "H": primary.H,
+            "epsilon": primary.epsilon,
+            "samples": len(primary.samples),
+            "rho": list(primary.rho),
+            "reasons": primary.reasons,
+            "per_epsilon": [{"epsilon": a.epsilon, "verdict": a.verdict,
+                             "M": a.M, "H": a.H} for a in per_eps],
+        }
+        verdicts["asymptotic"] = _verdict(all(a.passed for a in per_eps),
+                                          "; ".join(r for a in per_eps for r in a.reasons))
+        return RunReport(
+            equation={"q": eq.q, "delta": {"num": eq.delta.numerator, "den": eq.delta.denominator},
+                      "m": eq.m, "d": eq.d, "terms": len(eq.terms),
+                      "Kt": eq.Kt, "Kz": eq.Kz, "lambda": _cnum(lam)},
+            polygon=polygon, verdicts=verdicts, directions=directions, gevrey=gevrey,
+            spiral_bound=spiral_bound, residuals=residuals, asymptotic=asymptotic,
+            timings=self.timings)
 
 
-class ConditionsFailed(QsumError):
-    """Raised when a polygon-level condition fails; carries the report."""
-
-    def __init__(self, report):
-        self.report = report
-        hard = ("shape", "interior", "nondegeneracy")
-        failed = [k for k in hard if report.verdicts.get(k, {}).get("status") == "fail"]
-        super().__init__("conditions failed: " + ", ".join(failed))
+def run_report(text, options=None):
+    """The full pipeline on an equation text (DSL or JSON); see Run.report."""
+    return Run(text, options).report()
 
 
-def _residual_samples(grid, options):
+def _residual_samples(grid, epsilon):
+    """Points at |t| = 0.05|lambda| and 0.1|lambda| on RESIDUAL_SAMPLES / 2
+    rays off lambda's, kept where they lie outside the excluded disks."""
     lam = grid.lam
-    geom = SpiralGeometry(lam, min(options.epsilon, 0.1), grid.q)
-    n = options.residual_samples
-    rays = max(2, (n + 1) // 2)
+    geom = SpiralGeometry(lam, epsilon, grid.q)
+    rays = RESIDUAL_SAMPLES // 2
     out = []
     base = cmath.phase(lam)
     for i in range(rays):
@@ -273,6 +364,4 @@ def _residual_samples(grid, options):
             t = cmath.rect(r, ang)
             if zone_membership(geom, t).outside:
                 out.append(t)
-            if len(out) >= n:
-                return out
     return out

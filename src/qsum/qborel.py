@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from .errors import (EffectivelySingularError, GridTooShortError,
                      RadiusTooSmallError, SingularDirectionError,
                      UnsupportedEquationError)
+from .growth import last_third, ls_slope
 from .newton import _angle_gap, durand_kerner
 from .series import TruncatedSeries, divide
 
@@ -45,9 +46,7 @@ def borel_transform(sol):
     if not ks:
         radius = math.inf
     else:
-        start = max(1, int(math.ceil(2.0 * sol.count / 3.0)))
-        window = [k for k in ks if k >= start] or ks[-max(1, len(ks) // 3):]
-        growth = max(math.log(norms[k]) / k for k in window)
+        growth = max(math.log(norms[k]) / k for k in last_third(ks, sol.count))
         radius = math.exp(-growth)
     return BorelFunction(sol.q, sol.scaled, radius, sol.R1, sol.d)
 
@@ -167,9 +166,6 @@ class SpiralGrid:
     theta_budget: float     # angular clearance of lambda from the lead-symbol rays
     radius_est: float
     d: int
-
-    def value(self, m):
-        return self.values[m]
 
     def norms_logq(self, rz=1.0):
         return {m: v.norm_logq(self.q, rz) for m, v in self.values.items()}
@@ -330,23 +326,9 @@ def fit_spiral_bound(grid, rz=1.0, trend_tol=0.05):
             return SpiralBoundFit(0.0, 1.0, diag, 0.0, True)
         logH = 0.0
     else:
-        start = max(1, int(math.ceil(2.0 * grid.m_max / 3.0)))
-        window = [m for m in usable if m >= start] or usable[-max(1, len(usable) // 3):]
-        logH = max(0.0, max(diag[m] for m in window))
+        logH = max(0.0, max(diag[m] for m in last_third(usable, grid.m_max)))
     logC = max(lognorm[m] - m * logH - m * m / 2.0 * lnq
                for m in range(0, grid.m_max + 1) if lognorm[m] is not None)
     half = [m for m in usable if m >= max(1, grid.m_max // 2)]
-    slope = _ls_slope([(m, diag[m]) for m in half]) if len(half) >= 3 else 0.0
+    slope = ls_slope([(m, diag[m]) for m in half]) if len(half) >= 3 else 0.0
     return SpiralBoundFit(math.exp(logC), math.exp(logH), diag, slope, slope <= trend_tol)
-
-
-def _ls_slope(points):
-    n = len(points)
-    sx = sum(x for x, _ in points)
-    sy = sum(y for _, y in points)
-    sxx = sum(x * x for x, _ in points)
-    sxy = sum(x * y for x, y in points)
-    denom = n * sxx - sx * sx
-    if denom == 0:
-        return 0.0
-    return (n * sxy - sx * sy) / denom

@@ -20,8 +20,8 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-from .errors import GridTooShortError, PoleProximityError
-from .qborel import _ls_slope
+from .errors import GridTooShortError, PoleProximityError, UsageError
+from .growth import last_third, ls_slope
 from .scaled import QScaled
 from .series import TruncatedSeries
 
@@ -97,7 +97,7 @@ def zone_membership(geom, t, guard=1.1):
     contain t, namely those with q^m within (1 +- eps) * |t/lambda|."""
     t = complex(t)
     if t == 0:
-        raise ValueError("t must be nonzero")
+        raise UsageError("t must be nonzero")
     q, lam, eps = geom.q, geom.lam, geom.epsilon
     center = math.log(abs(t) / abs(lam)) / math.log(q)
     lo = math.floor(center + math.log1p(-min(eps * guard, 0.9)) / math.log(q)) - 1
@@ -275,8 +275,7 @@ def _sample_points(geom, rays, radii, r_max):
     return points
 
 
-def asymptotic_check(sol, grid, epsilon, n_max, rays=8, radii=12, r_max=None,
-                     z0=None, w_fn=None, jobs=1):
+def asymptotic_check(sol, grid, epsilon, n_max, rays=8, radii=12, z0=None, w_fn=None):
     """Fit (M, H) with  |W - partial_N| <= (M H^N / eps) q^{N(N-1)/2} |t|^N
     over a ray/radius sample fan, and judge the expansion:
 
@@ -290,24 +289,18 @@ def asymptotic_check(sol, grid, epsilon, n_max, rays=8, radii=12, r_max=None,
     lam = grid.lam
     geom = SpiralGeometry(lam, epsilon, q)
     if epsilon >= geom.disjointness_threshold():
-        raise ValueError("epsilon %.3g not below the disk-disjointness threshold %.3g"
+        raise UsageError("epsilon %.3g not below the disk-disjointness threshold %.3g"
                          % (epsilon, geom.disjointness_threshold()))
     if n_max > sol.count:
-        raise ValueError("remainder depth %d exceeds the computed formal order %d"
+        raise UsageError("remainder depth %d exceeds the computed formal order %d"
                          % (n_max, sol.count))
-    r_max = r_max if r_max is not None else 0.1 * abs(lam)
-    points = _sample_points(geom, rays, radii, r_max)
+    points = _sample_points(geom, rays, radii, 0.1 * abs(lam))
     z0 = tuple(z0) if z0 is not None else (0.0,) * grid.d
     if w_fn is None:
         def w_fn(t):
             return q_laplace_series(grid, t, epsilon).evaluate(0.0, z0)
 
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            wvals = list(pool.map(w_fn, points))
-    else:
-        wvals = [w_fn(t) for t in points]
+    wvals = [w_fn(t) for t in points]
 
     lnq = math.log(q)
     # scaled partial sums of the formal series at each sample
@@ -338,14 +331,12 @@ def asymptotic_check(sol, grid, epsilon, n_max, rays=8, radii=12, r_max=None,
     if not usable:
         logH = 0.0
     else:
-        start = max(1, int(math.ceil(2.0 * n_max / 3.0)))
-        window = [N for N in usable if N >= start] or usable[-max(1, len(usable) // 3):]
-        logH = max(0.0, max(math.log(rho[N]) for N in window))
+        logH = max(0.0, max(math.log(rho[N]) for N in last_third(usable, n_max)))
         # rho_N settling toward a finite limit is the healthy pattern; only a
         # sustained upward trend means no envelope of this shape exists
-        tail = [N for N in usable if N >= start]
+        tail = last_third(usable, n_max, fallback=False)
         if len(tail) >= 3:
-            slope = _ls_slope([(float(N), math.log(rho[N])) for N in tail])
+            slope = ls_slope([(float(N), math.log(rho[N])) for N in tail])
             if slope > 0.1:
                 reasons.append("normalized remainders trend upward (%.3g/order); no finite envelope" % slope)
     logM = max((lr - N * logH for (N, _), lr in log_r.items()), default=-math.inf)
@@ -365,12 +356,4 @@ def _order1_slope(points, e1):
     data = [(math.log(abs(t)), math.log(e)) for t, e in zip(points, e1) if e > 0]
     if len(data) < 4:
         return None
-    n = len(data)
-    sx = sum(x for x, _ in data)
-    sy = sum(y for _, y in data)
-    sxx = sum(x * x for x, _ in data)
-    sxy = sum(x * y for x, y in data)
-    denom = n * sxx - sx * sx
-    if denom == 0:
-        return None
-    return (n * sxy - sx * sy) / denom
+    return ls_slope(data, degenerate=None)

@@ -377,24 +377,3 @@ def invert(a):
     """Multiplicative inverse up to the window; requires a(0,0) != 0."""
     return divide(TruncatedSeries.const(1.0, a.d, a.Kt, a.Kz), a)
 
-
-# functional aliases matching the operation surface
-
-def add(a, b):
-    return a + b
-
-
-def mul(a, b):
-    return a * b
-
-
-def dz(a, axis, order=1):
-    return a.dz(axis, order)
-
-
-def evaluate(a, t0, z0=()):
-    return a.evaluate(t0, z0)
-
-
-def ord_t(a):
-    return a.ord_t()

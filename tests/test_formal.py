@@ -105,3 +105,11 @@ def test_scaled_storage_stays_finite():
         c = v.constant_term()
         assert math.isfinite(c.real) and math.isfinite(c.imag)
     assert verify_formal(eq, sol).passed
+
+
+def test_gevrey_window_at_multiple_of_three():
+    # 30 orders: the window is 20..30, so a peak at order 20 sets h
+    vs = tuple(TruncatedSeries.const(math.exp(10.0) if n == 20 else 1.0, 0, 1, 1)
+               for n in range(31))
+    fit = gevrey_fit(FormalSolution(2.0, 30, vs, R1=0.5, d=0))
+    assert fit.h == pytest.approx(math.exp(0.5))

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from qsum.growth import (check_growth_bound, fit_coeff_bound, fit_growth,
-                         truncated_entire_eval)
+                         last_third, truncated_entire_eval)
 
 Q = 2.0
 
@@ -112,3 +112,16 @@ def test_round_trip_equivalence_small_corpus():
         assert check_growth_bound(ev, Q, 1.1 * gb.M, gb.alpha, log_spaced(0.1, 1e3, 41)).passed
         back = fit_coeff_bound(coeffs, Q)
         assert math.isfinite(back.A) and math.isfinite(back.H)
+
+
+def test_last_third_starts_at_two_thirds():
+    for n in range(1, 500):
+        assert last_third(list(range(1, n + 1)), n)[0] == max(1, -(-2 * n // 3))
+    assert last_third(list(range(1, 31)), 30) == list(range(20, 31))
+
+
+def test_coeff_bound_window_at_multiple_of_three():
+    # 30 orders: the window is 20..30, so a peak at order 20 sets H
+    coeffs = [Q ** (-n * (n - 1) / 2.0) for n in range(31)]
+    coeffs[20] *= math.exp(10.0)
+    assert fit_coeff_bound(coeffs, Q).H == pytest.approx(math.exp(0.5))

@@ -165,12 +165,78 @@ def test_grid_too_short_exit_code(tmp_path, euler_file):
     assert code == 4
 
 
-def test_jobs_flag_deterministic(tmp_path, euler_file):
-    outs = []
-    for jobs in ("1", "4"):
-        out = tmp_path / ("j%s.json" % jobs)
-        assert run_cli(["verify", euler_file, "--lambda", "1,0", "--orders", "25",
-                        "--mmax", "25", "--N", "8", "--jobs", jobs,
-                        "--json", str(out)]) == 0
-        outs.append(out.read_text())
-    assert outs[0] == outs[1]
+
+CONDITION_FAILURES = {
+    # no coefficient of t-order 0: the shape fails before anything is solved
+    "shape": "q=2; delta=1; m=2; d=1; eq: t*S^1(X) + t*S^2(X) + t^2*S^1 Dz1^1(X) = 1\n",
+    # the shape holds, but the corner coefficient vanishes at the origin
+    "nondegeneracy": "q=2; delta=1; m=1; d=1; eq: t*S^1(X) + z1*S^0(X) = 1\n",
+}
+
+
+@pytest.mark.parametrize("failing", sorted(CONDITION_FAILURES))
+@pytest.mark.parametrize("cmd", ["report", "borel", "continue", "resum", "verify",
+                                 "growth", "directions", "square"])
+def test_failed_condition_exit_code(tmp_path, capsys, cmd, failing):
+    p = tmp_path / "eq.qde"
+    p.write_text(CONDITION_FAILURES[failing])
+    extra = ["--t", "0.1,0"] if cmd == "resum" else []
+    code = run_cli([cmd, str(p), "--json", os.devnull] + extra)
+    if cmd == "square" and failing == "nondegeneracy":
+        assert code == 0  # the squared form needs only the shape
+    else:
+        assert code == 2
+        assert "conditions failed: " + failing in capsys.readouterr().err
+
+
+# the derivative term's coefficient z1 lies outside the requested window
+# Kz=1, but not outside the padded window the solving views use, where the
+# term sits on the polygon's boundary
+TRUNCATED_TERM = "q=2; delta=1; m=1; d=1; eq: t*S^1(X) + S^0(X) + z1*S^0 Dz1^1(X) = 1\n"
+
+
+@pytest.mark.parametrize("cmd", ["report", "borel", "continue", "resum", "verify", "growth"])
+def test_conditions_read_on_the_padded_equation(tmp_path, capsys, cmd):
+    p = tmp_path / "eq.qde"
+    p.write_text(TRUNCATED_TERM)
+    extra = ["--t", "0.1,0"] if cmd == "resum" else []
+    assert run_cli(["check", str(p), "--zorder", "1", "--json", os.devnull]) == 0
+    capsys.readouterr()
+    code = run_cli([cmd, str(p), "--zorder", "1", "--json", os.devnull] + extra)
+    assert code == 2
+    assert "on the padded equation" in capsys.readouterr().err
+
+
+USAGE_ERRORS = {
+    "missing argument": ["check"],
+    "bad int flag": ["check", "{euler}", "--orders", "x"],
+    "unknown subcommand": ["nosuch", "{euler}"],
+    "bad config value": ["--config", "{config}", "check", "{euler}"],
+    "config is a directory": ["--config", "{tmp}", "check", "{euler}"],
+    "epsilon at the disjointness threshold": ["verify", "{euler15}", "--orders", "10",
+                                              "--mmax", "10", "--N", "6"],
+    "N above orders": ["verify", "{euler}", "--orders", "6", "--N", "8"],
+    "t at the origin": ["resum", "{euler}", "--t", "0,0"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_usage_error_exit_code(tmp_path, euler_file, case):
+    euler15 = tmp_path / "euler15.qde"
+    euler15.write_text(EULER.replace("q=2", "q=1.5"))  # threshold 0.2 < default epsilon 0.3
+    config = tmp_path / "bad.toml"
+    config.write_text("orders = x\n")
+    names = {"euler": euler_file, "euler15": str(euler15), "config": str(config),
+             "tmp": str(tmp_path)}
+    argv = [a.format(**names) for a in USAGE_ERRORS[case]]
+    proc = subprocess.run([sys.executable, "-m", "qsum.cli"] + argv,
+                          capture_output=True, text=True)
+    assert proc.returncode == 5
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_help_exit_code():
+    proc = subprocess.run([sys.executable, "-m", "qsum.cli", "--help"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
