@@ -12,9 +12,10 @@ are quarantined in their own report field).
 
 Exit codes: 0 success; 2 a polygon-level condition failed; 3 singular or
 effectively singular direction; 4 numerical failure (grid too short, seed
-unreachable, root finding); 5 usage or parse error (bad arguments, an
-unreadable file, a bad configuration value, or an option value the
-methods cannot use, such as an epsilon at or above (q-1)/(q+1)).
+unreachable, root finding, too few nonzero values for the growth fit);
+5 usage or parse error (bad arguments, an unreadable file, a bad
+configuration value, or an option value the methods cannot use, such as
+a negative size or an epsilon at or above (q-1)/(q+1)).
 """
 
 import argparse
@@ -24,7 +25,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .equation import to_json
+from .equation import series_rows, to_json
 from .errors import (ConditionsFailed, ParseError, QsumError, SchemaError,
                      SingularDirectionError, UsageError)
 from .growth import fit_growth
@@ -232,7 +233,7 @@ def _solve(run, args):
         _emit_csv(rows, ("n", "log10_norm", "g_n"), args.csv)
     doc = {"orders": sol.count, "A": fit.A, "h": fit.h,
            "coefficients": [{"n": n,
-                             "v": [[k[0], list(k[1]), c.real, c.imag] for k, c in v.items()],
+                             "v": series_rows(v),
                              "log10_norm": (fit.norms[n].log_abs() / math.log(10.0)
                                             if not fit.norms[n].is_zero() else None),
                              "g": fit.g[n]}
@@ -245,15 +246,15 @@ def _borel(run, args):
     run.require_solvable()
     u = run.borel
     doc = {"radius_est": u.radius_est if math.isfinite(u.radius_est) else "inf",
-           "coefficients": [[[k[0], list(k[1]), c.real, c.imag] for k, c in v.items()]
-                            for v in u.coeffs]}
+           "coefficients": [series_rows(v) for v in u.coeffs]}
     _emit_json(doc, args.json)
     return EXIT_OK
 
 
 def _continue(run, args):
     run.require_solvable()
-    grid, fitb, rz = run.grid, run.spiral_bound, run.borel.R1
+    grid, fitb = run.grid, run.spiral_bound
+    norms = grid.norms_logq(run.borel.R1)
     if args.csv is not None:
         rows = [(m, fitb.diag[m] if 0 <= m < len(fitb.diag) and fitb.diag[m] is not None else "")
                 for m in range(grid.m_min, grid.m_max + 1)]
@@ -264,7 +265,7 @@ def _continue(run, args):
            "values": [{"m": m,
                        "value_z0": {"mantissa": grid.values[m].series.constant_term(),
                                     "qexp": grid.values[m].qexp},
-                       "sup_logq": grid.values[m].norm_logq(grid.q, rz)}
+                       "sup_logq": norms[m]}
                       for m in range(max(grid.m_min, -10), grid.m_max + 1)]}
     _emit_json(doc, args.json)
     return EXIT_OK
@@ -296,6 +297,9 @@ def _verify(run, args):
 
 
 def _growth(run, args):
+    if run.options.mmax < 2:
+        raise UsageError("growth needs --mmax of at least 2 to sample two grid values (got %d)"
+                         % run.options.mmax)
     run.require_solvable()
     grid = run.grid
     samples = [grid.lam * grid.q ** float(m) for m in range(0, grid.m_max + 1, 2)]

@@ -259,7 +259,8 @@ def equation_to_dsl(eq):
 
 # ------------------------------------------------------------------ JSON
 
-def _series_to_rows(s):
+def series_rows(s):
+    """The JSON coefficient rows [n, beta, re, im] of a series."""
     return [[n, list(beta), c.real, c.imag] for (n, beta), c in s.items()]
 
 
@@ -292,10 +293,10 @@ def to_json(eq):
         "Kz": eq.Kz,
         "R": eq.R,
         "terms": [
-            {"j": t.j, "alpha": list(t.alpha), "coeff": _series_to_rows(t.coeff)}
+            {"j": t.j, "alpha": list(t.alpha), "coeff": series_rows(t.coeff)}
             for t in eq.terms
         ],
-        "rhs": _series_to_rows(eq.rhs),
+        "rhs": series_rows(eq.rhs),
     }
     return json.dumps(doc, indent=2, sort_keys=True)
 

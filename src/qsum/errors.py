@@ -92,5 +92,9 @@ class PoleProximityError(QsumError):
     """Evaluation point lies in or too near the excluded spiral disks."""
 
 
+class FitError(QsumError, ValueError):
+    """Too few usable samples to fit an envelope."""
+
+
 class UnsupportedEquationError(QsumError):
     """Equation structure outside what the coefficient recursion can isolate."""

@@ -14,6 +14,7 @@ the p-step factor becomes q^{(j-p)(n-p) - p(p-1)/2}.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ResonanceError, UnsupportedEquationError
 from .growth import last_third
@@ -31,12 +32,24 @@ class FormalSolution:
     R1: float           # working polydisc radius for sup-norm estimates
     d: int
 
+    @cached_property
+    def sup_norms(self):
+        """Sup norms of v_n on |z| <= R1, per order."""
+        return tuple(v.sup_norm(self.R1) for v in self.scaled)
+
     def coefficient_norms(self):
         """Sup-norm estimates of X_n on |z| <= R1, as scaled values."""
-        out = []
-        for n, v in enumerate(self.scaled):
-            out.append(QScaled(self.q, v.sup_norm(self.R1), n * (n - 1) / 2.0))
-        return out
+        return [QScaled(self.q, s, n * (n - 1) / 2.0) for n, s in enumerate(self.sup_norms)]
+
+    def gevrey_rate(self):
+        """log h: the largest log||v_n|| / n over the last third of the
+        orders n >= 1 with v_n != 0, where the pre-asymptotic wobble has
+        died out; None when every such v_n is zero.  The Borel radius is
+        exp(-rate)."""
+        nonzero = [n for n in range(1, self.count + 1) if self.sup_norms[n] > 0]
+        if not nonzero:
+            return None
+        return max(math.log(self.sup_norms[n]) / n for n in last_third(nonzero, self.count))
 
 
 def _presliced(eq):
@@ -56,18 +69,16 @@ def _check_exponent_envelope(eq, n_max):
             "q^(m*n) factors exceed double range at m=%d, n=%d, q=%g" % (eq.m, n_max, eq.q))
 
 
-def solve_formal(eq, n_max, Kz=None, R1=None):
+def solve_formal(eq, n_max):
     """Scaled coefficients v_0..v_{n_max} of the formal solution.
 
     The z-window of v_n shrinks with n when z-derivative terms feed the
     recursion; callers wanting full depth at high orders must supply an
     equation parsed at a correspondingly padded Kz.  R1 (the polydisc
-    radius for sup-norm estimates) defaults to half the equation's z
-    radius.
+    radius for sup-norm estimates) is half the equation's z radius.
     """
     q = eq.q
     d = eq.d
-    Kz = Kz if Kz is not None else eq.Kz
     _check_exponent_envelope(eq, n_max)
     slices = _presliced(eq)
     diag = [s for s in slices if s[2] == 0]      # p = 0: the diagonal factor
@@ -80,18 +91,18 @@ def solve_formal(eq, n_max, Kz=None, R1=None):
         raise UnsupportedEquationError("no coefficient of t-order 0; the recursion has no diagonal")
     lower = [s for s in slices if s[2] >= 1]
     rhs_slices = dict(eq.rhs.t_slices())
-    zero = TruncatedSeries.zero(d, 1, Kz)
+    zero = TruncatedSeries.zero(d, 1, eq.Kz)
 
     vs = []
     for n in range(n_max + 1):
         cn = zero
         for j, _, _, zpart in diag:
-            cn = cn + zpart.truncated(Kz=Kz) * (q ** (j * n))
+            cn = cn + zpart * (q ** (j * n))
         cn0 = cn.constant_term()
         scale = max(abs(zpart.constant_term()) * q ** (j * n) for j, _, _, zpart in diag)
         if abs(cn0) <= RESONANCE_TOL * max(scale, 1.0):
             raise ResonanceError(n)
-        acc = rhs_slices.get(n, zero).truncated(Kz=Kz) * (q ** (-n * (n - 1) / 2.0))
+        acc = rhs_slices.get(n, zero) * (q ** (-n * (n - 1) / 2.0))
         for j, alpha, p, zpart in lower:
             k = n - p
             if k < 0:
@@ -99,9 +110,9 @@ def solve_formal(eq, n_max, Kz=None, R1=None):
             factor = q ** ((j - p) * k - p * (p - 1) / 2.0)
             if factor == 0.0:
                 continue
-            acc = acc - zpart.truncated(Kz=Kz) * factor * vs[k].dz_multi(alpha)
+            acc = acc - zpart * factor * vs[k].dz_multi(alpha)
         vs.append(acc / cn)
-    return FormalSolution(q, n_max, tuple(vs), R1=R1 if R1 is not None else eq.R / 2.0, d=d)
+    return FormalSolution(q, n_max, tuple(vs), R1=eq.R / 2.0, d=d)
 
 
 @dataclass
@@ -189,22 +200,12 @@ def gevrey_fit(sol):
     third of computed orders, where the pre-asymptotic wobble has died
     out); A is then the smallest constant making the bound hold at every
     order."""
-    q = sol.q
     norms = sol.coefficient_norms()
-    logs = []
-    for n, v in enumerate(sol.scaled):
-        s = v.sup_norm(sol.R1)
-        logs.append(math.log(s) if s > 0 else None)
-    nonzero = [n for n in range(1, sol.count + 1) if logs[n] is not None]
-    if not nonzero and logs[0] is None:
-        return GevreyFit(0.0, 1.0, norms, [None] * len(logs))
-    g = [None] * len(logs)
-    for n in nonzero:
-        g[n] = logs[n] / n
-    if nonzero:
-        logh = max(g[n] for n in last_third(nonzero, sol.count))
-        h = math.exp(logh)
-    else:
-        logh, h = 0.0, 1.0
+    logs = [math.log(s) if s > 0 else None for s in sol.sup_norms]
+    g = [None if lg is None or n == 0 else lg / n for n, lg in enumerate(logs)]
+    if all(lg is None for lg in logs):
+        return GevreyFit(0.0, 1.0, norms, g)
+    rate = sol.gevrey_rate()
+    logh = 0.0 if rate is None else rate
     logA = max(logs[n] - n * logh for n in range(sol.count + 1) if logs[n] is not None)
-    return GevreyFit(math.exp(logA), h, norms, g)
+    return GevreyFit(math.exp(logA), math.exp(logh), norms, g)

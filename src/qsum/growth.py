@@ -10,6 +10,14 @@ and then verified pointwise, with the sampled range reported."""
 import math
 from dataclasses import dataclass, field
 
+from .errors import FitError
+
+# largest upward slope per order of an envelope diagnostic that still
+# counts as settled, in every envelope fit
+TREND_TOL = 0.05
+# log-margin by which a sampled value may exceed its growth envelope
+GROWTH_SLACK = 1e-9
+
 
 @dataclass
 class CoeffBound:
@@ -23,12 +31,13 @@ class CoeffBound:
         for n, a in enumerate(coeffs):
             if a == 0:
                 continue
-            if math.log(abs(a)) > math.log(self.A) + n * math.log(self.H) - n * (n - 1) / 2.0 * lnq + 1e-9:
+            bound = math.log(self.A) + n * math.log(self.H) - n * (n - 1) / 2.0 * lnq
+            if math.log(abs(a)) > bound + GROWTH_SLACK:
                 return False
         return True
 
 
-def fit_coeff_bound(coeffs, q, trend_tol=0.05):
+def fit_coeff_bound(coeffs, q):
     """Envelope (A, H) for |a_n| <= A H^n q^{-n(n-1)/2}.
 
     H is the largest (|a_n| q^{n(n-1)/2})^{1/n} over the stabilized window;
@@ -53,7 +62,7 @@ def fit_coeff_bound(coeffs, q, trend_tol=0.05):
                for n in range(n_top + 1) if coeffs[n] != 0)
     half = [n for n in usable if n >= max(1, n_top // 2)]
     slope = ls_slope([(float(n), h_seq[n]) for n in half]) if len(half) >= 3 else 0.0
-    return CoeffBound(math.exp(logA), math.exp(logH), h_seq, slope > trend_tol)
+    return CoeffBound(math.exp(logA), math.exp(logH), h_seq, slope > TREND_TOL)
 
 
 @dataclass
@@ -78,7 +87,7 @@ def _bound_log(q, M, alpha, t_abs):
     return math.log(M) + lt * lt / (2.0 * math.log(q)) + alpha * lt
 
 
-def check_growth_bound(evaluator, q, M, alpha, samples, slack=1e-9):
+def check_growth_bound(evaluator, q, M, alpha, samples):
     """Pointwise check of |f(t)| <= M exp((log|t|)^2/(2 log q) + alpha log|t|)."""
     worst = -math.inf
     for t in samples:
@@ -88,7 +97,7 @@ def check_growth_bound(evaluator, q, M, alpha, samples, slack=1e-9):
         v = abs(evaluator(t))
         margin = (math.log(v) if v > 0 else -math.inf) - _bound_log(q, M, alpha, abs(t))
         worst = max(worst, margin)
-    return GrowthReport(worst <= slack, worst, len(samples))
+    return GrowthReport(worst <= GROWTH_SLACK, worst, len(samples))
 
 
 def fit_growth(evaluator, q, samples):
@@ -101,10 +110,10 @@ def fit_growth(evaluator, q, samples):
         if v > 0:
             pts.append((math.log(abs(t)), math.log(v) - math.log(abs(t)) ** 2 / (2.0 * math.log(q))))
     if len(pts) < 2:
-        raise ValueError("need at least 2 usable samples")
+        raise FitError("need at least 2 samples with f(t) != 0, got %d" % len(pts))
     xs = [x for x, _ in pts]
     if max(xs) - min(xs) < 1e-6:
-        raise ValueError("degenerate sample spread in log|t|")
+        raise FitError("degenerate sample spread in log|t|")
     alpha = ls_slope(pts)
     logM = max(y - alpha * x for x, y in pts)
     return GrowthBound(math.exp(logM), alpha)

@@ -17,6 +17,8 @@ from .series import TruncatedSeries
 
 RAY_MERGE_TOL = 1e-9
 ZERO_TOL = 1e-12
+ROOT_RTOL = 1e-13       # relative step at which the root iteration has converged
+ROOT_MAX_ITER = 500
 
 
 @dataclass(frozen=True)
@@ -213,17 +215,17 @@ def reduced_coefficients(eq, m0):
     return out
 
 
-def check_nondegeneracy(eq, reduced, m0, tol=ZERO_TOL):
+def check_nondegeneracy(eq, reduced, m0):
     """Endpoint nonvanishing: a_{m0,0}(0,0) != 0 and b_m(0,0) != 0."""
     messages = []
     tmap = eq.term_map()
     lead = tmap.get((m0, (0,) * eq.d))
     scale = max((t.coeff.norm_max() for t in eq.terms), default=1.0) or 1.0
     v0 = lead.coeff.constant_term() if lead is not None else 0j
-    if abs(v0) <= tol * scale:
+    if abs(v0) <= ZERO_TOL * scale:
         messages.append("constant coefficient vanishes at the corner: a(j=%d) = %s" % (m0, v0))
     vm = reduced[eq.m].constant_term()
-    if abs(vm) <= tol * scale:
+    if abs(vm) <= ZERO_TOL * scale:
         messages.append("reduced top coefficient vanishes: b(j=%d)(0,0) = %s" % (eq.m, vm))
     return CheckReport(not messages, messages)
 
@@ -300,11 +302,11 @@ class DirectionSet:
         return "rays at " + ", ".join("%.6f rad" % r for r in self.rays)
 
 
-def durand_kerner(coeffs, max_iter=500, tol=1e-13):
+def durand_kerner(coeffs):
     """Simultaneous iteration for all roots of sum c_k x^k (ascending c).
 
     Small degrees only; raises RootFindingError when the step size fails
-    to contract below tol relative within the iteration cap."""
+    to contract below ROOT_RTOL relative within ROOT_MAX_ITER steps."""
     coeffs = [complex(c) for c in coeffs]
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
@@ -318,7 +320,7 @@ def durand_kerner(coeffs, max_iter=500, tol=1e-13):
     radius = 1.0 + max(abs(c) for c in monic[:-1])
     seed = 0.4 + 0.9j  # standard asymmetric start
     roots = [radius * seed ** k for k in range(1, n + 1)]
-    for _ in range(max_iter):
+    for _ in range(ROOT_MAX_ITER):
         worst = 0.0
         new = list(roots)
         for i in range(n):
@@ -337,16 +339,16 @@ def durand_kerner(coeffs, max_iter=500, tol=1e-13):
             scale = max(abs(new[i]), 1e-30)
             worst = max(worst, abs(step) / scale)
         roots = new
-        if worst < tol:
+        if worst < ROOT_RTOL:
             return roots
-    raise RootFindingError("root iteration did not converge within %d steps" % max_iter)
+    raise RootFindingError("root iteration did not converge within %d steps" % ROOT_MAX_ITER)
 
 
-def singular_directions(charpoly, tol=ZERO_TOL):
+def singular_directions(charpoly):
     """Roots of the characteristic polynomial at z=0 and their rays."""
     c = charpoly.at_z0()
     scale = max(abs(x) for x in c) or 1.0
-    if abs(c[0]) <= tol * scale or abs(c[-1]) <= tol * scale:
+    if abs(c[0]) <= ZERO_TOL * scale or abs(c[-1]) <= ZERO_TOL * scale:
         raise SingularDirectionError("characteristic polynomial endpoints vanish at z=0")
     roots = durand_kerner(c)
     roots.sort(key=lambda r: (cmath.phase(r), abs(r)))

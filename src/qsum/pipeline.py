@@ -15,14 +15,14 @@ recursion and in the continuation march consumes one unit of window per
 step, so the parse window is padded by alpha_max * (orders + march span)
 to leave the requested depth at the top of the grid."""
 
-import cmath
 import math
 import time
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 from .equation import from_json, parse_equation, validate
-from .errors import ConditionsFailed, SingularDirectionError, UnsupportedEquationError
+from .errors import (ConditionsFailed, SingularDirectionError, UnsupportedEquationError,
+                     UsageError)
 from .formal import gevrey_fit, solve_formal, verify_formal
 from .newton import (characteristic_polynomial, check_interior,
                      check_nondegeneracy, check_order_floors, check_shape,
@@ -30,7 +30,7 @@ from .newton import (characteristic_polynomial, check_interior,
                      reduced_coefficients, singular_directions)
 from .qborel import (borel_transform, borel_transformed_equation,
                      continue_spiral, fit_spiral_bound, lead_roots)
-from .qlaplace import asymptotic_check, residual_check, zone_membership, SpiralGeometry
+from .qlaplace import SpiralGeometry, asymptotic_check, residual_check, sample_fan
 
 # with the polygon shape, the conditions every stage past them needs
 HARD_CONDITIONS = ("interior", "nondegeneracy")
@@ -45,6 +45,17 @@ class Options:
     Kz: int = 8
     epsilon: float = 0.3
     n_check: int = 12
+
+    def __post_init__(self):
+        """Sizes and epsilon must be in range; the upper bound on epsilon,
+        (q-1)/(q+1), is checked where q is known.  Errors name the setting
+        as the config file and the flags do."""
+        for name, key, low in (("orders", "orders", 1), ("mmax", "mmax", 0),
+                               ("n_check", "N", 0), ("Kz", "zorder", 0)):
+            if getattr(self, name) < low:
+                raise UsageError("%s must be at least %d (got %d)" % (key, low, getattr(self, name)))
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise UsageError("epsilon must be positive and finite (got %r)" % self.epsilon)
 
     def kt(self):
         """The t-window: one order past the formal solve."""
@@ -90,26 +101,27 @@ def parse_requested(text, options):
 def size_parse_window(text, options, requested=None):
     """Parse once at the padded window the march and recursion will need.
 
-    A small probe solve estimates the seed index so the march span (and
-    with it the derivative budget) is known before the real solve.  A
-    probe the recursion cannot solve gives no estimate; the conditions on
-    the padded equation, or the real solve, then report why.  Where
-    nothing is padded, a JSON document or an equation without
-    z-derivatives, this is `requested`, the parse at the requested window
-    (made here when the caller has not)."""
+    A probe parse at Kz=14 gives the highest derivative order, alpha_max
+    (a derivative term whose coefficient starts at z-degree 14 or more is
+    not seen), and a small probe solve on it estimates the seed index, so
+    the march span (and with it the derivative budget) is known before
+    the real solve.  A probe the recursion cannot solve gives no
+    estimate; the conditions on the padded equation, or the real solve,
+    then report why.  Where nothing is padded, a JSON document or an
+    equation without z-derivatives, this is `requested`, the parse at the
+    requested window (made here when the caller has not)."""
     if requested is None:
         requested = parse_requested(text, options)
     if _is_json(text):
         return requested
-    probe = parse_equation(text, Kt=options.kt(), Kz=2)
+    probe_kz = 14
+    probe = parse_equation(text, Kt=options.kt(), Kz=probe_kz)
     alpha_max = probe.max_alpha()
     if alpha_max == 0:
         return requested
-    probe_kz = 14
-    probe_big = parse_equation(text, Kt=options.kt(), Kz=probe_kz)
     probe_orders = max(2, min(options.orders, (probe_kz - 2) // alpha_max))
     try:
-        radius = borel_transform(solve_formal(probe_big, probe_orders)).radius_est
+        radius = borel_transform(solve_formal(probe, probe_orders)).radius_est
     except UnsupportedEquationError:
         radius = math.inf
     if math.isfinite(radius) and radius > 0:
@@ -254,8 +266,11 @@ class Run:
 
     @_stage("residual")
     def residuals(self):
-        eps = min(self.options.epsilon, 0.1)
-        return residual_check(self.equation, self.grid, _residual_samples(self.grid, eps), epsilon=eps)
+        # |t| = 0.05|lambda| and 0.1|lambda| on RESIDUAL_SAMPLES / 2 rays
+        eps, lam = min(self.options.epsilon, 0.1), self.grid.lam
+        samples = sample_fan(SpiralGeometry(lam, eps, self.grid.q), RESIDUAL_SAMPLES // 2,
+                             (0.05 * abs(lam), 0.1 * abs(lam)))
+        return residual_check(self.equation, self.grid, samples, epsilon=eps)
 
     # the expansion property quantifies over all small epsilon; the report
     # checks a fixed pair and states each verdict separately
@@ -349,19 +364,3 @@ def run_report(text, options=None):
     """The full pipeline on an equation text (DSL or JSON); see Run.report."""
     return Run(text, options).report()
 
-
-def _residual_samples(grid, epsilon):
-    """Points at |t| = 0.05|lambda| and 0.1|lambda| on RESIDUAL_SAMPLES / 2
-    rays off lambda's, kept where they lie outside the excluded disks."""
-    lam = grid.lam
-    geom = SpiralGeometry(lam, epsilon, grid.q)
-    rays = RESIDUAL_SAMPLES // 2
-    out = []
-    base = cmath.phase(lam)
-    for i in range(rays):
-        ang = base + 2.0 * math.pi * (i + 0.5) / rays
-        for r in (0.05 * abs(lam), 0.1 * abs(lam)):
-            t = cmath.rect(r, ang)
-            if zone_membership(geom, t).outside:
-                out.append(t)
-    return out

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .errors import (EffectivelySingularError, GridTooShortError,
                      RadiusTooSmallError, SingularDirectionError,
                      UnsupportedEquationError)
-from .growth import last_third, ls_slope
+from .growth import TREND_TOL, last_third, ls_slope
 from .newton import _angle_gap, durand_kerner
 from .series import TruncatedSeries, divide
 
@@ -41,13 +41,8 @@ class BorelFunction:
 
 def borel_transform(sol):
     """Borel coefficients u_k = X_k / q^{k(k-1)/2} with a ratio-test radius."""
-    norms = [v.sup_norm(sol.R1) for v in sol.scaled]
-    ks = [k for k in range(1, sol.count + 1) if norms[k] > 0]
-    if not ks:
-        radius = math.inf
-    else:
-        growth = max(math.log(norms[k]) / k for k in last_third(ks, sol.count))
-        radius = math.exp(-growth)
+    rate = sol.gevrey_rate()
+    radius = math.inf if rate is None else math.exp(-rate)
     return BorelFunction(sol.q, sol.scaled, radius, sol.R1, sol.d)
 
 
@@ -171,12 +166,11 @@ class SpiralGrid:
         return {m: v.norm_logq(self.q, rz) for m, v in self.values.items()}
 
 
-def continue_spiral(beq, u, lam, m_max, Kz=None, seed_radius_fraction=0.5,
-                    extra_low=60, seed_tail_rtol=SEED_TAIL_RTOL):
+def continue_spiral(beq, u, lam, m_max, seed_radius_fraction=0.5, extra_low=60):
     """March the Borel-transformed equation along lambda * q^m.
 
     A seed window of direct summations of the convergent series (tail
-    below seed_tail_rtol) anchors the march; above it, each step isolates
+    below SEED_TAIL_RTOL) anchors the march; above it, each step isolates
     the newest grid value through the leading symbol.  The grid also
     extends `extra_low` indices below the seed window by direct summation
     so that downstream kernel sums have their decaying tail available.
@@ -185,7 +179,6 @@ def continue_spiral(beq, u, lam, m_max, Kz=None, seed_radius_fraction=0.5,
     lam = complex(lam)
     if lam == 0:
         raise SingularDirectionError("direction lambda must be nonzero")
-    Kz = Kz if Kz is not None else beq.Kz
 
     roots = lead_roots(beq)
     rays = [cmath.phase(r) for r in roots]
@@ -199,10 +192,9 @@ def continue_spiral(beq, u, lam, m_max, Kz=None, seed_radius_fraction=0.5,
         raise RadiusTooSmallError("no positive convergence radius estimate")
 
     # High z-degree coefficients of u_k grow combinatorially with k, so the
-    # seed sums must respect every coefficient's own window: the grid window
-    # is what the shortest contributing coefficient supports.
-    coeffs = [v.truncated(Kz=Kz) for v in u.coeffs]
-    norms = [v.norm_max() for v in coeffs]
+    # seed sums keep every coefficient's own window (series arithmetic takes
+    # the smallest): the grid window is what the shortest one supports.
+    norms = [v.norm_max() for v in u.coeffs]
 
     def direct_sum(m):
         """Sum of u_k xi^k at xi = lam q^m, with its relative tail estimate.
@@ -214,7 +206,7 @@ def continue_spiral(beq, u, lam, m_max, Kz=None, seed_radius_fraction=0.5,
         powers = 1.0 + 0j
         peak = 0.0
         term_norms = []
-        for k, v in enumerate(coeffs):
+        for k, v in enumerate(u.coeffs):
             piece = v * powers
             acc = piece if acc is None else acc + piece
             term_norms.append(norms[k] * abs(powers))
@@ -242,12 +234,12 @@ def continue_spiral(beq, u, lam, m_max, Kz=None, seed_radius_fraction=0.5,
     top = min(top, m_max)
     for _ in range(400):
         _, rel = direct_sum(top)
-        if rel <= seed_tail_rtol:
+        if rel <= SEED_TAIL_RTOL:
             break
         top -= 1
     else:
         raise RadiusTooSmallError(
-            "direct summation cannot reach relative tail %.1e inside the disk" % seed_tail_rtol)
+            "direct summation cannot reach relative tail %.1e inside the disk" % SEED_TAIL_RTOL)
 
     window = max(beq.reach, 1)
     m_min = top - window + 1 - extra_low
@@ -281,7 +273,7 @@ def continue_spiral(beq, u, lam, m_max, Kz=None, seed_radius_fraction=0.5,
             parts.append(ScaledSeries(-mat, t.p * e + t.scale_qexp + back.qexp))
         total = _scaled_sum(q, parts)
         if total is None:
-            values[M] = ScaledSeries(TruncatedSeries.zero(beq.d, 1, Kz), 0.0)
+            values[M] = ScaledSeries(TruncatedSeries.zero(beq.d, 1, beq.Kz), 0.0)
             continue
         quotient = divide(total.series, lead_val.series)
         values[M] = _normalize(q, quotient, total.qexp - lead_val.qexp)
@@ -302,7 +294,7 @@ class SpiralBoundFit:
             self.C, self.H, "bounded" if self.bounded else "UNBOUNDED", self.trend_slope)
 
 
-def fit_spiral_bound(grid, rz=1.0, trend_tol=0.05):
+def fit_spiral_bound(grid, rz=1.0):
     """Envelope (C, H) with ||u*(lam q^m)|| <= C H^m q^{m^2/2} for m >= 0.
 
     H is clamped below at 1 (the bound only weakens as H grows, and the
@@ -312,10 +304,8 @@ def fit_spiral_bound(grid, rz=1.0, trend_tol=0.05):
     if grid.m_min > 0 or grid.m_max < 0:
         raise GridTooShortError("bound fit needs the grid to cover m = 0..m_max")
     lnq = math.log(grid.q)
-    lognorm = {}
-    for m in range(0, grid.m_max + 1):
-        lg = grid.values[m].norm_logq(grid.q, rz)
-        lognorm[m] = lg * lnq if math.isfinite(lg) else None
+    lognorm = {m: lg * lnq if math.isfinite(lg) else None
+               for m, lg in grid.norms_logq(rz).items() if m >= 0}
     diag = [None] * (grid.m_max + 1)
     for m in range(1, grid.m_max + 1):
         if lognorm[m] is not None:
@@ -331,4 +321,4 @@ def fit_spiral_bound(grid, rz=1.0, trend_tol=0.05):
                for m in range(0, grid.m_max + 1) if lognorm[m] is not None)
     half = [m for m in usable if m >= max(1, grid.m_max // 2)]
     slope = ls_slope([(m, diag[m]) for m in half]) if len(half) >= 3 else 0.0
-    return SpiralBoundFit(math.exp(logC), math.exp(logH), diag, slope, slope <= trend_tol)
+    return SpiralBoundFit(math.exp(logC), math.exp(logH), diag, slope, slope <= TREND_TOL)

@@ -27,6 +27,8 @@ from .series import TruncatedSeries
 
 THETA_TERM_CUTOFF = 1e-17
 KERNEL_TAIL_RTOL = 1e-12
+# disks within this factor of epsilon count as near the boundary
+ZONE_GUARD = 1.1
 
 
 def theta(x, q):
@@ -92,16 +94,17 @@ class ZoneResult:
         return self.kind == "outside"
 
 
-def zone_membership(geom, t, guard=1.1):
+def zone_membership(geom, t):
     """Classify t against the epsilon-disks; only finitely many m can
-    contain t, namely those with q^m within (1 +- eps) * |t/lambda|."""
+    contain t, namely those with q^m within (1 +- eps) * |t/lambda|.
+    Within ZONE_GUARD * eps of a disk, t is near the boundary."""
     t = complex(t)
     if t == 0:
         raise UsageError("t must be nonzero")
     q, lam, eps = geom.q, geom.lam, geom.epsilon
     center = math.log(abs(t) / abs(lam)) / math.log(q)
-    lo = math.floor(center + math.log1p(-min(eps * guard, 0.9)) / math.log(q)) - 1
-    hi = math.ceil(center + math.log1p(eps * guard) / math.log(q)) + 1
+    lo = math.floor(center + math.log1p(-min(eps * ZONE_GUARD, 0.9)) / math.log(q)) - 1
+    hi = math.ceil(center + math.log1p(eps * ZONE_GUARD) / math.log(q)) + 1
     best, best_m = math.inf, None
     for m in range(lo, hi + 1):
         ratio = abs(1.0 + lam * q ** float(m) / t)
@@ -109,15 +112,15 @@ def zone_membership(geom, t, guard=1.1):
             best, best_m = ratio, m
     if best <= eps:
         return ZoneResult("inside", best_m, best)
-    if best <= eps * guard:
+    if best <= eps * ZONE_GUARD:
         return ZoneResult("near-boundary", best_m, best)
     return ZoneResult("outside", None, best)
 
 
-def q_laplace_series(grid, t, epsilon=0.05, tail_rtol=KERNEL_TAIL_RTOL):
+def q_laplace_series(grid, t, epsilon=0.05):
     """Kernel-weighted sum of the grid values as a z-series.
 
-    Both tails must decay below tail_rtol of the partial sum inside the
+    Both tails must decay below KERNEL_TAIL_RTOL of the partial sum inside the
     available index range, or the grid is reported too short.  Terms below
     1e-16 relative are dropped so negligible far indices cannot shrink the
     z-window of the result."""
@@ -155,9 +158,9 @@ def q_laplace_series(grid, t, epsilon=0.05, tail_rtol=KERNEL_TAIL_RTOL):
                 needed=side_mags[-1][0])
         ratio = math.exp((tail[-1] - tail[-2]) * lnq)
         est = math.exp((tail[-1] - top) * lnq) * ratio / (1.0 - ratio)
-        if est > tail_rtol:
+        if est > KERNEL_TAIL_RTOL:
             raise GridTooShortError(
-                "%s tail estimate %.2e exceeds %.0e of the partial sum" % (side, est, tail_rtol),
+                "%s tail estimate %.2e exceeds %.0e of the partial sum" % (side, est, KERNEL_TAIL_RTOL),
                 needed=side_mags[-1][0])
 
     check_tail(mags, "upper")
@@ -180,11 +183,9 @@ def _overflow_error(top):
     raise OverflowError("resummed value magnitude q^%.1f exceeds double range" % top)
 
 
-def q_laplace(grid, t, z0=None, epsilon=0.05, tail_rtol=KERNEL_TAIL_RTOL):
-    """Resummed value W(t, z0); z0 defaults to the origin."""
-    series = q_laplace_series(grid, t, epsilon, tail_rtol)
-    z0 = tuple(z0) if z0 is not None else (0.0,) * grid.d
-    return series.evaluate(0.0, z0)
+def q_laplace(grid, t, epsilon=0.05):
+    """Resummed value W(t, 0) at the origin in z."""
+    return q_laplace_series(grid, t, epsilon).evaluate(0.0, (0.0,) * grid.d)
 
 
 @dataclass
@@ -248,7 +249,7 @@ class ResumReport:
     """Remainder table of the resummed solution against the formal series."""
     epsilon: float
     samples: list            # complex sample points
-    Wvals: list              # W(t, z0) per sample
+    Wvals: list              # W(t, 0) per sample
     EN: list                 # EN[N][i] = |W(t_i) - partial_N(t_i)|
     rho: list                # rho[N] = max_i normalized remainder^(1/N), N >= 1
     M: float
@@ -261,21 +262,21 @@ class ResumReport:
         return self.verdict == "pass"
 
 
-def _sample_points(geom, rays, radii, r_max):
-    lam_arg = cmath.phase(geom.lam)
+def sample_fan(geom, rays, radii):
+    """Points at each of the given radii on `rays` rays spaced evenly off
+    lambda's, kept where they lie outside the excluded disks."""
+    base = cmath.phase(geom.lam)
     points = []
-    r_lo = r_max / 20.0
     for i in range(rays):
-        ang = lam_arg + 2.0 * math.pi * (i + 0.5) / rays
-        for k in range(radii):
-            r = r_lo * (r_max / r_lo) ** (k / (radii - 1.0)) if radii > 1 else r_max
+        ang = base + 2.0 * math.pi * (i + 0.5) / rays
+        for r in radii:
             t = cmath.rect(r, ang)
             if zone_membership(geom, t).outside:
                 points.append(t)
     return points
 
 
-def asymptotic_check(sol, grid, epsilon, n_max, rays=8, radii=12, z0=None, w_fn=None):
+def asymptotic_check(sol, grid, epsilon, n_max, rays=8, radii=12, w_fn=None):
     """Fit (M, H) with  |W - partial_N| <= (M H^N / eps) q^{N(N-1)/2} |t|^N
     over a ray/radius sample fan, and judge the expansion:
 
@@ -294,11 +295,14 @@ def asymptotic_check(sol, grid, epsilon, n_max, rays=8, radii=12, z0=None, w_fn=
     if n_max > sol.count:
         raise UsageError("remainder depth %d exceeds the computed formal order %d"
                          % (n_max, sol.count))
-    points = _sample_points(geom, rays, radii, 0.1 * abs(lam))
-    z0 = tuple(z0) if z0 is not None else (0.0,) * grid.d
+    # `radii` radii spaced geometrically from r_max / 20 to r_max
+    r_max = 0.1 * abs(lam)
+    r_lo = r_max / 20.0
+    points = sample_fan(geom, rays, [r_lo * (r_max / r_lo) ** (k / (radii - 1.0)) if radii > 1
+                                     else r_max for k in range(radii)])
     if w_fn is None:
         def w_fn(t):
-            return q_laplace_series(grid, t, epsilon).evaluate(0.0, z0)
+            return q_laplace(grid, t, epsilon)
 
     wvals = [w_fn(t) for t in points]
 
@@ -310,7 +314,7 @@ def asymptotic_check(sol, grid, epsilon, n_max, rays=8, radii=12, z0=None, w_fn=
         row = [abs(QScaled(q, w) - p) for w, p in zip(wvals, partials)]
         EN.append(row)
         if N <= sol.count:
-            vN = sol.scaled[N].evaluate(0.0, z0)
+            vN = sol.scaled[N].evaluate(0.0, (0.0,) * grid.d)
             for i, t in enumerate(points):
                 partials[i] = partials[i] + QScaled(q, vN * t ** N, N * (N - 1) / 2.0)
     # normalized remainders and the envelope fit

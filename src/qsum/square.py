@@ -13,9 +13,11 @@ from dataclasses import dataclass, field
 
 from .equation import Equation, Term
 from .errors import QsumError
-from .newton import CheckReport, check_shape, newton_polygon
+from .newton import CheckReport, check_shape, durand_kerner, newton_polygon
 
 IDENTITY_RTOL = 1e-10
+BOREL_IDENTITY_SAMPLES = 10
+CHARPOLY_IDENTITY_SAMPLES = 20
 
 
 @dataclass(frozen=True)
@@ -99,7 +101,7 @@ def _direct_eval(coeffs, xi, z0):
     return acc
 
 
-def check_borel_square_identity(u_orig, u_sq, q, n_samples=10, z0=None, rtol=IDENTITY_RTOL):
+def check_borel_square_identity(u_orig, u_sq, q, z0=None):
     """u1(xi, z) = u(q^{-1/4} xi^2, z) at sample points inside both disks.
 
     u1 is the squared equation's own Borel transform (base q^{1/4}), so a
@@ -110,35 +112,35 @@ def check_borel_square_identity(u_orig, u_sq, q, n_samples=10, z0=None, rtol=IDE
     r = min(r_sq, r_from_orig)
     samples = []
     worst = 0.0
-    for k in range(n_samples):
-        xi = cmath.rect(r * (0.3 + 0.7 * (k + 1) / n_samples), 2.0 * math.pi * k / n_samples + 0.3)
+    n = BOREL_IDENTITY_SAMPLES
+    for k in range(n):
+        xi = cmath.rect(r * (0.3 + 0.7 * (k + 1) / n), 2.0 * math.pi * k / n + 0.3)
         lhs = _direct_eval(u_sq.coeffs, xi, z0)
         rhs = _direct_eval(u_orig.coeffs, q ** -0.25 * xi * xi, z0)
         scale = max(abs(lhs), abs(rhs), 1e-30)
         gap = abs(lhs - rhs) / scale
         samples.append((xi, gap))
         worst = max(worst, gap)
-    return IdentityReport(worst <= rtol, worst, samples)
+    return IdentityReport(worst <= IDENTITY_RTOL, worst, samples)
 
 
-def check_charpoly_square_identity(P, P1, m0, q, n_samples=20, z0=None, rtol=IDENTITY_RTOL):
-    """P1(rho, z) = q^{-m0/4} P(q^{-1/4} rho^2, z) at sample points, plus the
+def check_charpoly_square_identity(P, P1, m0, q):
+    """P1(rho, 0) = q^{-m0/4} P(q^{-1/4} rho^2, 0) at sample points, plus the
     root correspondence rho^2 in q^{1/4} * roots(P)."""
-    from .newton import durand_kerner
-    z0 = tuple(z0) if z0 is not None else (0.0,) * P.coeffs[0].d
     factor = q ** (-m0 / 4.0)
     samples = []
     worst = 0.0
-    for k in range(n_samples):
-        rho = cmath.rect(0.5 + 1.5 * k / max(n_samples - 1, 1), 2.0 * math.pi * k / n_samples + 0.1)
-        lhs = P1.eval(rho, z0)
-        rhs = factor * P.eval(q ** -0.25 * rho * rho, z0)
+    n = CHARPOLY_IDENTITY_SAMPLES
+    for k in range(n):
+        rho = cmath.rect(0.5 + 1.5 * k / (n - 1), 2.0 * math.pi * k / n + 0.1)
+        lhs = P1.eval(rho)
+        rhs = factor * P.eval(q ** -0.25 * rho * rho)
         scale = max(abs(lhs), abs(rhs), 1e-30)
         gap = abs(lhs - rhs) / scale
         samples.append((rho, gap))
         worst = max(worst, gap)
     messages = []
-    ok = worst <= rtol
+    ok = worst <= IDENTITY_RTOL
     p_roots = durand_kerner(P.at_z0())
     for rho in durand_kerner(P1.at_z0()):
         mapped = q ** -0.25 * rho * rho

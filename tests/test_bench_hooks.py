@@ -1,29 +1,35 @@
 """The benchmark's per-layer hooks (perfbench/spans.py) wrap qsum
 functions looked up by name.  Installing them here makes a renamed or
 removed function fail in the fast suite, and a traced report shows that
-the pipeline still calls the wrapped names."""
+the pipeline still calls the wrapped names.  The benchmark's DSL reports
+are checked against its recorded reference here too, so a change that
+alters a report fails in the fast suite."""
 
 import importlib.util
+import json
 import os
 import sys
 
 import qsum.cli  # noqa: F401  (loads every module the hooks wrap)
-from qsum.pipeline import Options
+from qsum.cli import _json_default
+from qsum.pipeline import Options, run_report
 
-SPANS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                     "perfbench", "spans.py")
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
 EULER = "q=2; delta=1; m=1; d=0; eq: t*S^1(X) + S^0(X) = 1"
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _load(name):
+    """A perfbench module, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("perfbench_" + name,
+                                                  os.path.join(PERFBENCH, name + ".py"))
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
 
 
 def test_instrument_installs_and_uninstalls():
-    spans = _load_spans()
+    spans = _load("spans")
     originals = {(m, f): getattr(sys.modules["qsum." + m], f) for m, f in spans.SPANNED}
     inst = spans.Instrument(spans.SpanRecorder())
     inst.install()
@@ -42,3 +48,16 @@ def test_instrument_installs_and_uninstalls():
                  "qborel.continue_spiral", "qborel.fit_spiral_bound",
                  "qlaplace.residual_check", "qlaplace.asymptotic_check", "series.add"):
         assert name in traced, name
+
+
+def test_reports_match_the_benchmark_reference():
+    check, inputs = _load("check"), _load("inputs")
+    for workload in ("euler", "zseries"):
+        with open(os.path.join(PERFBENCH, "reference", workload + ".json"), encoding="utf-8") as fh:
+            refs = json.load(fh)["inputs"]
+        for key, _, text in inputs.build(workload):
+            doc = run_report(text, inputs.options(workload)).to_dict()
+            report = json.loads(json.dumps(check.stable_report(doc), default=_json_default))
+            outcome = {"exit": 0, "error": None, "report": report}
+            assert check.regressions(outcome, refs[key]) == [], key
+            assert check.drift(outcome, refs[key]) <= 1e-12, key

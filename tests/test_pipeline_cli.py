@@ -207,6 +207,15 @@ def test_conditions_read_on_the_padded_equation(tmp_path, capsys, cmd):
     assert "on the padded equation" in capsys.readouterr().err
 
 
+# the derivative term's coefficient starts at z-degree 2: the window-sizing
+# probe must see the term, or the solve runs out of z-window
+def test_derivative_term_above_z_degree_1_pads_the_window(tmp_path):
+    p = tmp_path / "eq.qde"
+    p.write_text("q=2; delta=1; m=2; d=1; eq: S^1(X) + t*S^2(X) + t*z1^2*S^1 Dz1^1(X) = 1/(1-z1)\n")
+    assert run_cli(["report", str(p), "--orders", "20", "--mmax", "20", "--N", "8",
+                    "--json", os.devnull]) == 0
+
+
 USAGE_ERRORS = {
     "missing argument": ["check"],
     "bad int flag": ["check", "{euler}", "--orders", "x"],
@@ -217,6 +226,15 @@ USAGE_ERRORS = {
                                               "--mmax", "10", "--N", "6"],
     "N above orders": ["verify", "{euler}", "--orders", "6", "--N", "8"],
     "t at the origin": ["resum", "{euler}", "--t", "0,0"],
+    "growth with one sample": ["growth", "{euler}", "--mmax", "1"],
+    "negative orders": ["check", "{euler}", "--orders", "-1"],
+    "zero orders": ["report", "{euler}", "--orders", "0"],
+    "negative mmax": ["report", "{euler}", "--mmax", "-3"],
+    "negative N": ["report", "{euler}", "--N", "-1"],
+    "negative zorder": ["check", "{euler}", "--zorder", "-2"],
+    "zero epsilon": ["verify", "{euler}", "--epsilon", "0"],
+    "negative epsilon": ["verify", "{euler}", "--epsilon", "-0.1"],
+    "nan epsilon": ["verify", "{euler}", "--epsilon", "nan"],
 }
 
 
@@ -232,6 +250,16 @@ def test_usage_error_exit_code(tmp_path, euler_file, case):
     proc = subprocess.run([sys.executable, "-m", "qsum.cli"] + argv,
                           capture_output=True, text=True)
     assert proc.returncode == 5
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_growth_of_a_zero_solution_exit_code(tmp_path):
+    p = tmp_path / "zero.qde"
+    p.write_text("q=2; delta=1; m=1; d=0; eq: t*S^1(X) + S^0(X) = 0\n")
+    proc = subprocess.run([sys.executable, "-m", "qsum.cli", "growth", str(p), "--orders", "10",
+                           "--mmax", "10", "--json", os.devnull], capture_output=True, text=True)
+    assert proc.returncode == 4
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
