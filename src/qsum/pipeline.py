@@ -15,6 +15,7 @@ recursion and in the continuation march consumes one unit of window per
 step, so the parse window is padded by alpha_max * (orders + march span)
 to leave the requested depth at the top of the grid."""
 
+import cmath
 import math
 import time
 from dataclasses import dataclass, field, fields
@@ -30,7 +31,7 @@ from .newton import (characteristic_polynomial, check_interior,
                      reduced_coefficients, singular_directions)
 from .qborel import (borel_transform, borel_transformed_equation,
                      continue_spiral, fit_spiral_bound, lead_roots)
-from .qlaplace import SpiralGeometry, asymptotic_check, residual_check, sample_fan
+from .qlaplace import SpiralGeometry, asymptotic_check, q_laplace, residual_check, sample_fan
 
 # with the polygon shape, the conditions every stage past them needs
 HARD_CONDITIONS = ("interior", "nondegeneracy")
@@ -56,6 +57,9 @@ class Options:
                 raise UsageError("%s must be at least %d (got %d)" % (key, low, getattr(self, name)))
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise UsageError("epsilon must be positive and finite (got %r)" % self.epsilon)
+        lam = complex(self.lam)
+        if not (cmath.isfinite(lam) and lam != 0):
+            raise UsageError("lambda must be nonzero and finite (got %r)" % lam)
 
     def kt(self):
         """The t-window: one order past the formal solve."""
@@ -101,21 +105,22 @@ def parse_requested(text, options):
 def size_parse_window(text, options, requested=None):
     """Parse once at the padded window the march and recursion will need.
 
-    A probe parse at Kz=14 gives the highest derivative order, alpha_max
-    (a derivative term whose coefficient starts at z-degree 14 or more is
-    not seen), and a small probe solve on it estimates the seed index, so
-    the march span (and with it the derivative budget) is known before
-    the real solve.  A probe the recursion cannot solve gives no
-    estimate; the conditions on the padded equation, or the real solve,
-    then report why.  Where nothing is padded, a JSON document or an
-    equation without z-derivatives, this is `requested`, the parse at the
-    requested window (made here when the caller has not)."""
+    A probe parse at Kz=14, or at the requested Kz where that is larger,
+    gives the highest derivative order, alpha_max, of every term the
+    requested window holds, and a small probe solve on it (its order
+    count sized for Kz=14) estimates the seed index, so the march span
+    (and with it the derivative budget) is known before the real solve.
+    A probe the recursion cannot solve gives no estimate; the conditions
+    on the padded equation, or the real solve, then report why.  Where
+    nothing is padded, a JSON document or an equation without
+    z-derivatives, this is `requested`, the parse at the requested window
+    (made here when the caller has not)."""
     if requested is None:
         requested = parse_requested(text, options)
     if _is_json(text):
         return requested
     probe_kz = 14
-    probe = parse_equation(text, Kt=options.kt(), Kz=probe_kz)
+    probe = parse_equation(text, Kt=options.kt(), Kz=max(probe_kz, options.Kz))
     alpha_max = probe.max_alpha()
     if alpha_max == 0:
         return requested
@@ -184,6 +189,7 @@ class Run:
         self.options = options or Options()
         self.timings = {}
         self._nested = 0.0
+        self._w = {}
 
     @_stage("parse")
     def requested(self):
@@ -272,16 +278,30 @@ class Run:
                              (0.05 * abs(lam), 0.1 * abs(lam)))
         return residual_check(self.equation, self.grid, samples, epsilon=eps)
 
+    def w_fn(self, epsilon):
+        """W(t, 0) on the grid, summed once per point t for the whole run.
+        W does not depend on epsilon, which only rejects points in the
+        disks; both asymptotic stages sample the same rays and radii, and a
+        point outside the epsilon-disks is outside the epsilon/2-disks."""
+        def w(t):
+            if t not in self._w:
+                self._w[t] = q_laplace(self.grid, t, epsilon)
+            return self._w[t]
+        return w
+
     # the expansion property quantifies over all small epsilon; the report
     # checks a fixed pair and states each verdict separately
     @_stage("asymptotic")
     def asymptotic(self):
-        return asymptotic_check(self.solution, self.grid, self.options.epsilon, self.options.n_check)
+        eps = self.options.epsilon
+        return asymptotic_check(self.solution, self.grid, eps, self.options.n_check,
+                                w_fn=self.w_fn(eps))
 
     @_stage("asymptotic")
     def asymptotic_half(self):
-        return asymptotic_check(self.solution, self.grid, self.options.epsilon / 2.0,
-                                self.options.n_check)
+        eps = self.options.epsilon / 2.0
+        return asymptotic_check(self.solution, self.grid, eps, self.options.n_check,
+                                w_fn=self.w_fn(eps))
 
     def report(self):
         """Every stage, read in order, as a RunReport.  Raises

@@ -16,6 +16,7 @@ mantissa * q^exponent form because the values grow like q^{m^2/2}.
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (EffectivelySingularError, GridTooShortError,
                      RadiusTooSmallError, SingularDirectionError,
@@ -164,6 +165,14 @@ class SpiralGrid:
 
     def norms_logq(self, rz=1.0):
         return {m: v.norm_logq(self.q, rz) for m, v in self.values.items()}
+
+    @cached_property
+    def value_norms_logq(self):
+        """log_q of each value's largest coefficient magnitude, -inf for
+        zero; computed once per grid for the kernel sums."""
+        lnq = math.log(self.q)
+        return {m: v.qexp + math.log(n) / lnq if (n := v.series.norm_max()) > 0 else -math.inf
+                for m, v in self.values.items()}
 
 
 def continue_spiral(beq, u, lam, m_max, seed_radius_fraction=0.5, extra_low=60):

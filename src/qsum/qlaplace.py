@@ -27,6 +27,10 @@ from .series import TruncatedSeries
 
 THETA_TERM_CUTOFF = 1e-17
 KERNEL_TAIL_RTOL = 1e-12
+KERNEL_DROP_RTOL = 1e-16
+# kernel terms estimated this far below the drop rule are still summed
+# directly, so no error in the estimate can move a term across the rule
+KERNEL_BAND_MARGIN = 1e-4
 # disks within this factor of epsilon count as near the boundary
 ZONE_GUARD = 1.1
 
@@ -122,8 +126,16 @@ def q_laplace_series(grid, t, epsilon=0.05):
 
     Both tails must decay below KERNEL_TAIL_RTOL of the partial sum inside the
     available index range, or the grid is reported too short.  Terms below
-    1e-16 relative are dropped so negligible far indices cannot shrink the
-    z-window of the result."""
+    KERNEL_DROP_RTOL relative are dropped so negligible far indices cannot
+    shrink the z-window of the result.
+
+    Theta is summed directly only where a term can survive that rule: one
+    direct theta at m = 0 and the functional equation
+    theta(q^m x) = q^{m(m+1)/2} x^m theta(x) estimate every term's size,
+    and the direct sums cover the indices estimated within
+    KERNEL_DROP_RTOL * KERNEL_BAND_MARGIN of the largest, plus the three
+    at each end that the tail checks read.  The estimates choose indices
+    and are never summed, so the result is the all-indices direct sum."""
     q, lam = grid.q, grid.lam
     t = complex(t)
     zone = zone_membership(SpiralGeometry(lam, epsilon, q), t)
@@ -131,22 +143,31 @@ def q_laplace_series(grid, t, epsilon=0.05):
         raise PoleProximityError(
             "t = %s is %s the excluded spiral disks (m=%s, ratio %.3g)"
             % (t, zone.kind, zone.m, zone.min_ratio))
-    base_logq = math.log(abs(lam) / abs(t)) / math.log(q)
+    lnq = math.log(q)
+    base_logq = math.log(abs(lam) / abs(t)) / lnq
     phase = cmath.phase(lam / t)
+    th0 = _theta_polar(q, base_logq, phase)
+    theta0_logq = th0.logq_abs()
+    norms = grid.value_norms_logq
+    indices = range(grid.m_min, grid.m_max + 1)
+    sizes = [norms[m] - (theta0_logq + m * (m + 1) / 2.0 + m * base_logq) for m in indices]
+    cut = max(sizes) + math.log(KERNEL_DROP_RTOL * KERNEL_BAND_MARGIN) / lnq
+    ends = set(indices[:3]) | set(indices[-3:])
     terms = []
-    for m in range(grid.m_min, grid.m_max + 1):
-        th = _theta_polar(q, base_logq + m, phase)
+    for m, size in zip(indices, sizes):
+        if size < cut and m not in ends:
+            continue
+        th = th0 if m == 0 else _theta_polar(q, base_logq + m, phase)
         val = grid.values[m]
         mantissa = val.series * (1.0 / th.mantissa)
         terms.append((m, mantissa, val.qexp - th.qexp))
 
-    mags = [(m, e + (math.log(s.norm_max()) / math.log(q) if not s.is_zero() else -math.inf))
+    mags = [(m, e + (math.log(s.norm_max()) / lnq if not s.is_zero() else -math.inf))
             for m, s, e in terms]
     finite = [lm for _, lm in mags if math.isfinite(lm)]
     if not finite:
         return TruncatedSeries.zero(grid.d, 1, grid.values[grid.m_max].series.Kz)
     top = max(finite)
-    lnq = math.log(q)
 
     def check_tail(side_mags, side):
         tail = [lm for _, lm in side_mags[-3:]]
@@ -168,7 +189,7 @@ def q_laplace_series(grid, t, epsilon=0.05):
 
     acc = None
     for (m, s, e), (_, lm) in zip(terms, mags):
-        if not math.isfinite(lm) or lm < top + math.log(1e-16) / lnq:
+        if not math.isfinite(lm) or lm < top + math.log(KERNEL_DROP_RTOL) / lnq:
             continue
         piece = s * (q ** (e - top))
         acc = piece if acc is None else acc + piece

@@ -11,8 +11,9 @@ import os
 import sys
 
 import qsum.cli  # noqa: F401  (loads every module the hooks wrap)
+import qsum.pipeline
 from qsum.cli import _json_default
-from qsum.pipeline import Options, run_report
+from qsum.pipeline import Options, Run, run_report
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -61,3 +62,30 @@ def test_reports_match_the_benchmark_reference():
             outcome = {"exit": 0, "error": None, "report": report}
             assert check.regressions(outcome, refs[key]) == [], key
             assert check.drift(outcome, refs[key]) <= 1e-12, key
+
+
+def test_reports_equal_the_benchmark_reference_and_sum_each_point_once(monkeypatch):
+    """The kernel sums are exact: no drift at all against the reference.
+    W at a sample point is summed once per run, for both epsilons."""
+    check, inputs = _load("check"), _load("inputs")
+    q_laplace = qsum.pipeline.q_laplace
+    summed = []
+
+    def counting(grid, t, epsilon):
+        summed.append(t)
+        return q_laplace(grid, t, epsilon)
+
+    monkeypatch.setattr(qsum.pipeline, "q_laplace", counting)
+    for workload in ("euler", "zseries"):
+        with open(os.path.join(PERFBENCH, "reference", workload + ".json"), encoding="utf-8") as fh:
+            refs = json.load(fh)["inputs"]
+        for key, _, text in inputs.build(workload):
+            summed.clear()
+            run = Run(text, inputs.options(workload))
+            doc = run.report().to_dict()
+            report = json.loads(json.dumps(check.stable_report(doc), default=_json_default))
+            outcome = {"exit": 0, "error": None, "report": report}
+            assert check.drift(outcome, refs[key]) == 0.0, key
+            assert len(summed) == len(set(summed)), key
+            assert set(run.asymptotic.samples) | set(run.asymptotic_half.samples) == set(summed), key
+            assert len(run.asymptotic_half.samples) >= len(run.asymptotic.samples) > 0, key

@@ -216,6 +216,14 @@ def test_derivative_term_above_z_degree_1_pads_the_window(tmp_path):
                     "--json", os.devnull]) == 0
 
 
+def test_derivative_term_above_z_degree_14_pads_a_wide_requested_window(tmp_path):
+    # the window probe must see every term the requested window holds
+    p = tmp_path / "eq.qde"
+    p.write_text("q=2; delta=1; m=2; d=1; eq: S^1(X) + t*S^2(X) + t*z1^14*S^1 Dz1^1(X) = 1/(1-z1)\n")
+    assert run_cli(["report", str(p), "--zorder", "20", "--orders", "20", "--mmax", "20",
+                    "--N", "8", "--json", os.devnull]) == 0
+
+
 USAGE_ERRORS = {
     "missing argument": ["check"],
     "bad int flag": ["check", "{euler}", "--orders", "x"],
@@ -235,6 +243,10 @@ USAGE_ERRORS = {
     "zero epsilon": ["verify", "{euler}", "--epsilon", "0"],
     "negative epsilon": ["verify", "{euler}", "--epsilon", "-0.1"],
     "nan epsilon": ["verify", "{euler}", "--epsilon", "nan"],
+    "zero lambda, z-derivatives": ["report", "{ex2}", "--lambda", "0,0", "--orders", "8",
+                                   "--mmax", "8", "--N", "4"],
+    "zero lambda": ["report", "{euler}", "--lambda", "0,0", "--orders", "8", "--mmax", "8",
+                    "--N", "4"],
 }
 
 
@@ -242,10 +254,12 @@ USAGE_ERRORS = {
 def test_usage_error_exit_code(tmp_path, euler_file, case):
     euler15 = tmp_path / "euler15.qde"
     euler15.write_text(EULER.replace("q=2", "q=1.5"))  # threshold 0.2 < default epsilon 0.3
+    ex2 = tmp_path / "ex2.qde"
+    ex2.write_text(EX2)
     config = tmp_path / "bad.toml"
     config.write_text("orders = x\n")
-    names = {"euler": euler_file, "euler15": str(euler15), "config": str(config),
-             "tmp": str(tmp_path)}
+    names = {"euler": euler_file, "euler15": str(euler15), "ex2": str(ex2),
+             "config": str(config), "tmp": str(tmp_path)}
     argv = [a.format(**names) for a in USAGE_ERRORS[case]]
     proc = subprocess.run([sys.executable, "-m", "qsum.cli"] + argv,
                           capture_output=True, text=True)

@@ -6,8 +6,8 @@ import pytest
 
 from qsum.errors import PoleProximityError
 from qsum.qborel import borel_transform, borel_transformed_equation, continue_spiral
-from qsum.qlaplace import (SpiralGeometry, asymptotic_check, q_laplace,
-                           residual_check, theta, zone_membership)
+from qsum.qlaplace import (SpiralGeometry, asymptotic_check, q_laplace, q_laplace_series,
+                           residual_check, sample_fan, theta, zone_membership)
 from qsum.scaled import QScaled
 
 Q = 2.0
@@ -182,3 +182,118 @@ def test_asymptotic_constant_offset_fails(euler_sol, euler_grid):
 def test_asymptotic_epsilon_must_be_disjoint(euler_sol, euler_grid):
     with pytest.raises(ValueError):
         asymptotic_check(euler_sol, euler_grid, 0.5, 4)
+
+
+def _direct_q_laplace_series(grid, t, epsilon):
+    """The kernel sum with a direct theta at every grid index: the
+    reference the banded sum in q_laplace_series must reproduce exactly."""
+    from qsum.errors import GridTooShortError
+    from qsum.qlaplace import _theta_polar
+    from qsum.series import TruncatedSeries
+    q, lam = grid.q, grid.lam
+    t = complex(t)
+    assert zone_membership(SpiralGeometry(lam, epsilon, q), t).outside
+    base_logq = math.log(abs(lam) / abs(t)) / math.log(q)
+    phase = cmath.phase(lam / t)
+    terms = []
+    for m in range(grid.m_min, grid.m_max + 1):
+        th = _theta_polar(q, base_logq + m, phase)
+        val = grid.values[m]
+        terms.append((m, val.series * (1.0 / th.mantissa), val.qexp - th.qexp))
+    mags = [(m, e + (math.log(s.norm_max()) / math.log(q) if not s.is_zero() else -math.inf))
+            for m, s, e in terms]
+    finite = [lm for _, lm in mags if math.isfinite(lm)]
+    if not finite:
+        return TruncatedSeries.zero(grid.d, 1, grid.values[grid.m_max].series.Kz)
+    top = max(finite)
+    lnq = math.log(q)
+
+    def check_tail(side_mags, side):
+        tail = [lm for _, lm in side_mags[-3:]]
+        if len(tail) < 3:
+            raise GridTooShortError("grid too short on the %s side" % side)
+        if not (tail[-1] < tail[-2] < tail[-3]):
+            raise GridTooShortError(
+                "kernel terms not yet decaying at the %s end of the grid" % side,
+                needed=side_mags[-1][0])
+        ratio = math.exp((tail[-1] - tail[-2]) * lnq)
+        est = math.exp((tail[-1] - top) * lnq) * ratio / (1.0 - ratio)
+        if est > 1e-12:
+            raise GridTooShortError(
+                "%s tail estimate %.2e exceeds %.0e of the partial sum" % (side, est, 1e-12),
+                needed=side_mags[-1][0])
+
+    check_tail(mags, "upper")
+    check_tail(list(reversed(mags)), "lower")
+    acc = None
+    for (m, s, e), (_, lm) in zip(terms, mags):
+        if not math.isfinite(lm) or lm < top + math.log(1e-16) / lnq:
+            continue
+        piece = s * (q ** (e - top))
+        acc = piece if acc is None else acc + piece
+    return acc * (q ** top)
+
+
+def _near_disk_points(grid, ratio):
+    """Points with |1 + lambda q^k / t| = ratio for a few k and directions."""
+    return [-grid.lam * grid.q ** k / (1.0 + cmath.rect(ratio, phi))
+            for k in (-3, -1) for phi in (0.7, 2.5)]
+
+
+@pytest.fixture(scope="module")
+def band_grids(euler_grid, ex2_parts):
+    from qsum.pipeline import Options, Run
+    from conftest import EULER_TEXT, EX2_TEXT
+    small = dict(orders=20, mmax=20, n_check=8)
+    return {"euler": euler_grid, "readme-d1": ex2_parts["grid"],
+            "euler q=1.5": Run(EULER_TEXT.replace("q=2", "q=1.5"), Options(**small)).grid,
+            "euler q=3": Run(EULER_TEXT.replace("q=2", "q=3"), Options(**small)).grid,
+            "readme-d1 q=3": Run(EX2_TEXT.replace("q=2", "q=3"), Options(**small)).grid,
+            "euler lambda=0.6+0.8i": Run(EULER_TEXT, Options(lam=0.6 + 0.8j, **small)).grid}
+
+
+@pytest.mark.parametrize("name", ["euler", "readme-d1", "euler q=1.5", "euler q=3",
+                                  "readme-d1 q=3", "euler lambda=0.6+0.8i"])
+def test_banded_kernel_sum_equals_the_direct_sum(band_grids, name):
+    grid = band_grids[name]
+    lam = abs(grid.lam)
+    cases = [(2e-4, t) for t in _near_disk_points(grid, 3e-4)]
+    for eps in (0.3, 0.15):
+        if eps < SpiralGeometry(grid.lam, eps, grid.q).disjointness_threshold():
+            fan = sample_fan(SpiralGeometry(grid.lam, eps, grid.q), 4,
+                             [0.005 * lam, 0.02 * lam, 0.1 * lam])
+            cases += [(eps, t) for t in fan]
+    for eps, t in cases:
+        got = q_laplace_series(grid, t, eps)
+        want = _direct_q_laplace_series(grid, t, eps)
+        assert got == want, (name, eps, t)
+
+
+def test_banded_kernel_sum_reports_a_short_grid_as_the_direct_sum(euler_grid):
+    from qsum.errors import GridTooShortError
+    from qsum.qborel import ScaledSeries, SpiralGrid
+
+    def cut(lo, hi, boost=()):
+        """The grid on [lo, hi], its values at `boost` raised by q^200."""
+        values = {m: euler_grid.values[m] for m in range(lo, hi + 1)}
+        for m in boost:
+            values[m] = ScaledSeries(values[m].series, values[m].qexp + 200.0)
+        return SpiralGrid(euler_grid.lam, euler_grid.q, lo, hi, min(euler_grid.seed_top, hi),
+                          values, euler_grid.theta_budget, euler_grid.radius_est, euler_grid.d)
+
+    lo, hi = euler_grid.m_min, euler_grid.m_max
+    kinds = set()
+    # cut short, or with an end term that stops decaying far below the kept terms
+    for grid in (cut(-5, hi), cut(-10, hi), cut(-14, hi), cut(lo, -5), cut(lo, -2), cut(-1, 0),
+                 cut(lo, hi, boost=(lo,)), cut(lo, hi, boost=(hi,))):
+        for t in (0.02 * cmath.exp(1j), 0.005):
+            with pytest.raises(GridTooShortError) as want:
+                _direct_q_laplace_series(grid, t, 0.3)
+            with pytest.raises(GridTooShortError) as got:
+                q_laplace_series(grid, t, 0.3)
+            assert str(got.value) == str(want.value)
+            assert got.value.needed == want.value.needed
+            kinds.add(" ".join(str(want.value).split()[:3]))
+    # both ends, the decay test and the tail estimate, and a grid of two points
+    assert kinds == {"kernel terms not", "upper tail estimate", "lower tail estimate",
+                     "grid too short"}, kinds
