@@ -12,7 +12,8 @@ are quarantined in their own report field).
 
 Exit codes: 0 success; 2 a polygon-level condition failed; 3 singular or
 effectively singular direction; 4 numerical failure (grid too short, seed
-unreachable, root finding, too few nonzero values for the growth fit);
+unreachable, root finding, a non-finite coefficient, too few nonzero
+values for the growth fit);
 5 usage or parse error (bad arguments, an unreadable file, a bad
 configuration value, or an option value the methods cannot use, such as
 a negative size or an epsilon at or above (q-1)/(q+1)).
@@ -280,6 +281,7 @@ def _resum(run, args):
 
 def _verify(run, args):
     run.require_solvable()
+    run.require_epsilon()
     rep, grid, n_check = run.asymptotic, run.grid, run.options.n_check
     if args.csv is not None:
         rows = []

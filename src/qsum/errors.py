@@ -96,5 +96,9 @@ class FitError(QsumError, ValueError):
     """Too few usable samples to fit an envelope."""
 
 
+class NonFiniteError(QsumError, ValueError):
+    """A coefficient or scaled value overflowed or is not a number."""
+
+
 class UnsupportedEquationError(QsumError):
     """Equation structure outside what the coefficient recursion can isolate."""

@@ -49,8 +49,8 @@ class Options:
 
     def __post_init__(self):
         """Sizes and epsilon must be in range; the upper bound on epsilon,
-        (q-1)/(q+1), is checked where q is known.  Errors name the setting
-        as the config file and the flags do."""
+        (q-1)/(q+1), is checked where q is known (Run.require_epsilon).
+        Errors name the setting as the config file and the flags do."""
         for name, key, low in (("orders", "orders", 1), ("mmax", "mmax", 0),
                                ("n_check", "N", 0), ("Kz", "zorder", 0)):
             if getattr(self, name) < low:
@@ -231,6 +231,13 @@ class Run:
         self.require(*HARD_CONDITIONS)
         self.require(*HARD_CONDITIONS, padded=True)
 
+    def require_epsilon(self):
+        """The gate of the views that read the asymptotic stages, after
+        the conditions and before anything is solved: epsilon must lie
+        below the disk-disjointness threshold (q-1)/(q+1)."""
+        SpiralGeometry(complex(self.options.lam), self.options.epsilon,
+                       self.equation.q).require_disjoint()
+
     @_stage("parse")
     def equation(self):
         """The equation at the padded window the solve and the march use."""
@@ -309,6 +316,7 @@ class Run:
         which the CLI maps to exit codes."""
         lam = complex(self.options.lam)
         self.require_solvable()
+        self.require_epsilon()
         cond = self.solved_conditions
         shape = cond["shape"]
         verdicts = {"shape": _verdict(shape.ok, str(shape))}

@@ -86,6 +86,12 @@ class SpiralGeometry:
         """Below (q-1)/(q+1) the component disks are pairwise disjoint."""
         return (self.q - 1.0) / (self.q + 1.0)
 
+    def require_disjoint(self):
+        """Raise UsageError unless epsilon is below the disjointness threshold."""
+        if self.epsilon >= self.disjointness_threshold():
+            raise UsageError("epsilon %.3g not below the disk-disjointness threshold %.3g"
+                             % (self.epsilon, self.disjointness_threshold()))
+
 
 @dataclass(frozen=True)
 class ZoneResult:
@@ -136,6 +142,42 @@ def q_laplace_series(grid, t, epsilon=0.05):
     KERNEL_DROP_RTOL * KERNEL_BAND_MARGIN of the largest, plus the three
     at each end that the tail checks read.  The estimates choose indices
     and are never summed, so the result is the all-indices direct sum."""
+    def term(series, inv):
+        s = series * inv
+        return s, None if s.is_zero() else s.norm_max()
+
+    acc = _kernel_sum(grid, t, epsilon, term)
+    if acc is None:
+        return TruncatedSeries.zero(grid.d, 1, grid.values[grid.m_max].series.Kz)
+    return acc
+
+
+def q_laplace(grid, t, epsilon=0.05):
+    """Resummed value W(t, 0) at the origin in z.
+
+    The terms, their sizes and the checks are those of q_laplace_series;
+    only the constant coefficient of each term is summed, with the same
+    floating-point operations, so the value is that series' at z = 0."""
+    origin = (0, (0,) * grid.d)
+
+    def term(series, inv):
+        coeffs = series.coeffs
+        if not coeffs:
+            return 0j, None
+        return (coeffs.get(origin, 0j) * inv,
+                max(abs(c * inv) for c in coeffs.values()))
+
+    acc = _kernel_sum(grid, t, epsilon, term)
+    return 0j if acc is None else acc
+
+
+def _kernel_sum(grid, t, epsilon, term):
+    """W(t, .) over the kernel band: the work q_laplace_series and
+    q_laplace share.  `term(series, inv)` returns a grid value's series
+    times the complex `inv` in the form the sum accumulates (a series, or
+    its constant coefficient), and the largest coefficient magnitude of
+    the whole product, or None for a zero series.  Returns None when
+    every term is zero."""
     q, lam = grid.q, grid.lam
     t = complex(t)
     zone = zone_membership(SpiralGeometry(lam, epsilon, q), t)
@@ -154,19 +196,21 @@ def q_laplace_series(grid, t, epsilon=0.05):
     cut = max(sizes) + math.log(KERNEL_DROP_RTOL * KERNEL_BAND_MARGIN) / lnq
     ends = set(indices[:3]) | set(indices[-3:])
     terms = []
+    mags = []
     for m, size in zip(indices, sizes):
         if size < cut and m not in ends:
             continue
         th = th0 if m == 0 else _theta_polar(q, base_logq + m, phase)
         val = grid.values[m]
-        mantissa = val.series * (1.0 / th.mantissa)
-        terms.append((m, mantissa, val.qexp - th.qexp))
+        # the theta mantissa lies in [1, q), so its inverse is finite and nonzero
+        mantissa, norm = term(val.series, complex(1.0 / th.mantissa))
+        e = val.qexp - th.qexp
+        terms.append((mantissa, e))
+        mags.append((m, e + (math.log(norm) / lnq if norm is not None else -math.inf)))
 
-    mags = [(m, e + (math.log(s.norm_max()) / lnq if not s.is_zero() else -math.inf))
-            for m, s, e in terms]
     finite = [lm for _, lm in mags if math.isfinite(lm)]
     if not finite:
-        return TruncatedSeries.zero(grid.d, 1, grid.values[grid.m_max].series.Kz)
+        return None
     top = max(finite)
 
     def check_tail(side_mags, side):
@@ -187,13 +231,15 @@ def q_laplace_series(grid, t, epsilon=0.05):
     check_tail(mags, "upper")
     check_tail(list(reversed(mags)), "lower")
 
+    # complex scales: a series times a scalar multiplies each coefficient
+    # by complex(scale), so both forms of the sum do the same operations
     acc = None
-    for (m, s, e), (_, lm) in zip(terms, mags):
+    for (s, e), (_, lm) in zip(terms, mags):
         if not math.isfinite(lm) or lm < top + math.log(KERNEL_DROP_RTOL) / lnq:
             continue
-        piece = s * (q ** (e - top))
+        piece = s * complex(q ** (e - top))
         acc = piece if acc is None else acc + piece
-    return acc * (q ** top) if _fits_double(top, lnq) else _overflow_error(top)
+    return acc * complex(q ** top) if _fits_double(top, lnq) else _overflow_error(top)
 
 
 def _fits_double(logq_value, lnq):
@@ -202,11 +248,6 @@ def _fits_double(logq_value, lnq):
 
 def _overflow_error(top):
     raise OverflowError("resummed value magnitude q^%.1f exceeds double range" % top)
-
-
-def q_laplace(grid, t, epsilon=0.05):
-    """Resummed value W(t, 0) at the origin in z."""
-    return q_laplace_series(grid, t, epsilon).evaluate(0.0, (0.0,) * grid.d)
 
 
 @dataclass
@@ -310,9 +351,7 @@ def asymptotic_check(sol, grid, epsilon, n_max, rays=8, radii=12, w_fn=None):
     q = grid.q
     lam = grid.lam
     geom = SpiralGeometry(lam, epsilon, q)
-    if epsilon >= geom.disjointness_threshold():
-        raise UsageError("epsilon %.3g not below the disk-disjointness threshold %.3g"
-                         % (epsilon, geom.disjointness_threshold()))
+    geom.require_disjoint()
     if n_max > sol.count:
         raise UsageError("remainder depth %d exceeds the computed formal order %d"
                          % (n_max, sol.count))

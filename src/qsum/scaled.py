@@ -9,6 +9,8 @@ normalized into [1, q).
 import cmath
 import math
 
+from .errors import NonFiniteError
+
 # exponent gaps beyond this (in units of log2) cannot influence a double
 _ALIGN_BITS = 1100.0
 
@@ -29,7 +31,7 @@ class QScaled:
             self.qexp = 0.0
             return
         if not (math.isfinite(c.real) and math.isfinite(c.imag) and math.isfinite(e)):
-            raise ValueError("non-finite scaled value")
+            raise NonFiniteError("non-finite scaled value")
         lq = math.log(abs(c)) / math.log(self.q)
         shift = math.floor(lq)
         if abs(shift) > 64:

@@ -9,18 +9,14 @@ inputs determine, so a formal derivative costs one unit of z-window and
 that loss propagates through all downstream arithmetic.
 """
 
-import itertools
+import heapq
 import math
+from cmath import isfinite
 from collections import namedtuple
 
-from .errors import DimensionMismatchError, NotAUnitError, TruncationError
+from .errors import DimensionMismatchError, NonFiniteError, NotAUnitError, TruncationError
 
 OrdResult = namedtuple("OrdResult", ["order", "truncation_limited"])
-
-
-def _check_finite(c):
-    if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-        raise ValueError("non-finite coefficient")
 
 
 class TruncatedSeries:
@@ -34,20 +30,33 @@ class TruncatedSeries:
         self.d = d
         self.Kt = Kt
         self.Kz = Kz
+        # every check runs once per coefficient; a conversion is skipped
+        # only where its input already has the converted type
         clean = {}
         if coeffs:
-            for (n, beta), c in coeffs.items():
-                beta = tuple(beta)
+            for key, c in coeffs.items():
+                n, beta = key
+                if type(beta) is not tuple:
+                    beta = tuple(beta)
+                    key = (n, beta)
                 if len(beta) != d:
                     raise DimensionMismatchError("multi-index length %d, expected %d" % (len(beta), d))
-                if n < 0 or any(b < 0 for b in beta):
+                if d == 1:
+                    weight = low = beta[0]
+                elif d:
+                    weight, low = sum(beta), min(beta)
+                else:
+                    weight = low = 0
+                if n < 0 or low < 0:
                     raise ValueError("negative exponent")
-                if n >= Kt or sum(beta) >= Kz:
+                if n >= Kt or weight >= Kz:
                     continue
-                c = complex(c)
-                _check_finite(c)
-                if c != 0:
-                    clean[(n, beta)] = c
+                if type(c) is not complex:
+                    c = complex(c)
+                if not isfinite(c):
+                    raise NonFiniteError("non-finite coefficient")
+                if c:
+                    clean[key] = c
         self.coeffs = clean
 
     # ---------------------------------------------------------------- factories
@@ -141,7 +150,8 @@ class TruncatedSeries:
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
             other = complex(other)
-            _check_finite(other)
+            if not isfinite(other):
+                raise NonFiniteError("non-finite coefficient")
             out = TruncatedSeries.__new__(TruncatedSeries)
             out.d, out.Kt, out.Kz = self.d, self.Kt, self.Kz
             out.coeffs = {k: c * other for k, c in self.coeffs.items()} if other != 0 else {}
@@ -325,28 +335,14 @@ class TruncatedSeries:
         return diff.norm_max() <= tol * scale
 
 
-def _window_keys(d, Kt, Kz):
-    """All (n, beta) in the window, in graded-lexicographic order."""
-    betas = []
-    if d == 0:
-        betas = [()]
-    else:
-        for total in range(Kz):
-            for cuts in itertools.combinations(range(total + d - 1), d - 1):
-                beta = []
-                prev = -1
-                for c in cuts:
-                    beta.append(c - prev - 1)
-                    prev = c
-                beta.append(total + d - 2 - prev)
-                betas.append(tuple(beta))
-    for n in range(Kt):
-        for beta in betas:
-            yield n, beta
-
-
 def divide(num, den):
-    """Solve r * den = num on the common window (den must be a unit)."""
+    """Solve r * den = num on the common window (den must be a unit).
+
+    Only the keys the result can fill are visited: the numerator's, and
+    those a nonzero result coefficient reaches through a nonconstant
+    divisor term.  They are taken in graded order (n, |beta|, then beta
+    lexicographically), the order of a scan of the whole window, so each
+    coefficient sees the same terms in the same order as in that scan."""
     if num.d != den.d:
         raise DimensionMismatchError("series in %d and %d z-variables" % (num.d, den.d))
     den0 = den.constant_term()
@@ -355,8 +351,14 @@ def divide(num, den):
     Kt, Kz = min(num.Kt, den.Kt), min(num.Kz, den.Kz)
     d = num.d
     den_rest = [(n, beta, c) for (n, beta), c in den.items() if (n, beta) != (0, (0,) * d)]
+    # the divisor terms that move a window key to another window key
+    steps = [(dn, sum(dbeta), dbeta) for dn, dbeta, _ in den_rest if dn < Kt and sum(dbeta) < Kz]
+    todo = [(n, sum(beta), beta) for n, beta in num.coeffs if n < Kt and sum(beta) < Kz]
+    heapq.heapify(todo)
+    queued = set(todo)
     out = {}
-    for n, beta in _window_keys(d, Kt, Kz):
+    while todo:
+        n, w, beta = heapq.heappop(todo)
         acc = num.coeffs.get((n, beta), 0j)
         for dn, dbeta, dc in den_rest:
             rn = n - dn
@@ -370,6 +372,11 @@ def divide(num, den):
                 acc -= dc * prev
         if acc != 0:
             out[(n, beta)] = acc / den0
+            for dn, dw, dbeta in steps:
+                key = (n + dn, w + dw, tuple(b + db for b, db in zip(beta, dbeta)))
+                if key[0] < Kt and key[1] < Kz and key not in queued:
+                    queued.add(key)
+                    heapq.heappush(todo, key)
     return TruncatedSeries(d, Kt, Kz, out)
 
 

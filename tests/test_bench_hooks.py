@@ -13,6 +13,7 @@ import sys
 import qsum.cli  # noqa: F401  (loads every module the hooks wrap)
 import qsum.pipeline
 from qsum.cli import _json_default
+from qsum.errors import UsageError
 from qsum.pipeline import Options, Run, run_report
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -64,10 +65,8 @@ def test_reports_match_the_benchmark_reference():
             assert check.drift(outcome, refs[key]) <= 1e-12, key
 
 
-def test_reports_equal_the_benchmark_reference_and_sum_each_point_once(monkeypatch):
-    """The kernel sums are exact: no drift at all against the reference.
-    W at a sample point is summed once per run, for both epsilons."""
-    check, inputs = _load("check"), _load("inputs")
+def _count_kernel_sums(monkeypatch):
+    """The points t at which the pipeline sums W(t, 0), in call order."""
     q_laplace = qsum.pipeline.q_laplace
     summed = []
 
@@ -76,16 +75,48 @@ def test_reports_equal_the_benchmark_reference_and_sum_each_point_once(monkeypat
         return q_laplace(grid, t, epsilon)
 
     monkeypatch.setattr(qsum.pipeline, "q_laplace", counting)
-    for workload in ("euler", "zseries"):
-        with open(os.path.join(PERFBENCH, "reference", workload + ".json"), encoding="utf-8") as fh:
-            refs = json.load(fh)["inputs"]
-        for key, _, text in inputs.build(workload):
-            summed.clear()
-            run = Run(text, inputs.options(workload))
+    return summed
+
+
+def _assert_exact_and_summed_once(workload, summed):
+    """Each finished report has no drift at all from the reference, and
+    sums W once per sample point of both asymptotic stages.  Returns the
+    keys of the inputs whose epsilon is not below (q-1)/(q+1)."""
+    check, inputs = _load("check"), _load("inputs")
+    with open(os.path.join(PERFBENCH, "reference", workload + ".json"), encoding="utf-8") as fh:
+        refs = json.load(fh)["inputs"]
+    rejected = []
+    for key, _, text in inputs.build(workload):
+        summed.clear()
+        run = Run(text, inputs.options(workload))
+        try:
             doc = run.report().to_dict()
-            report = json.loads(json.dumps(check.stable_report(doc), default=_json_default))
-            outcome = {"exit": 0, "error": None, "report": report}
-            assert check.drift(outcome, refs[key]) == 0.0, key
-            assert len(summed) == len(set(summed)), key
-            assert set(run.asymptotic.samples) | set(run.asymptotic_half.samples) == set(summed), key
-            assert len(run.asymptotic_half.samples) >= len(run.asymptotic.samples) > 0, key
+        except UsageError as exc:
+            assert "not below the disk-disjointness threshold" in str(exc), key
+            assert not summed, key
+            rejected.append(key)
+            continue
+        report = json.loads(json.dumps(check.stable_report(doc), default=_json_default))
+        outcome = {"exit": 0, "error": None, "report": report}
+        assert check.drift(outcome, refs[key]) == 0.0, key
+        assert len(summed) == len(set(summed)), key
+        assert set(run.asymptotic.samples) | set(run.asymptotic_half.samples) == set(summed), key
+        assert len(run.asymptotic_half.samples) >= len(run.asymptotic.samples) > 0, key
+    return rejected
+
+
+def test_reports_equal_the_benchmark_reference_and_sum_each_point_once(monkeypatch):
+    """The kernel sums are exact: no drift at all against the reference.
+    W at a sample point is summed once per run, for both epsilons."""
+    summed = _count_kernel_sums(monkeypatch)
+    for workload in ("euler", "zseries"):
+        assert _assert_exact_and_summed_once(workload, summed) == [], workload
+
+
+def test_corpus_reports_equal_the_benchmark_reference_and_sum_each_point_once(monkeypatch):
+    """The same on the 12 corpus documents, the benchmark inputs with dense
+    divisors.  The 4 with q below 1.86 put the default epsilon 0.3 at or
+    above (q-1)/(q+1) and are rejected before anything is summed."""
+    summed = _count_kernel_sums(monkeypatch)
+    rejected = _assert_exact_and_summed_once("corpus-cli", summed)
+    assert rejected == ["corpus-20240901-%02d" % i for i in (2, 7, 10, 11)]

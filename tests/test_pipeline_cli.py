@@ -7,6 +7,8 @@ import sys
 import pytest
 
 from qsum.cli import main
+from qsum.errors import UsageError
+from qsum.pipeline import Options, Run
 from qsum.report_schema import validate_report
 
 EULER = "q=2; delta=1; m=1; d=0; eq: t*S^1(X) + S^0(X) = 1\n"
@@ -232,6 +234,8 @@ USAGE_ERRORS = {
     "config is a directory": ["--config", "{tmp}", "check", "{euler}"],
     "epsilon at the disjointness threshold": ["verify", "{euler15}", "--orders", "10",
                                               "--mmax", "10", "--N", "6"],
+    "epsilon at the disjointness threshold, report": ["report", "{euler15}", "--orders", "10",
+                                                      "--mmax", "10", "--N", "6"],
     "N above orders": ["verify", "{euler}", "--orders", "6", "--N", "8"],
     "t at the origin": ["resum", "{euler}", "--t", "0,0"],
     "growth with one sample": ["growth", "{euler}", "--mmax", "1"],
@@ -266,6 +270,32 @@ def test_usage_error_exit_code(tmp_path, euler_file, case):
     assert proc.returncode == 5
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_epsilon_is_checked_before_the_solve():
+    run = Run(EULER.replace("q=2", "q=1.5"), Options(orders=10, mmax=10, n_check=6))
+    with pytest.raises(UsageError, match="epsilon 0.3 not below the disk-disjointness"):
+        run.report()
+    assert not {"solution", "borel", "grid", "residuals", "asymptotic"} & set(vars(run))
+
+
+@pytest.mark.parametrize("cmd", ["report", "verify"])
+def test_failed_condition_comes_before_the_epsilon_check(tmp_path, capsys, cmd):
+    p = tmp_path / "eq.qde"
+    p.write_text(CONDITION_FAILURES["shape"].replace("q=2", "q=1.5"))
+    assert run_cli([cmd, str(p), "--json", os.devnull]) == 2
+    assert "conditions failed: shape" in capsys.readouterr().err
+
+
+def test_non_finite_coefficient_exit_code(tmp_path):
+    # the right-hand side's coefficients overflow in the formal solve
+    p = tmp_path / "big.qde"
+    p.write_text("q=2; delta=1; m=2; d=1; eq: S^1(X) + t*S^2(X) + t*S^1 Dz1^1(X) = 1e300/(1-z1)\n")
+    proc = subprocess.run([sys.executable, "-m", "qsum.cli", "report", str(p), "--orders", "20",
+                           "--mmax", "20", "--json", os.devnull], capture_output=True, text=True)
+    assert proc.returncode == 4
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "error: non-finite coefficient\n"
 
 
 def test_growth_of_a_zero_solution_exit_code(tmp_path):

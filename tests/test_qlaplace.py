@@ -252,10 +252,13 @@ def band_grids(euler_grid, ex2_parts):
             "euler lambda=0.6+0.8i": Run(EULER_TEXT, Options(lam=0.6 + 0.8j, **small)).grid}
 
 
-@pytest.mark.parametrize("name", ["euler", "readme-d1", "euler q=1.5", "euler q=3",
-                                  "readme-d1 q=3", "euler lambda=0.6+0.8i"])
-def test_banded_kernel_sum_equals_the_direct_sum(band_grids, name):
-    grid = band_grids[name]
+BAND_GRIDS = ["euler", "readme-d1", "euler q=1.5", "euler q=3", "readme-d1 q=3",
+              "euler lambda=0.6+0.8i"]
+
+
+def _band_cases(grid):
+    """(epsilon, t): points near a disk, and 4-ray fans at epsilon 0.3 and
+    0.15 where below the disjointness threshold."""
     lam = abs(grid.lam)
     cases = [(2e-4, t) for t in _near_disk_points(grid, 3e-4)]
     for eps in (0.3, 0.15):
@@ -263,10 +266,32 @@ def test_banded_kernel_sum_equals_the_direct_sum(band_grids, name):
             fan = sample_fan(SpiralGeometry(grid.lam, eps, grid.q), 4,
                              [0.005 * lam, 0.02 * lam, 0.1 * lam])
             cases += [(eps, t) for t in fan]
-    for eps, t in cases:
+    return cases
+
+
+@pytest.mark.parametrize("name", BAND_GRIDS)
+def test_banded_kernel_sum_equals_the_direct_sum(band_grids, name):
+    grid = band_grids[name]
+    for eps, t in _band_cases(grid):
         got = q_laplace_series(grid, t, eps)
         want = _direct_q_laplace_series(grid, t, eps)
         assert got == want, (name, eps, t)
+
+
+@pytest.mark.parametrize("name", BAND_GRIDS)
+def test_w_at_the_origin_is_the_kernel_series_at_the_origin(band_grids, name):
+    grid = band_grids[name]
+    origin = (0.0,) * grid.d
+    for eps, t in _band_cases(grid):
+        assert q_laplace(grid, t, eps) == q_laplace_series(grid, t, eps).evaluate(0.0, origin)
+    # the near-disk points at an epsilon whose disks hold them or come too near
+    for eps in (1e-3, 3e-4 / 1.05):
+        for t in _near_disk_points(grid, 3e-4):
+            with pytest.raises(PoleProximityError) as want:
+                q_laplace_series(grid, t, eps)
+            with pytest.raises(PoleProximityError) as got:
+                q_laplace(grid, t, eps)
+            assert str(got.value) == str(want.value)
 
 
 def test_banded_kernel_sum_reports_a_short_grid_as_the_direct_sum(euler_grid):
@@ -293,6 +318,10 @@ def test_banded_kernel_sum_reports_a_short_grid_as_the_direct_sum(euler_grid):
                 q_laplace_series(grid, t, 0.3)
             assert str(got.value) == str(want.value)
             assert got.value.needed == want.value.needed
+            with pytest.raises(GridTooShortError) as at_origin:
+                q_laplace(grid, t, 0.3)
+            assert str(at_origin.value) == str(want.value)
+            assert at_origin.value.needed == want.value.needed
             kinds.add(" ".join(str(want.value).split()[:3]))
     # both ends, the decay test and the tail estimate, and a grid of two points
     assert kinds == {"kernel terms not", "upper tail estimate", "lower tail estimate",

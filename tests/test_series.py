@@ -1,9 +1,11 @@
+import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsum.errors import DimensionMismatchError, NotAUnitError
+from qsum.errors import DimensionMismatchError, NonFiniteError, NotAUnitError
 from qsum.series import TruncatedSeries, divide, invert
 
 
@@ -87,6 +89,120 @@ def test_divide_matches_mul_invert():
     num = S(c_0=2, c_1=1, Kt=10)
     den = S(c_0=1, c_1=-0.5, c_2=0.25, Kt=10)
     assert divide(num, den).approx_equal(num * invert(den), 1e-13)
+
+
+def _window_divide(num, den):
+    """The reference division: a scan of every key of the common window in
+    graded order (n, |beta|, then beta lexicographically)."""
+    den0 = den.constant_term()
+    Kt, Kz = min(num.Kt, den.Kt), min(num.Kz, den.Kz)
+    d = num.d
+    den_rest = [(n, beta, c) for (n, beta), c in den.items() if (n, beta) != (0, (0,) * d)]
+    betas = sorted(itertools.product(range(Kz), repeat=d), key=lambda b: (sum(b), b))
+    out = {}
+    for n in range(Kt):
+        for beta in betas:
+            if sum(beta) >= Kz:
+                continue
+            acc = num.coeffs.get((n, beta), 0j)
+            for dn, dbeta, dc in den_rest:
+                rn = n - dn
+                rbeta = tuple(b - db for b, db in zip(beta, dbeta))
+                if rn < 0 or any(b < 0 for b in rbeta):
+                    continue
+                prev = out.get((rn, rbeta))
+                if prev is not None:
+                    acc -= dc * prev
+            if acc != 0:
+                out[(n, beta)] = acc / den0
+    return TruncatedSeries(d, Kt, Kz, out)
+
+
+def _random_series(rng, d, Kt, Kz, count, const=None, t_terms=True, z_terms=True):
+    coeffs = {}
+    for _ in range(count):
+        n = rng.randrange(Kt) if t_terms else 0
+        beta = tuple(rng.randrange(Kz) for _ in range(d)) if z_terms else (0,) * d
+        coeffs[(n, beta)] = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+    if const is not None:
+        coeffs[(0, (0,) * d)] = const
+    return TruncatedSeries(d, Kt, Kz, coeffs)
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
+def test_divide_matches_the_full_window_scan(d):
+    rng = random.Random(20240901 + d)
+    windows = [((6, 5), (6, 5)), ((7, 6), (5, 4)), ((4, 3), (8, 7)), ((5, 7), (5, 2))]
+    for (nKt, nKz), (dKt, dKz) in windows:
+        for num_count in (1, 3, 60):                       # sparse to dense numerators
+            for t_terms, z_terms in ((True, False), (False, True), (True, True)):
+                if d == 0 and not t_terms:
+                    continue
+                num = _random_series(rng, d, nKt, nKz, num_count)
+                den = _random_series(rng, d, dKt, dKz, 1 + rng.randrange(5), const=0.5 - 1.5j,
+                                     t_terms=t_terms, z_terms=z_terms)
+                got, want = divide(num, den), _window_divide(num, den)
+                assert (got.Kt, got.Kz) == (want.Kt, want.Kz)
+                assert got.coeffs == want.coeffs
+                assert list(got.coeffs) == list(want.coeffs)
+    # a constant divisor, and the inverse of a dense unit
+    num = _random_series(rng, d, 6, 5, 4)
+    for den in (TruncatedSeries.const(3.0, d, 6, 5), _random_series(rng, d, 6, 5, 40, const=2.0)):
+        got, want = divide(num, den), _window_divide(num, den)
+        assert got.coeffs == want.coeffs and list(got.coeffs) == list(want.coeffs)
+        one = TruncatedSeries.const(1.0, d, 6, 5)
+        assert list(invert(den).coeffs.items()) == list(_window_divide(one, den).coeffs.items())
+
+
+def test_divide_errors():
+    with pytest.raises(NotAUnitError):
+        divide(S(d=1, c_0_0=1), S(d=1, c_0_1=1, c_1_0=2))
+    with pytest.raises(DimensionMismatchError):
+        divide(S(d=1, c_0_0=1), S(d=2, c_0_0_0=1))
+
+
+def test_constructor_rejects_non_finite_coefficients():
+    for bad in (math.inf, -math.inf, math.nan, complex(1.0, math.inf), complex(math.nan, 0.0)):
+        with pytest.raises(NonFiniteError, match="non-finite coefficient"):
+            TruncatedSeries(1, 3, 3, {(0, (1,)): 1.0, (1, (0,)): bad})
+    big = TruncatedSeries.const(1e308, 1, 3, 3) + S(d=1, Kt=3, Kz=3, c_1_1=1e308)
+    with pytest.raises(NonFiniteError):
+        big + big
+    assert issubclass(NonFiniteError, ValueError)
+
+
+def test_constructor_rejects_bad_multi_indices():
+    for d, beta in ((0, (1,)), (1, ()), (1, (0, 1)), (2, (1,)), (3, (0, 1))):
+        with pytest.raises(DimensionMismatchError):
+            TruncatedSeries(d, 3, 3, {(0, beta): 1.0})
+    # a negative entry is rejected even where |beta| stays in the window
+    for d, n, beta in ((0, -1, ()), (1, 0, (-1,)), (1, -1, (1,)), (2, 0, (2, -1)),
+                       (2, 0, (-1, 1)), (3, 0, (1, -1, 0)), (3, 1, (0, 2, -2))):
+        with pytest.raises(ValueError, match="negative exponent"):
+            TruncatedSeries(d, 3, 3, {(n, beta): 1.0})
+
+
+class _Rows:
+    """A coefficient source with list multi-indices, which a dict cannot key."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def items(self):
+        return [((n, beta), c) for n, beta, c in self.rows]
+
+
+def test_constructor_accepts_lists_and_real_coefficients():
+    # zeros and keys outside the window are dropped
+    f = TruncatedSeries(2, 3, 3, _Rows([(1, [1, 0], 2), (0, [0, 0], 0.5), (2, (0, 1), 1 + 1j),
+                                        (0, [1, 1], 0), (0, [2, 1], 7.0), (3, (0, 0), 1.0)]))
+    assert f.coeffs == {(1, (1, 0)): 2 + 0j, (0, (0, 0)): 0.5 + 0j, (2, (0, 1)): 1 + 1j}
+    assert all(type(k[1]) is tuple and type(c) is complex for k, c in f.coeffs.items())
+    assert TruncatedSeries(0, 2, 1, _Rows([(0, [], 3)])).coeffs == {(0, ()): 3 + 0j}
+    g = TruncatedSeries(1, 2, 2, {(0, (1,)): 4, (1, (0,)): -2.5, (0, (0,)): True})
+    assert list(g.coeffs.items()) == [((0, (1,)), 4 + 0j), ((1, (0,)), -2.5 + 0j),
+                                      ((0, (0,)), 1 + 0j)]
+    assert all(type(c) is complex for c in g.coeffs.values())
 
 
 def test_evaluate_examples():
