@@ -140,13 +140,9 @@ def _scaled_sum(q, parts):
     if not parts:
         return None
     top = max(p.qexp for p in parts)
-    acc = None
-    for p in parts:
-        gap = (p.qexp - top) * math.log2(q)
-        if gap < -1100.0:
-            continue
-        piece = p.series * (q ** (p.qexp - top))
-        acc = piece if acc is None else acc + piece
+    log2q = math.log2(q)
+    acc = TruncatedSeries.combination([(p.series, q ** (p.qexp - top)) for p in parts
+                                       if (p.qexp - top) * log2q >= -1100.0])
     return _normalize(q, acc, top)
 
 
@@ -205,22 +201,22 @@ def continue_spiral(beq, u, lam, m_max, seed_radius_fraction=0.5, extra_low=60):
     # the smallest): the grid window is what the shortest one supports.
     norms = [v.norm_max() for v in u.coeffs]
 
-    def direct_sum(m):
-        """Sum of u_k xi^k at xi = lam q^m, with its relative tail estimate.
+    def seed_terms(m):
+        """The powers xi^k at xi = lam q^m and the relative tail estimate
+        of the sum of u_k xi^k there.
 
         The tail ratio is taken from the observed decay of the last term
         norms rather than from the fitted radius, which can overshoot."""
         xi = lam * q ** float(m)
-        acc = None
-        powers = 1.0 + 0j
+        powers = []
+        power = 1.0 + 0j
         peak = 0.0
         term_norms = []
-        for k, v in enumerate(u.coeffs):
-            piece = v * powers
-            acc = piece if acc is None else acc + piece
-            term_norms.append(norms[k] * abs(powers))
+        for norm in norms:
+            powers.append(power)
+            term_norms.append(norm * abs(power))
             peak = max(peak, term_norms[-1])
-            powers *= xi
+            power *= xi
         ratios = [term_norms[k] / term_norms[k - 1]
                   for k in range(max(1, len(term_norms) - 5), len(term_norms))
                   if term_norms[k - 1] > 0.0]
@@ -231,18 +227,18 @@ def continue_spiral(beq, u, lam, m_max, seed_radius_fraction=0.5, extra_low=60):
         else:
             tail = max(term_norms[-3:]) * r / (1.0 - r)
         rel = tail / peak if peak > 0 else 0.0
-        return acc, rel
+        return powers, rel
 
     # top of the seed window: inside the disk by the requested fraction and
     # with the direct-summation tail below tolerance; |xi| is also capped
-    # absolutely so the power ladder in direct_sum stays in double range
+    # absolutely so the power ladder in seed_terms stays in double range
     if math.isfinite(radius):
         top = math.floor(math.log(min(seed_radius_fraction * radius, 1e3) / abs(lam), q))
     else:
         top = math.floor(math.log(1.0 / abs(lam), q)) if abs(lam) > 1 else 0
     top = min(top, m_max)
     for _ in range(400):
-        _, rel = direct_sum(top)
+        _, rel = seed_terms(top)
         if rel <= SEED_TAIL_RTOL:
             break
         top -= 1
@@ -254,7 +250,8 @@ def continue_spiral(beq, u, lam, m_max, seed_radius_fraction=0.5, extra_low=60):
     m_min = top - window + 1 - extra_low
     values = {}
     for m in range(m_min, top + 1):
-        v, _ = direct_sum(m)
+        powers, _ = seed_terms(m)
+        v = TruncatedSeries.combination(zip(u.coeffs, powers))
         values[m] = _normalize(q, v, 0.0)
 
     lead_slices = beq.lead.t_slices()

@@ -51,22 +51,22 @@ def theta(x, q):
 def _theta_polar(q, logq_mag, phase):
     n0 = round(logq_mag + 0.5)
     lnq = math.log(q)
-
-    def term(n):
-        # log-q magnitude relative to the n0 term
-        rel = (n - n0) * logq_mag - (n * (n - 1) - n0 * (n0 - 1)) / 2.0
-        return cmath.rect(math.exp(rel * lnq), n * phase)
-
-    acc = term(n0)
+    exp, rect, cutoff = math.exp, cmath.rect, THETA_TERM_CUTOFF
+    c0 = n0 * (n0 - 1)
+    # term n is rect(exp(rel * lnq), n * phase), with rel its log-q
+    # magnitude relative to the n0 term; rel = 0 at n0
+    acc = rect(1.0, n0 * phase)
     peak = abs(acc)
     for step in (1, -1):
         n = n0 + step
         while True:
-            piece = term(n)
+            rel = (n - n0) * logq_mag - (n * (n - 1) - c0) / 2.0
+            piece = rect(exp(rel * lnq), n * phase)
             acc += piece
             mag = abs(piece)
-            peak = max(peak, mag)
-            if mag < THETA_TERM_CUTOFF * peak:
+            if mag > peak:
+                peak = mag
+            if mag < cutoff * peak:
                 break
             n += step
             if abs(n - n0) > 400:
@@ -146,7 +146,7 @@ def q_laplace_series(grid, t, epsilon=0.05):
         s = series * inv
         return s, None if s.is_zero() else s.norm_max()
 
-    acc = _kernel_sum(grid, t, epsilon, term)
+    acc = _kernel_sum(grid, t, epsilon, term, TruncatedSeries.combination)
     if acc is None:
         return TruncatedSeries.zero(grid.d, 1, grid.values[grid.m_max].series.Kz)
     return acc
@@ -167,17 +167,25 @@ def q_laplace(grid, t, epsilon=0.05):
         return (coeffs.get(origin, 0j) * inv,
                 max(abs(c * inv) for c in coeffs.values()))
 
-    acc = _kernel_sum(grid, t, epsilon, term)
+    def combine(pairs):
+        acc = None
+        for s, scale in pairs:
+            piece = s * scale
+            acc = piece if acc is None else acc + piece
+        return acc
+
+    acc = _kernel_sum(grid, t, epsilon, term, combine)
     return 0j if acc is None else acc
 
 
-def _kernel_sum(grid, t, epsilon, term):
+def _kernel_sum(grid, t, epsilon, term, combine):
     """W(t, .) over the kernel band: the work q_laplace_series and
     q_laplace share.  `term(series, inv)` returns a grid value's series
     times the complex `inv` in the form the sum accumulates (a series, or
     its constant coefficient), and the largest coefficient magnitude of
-    the whole product, or None for a zero series.  Returns None when
-    every term is zero."""
+    the whole product, or None for a zero series.  `combine(pairs)` sums
+    value * scale over the kept (value, complex scale) pairs, in order.
+    Returns None when every term is zero."""
     q, lam = grid.q, grid.lam
     t = complex(t)
     zone = zone_membership(SpiralGeometry(lam, epsilon, q), t)
@@ -233,12 +241,9 @@ def _kernel_sum(grid, t, epsilon, term):
 
     # complex scales: a series times a scalar multiplies each coefficient
     # by complex(scale), so both forms of the sum do the same operations
-    acc = None
-    for (s, e), (_, lm) in zip(terms, mags):
-        if not math.isfinite(lm) or lm < top + math.log(KERNEL_DROP_RTOL) / lnq:
-            continue
-        piece = s * complex(q ** (e - top))
-        acc = piece if acc is None else acc + piece
+    drop = top + math.log(KERNEL_DROP_RTOL) / lnq
+    acc = combine([(s, complex(q ** (e - top))) for (s, e), (_, lm) in zip(terms, mags)
+                   if math.isfinite(lm) and lm >= drop])
     return acc * complex(q ** top) if _fits_double(top, lnq) else _overflow_error(top)
 
 
@@ -370,8 +375,9 @@ def asymptotic_check(sol, grid, epsilon, n_max, rays=8, radii=12, w_fn=None):
     # scaled partial sums of the formal series at each sample
     EN = []
     partials = [QScaled.zero(q) for _ in points]
+    wscaled = [QScaled(q, w) for w in wvals]
     for N in range(0, n_max + 1):
-        row = [abs(QScaled(q, w) - p) for w, p in zip(wvals, partials)]
+        row = [abs(w - p) for w, p in zip(wscaled, partials)]
         EN.append(row)
         if N <= sol.count:
             vN = sol.scaled[N].evaluate(0.0, (0.0,) * grid.d)

@@ -84,6 +84,48 @@ class TruncatedSeries:
     def monomial(cls, value, n, beta, d, Kt, Kz):
         return cls(d, Kt, Kz, {(n, tuple(beta)): complex(value)})
 
+    @classmethod
+    def combination(cls, pairs):
+        """The sum of series * scale over the (series, scale) pairs, built
+        by one constructor call.
+
+        Values, window and key order are those of the chained
+        s0 * c0 + s1 * c1 + ...: the same products and additions in the
+        same order, the smallest window, and a key whose sum is exactly 0
+        deleted as each __add__ deletes it, so that a later piece enters
+        it again at the end.  (A lone pair differs from the lone scalar
+        product only where that keeps a coefficient underflowed to 0.)"""
+        pairs = iter(pairs)
+        first = next(pairs, None)
+        if first is None:
+            raise ValueError("combination of no series")
+        series, scale = first
+        d, Kt, Kz = series.d, series.Kt, series.Kz
+        scale = _scalar(scale)
+        out = {k: c * scale for k, c in series.coeffs.items()} if scale != 0 else {}
+        # the first piece keeps an underflowed 0 where a scalar product
+        # would; the first __add__ drops it unless the second piece adds to it
+        stale = 0j in out.values()
+        for series, scale in pairs:
+            if series.d != d:
+                raise DimensionMismatchError("series in %d and %d z-variables" % (d, series.d))
+            Kt, Kz = min(Kt, series.Kt), min(Kz, series.Kz)
+            scale = _scalar(scale)
+            if scale != 0:
+                get = out.get
+                for k, c in series.coeffs.items():
+                    v = get(k, 0j) + c * scale
+                    if v:
+                        out[k] = v
+                    else:
+                        out.pop(k, None)
+            if stale:
+                out = {k: v for k, v in out.items() if v}
+                stale = False
+        if not all(map(isfinite, out.values())):
+            raise NonFiniteError("non-finite coefficient")
+        return cls(d, Kt, Kz, out)
+
     # ---------------------------------------------------------------- access
 
     def items(self):
@@ -149,12 +191,13 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
-            other = complex(other)
-            if not isfinite(other):
+            other = _scalar(other)
+            coeffs = {k: c * other for k, c in self.coeffs.items()} if other != 0 else {}
+            if not all(map(isfinite, coeffs.values())):
                 raise NonFiniteError("non-finite coefficient")
             out = TruncatedSeries.__new__(TruncatedSeries)
             out.d, out.Kt, out.Kz = self.d, self.Kt, self.Kz
-            out.coeffs = {k: c * other for k, c in self.coeffs.items()} if other != 0 else {}
+            out.coeffs = coeffs
             return out
         Kt, Kz = self._common_window(other)
         a, b = self.coeffs, other.coeffs
@@ -333,6 +376,14 @@ class TruncatedSeries:
         diff = self - other
         scale = max(self.norm_max(), other.norm_max(), 1.0)
         return diff.norm_max() <= tol * scale
+
+
+def _scalar(value):
+    """A scale factor as the complex it multiplies by; it must be finite."""
+    value = complex(value)
+    if not isfinite(value):
+        raise NonFiniteError("non-finite coefficient")
+    return value
 
 
 def divide(num, den):

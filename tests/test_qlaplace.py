@@ -6,8 +6,9 @@ import pytest
 
 from qsum.errors import PoleProximityError
 from qsum.qborel import borel_transform, borel_transformed_equation, continue_spiral
-from qsum.qlaplace import (SpiralGeometry, asymptotic_check, q_laplace, q_laplace_series,
-                           residual_check, sample_fan, theta, zone_membership)
+from qsum.qlaplace import (THETA_TERM_CUTOFF, SpiralGeometry, _theta_polar, asymptotic_check,
+                           q_laplace, q_laplace_series, residual_check, sample_fan, theta,
+                           zone_membership)
 from qsum.scaled import QScaled
 
 Q = 2.0
@@ -57,6 +58,65 @@ def test_theta_extreme_argument_magnitudes():
     expect = QScaled(Q, 1.0, 40.0) * ref  # q x theta(x) with x = 2^39
     assert abs((big / expect).to_complex() - 1.0) <= 1e-12
     assert big.logq_abs() > 700  # not representable unscaled
+
+
+def _closure_theta_polar(q, logq_mag, phase):
+    """The reference theta: the symmetric direct sum with its terms made
+    by a closure, as _theta_polar was first written."""
+    n0 = round(logq_mag + 0.5)
+    lnq = math.log(q)
+
+    def term(n):
+        rel = (n - n0) * logq_mag - (n * (n - 1) - n0 * (n0 - 1)) / 2.0
+        return cmath.rect(math.exp(rel * lnq), n * phase)
+
+    acc = term(n0)
+    peak = abs(acc)
+    for step in (1, -1):
+        n = n0 + step
+        while True:
+            piece = term(n)
+            acc += piece
+            mag = abs(piece)
+            peak = max(peak, mag)
+            if mag < THETA_TERM_CUTOFF * peak:
+                break
+            n += step
+            if abs(n - n0) > 400:
+                raise ArithmeticError("theta summation failed to localize")
+    return QScaled(q, acc, n0 * logq_mag - n0 * (n0 - 1) / 2.0)
+
+
+@pytest.mark.parametrize("q", [1.05, 1.2, 1.5, 2.0, 3.0, 10.0])
+def test_theta_polar_equals_the_closure_form(q):
+    rng = random.Random(int(q * 1000))
+    lnq = math.log(q)
+    # the kernel sums take the phase of lambda / t, t on the sample rays
+    ray_phases = [cmath.phase(lam * cmath.rect(1.0, -2.0 * math.pi * (i + 0.5) / 8))
+                  for lam in (1.0, 0.6 + 0.8j, -0.3 + 0.9j, 0.6 - 0.8j) for i in range(8)]
+    phases = [0.0, math.pi, -math.pi, math.pi - 1e-12] + ray_phases
+    mags = ([k / 2.0 for k in range(-60, 61)] + [rng.uniform(-80.0, 80.0) for _ in range(20)]
+            + [k + math.log1p(delta) / lnq for k in (-7, -1, 0, 3, 12)
+               for delta in (0.0, 1e-14, -1e-14, 1e-8, -1e-8, 1e-3, -1e-3)])
+    for phase in phases:
+        for logq_mag in mags:
+            got = _theta_polar(q, logq_mag, phase)
+            want = _closure_theta_polar(q, logq_mag, phase)
+            assert (got.mantissa, got.qexp) == (want.mantissa, want.qexp)
+    # points on and near the zero set -q^Z, through the public entry
+    for k in (-3, 0, 2):
+        for delta in (0.0, 1e-12, -1e-6):
+            x = -q ** k * (1.0 + delta)
+            got = theta(x, q)
+            want = _closure_theta_polar(q, math.log(abs(x)) / lnq, cmath.phase(x))
+            assert (got.mantissa, got.qexp) == (want.mantissa, want.qexp)
+
+
+def test_theta_polar_localization_guard():
+    # at q this close to 1 the terms outlast the 400-step guard
+    for fn in (_theta_polar, _closure_theta_polar):
+        with pytest.raises(ArithmeticError, match="failed to localize"):
+            fn(1.0001, 0.3, 0.0)
 
 
 def test_zone_membership_examples():

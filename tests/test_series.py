@@ -161,6 +161,107 @@ def test_divide_errors():
         divide(S(d=1, c_0_0=1), S(d=2, c_0_0_0=1))
 
 
+def _chained(pairs):
+    """The reference linear combination: s0 * c0 + s1 * c1 + ... one
+    scalar product and one __add__ at a time."""
+    acc = None
+    for s, c in pairs:
+        piece = s * c
+        acc = piece if acc is None else acc + piece
+    return acc
+
+
+def _assert_same(got, want):
+    assert (got.d, got.Kt, got.Kz) == (want.d, want.Kt, want.Kz)
+    assert got.coeffs == want.coeffs
+    # key order, and every bit of every value
+    assert repr(list(got.coeffs.items())) == repr(list(want.coeffs.items()))
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
+def test_combination_equals_the_chained_sum(d):
+    rng = random.Random(20240917 + d)
+    windows = [(6, 5), (7, 6), (5, 4), (4, 3), (8, 7), (6, 2)]
+    for _ in range(40):
+        pairs = []
+        for _ in range(rng.randint(1, 6)):
+            Kt, Kz = rng.choice(windows)
+            series = _random_series(rng, d, Kt, Kz, rng.choice((0, 1, 3, 20)))
+            scale = rng.choice((complex(rng.uniform(-3, 3), rng.uniform(-3, 3)),
+                                rng.uniform(-3, 3), 2, 0, 0j, 1e-300))
+            pairs.append((series, scale))
+        _assert_same(TruncatedSeries.combination(pairs), _chained(pairs))
+        _assert_same(TruncatedSeries.combination(iter(pairs)), _chained(pairs))
+
+
+def test_combination_cancellation_zero_scales_and_single_pairs():
+    a = S(d=1, c_0_0=1, c_1_1=2.5, c_2_0=-1)
+    b = S(d=1, c_1_1=-2.5, c_0_2=3)
+    c = S(d=1, Kt=5, Kz=3, c_3_1=1, c_1_1=4)
+    # (1, (1,)) cancels to exactly 0, is deleted, and enters again last
+    pairs = [(a, 1.0), (b, 1.0), (S(d=1, c_4_0=1), 0.5j), (c, 1.0)]
+    got = TruncatedSeries.combination(pairs)
+    _assert_same(got, _chained(pairs))
+    assert list(got.coeffs)[-1] == (1, (1,))
+    # a cancelled key that never comes back stays out
+    _assert_same(TruncatedSeries.combination(pairs[:3]), _chained(pairs[:3]))
+    assert (1, (1,)) not in TruncatedSeries.combination(pairs[:3]).coeffs
+    # a zero scale contributes nothing but still narrows the window
+    for zero in (0, 0.0, 0j):
+        pairs = [(a, 2.0), (c, zero), (b, -1.0)]
+        got = TruncatedSeries.combination(pairs)
+        _assert_same(got, _chained(pairs))
+        assert (got.Kt, got.Kz) == (5, 3)
+        _assert_same(TruncatedSeries.combination([(a, zero)]), _chained([(a, zero)]))
+    # a single pair is the scalar product
+    for scale in (1.0, -0.75 + 2j, 3):
+        _assert_same(TruncatedSeries.combination([(a, scale)]), a * scale)
+
+
+def test_combination_with_underflowed_products():
+    first = S(d=1, c_0_0=1e-200, c_1_0=1.0, c_0_1=-1e-200)
+    tiny = 1e-200                      # 1e-200 * 1e-200 underflows to 0
+    assert 0j in (first * tiny).coeffs.values()
+    touching = S(d=1, c_0_0=1.0, c_2_0=1.0)
+    apart = S(d=1, c_2_0=1.0, c_1_0=-1e-200)
+    for pairs in ([(first, tiny), (touching, tiny)],      # the second piece adds to the zero
+                  [(first, tiny), (apart, tiny)],         # the second piece leaves it
+                  [(first, tiny), (apart, 1e-300), (first, 1.0)],
+                  [(touching, 1.0), (first, tiny)],       # a later piece underflows
+                  [(S(d=1, c_0_1=1.0), 1.0), (first, tiny)]):
+        got = TruncatedSeries.combination(pairs)
+        _assert_same(got, _chained(pairs))
+        assert 0j not in got.coeffs.values()
+    # a lone pair keeps no underflowed 0, as the constructor keeps none
+    got = TruncatedSeries.combination([(first, tiny)])
+    assert got.coeffs == {(1, (0,)): 1e-200 + 0j}
+
+
+def test_combination_errors():
+    with pytest.raises(ValueError, match="combination of no series"):
+        TruncatedSeries.combination([])
+    with pytest.raises(DimensionMismatchError):
+        TruncatedSeries.combination([(S(d=1, c_0_0=1), 1.0), (S(d=2, c_0_0_0=1), 1.0)])
+    big = S(d=1, Kt=3, Kz=3, c_0_0=1e308, c_1_1=1.0)
+    for pairs in ([(big, math.inf)], [(big, 1.0), (big, complex(0.0, math.nan))],
+                  [(big, 10.0)], [(big, 1.0), (big, 1.0)], [(S(d=1, c_0_1=1), 1.0), (big, -10.0)],
+                  # the overflowed key lies outside the window of the result
+                  [(S(d=1, Kt=3, Kz=3, c_0_0=1, c_1_1=1e308), 10.0), (S(d=1, Kt=1, Kz=1, c_0_0=1), 1.0)]):
+        with pytest.raises(NonFiniteError, match="non-finite coefficient"):
+            _chained(pairs)
+        with pytest.raises(NonFiniteError, match="non-finite coefficient"):
+            TruncatedSeries.combination(pairs)
+
+
+def test_scalar_product_rejects_overflow():
+    big = TruncatedSeries.const(1e308, 0, 2, 1)
+    for overflow in (lambda: big * 10.0, lambda: 10.0 * big, lambda: big * 10j,
+                     lambda: big / 1e-10, lambda: S(d=1, c_0_0=1, c_1_1=-1e300) * (1e10 + 1e10j)):
+        with pytest.raises(NonFiniteError, match="non-finite coefficient"):
+            overflow()
+    assert (big * 1.5).coeffs == {(0, ()): 1.5e308 + 0j}
+
+
 def test_constructor_rejects_non_finite_coefficients():
     for bad in (math.inf, -math.inf, math.nan, complex(1.0, math.inf), complex(math.nan, 0.0)):
         with pytest.raises(NonFiniteError, match="non-finite coefficient"):
