@@ -274,7 +274,7 @@ def _continue(run, args):
 
 def _resum(run, args):
     run.require_solvable()
-    w = q_laplace(run.grid, args.t, epsilon=min(run.options.epsilon, 0.1))
+    w = q_laplace(run.grid, args.t, epsilon=run.kernel_epsilon)
     _emit_json({"t": args.t, "W": w}, args.json)
     return EXIT_OK
 

@@ -105,20 +105,28 @@ class ExprParser:
             value = value + rhs if op == "+" else value - rhs
         return value
 
-    def parse_term(self):
-        value = self.parse_factor()
-        while self.cur.peek().text in ("*", "/"):
+    def parse_term(self, value=None, operator=None):
+        """Factors joined by '*' or '/', multiplied into `value` where one
+        is given.  `operator(divisor)`, where given, is tried first at each
+        factor, with `divisor` true after a '/': it parses a factor that is
+        not an expression, and returns whether it found one there."""
+        op = "*"
+        while True:
+            if operator is None or not operator(op == "/"):
+                tok = self.cur.peek()
+                rhs = self.parse_factor()
+                if value is None:
+                    value = rhs
+                elif op == "*":
+                    value = value * rhs
+                else:
+                    try:
+                        value = divide(value, rhs)
+                    except NotAUnitError:
+                        raise ParseError("division by a series with zero constant term", tok.line, tok.col)
+            if self.cur.peek().text not in ("*", "/"):
+                return value
             op = self.cur.next().text
-            tok = self.cur.peek()
-            rhs = self.parse_factor()
-            if op == "*":
-                value = value * rhs
-            else:
-                try:
-                    value = divide(value, rhs)
-                except NotAUnitError:
-                    raise ParseError("division by a series with zero constant term", tok.line, tok.col)
-        return value
 
     def parse_factor(self):
         base = self.parse_atom()

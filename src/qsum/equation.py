@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import dsl
-from .errors import NotAUnitError, ParseError, SchemaError
-from .series import TruncatedSeries, divide
+from .errors import ParseError, SchemaError
+from .series import TruncatedSeries
 
 
 @dataclass(frozen=True)
@@ -120,26 +120,18 @@ def parse_equation(text, Kt=24, Kz=8):
     operator factor S^j [Dz<k>^<int> ...](X).
     """
     cur = dsl._Cursor(dsl.tokenize(text))
-
-    def header_field(name):
-        tok = cur.peek()
-        if tok.text != name:
+    header = []
+    for name, parse in (("q", lambda: dsl.parse_number(cur)),
+                        ("delta", lambda: dsl.parse_rational(cur)),
+                        ("m", lambda: dsl.parse_int(cur, "for m")),
+                        ("d", lambda: dsl.parse_int(cur, "for d"))):
+        if cur.peek().text != name:
             cur.error("expected header field %r" % name)
         cur.next()
         cur.expect("=")
-
-    header_field("q")
-    q = dsl.parse_number(cur)
-    cur.expect(";")
-    header_field("delta")
-    delta = dsl.parse_rational(cur)
-    cur.expect(";")
-    header_field("m")
-    m = dsl.parse_int(cur, "for m")
-    cur.expect(";")
-    header_field("d")
-    d = dsl.parse_int(cur, "for d")
-    cur.expect(";")
+        header.append(parse())
+        cur.expect(";")
+    q, delta, m, d = header
     tok = cur.peek()
     if tok.text != "eq":
         cur.error("expected 'eq:'")
@@ -153,10 +145,17 @@ def parse_equation(text, Kt=24, Kz=8):
 
     expr = dsl.ExprParser(cur, d, Kt, Kz, q=q)
     merged = {}
+    ops = []
 
-    def parse_operator_factor():
-        """S^j Dz<k>^<n> ... (X)  ->  (j, alpha)"""
-        cur.expect("S")
+    def operator_factor(divisor):
+        """S^j Dz<k>^<n> ... (X)  ->  (j, alpha), appended to ops"""
+        if not (cur.peek().kind == "name" and cur.peek().text == "S"):
+            return False
+        if ops:
+            cur.error("summand contains two operator factors")
+        if divisor:
+            cur.error("cannot divide by an operator factor")
+        cur.next()
         cur.expect("^")
         j = dsl.parse_int(cur, "shift power")
         alpha = [0] * d
@@ -168,16 +167,12 @@ def parse_equation(text, Kt=24, Kz=8):
             cur.expect("^")
             alpha[axis - 1] += dsl.parse_int(cur, "derivative order")
         cur.expect("(")
-        tok = cur.peek()
-        if tok.text != "X":
+        if cur.peek().text != "X":
             cur.error("expected the unknown X")
         cur.next()
         cur.expect(")")
-        return j, tuple(alpha)
-
-    def looks_like_operator():
-        tok = cur.peek()
-        return tok.kind == "name" and tok.text == "S"
+        ops.append((j, tuple(alpha)))
+        return True
 
     sign = 1.0
     while True:
@@ -186,33 +181,11 @@ def parse_equation(text, Kt=24, Kz=8):
         while cur.peek().text in ("+", "-"):
             if cur.next().text == "-":
                 sign = -sign
-        coeff = TruncatedSeries.const(sign, d, Kt, Kz)
-        op = None
-        pending = "*"
-        while True:
-            if looks_like_operator():
-                if op is not None:
-                    cur.error("summand contains two operator factors")
-                if pending == "/":
-                    cur.error("cannot divide by an operator factor")
-                op = parse_operator_factor()
-            else:
-                tok = cur.peek()
-                f = expr.parse_factor()
-                if pending == "*":
-                    coeff = coeff * f
-                else:
-                    try:
-                        coeff = divide(coeff, f)
-                    except NotAUnitError:
-                        raise ParseError("division by a series with zero constant term", tok.line, tok.col)
-            if cur.peek().text in ("*", "/"):
-                pending = cur.next().text
-                continue
-            break
-        if op is None:
+        ops.clear()
+        coeff = expr.parse_term(TruncatedSeries.const(sign, d, Kt, Kz), operator_factor)
+        if not ops:
             raise ParseError("summand has no operator factor S^j(...)", tok0.line, tok0.col)
-        j, alpha = op
+        j, alpha = ops[0]
         weight = j + delta * sum(alpha)
         if weight > m:
             raise ParseError(

@@ -102,7 +102,7 @@ def parse_requested(text, options):
     return parse_equation(text, Kt=options.kt(), Kz=max(options.Kz, 1))
 
 
-def size_parse_window(text, options, requested=None):
+def size_parse_window(text, options, requested):
     """Parse once at the padded window the march and recursion will need.
 
     A probe parse at Kz=14, or at the requested Kz where that is larger,
@@ -113,10 +113,7 @@ def size_parse_window(text, options, requested=None):
     A probe the recursion cannot solve gives no estimate; the conditions
     on the padded equation, or the real solve, then report why.  Where
     nothing is padded, a JSON document or an equation without
-    z-derivatives, this is `requested`, the parse at the requested window
-    (made here when the caller has not)."""
-    if requested is None:
-        requested = parse_requested(text, options)
+    z-derivatives, this is `requested`, the parse at the requested window."""
     if _is_json(text):
         return requested
     probe_kz = 14
@@ -277,10 +274,16 @@ class Run:
     def spiral_bound(self):
         return fit_spiral_bound(self.grid, rz=self.borel.R1)
 
+    @property
+    def kernel_epsilon(self):
+        """The epsilon of the residual samples and of `qsum resum`: the
+        run's, capped at 0.1."""
+        return min(self.options.epsilon, 0.1)
+
     @_stage("residual")
     def residuals(self):
         # |t| = 0.05|lambda| and 0.1|lambda| on RESIDUAL_SAMPLES / 2 rays
-        eps, lam = min(self.options.epsilon, 0.1), self.grid.lam
+        eps, lam = self.kernel_epsilon, self.grid.lam
         samples = sample_fan(SpiralGeometry(lam, eps, self.grid.q), RESIDUAL_SAMPLES // 2,
                              (0.05 * abs(lam), 0.1 * abs(lam)))
         return residual_check(self.equation, self.grid, samples, epsilon=eps)

@@ -23,6 +23,7 @@ from .errors import (EffectivelySingularError, GridTooShortError,
                      UnsupportedEquationError)
 from .growth import TREND_TOL, last_third, ls_slope
 from .newton import _angle_gap, durand_kerner
+from .scaled import _ALIGN_BITS
 from .series import TruncatedSeries, divide
 
 SEED_TAIL_RTOL = 1e-14
@@ -142,7 +143,7 @@ def _scaled_sum(q, parts):
     top = max(p.qexp for p in parts)
     log2q = math.log2(q)
     acc = TruncatedSeries.combination([(p.series, q ** (p.qexp - top)) for p in parts
-                                       if (p.qexp - top) * log2q >= -1100.0])
+                                       if (p.qexp - top) * log2q >= -_ALIGN_BITS])
     return _normalize(q, acc, top)
 
 

@@ -33,6 +33,11 @@ KERNEL_DROP_RTOL = 1e-16
 KERNEL_BAND_MARGIN = 1e-4
 # disks within this factor of epsilon count as near the boundary
 ZONE_GUARD = 1.1
+# asymptotic_check fails a fit whose log rho_N rises faster than this per
+# order over the last third of orders, or whose order-1 remainder grows
+# more slowly than this power of |t|
+RHO_TREND_MAX = 0.1
+ORDER1_SLOPE_MIN = 0.5
 
 
 def theta(x, q):
@@ -142,50 +147,37 @@ def q_laplace_series(grid, t, epsilon=0.05):
     KERNEL_DROP_RTOL * KERNEL_BAND_MARGIN of the largest, plus the three
     at each end that the tail checks read.  The estimates choose indices
     and are never summed, so the result is the all-indices direct sum."""
-    def term(series, inv):
-        s = series * inv
-        return s, None if s.is_zero() else s.norm_max()
-
-    acc = _kernel_sum(grid, t, epsilon, term, TruncatedSeries.combination)
-    if acc is None:
+    terms, top = _kernel_terms(grid, t, epsilon)
+    if not terms:
         return TruncatedSeries.zero(grid.d, 1, grid.values[grid.m_max].series.Kz)
-    return acc
+    acc = TruncatedSeries.combination([(grid.values[m].series * inv, scale)
+                                       for m, inv, scale in terms])
+    return acc * complex(grid.q ** top)
 
 
 def q_laplace(grid, t, epsilon=0.05):
     """Resummed value W(t, 0) at the origin in z.
 
-    The terms, their sizes and the checks are those of q_laplace_series;
-    only the constant coefficient of each term is summed, with the same
-    floating-point operations, so the value is that series' at z = 0."""
+    The terms are those of q_laplace_series; only the constant coefficient
+    of each is summed, with the same floating-point operations, so the
+    value is that series' at z = 0."""
+    terms, top = _kernel_terms(grid, t, epsilon)
     origin = (0, (0,) * grid.d)
-
-    def term(series, inv):
-        coeffs = series.coeffs
-        if not coeffs:
-            return 0j, None
-        return (coeffs.get(origin, 0j) * inv,
-                max(abs(c * inv) for c in coeffs.values()))
-
-    def combine(pairs):
-        acc = None
-        for s, scale in pairs:
-            piece = s * scale
-            acc = piece if acc is None else acc + piece
-        return acc
-
-    acc = _kernel_sum(grid, t, epsilon, term, combine)
-    return 0j if acc is None else acc
+    acc = None
+    for m, inv, scale in terms:
+        piece = grid.values[m].series.coeffs.get(origin, 0j) * inv * scale
+        acc = piece if acc is None else acc + piece
+    return 0j if acc is None else acc * complex(grid.q ** top)
 
 
-def _kernel_sum(grid, t, epsilon, term, combine):
-    """W(t, .) over the kernel band: the work q_laplace_series and
-    q_laplace share.  `term(series, inv)` returns a grid value's series
-    times the complex `inv` in the form the sum accumulates (a series, or
-    its constant coefficient), and the largest coefficient magnitude of
-    the whole product, or None for a zero series.  `combine(pairs)` sums
-    value * scale over the kept (value, complex scale) pairs, in order.
-    Returns None when every term is zero."""
+def _kernel_terms(grid, t, epsilon):
+    """The terms of W(t, .) that survive the drop rule, in index order,
+    as (m, inv, scale) with W(t, .) = q^top * sum values[m].series * inv
+    * scale: inv is the inverse theta mantissa and scale the complex
+    q^(e - top), with e the term's exponent.  A term's size is its largest
+    coefficient magnitude, that of the series product values[m].series *
+    inv.  Returns (terms, top); the terms are empty when every grid value
+    in the band is zero."""
     q, lam = grid.q, grid.lam
     t = complex(t)
     zone = zone_membership(SpiralGeometry(lam, epsilon, q), t)
@@ -203,56 +195,49 @@ def _kernel_sum(grid, t, epsilon, term, combine):
     sizes = [norms[m] - (theta0_logq + m * (m + 1) / 2.0 + m * base_logq) for m in indices]
     cut = max(sizes) + math.log(KERNEL_DROP_RTOL * KERNEL_BAND_MARGIN) / lnq
     ends = set(indices[:3]) | set(indices[-3:])
-    terms = []
-    mags = []
+    # (m, inv, e, log_q size) per directly summed index
+    band = []
     for m, size in zip(indices, sizes):
         if size < cut and m not in ends:
             continue
         th = th0 if m == 0 else _theta_polar(q, base_logq + m, phase)
         val = grid.values[m]
         # the theta mantissa lies in [1, q), so its inverse is finite and nonzero
-        mantissa, norm = term(val.series, complex(1.0 / th.mantissa))
+        inv = complex(1.0 / th.mantissa)
         e = val.qexp - th.qexp
-        terms.append((mantissa, e))
-        mags.append((m, e + (math.log(norm) / lnq if norm is not None else -math.inf)))
+        coeffs = val.series.coeffs.values()
+        lm = e + math.log(max(abs(c * inv) for c in coeffs)) / lnq if coeffs else -math.inf
+        band.append((m, inv, e, lm))
 
-    finite = [lm for _, lm in mags if math.isfinite(lm)]
+    finite = [lm for *_, lm in band if math.isfinite(lm)]
     if not finite:
-        return None
+        return [], None
     top = max(finite)
 
-    def check_tail(side_mags, side):
-        tail = [lm for _, lm in side_mags[-3:]]
+    def check_tail(side, name):
+        tail = [lm for *_, lm in side[-3:]]
         if len(tail) < 3:
-            raise GridTooShortError("grid too short on the %s side" % side)
+            raise GridTooShortError("grid too short on the %s side" % name)
         if not (tail[-1] < tail[-2] < tail[-3]):
             raise GridTooShortError(
-                "kernel terms not yet decaying at the %s end of the grid" % side,
-                needed=side_mags[-1][0])
+                "kernel terms not yet decaying at the %s end of the grid" % name,
+                needed=side[-1][0])
         ratio = math.exp((tail[-1] - tail[-2]) * lnq)
         est = math.exp((tail[-1] - top) * lnq) * ratio / (1.0 - ratio)
         if est > KERNEL_TAIL_RTOL:
             raise GridTooShortError(
-                "%s tail estimate %.2e exceeds %.0e of the partial sum" % (side, est, KERNEL_TAIL_RTOL),
-                needed=side_mags[-1][0])
+                "%s tail estimate %.2e exceeds %.0e of the partial sum" % (name, est, KERNEL_TAIL_RTOL),
+                needed=side[-1][0])
 
-    check_tail(mags, "upper")
-    check_tail(list(reversed(mags)), "lower")
-
-    # complex scales: a series times a scalar multiplies each coefficient
-    # by complex(scale), so both forms of the sum do the same operations
+    check_tail(band, "upper")
+    check_tail(band[::-1], "lower")
+    if abs(top * lnq) >= 690.0:
+        raise OverflowError("resummed value magnitude q^%.1f exceeds double range" % top)
     drop = top + math.log(KERNEL_DROP_RTOL) / lnq
-    acc = combine([(s, complex(q ** (e - top))) for (s, e), (_, lm) in zip(terms, mags)
-                   if math.isfinite(lm) and lm >= drop])
-    return acc * complex(q ** top) if _fits_double(top, lnq) else _overflow_error(top)
-
-
-def _fits_double(logq_value, lnq):
-    return abs(logq_value * lnq) < 690.0
-
-
-def _overflow_error(top):
-    raise OverflowError("resummed value magnitude q^%.1f exceeds double range" % top)
+    # complex scales: a series times a scalar multiplies each coefficient
+    # by complex(scale), so both sums do the same operations
+    return [(m, inv, complex(q ** (e - top))) for m, inv, e, lm in band
+            if math.isfinite(lm) and lm >= drop], top
 
 
 @dataclass
@@ -407,13 +392,13 @@ def asymptotic_check(sol, grid, epsilon, n_max, rays=8, radii=12, w_fn=None):
         tail = last_third(usable, n_max, fallback=False)
         if len(tail) >= 3:
             slope = ls_slope([(float(N), math.log(rho[N])) for N in tail])
-            if slope > 0.1:
+            if slope > RHO_TREND_MAX:
                 reasons.append("normalized remainders trend upward (%.3g/order); no finite envelope" % slope)
     logM = max((lr - N * logH for (N, _), lr in log_r.items()), default=-math.inf)
     M = math.exp(logM) if math.isfinite(logM) else 0.0
 
     slope = _order1_slope(points, EN[1] if n_max >= 1 else None)
-    if slope is not None and slope < 0.5:
+    if slope is not None and slope < ORDER1_SLOPE_MIN:
         reasons.append("order-1 remainder does not scale with |t| (slope %.2f)" % slope)
 
     verdict = "pass" if not reasons else "fail"

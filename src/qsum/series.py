@@ -318,11 +318,6 @@ class TruncatedSeries:
         out = {(2 * n, beta): c for (n, beta), c in self.coeffs.items()}
         return TruncatedSeries(self.d, 2 * self.Kt - 1, self.Kz, out)
 
-    def truncated(self, Kt=None, Kz=None):
-        Kt = self.Kt if Kt is None else min(Kt, self.Kt)
-        Kz = self.Kz if Kz is None else min(Kz, self.Kz)
-        return TruncatedSeries(self.d, Kt, Kz, self.coeffs)
-
     def with_window(self, Kt, Kz):
         """Reinterpret an exact polynomial inside a different window.
 
@@ -365,11 +360,11 @@ class TruncatedSeries:
             return 0.0
         return max(abs(c) for c in self.coeffs.values())
 
-    def sup_norm(self, rz, rt=1.0):
-        """Coefficient-sum upper bound for the sup on |t|<=rt, |z_i|<=rz."""
+    def sup_norm(self, rz):
+        """Coefficient-sum upper bound for the sup on |t|<=1, |z_i|<=rz."""
         total = 0.0
         for (n, beta), c in self.coeffs.items():
-            total += abs(c) * rt ** n * rz ** sum(beta)
+            total += abs(c) * rz ** sum(beta)
         return total
 
     def approx_equal(self, other, tol=1e-12):

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from .equation import Equation, Term
 from .errors import QsumError
+from .growth import truncated_entire_eval
 from .newton import CheckReport, check_shape, durand_kerner, newton_polygon
 
 IDENTITY_RTOL = 1e-10
@@ -92,15 +93,6 @@ class IdentityReport:
         return "%s (worst relative gap %.3e over %d samples)" % (tag, self.worst, len(self.samples))
 
 
-def _direct_eval(coeffs, xi, z0):
-    acc = 0j
-    p = 1.0 + 0j
-    for v in coeffs:
-        acc += v.evaluate(0.0, z0) * p
-        p *= xi
-    return acc
-
-
 def check_borel_square_identity(u_orig, u_sq, q, z0=None):
     """u1(xi, z) = u(q^{-1/4} xi^2, z) at sample points inside both disks.
 
@@ -110,13 +102,15 @@ def check_borel_square_identity(u_orig, u_sq, q, z0=None):
     r_sq = 0.4 * min(u_sq.radius_est, 10.0)
     r_from_orig = (0.4 * min(u_orig.radius_est, 10.0) * q ** 0.25) ** 0.5
     r = min(r_sq, r_from_orig)
+    eval_sq = truncated_entire_eval([v.evaluate(0.0, z0) for v in u_sq.coeffs])
+    eval_orig = truncated_entire_eval([v.evaluate(0.0, z0) for v in u_orig.coeffs])
     samples = []
     worst = 0.0
     n = BOREL_IDENTITY_SAMPLES
     for k in range(n):
         xi = cmath.rect(r * (0.3 + 0.7 * (k + 1) / n), 2.0 * math.pi * k / n + 0.3)
-        lhs = _direct_eval(u_sq.coeffs, xi, z0)
-        rhs = _direct_eval(u_orig.coeffs, q ** -0.25 * xi * xi, z0)
+        lhs = eval_sq(xi)
+        rhs = eval_orig(q ** -0.25 * xi * xi)
         scale = max(abs(lhs), abs(rhs), 1e-30)
         gap = abs(lhs - rhs) / scale
         samples.append((xi, gap))

@@ -125,3 +125,24 @@ def test_validate_flags_zero_coefficient_window():
                   TruncatedSeries.const(1, 0, 4, 1))
     rep = validate(eq)
     assert any("order undetermined" in w for w in rep.warnings)
+
+
+@pytest.mark.parametrize("text, message, line, col", [
+    ("q=2; delta=1; m=2; d=0; eq: S^1(X)*S^0(X) = 1",
+     "summand contains two operator factors", 1, 36),
+    ("q=2; delta=1; m=1; d=0; eq: t/S^1(X) = 1",
+     "cannot divide by an operator factor", 1, 31),
+    ("q=2; m=1; delta=1; d=0; eq: S^1(X) = 1",
+     "expected header field 'delta'", 1, 6),
+    ("q=2; delta=1; m=1; d=0; S^1(X) = 1",
+     "expected 'eq:'", 1, 25),
+    ("q=2; delta=1; m=2; d=1; eq: S^0 Dz2^1(X) = 1",
+     "derivative axis z2 out of range for d=1", 1, 33),
+    ("q=2; delta=1; m=1; d=0;\neq: t*S^1(Y) = 1",
+     "expected the unknown X", 2, 11),
+])
+def test_parse_errors_name_the_fault_and_its_position(text, message, line, col):
+    with pytest.raises(ParseError) as err:
+        parse_equation(text)
+    assert (err.value.line, err.value.col) == (line, col)
+    assert str(err.value) == "line %d, col %d: %s" % (line, col, message)

@@ -386,3 +386,15 @@ def test_banded_kernel_sum_reports_a_short_grid_as_the_direct_sum(euler_grid):
     # both ends, the decay test and the tail estimate, and a grid of two points
     assert kinds == {"kernel terms not", "upper tail estimate", "lower tail estimate",
                      "grid too short"}, kinds
+
+
+def test_resummed_value_beyond_double_range_raises(euler_grid):
+    from qsum.qborel import ScaledSeries, SpiralGrid
+    g = euler_grid
+    values = {m: ScaledSeries(v.series, v.qexp + 1100.0) for m, v in g.values.items()}
+    raised = SpiralGrid(g.lam, g.q, g.m_min, g.m_max, g.seed_top, values, g.theta_budget,
+                        g.radius_est, g.d)
+    for resum in (q_laplace, q_laplace_series):
+        with pytest.raises(OverflowError) as err:
+            resum(raised, 0.05, 0.3)
+        assert str(err.value) == "resummed value magnitude q^1098.3 exceeds double range"
