@@ -29,8 +29,9 @@ from dataclasses import replace
 from .equation import series_rows, to_json
 from .errors import (ConditionsFailed, ParseError, QsumError, SchemaError,
                      SingularDirectionError, UsageError)
-from .growth import fit_growth
-from .pipeline import HARD_CONDITIONS, Options, Run, polygon_doc
+from .growth import bound_log, fit_growth
+from .newton import is_interior
+from .pipeline import HARD_CONDITIONS, Options, Run, json_float, polygon_doc
 from .qlaplace import q_laplace
 from .report_schema import validate_report
 from .square import substitute_square
@@ -65,6 +66,7 @@ def _load_config(path):
 
 
 def _json_default(o):
+    """Complex numbers are written as {"re": ..., "im": ...}."""
     if isinstance(o, complex):
         return {"re": o.real, "im": o.imag}
     raise TypeError(type(o).__name__)
@@ -76,11 +78,6 @@ def _write(text, path):
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _emit_json(doc, path):
-    """Complex numbers are written as {"re": ..., "im": ...}."""
-    _write(json.dumps(doc, indent=2, sort_keys=True, default=_json_default) + "\n", path)
 
 
 def _emit_csv(rows, header, path):
@@ -164,7 +161,9 @@ def main(argv=None):
             opt = replace(opt, mmax=0)  # no march: pad the z-window for the recursion only
         with open(args.equation, "r", encoding="utf-8") as fh:
             run = Run(fh.read(), opt)
-        return VIEWS[args.command](run, args)
+        doc, code = VIEWS[args.command](run, args)
+        _write(json.dumps(doc, indent=2, sort_keys=True, default=_json_default) + "\n", args.json)
+        return code
     except (ParseError, SchemaError, UsageError, OSError) as exc:
         return _fail(exc, EXIT_USAGE)
     except ConditionsFailed as exc:
@@ -181,6 +180,8 @@ def _fail(exc, code):
 
 
 # ---------------------------------------------------------------- views
+# Each view returns (JSON document, exit code); a view that writes CSV
+# does so before main writes the document.
 
 def _check(run, args):
     cond = run.conditions
@@ -190,10 +191,8 @@ def _check(run, args):
     if shape.ok:
         for key in ("interior", "nondegeneracy", "strong_margin"):
             doc[key] = {"ok": cond[key].passed, "messages": cond[key].messages}
-    _emit_json(doc, args.json)
-    if validation.ok and shape.ok and all(cond[c].passed for c in HARD_CONDITIONS):
-        return EXIT_OK
-    return EXIT_CONDITION
+    ok = validation.ok and shape.ok and all(cond[c].passed for c in HARD_CONDITIONS)
+    return doc, EXIT_OK if ok else EXIT_CONDITION
 
 
 def _polygon(run, args):
@@ -202,60 +201,51 @@ def _polygon(run, args):
         rows = []
         for p in polygon.support:
             on_boundary = p.ord_t == max(0, p.j - shape.m0) if shape.ok else ""
-            interior = (p.j < polygon.m and p.ord_t > max(0, p.j - shape.m0)) if shape.ok else ""
+            interior = is_interior(p, polygon.m, shape.m0) if shape.ok else ""
             rows.append((p.j, "|".join(map(str, p.alpha)), p.ord_t, on_boundary, interior))
         for v in polygon.vertices:
             rows.append((v[0], "vertex", v[1], "", ""))
         _emit_csv(rows, ("j", "alpha", "ord_t", "on_boundary", "interior"), args.csv)
-    _emit_json(dict(polygon_doc(polygon, shape), ok=shape.ok, reasons=shape.reasons), args.json)
-    return EXIT_OK if shape.ok else EXIT_CONDITION
+    doc = dict(polygon_doc(polygon, shape), ok=shape.ok, reasons=shape.reasons)
+    return doc, EXIT_OK if shape.ok else EXIT_CONDITION
 
 
 def _directions(run, args):
     run.require("nondegeneracy")
     ds = run.directions
-    _emit_json({"roots": list(ds.roots), "rays": list(ds.rays)}, args.json)
-    return EXIT_OK
+    return {"roots": list(ds.roots), "rays": list(ds.rays)}, EXIT_OK
 
 
 def _square(run, args):
     run.require()
     sq = substitute_square(run.requested, run.conditions["shape"].m0)
-    _emit_json(json.loads(to_json(sq.equation)), args.json)
-    return EXIT_OK
+    return json.loads(to_json(sq.equation)), EXIT_OK
 
 
 def _solve(run, args):
     sol, fit = run.solution, run.gevrey
+    log10 = [m.log_abs() / math.log(10.0) if not m.is_zero() else None for m in fit.norms]
     if args.csv is not None:
-        rows = [(n, m.log_abs() / math.log(10.0) if not m.is_zero() else "-inf",
-                 fit.g[n] if fit.g[n] is not None else "")
-                for n, m in enumerate(fit.norms)]
+        rows = [(n, "-inf" if lg is None else lg, fit.g[n] if fit.g[n] is not None else "")
+                for n, lg in enumerate(log10)]
         _emit_csv(rows, ("n", "log10_norm", "g_n"), args.csv)
     doc = {"orders": sol.count, "A": fit.A, "h": fit.h,
-           "coefficients": [{"n": n,
-                             "v": series_rows(v),
-                             "log10_norm": (fit.norms[n].log_abs() / math.log(10.0)
-                                            if not fit.norms[n].is_zero() else None),
-                             "g": fit.g[n]}
+           "coefficients": [{"n": n, "v": series_rows(v), "log10_norm": log10[n], "g": fit.g[n]}
                             for n, v in enumerate(sol.scaled)]}
-    _emit_json(doc, args.json)
-    return EXIT_OK
+    return doc, EXIT_OK
 
 
 def _borel(run, args):
     run.require_solvable()
     u = run.borel
-    doc = {"radius_est": u.radius_est if math.isfinite(u.radius_est) else "inf",
-           "coefficients": [series_rows(v) for v in u.coeffs]}
-    _emit_json(doc, args.json)
-    return EXIT_OK
+    return {"radius_est": json_float(u.radius_est),
+            "coefficients": [series_rows(v) for v in u.coeffs]}, EXIT_OK
 
 
 def _continue(run, args):
     run.require_solvable()
     grid, fitb = run.grid, run.spiral_bound
-    norms = grid.norms_logq(run.borel.R1)
+    norms = grid.norms_logq
     if args.csv is not None:
         rows = [(m, fitb.diag[m] if 0 <= m < len(fitb.diag) and fitb.diag[m] is not None else "")
                 for m in range(grid.m_min, grid.m_max + 1)]
@@ -268,15 +258,12 @@ def _continue(run, args):
                                     "qexp": grid.values[m].qexp},
                        "sup_logq": norms[m]}
                       for m in range(max(grid.m_min, -10), grid.m_max + 1)]}
-    _emit_json(doc, args.json)
-    return EXIT_OK
+    return doc, EXIT_OK
 
 
 def _resum(run, args):
     run.require_solvable()
-    w = q_laplace(run.grid, args.t, epsilon=run.kernel_epsilon)
-    _emit_json({"t": args.t, "W": w}, args.json)
-    return EXIT_OK
+    return {"t": args.t, "W": q_laplace(run.grid, args.t, epsilon=run.kernel_epsilon)}, EXIT_OK
 
 
 def _verify(run, args):
@@ -292,10 +279,9 @@ def _verify(run, args):
                      * max(abs(t) for t in rep.samples) ** N)
             rows.append((N, e_max, bound, rep.rho[N] if rep.rho[N] is not None else ""))
         _emit_csv(rows, ("N", "max_E_N", "bound", "rho_N"), args.csv)
-    _emit_json({"verdict": rep.verdict, "M": rep.M, "H": rep.H,
-                "epsilon": rep.epsilon, "reasons": rep.reasons,
-                "samples": len(rep.samples)}, args.json)
-    return EXIT_OK if rep.passed else EXIT_NUMERIC
+    doc = {"verdict": rep.verdict, "M": rep.M, "H": rep.H,
+           "epsilon": rep.epsilon, "reasons": rep.reasons, "samples": len(rep.samples)}
+    return doc, EXIT_OK if rep.passed else EXIT_NUMERIC
 
 
 def _growth(run, args):
@@ -304,24 +290,16 @@ def _growth(run, args):
                          % run.options.mmax)
     run.require_solvable()
     grid = run.grid
-    samples = [grid.lam * grid.q ** float(m) for m in range(0, grid.m_max + 1, 2)]
-    norms = grid.norms_logq(run.borel.R1)
-
-    def ev(t):
-        m = round(math.log(abs(t) / abs(grid.lam)) / math.log(grid.q))
-        return math.exp(norms[m] * math.log(grid.q)) if math.isfinite(norms[m]) else 0.0
-
-    fitg = fit_growth(ev, grid.q, samples)
+    q, lnq, norms = grid.q, math.log(grid.q), grid.norms_logq
+    ms = range(0, grid.m_max + 1, 2)
+    samples = [grid.lam * q ** float(m) for m in ms]
+    values = [math.exp(norms[m] * lnq) if math.isfinite(norms[m]) else 0.0 for m in ms]
+    fitg = fit_growth(dict(zip(samples, values)).__getitem__, q, samples)
     if args.csv is not None:
-        rows = []
-        for t in samples:
-            lt = math.log(abs(t))
-            fv = ev(t)
-            bound = math.log(fitg.M) + lt * lt / (2 * math.log(grid.q)) + fitg.alpha * lt
-            rows.append((lt, math.log(fv) if fv > 0 else "", bound))
+        rows = [(math.log(abs(t)), math.log(v) if v > 0 else "", bound_log(q, fitg.M, fitg.alpha, abs(t)))
+                for t, v in zip(samples, values)]
         _emit_csv(rows, ("log_t", "log_f", "log_bound"), args.csv)
-    _emit_json({"M": fitg.M, "alpha": fitg.alpha, "samples": len(samples)}, args.json)
-    return EXIT_OK
+    return {"M": fitg.M, "alpha": fitg.alpha, "samples": len(samples)}, EXIT_OK
 
 
 def _report(run, args):
@@ -329,8 +307,7 @@ def _report(run, args):
     problems = validate_report(doc)
     if problems:
         raise QsumError("report schema violation: " + "; ".join(problems))
-    _emit_json(doc, args.json)
-    return EXIT_OK
+    return doc, EXIT_OK
 
 
 VIEWS = {"check": _check, "polygon": _polygon, "directions": _directions, "solve": _solve,

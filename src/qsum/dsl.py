@@ -228,7 +228,10 @@ def parse_rational(cur):
     den = 1
     if cur.peek().text == "/":
         cur.next()
+        tok = cur.peek()
         den = parse_int(cur, "denominator")
+        if den == 0:
+            raise ParseError("zero denominator", tok.line, tok.col)
     return Fraction(sign * num, den)
 
 

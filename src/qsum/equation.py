@@ -237,6 +237,15 @@ def series_rows(s):
     return [[n, list(beta), c.real, c.imag] for (n, beta), c in s.items()]
 
 
+def _is_int(x):
+    """A JSON integer; Python's bool is an int, JSON's true is not."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x):
+    return _is_int(x) or isinstance(x, float)
+
+
 def _series_from_rows(rows, d, Kt, Kz, pointer):
     if not isinstance(rows, list):
         raise SchemaError("expected a coefficient array", pointer)
@@ -246,12 +255,13 @@ def _series_from_rows(rows, d, Kt, Kz, pointer):
         if not (isinstance(row, list) and len(row) == 4):
             raise SchemaError("coefficient row must be [n, beta, re, im]", p)
         n, beta, re_, im = row
-        if not isinstance(n, int) or n < 0:
+        if not _is_int(n) or n < 0:
             raise SchemaError("t-exponent must be a nonnegative integer", p + "/0")
-        if not (isinstance(beta, list) and len(beta) == d and all(isinstance(b, int) and b >= 0 for b in beta)):
+        if not (isinstance(beta, list) and len(beta) == d and all(_is_int(b) and b >= 0 for b in beta)):
             raise SchemaError("beta must be a list of %d nonnegative integers" % d, p + "/1")
-        if not all(isinstance(x, (int, float)) for x in (re_, im)):
-            raise SchemaError("coefficient parts must be numbers", p + "/2")
+        for k, x in ((2, re_), (3, im)):
+            if not _is_number(x):
+                raise SchemaError("coefficient parts must be numbers", "%s/%d" % (p, k))
         coeffs[(n, tuple(beta))] = complex(re_, im)
     return TruncatedSeries(d, Kt, Kz, coeffs)
 
@@ -288,27 +298,27 @@ def from_json(text):
     if not isinstance(doc, dict):
         raise SchemaError("top level must be an object")
     q = _require(doc, "q")
-    if not isinstance(q, (int, float)) or not q > 1.0:
+    if not _is_number(q) or not q > 1.0:
         raise SchemaError("q must be a number greater than 1", "/q")
     delta_doc = _require(doc, "delta")
-    if not (isinstance(delta_doc, dict) and isinstance(delta_doc.get("num"), int)
-            and isinstance(delta_doc.get("den"), int) and delta_doc["den"] != 0):
+    if not (isinstance(delta_doc, dict) and _is_int(delta_doc.get("num"))
+            and _is_int(delta_doc.get("den")) and delta_doc["den"] != 0):
         raise SchemaError("delta must be {num, den} with integer entries", "/delta")
     delta = Fraction(delta_doc["num"], delta_doc["den"])
     if delta <= 0:
         raise SchemaError("delta must be positive", "/delta")
     m = _require(doc, "m")
-    if not isinstance(m, int) or m < 1:
+    if not _is_int(m) or m < 1:
         raise SchemaError("m must be a positive integer", "/m")
     d = _require(doc, "d")
-    if not isinstance(d, int) or d < 0:
+    if not _is_int(d) or d < 0:
         raise SchemaError("d must be a nonnegative integer", "/d")
     Kt = _require(doc, "Kt")
     Kz = _require(doc, "Kz")
-    if not (isinstance(Kt, int) and Kt >= 1 and isinstance(Kz, int) and Kz >= 1):
+    if not (_is_int(Kt) and Kt >= 1 and _is_int(Kz) and Kz >= 1):
         raise SchemaError("Kt and Kz must be positive integers", "/Kt")
     R = doc.get("R", 1.0)
-    if not isinstance(R, (int, float)) or not R > 0:
+    if not _is_number(R) or not R > 0:
         raise SchemaError("R must be a positive number", "/R")
     terms_doc = _require(doc, "terms")
     if not isinstance(terms_doc, list):
@@ -320,11 +330,11 @@ def from_json(text):
         if not isinstance(td, dict):
             raise SchemaError("term must be an object", p)
         j = _require(td, "j", p)
-        if not isinstance(j, int) or j < 0:
+        if not _is_int(j) or j < 0:
             raise SchemaError("j must be a nonnegative integer", p + "/j")
         alpha = _require(td, "alpha", p)
         if not (isinstance(alpha, list) and len(alpha) == d
-                and all(isinstance(a, int) and a >= 0 for a in alpha)):
+                and all(_is_int(a) and a >= 0 for a in alpha)):
             raise SchemaError("alpha must be a list of %d nonnegative integers" % d, p + "/alpha")
         alpha = tuple(alpha)
         if j + delta * sum(alpha) > m:

@@ -55,9 +55,9 @@ class OrderFloorViolationError(QsumError):
 class ResonanceError(QsumError):
     """The diagonal factor of the coefficient recursion vanishes at some order."""
 
-    def __init__(self, order, message=None):
+    def __init__(self, order):
         self.order = order
-        super().__init__(message or "no unique formal coefficient at order %d" % order)
+        super().__init__("no unique formal coefficient at order %d" % order)
 
 
 class RootFindingError(QsumError):
@@ -71,9 +71,9 @@ class SingularDirectionError(QsumError):
 class EffectivelySingularError(SingularDirectionError):
     """The leading symbol is numerically too small at a continuation grid point."""
 
-    def __init__(self, m, message=None):
+    def __init__(self, m):
         self.m = m
-        super().__init__(message or "leading symbol effectively singular at grid index %d" % m)
+        super().__init__("leading symbol effectively singular at grid index %d" % m)
 
 
 class RadiusTooSmallError(QsumError):

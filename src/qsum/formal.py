@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ResonanceError, UnsupportedEquationError
-from .growth import last_third
+from .growth import GROWTH_SLACK, last_third
 from .scaled import QScaled
-from .series import TruncatedSeries
+from .series import TruncatedSeries, residual_norms
 
 RESONANCE_TOL = 1e-12
 
@@ -36,10 +36,6 @@ class FormalSolution:
     def sup_norms(self):
         """Sup norms of v_n on |z| <= R1, per order."""
         return tuple(v.sup_norm(self.R1) for v in self.scaled)
-
-    def coefficient_norms(self):
-        """Sup-norm estimates of X_n on |z| <= R1, as scaled values."""
-        return [QScaled(self.q, s, n * (n - 1) / 2.0) for n, s in enumerate(self.sup_norms)]
 
     def gevrey_rate(self):
         """log h: the largest log||v_n|| / n over the last third of the
@@ -140,7 +136,6 @@ def verify_formal(eq, sol, tol=1e-10):
     the solve, so large n cannot overflow; they are reported relative to
     the largest contribution at each order."""
     q = eq.q
-    d = eq.d
     _check_exponent_envelope(eq, sol.count)
     slices = _presliced(eq)
     rhs_slices = dict(eq.rhs.t_slices())
@@ -148,24 +143,12 @@ def verify_formal(eq, sol, tol=1e-10):
     flagged = []
     worst = 0.0
     for n in range(sol.count + 1):
-        acc = None
-        scale = 0.0
-        for j, alpha, p, zpart in slices:
-            k = n - p
-            if k < 0:
-                continue
-            contrib = zpart * (q ** ((j - p) * k - p * (p - 1) / 2.0)) * sol.scaled[k].dz_multi(alpha)
-            scale = max(scale, contrib.norm_max())
-            acc = contrib if acc is None else acc + contrib
         fn = rhs_slices.get(n)
-        if fn is not None:
-            contrib = fn * (q ** (-n * (n - 1) / 2.0))
-            scale = max(scale, contrib.norm_max())
-            acc = -contrib if acc is None else acc - contrib
-        if acc is None:
-            acc = TruncatedSeries.zero(d, 1, sol.scaled[n].Kz)
-        rel = acc.norm_max() / scale if scale > 0 else acc.norm_max()
-        per_order.append((n, acc.norm_max(), rel))
+        res, rel = residual_norms(
+            (zpart * (q ** ((j - p) * (n - p) - p * (p - 1) / 2.0)) * sol.scaled[n - p].dz_multi(alpha)
+             for j, alpha, p, zpart in slices if p <= n),
+            None if fn is None else fn * (q ** (-n * (n - 1) / 2.0)))
+        per_order.append((n, res, rel))
         worst = max(worst, rel)
         if rel > tol:
             flagged.append(n)
@@ -188,7 +171,7 @@ class GevreyFit:
             if mn.is_zero():
                 continue
             bound = logA + n * logh + n * (n - 1) / 2.0 * math.log(q)
-            if mn.log_abs() > bound + 1e-9:
+            if mn.log_abs() > bound + GROWTH_SLACK:
                 return False
         return True
 
@@ -200,7 +183,7 @@ def gevrey_fit(sol):
     third of computed orders, where the pre-asymptotic wobble has died
     out); A is then the smallest constant making the bound hold at every
     order."""
-    norms = sol.coefficient_norms()
+    norms = [QScaled(sol.q, s, n * (n - 1) / 2.0) for n, s in enumerate(sol.sup_norms)]
     logs = [math.log(s) if s > 0 else None for s in sol.sup_norms]
     g = [None if lg is None or n == 0 else lg / n for n, lg in enumerate(logs)]
     if all(lg is None for lg in logs):

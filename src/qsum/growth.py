@@ -82,7 +82,8 @@ class GrowthReport:
             "pass" if self.passed else "fail", self.worst_margin, self.count)
 
 
-def _bound_log(q, M, alpha, t_abs):
+def bound_log(q, M, alpha, t_abs):
+    """log of the growth envelope M exp((log|t|)^2/(2 log q) + alpha log|t|) at |t| = t_abs."""
     lt = math.log(t_abs)
     return math.log(M) + lt * lt / (2.0 * math.log(q)) + alpha * lt
 
@@ -95,7 +96,7 @@ def check_growth_bound(evaluator, q, M, alpha, samples):
         if t == 0:
             raise ValueError("samples must be nonzero")
         v = abs(evaluator(t))
-        margin = (math.log(v) if v > 0 else -math.inf) - _bound_log(q, M, alpha, abs(t))
+        margin = (math.log(v) if v > 0 else -math.inf) - bound_log(q, M, alpha, abs(t))
         worst = max(worst, margin)
     return GrowthReport(worst <= GROWTH_SLACK, worst, len(samples))
 

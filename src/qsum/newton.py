@@ -16,6 +16,8 @@ from .errors import (IndeterminatePolygonError, OrderFloorViolationError,
 from .series import TruncatedSeries
 
 RAY_MERGE_TOL = 1e-9
+# a direction this close (rad) to a singular ray lies on it
+SINGULAR_RAY_TOL = 1e-9
 ZERO_TOL = 1e-12
 ROOT_RTOL = 1e-13       # relative step at which the root iteration has converged
 ROOT_MAX_ITER = 500
@@ -160,6 +162,11 @@ class CheckReport:
         return tag + ("" if not self.messages else ": " + "; ".join(self.messages))
 
 
+def is_interior(p, m, m0):
+    """Support point p is off the boundary of the order-m polygon with corner offset m0."""
+    return p.j < m and p.ord_t > max(0, p.j - m0)
+
+
 def check_interior(eq, polygon, m0):
     """Every z-derivative term's support point must be interior to the hull."""
     messages = []
@@ -167,7 +174,7 @@ def check_interior(eq, polygon, m0):
     for p in polygon.support:
         if sum(p.alpha) == 0:
             continue
-        if not (p.j < m and p.ord_t > max(0, p.j - m0)):
+        if not is_interior(p, m, m0):
             messages.append("support point (%d, %d) of alpha=%s is on the boundary" %
                             (p.j, p.ord_t, list(p.alpha)))
     return CheckReport(not messages, messages)
@@ -370,7 +377,10 @@ def direction_clearance(directions, lam):
     lam = complex(lam)
     if lam == 0:
         raise SingularDirectionError("direction lambda must be nonzero")
-    if not directions.rays:
-        return math.pi
+    return ray_clearance(lam, directions.rays)
+
+
+def ray_clearance(lam, rays):
+    """Angular distance from arg(lam) to the nearest of the rays, pi for none."""
     ang = cmath.phase(lam)
-    return min(_angle_gap(ang, r) for r in directions.rays)
+    return min((_angle_gap(ang, r) for r in rays), default=math.pi)

@@ -25,12 +25,12 @@ from .equation import from_json, parse_equation, validate
 from .errors import (ConditionsFailed, SingularDirectionError, UnsupportedEquationError,
                      UsageError)
 from .formal import gevrey_fit, solve_formal, verify_formal
-from .newton import (characteristic_polynomial, check_interior,
+from .newton import (SINGULAR_RAY_TOL, characteristic_polynomial, check_interior,
                      check_nondegeneracy, check_order_floors, check_shape,
                      check_strong_margin, direction_clearance, newton_polygon,
                      reduced_coefficients, singular_directions)
 from .qborel import (borel_transform, borel_transformed_equation,
-                     continue_spiral, fit_spiral_bound, lead_roots)
+                     continue_spiral, fit_spiral_bound)
 from .qlaplace import SpiralGeometry, asymptotic_check, q_laplace, residual_check, sample_fan
 
 # with the polygon shape, the conditions every stage past them needs
@@ -90,6 +90,11 @@ def _cnum(c):
     return {"re": c.real, "im": c.imag}
 
 
+def json_float(x):
+    """x, or "inf" where it is not finite: JSON has no infinity."""
+    return x if math.isfinite(x) else "inf"
+
+
 def _is_json(text):
     return text.lstrip().startswith("{")
 
@@ -139,7 +144,7 @@ def polygon_doc(polygon, shape):
     """The polygon's support, vertices and slopes and the corner offset m0."""
     return {"support": [{"j": p.j, "alpha": list(p.alpha), "ord_t": p.ord_t} for p in polygon.support],
             "vertices": [list(v) for v in polygon.vertices],
-            "slopes": [s if math.isfinite(s) else "inf" for s in polygon.slopes],
+            "slopes": [json_float(s) for s in polygon.slopes],
             "m0": shape.m0}
 
 
@@ -272,7 +277,7 @@ class Run:
 
     @_stage("continuation")
     def spiral_bound(self):
-        return fit_spiral_bound(self.grid, rz=self.borel.R1)
+        return fit_spiral_bound(self.grid)
 
     @property
     def kernel_epsilon(self):
@@ -332,7 +337,7 @@ class Run:
         clearance = direction_clearance(ds, lam)
         directions = {"roots": [_cnum(r) for r in ds.roots], "rays": list(ds.rays),
                       "clearance": clearance}
-        if clearance <= 1e-9:
+        if clearance <= SINGULAR_RAY_TOL:
             raise SingularDirectionError("lambda lies on a singular ray (clearance %.2e)" % clearance)
 
         eq = self.equation
@@ -352,9 +357,9 @@ class Run:
             "C": bound.C, "H": bound.H, "bounded": bound.bounded,
             "trend_slope": bound.trend_slope,
             "grid": {"m_min": grid.m_min, "seed_top": grid.seed_top, "m_max": grid.m_max},
-            "radius_est": u.radius_est if math.isfinite(u.radius_est) else "inf",
+            "radius_est": json_float(u.radius_est),
             "theta_budget": grid.theta_budget,
-            "lead_roots": [_cnum(r) for r in lead_roots(self.borel_equation)],
+            "lead_roots": [_cnum(r) for r in grid.lead_roots],
         }
         verdicts["spiral_bound"] = _verdict(bound.bounded, str(bound))
 

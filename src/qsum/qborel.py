@@ -22,7 +22,7 @@ from .errors import (EffectivelySingularError, GridTooShortError,
                      RadiusTooSmallError, SingularDirectionError,
                      UnsupportedEquationError)
 from .growth import TREND_TOL, last_third, ls_slope
-from .newton import _angle_gap, durand_kerner
+from .newton import SINGULAR_RAY_TOL, durand_kerner, ray_clearance
 from .scaled import _ALIGN_BITS
 from .series import TruncatedSeries, divide
 
@@ -118,12 +118,6 @@ class ScaledSeries:
     series: TruncatedSeries
     qexp: float
 
-    def norm_logq(self, q, rz=1.0):
-        s = self.series.sup_norm(rz)
-        if s == 0.0:
-            return -math.inf
-        return math.log(s) / math.log(q) + self.qexp
-
 
 def _normalize(q, series, qexp):
     peak = series.norm_max()
@@ -156,12 +150,22 @@ class SpiralGrid:
     m_max: int
     seed_top: int           # largest index filled by direct summation
     values: dict            # m -> ScaledSeries
-    theta_budget: float     # angular clearance of lambda from the lead-symbol rays
-    radius_est: float
+    lead_roots: list        # roots in xi of the leading symbol at z = 0
+    R1: float               # polydisc radius of the sup norms
     d: int
 
-    def norms_logq(self, rz=1.0):
-        return {m: v.norm_logq(self.q, rz) for m, v in self.values.items()}
+    @property
+    def theta_budget(self):
+        """Angular clearance of lambda from the lead-symbol rays."""
+        return ray_clearance(self.lam, [cmath.phase(r) for r in self.lead_roots])
+
+    @cached_property
+    def norms_logq(self):
+        """log_q of each value's sup norm on |z| <= R1, -inf for zero."""
+        lnq = math.log(self.q)
+        return {m: math.log(s) / lnq + v.qexp if (s := v.series.sup_norm(self.R1)) != 0.0
+                else -math.inf
+                for m, v in self.values.items()}
 
     @cached_property
     def value_norms_logq(self):
@@ -187,9 +191,7 @@ def continue_spiral(beq, u, lam, m_max, seed_radius_fraction=0.5, extra_low=60):
         raise SingularDirectionError("direction lambda must be nonzero")
 
     roots = lead_roots(beq)
-    rays = [cmath.phase(r) for r in roots]
-    clearance = min((_angle_gap(cmath.phase(lam), r) for r in rays), default=math.pi)
-    if clearance <= 1e-9:
+    if ray_clearance(lam, [cmath.phase(r) for r in roots]) <= SINGULAR_RAY_TOL:
         raise SingularDirectionError(
             "lambda at argument %.6f lies on a singular ray" % cmath.phase(lam))
 
@@ -285,7 +287,7 @@ def continue_spiral(beq, u, lam, m_max, seed_radius_fraction=0.5, extra_low=60):
         quotient = divide(total.series, lead_val.series)
         values[M] = _normalize(q, quotient, total.qexp - lead_val.qexp)
 
-    return SpiralGrid(lam, q, m_min, m_max, top, values, clearance, radius, beq.d)
+    return SpiralGrid(lam, q, m_min, m_max, top, values, roots, u.R1, beq.d)
 
 
 @dataclass
@@ -301,8 +303,9 @@ class SpiralBoundFit:
             self.C, self.H, "bounded" if self.bounded else "UNBOUNDED", self.trend_slope)
 
 
-def fit_spiral_bound(grid, rz=1.0):
-    """Envelope (C, H) with ||u*(lam q^m)|| <= C H^m q^{m^2/2} for m >= 0.
+def fit_spiral_bound(grid):
+    """Envelope (C, H) with ||u*(lam q^m)|| <= C H^m q^{m^2/2} for m >= 0,
+    ||.|| the sup norm on |z| <= grid.R1.
 
     H is clamped below at 1 (the bound only weakens as H grows, and the
     quadratic factor already dominates decaying grids); C is then the
@@ -312,7 +315,7 @@ def fit_spiral_bound(grid, rz=1.0):
         raise GridTooShortError("bound fit needs the grid to cover m = 0..m_max")
     lnq = math.log(grid.q)
     lognorm = {m: lg * lnq if math.isfinite(lg) else None
-               for m, lg in grid.norms_logq(rz).items() if m >= 0}
+               for m, lg in grid.norms_logq.items() if m >= 0}
     diag = [None] * (grid.m_max + 1)
     for m in range(1, grid.m_max + 1):
         if lognorm[m] is not None:

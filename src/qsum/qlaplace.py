@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from .errors import GridTooShortError, PoleProximityError, UsageError
 from .growth import last_third, ls_slope
 from .scaled import QScaled
-from .series import TruncatedSeries
+from .series import TruncatedSeries, residual_norms
 
 THETA_TERM_CUTOFF = 1e-17
 KERNEL_TAIL_RTOL = 1e-12
@@ -116,6 +116,8 @@ def zone_membership(geom, t):
     t = complex(t)
     if t == 0:
         raise UsageError("t must be nonzero")
+    if not cmath.isfinite(t):
+        raise UsageError("t must be finite (got %r)" % t)
     q, lam, eps = geom.q, geom.lam, geom.epsilon
     center = math.log(abs(t) / abs(lam)) / math.log(q)
     lo = math.floor(center + math.log1p(-min(eps * ZONE_GUARD, 0.9)) / math.log(q)) - 1
@@ -280,16 +282,8 @@ def residual_check(eq, grid, samples, epsilon=0.05):
             rejected.append((t, bad))
             continue
         w = {j: q_laplace_series(grid, t * q ** j, epsilon) for j in shifts}
-        acc = None
-        scale = 0.0
-        for term in eq.terms:
-            contrib = term.coeff.eval_t(t) * w[term.j].dz_multi(term.alpha)
-            scale = max(scale, contrib.norm_max())
-            acc = contrib if acc is None else acc + contrib
-        acc = acc - eq.rhs.eval_t(t)
-        scale = max(scale, eq.rhs.eval_t(t).norm_max())
-        res = acc.norm_max()
-        rel = res / scale if scale > 0 else res
+        res, rel = residual_norms((term.coeff.eval_t(t) * w[term.j].dz_multi(term.alpha)
+                                   for term in eq.terms), eq.rhs.eval_t(t))
         results.append(SampleResidual(t, res, rel))
         worst_abs = max(worst_abs, res)
         worst_rel = max(worst_rel, rel)
@@ -350,11 +344,7 @@ def asymptotic_check(sol, grid, epsilon, n_max, rays=8, radii=12, w_fn=None):
     r_lo = r_max / 20.0
     points = sample_fan(geom, rays, [r_lo * (r_max / r_lo) ** (k / (radii - 1.0)) if radii > 1
                                      else r_max for k in range(radii)])
-    if w_fn is None:
-        def w_fn(t):
-            return q_laplace(grid, t, epsilon)
-
-    wvals = [w_fn(t) for t in points]
+    wvals = [w_fn(t) if w_fn else q_laplace(grid, t, epsilon) for t in points]
 
     lnq = math.log(q)
     # scaled partial sums of the formal series at each sample
@@ -364,10 +354,9 @@ def asymptotic_check(sol, grid, epsilon, n_max, rays=8, radii=12, w_fn=None):
     for N in range(0, n_max + 1):
         row = [abs(w - p) for w, p in zip(wscaled, partials)]
         EN.append(row)
-        if N <= sol.count:
-            vN = sol.scaled[N].evaluate(0.0, (0.0,) * grid.d)
-            for i, t in enumerate(points):
-                partials[i] = partials[i] + QScaled(q, vN * t ** N, N * (N - 1) / 2.0)
+        vN = sol.scaled[N].evaluate(0.0, (0.0,) * grid.d)
+        for i, t in enumerate(points):
+            partials[i] = partials[i] + QScaled(q, vN * t ** N, N * (N - 1) / 2.0)
     # normalized remainders and the envelope fit
     rho = [None] * (n_max + 1)
     log_r = {}

@@ -426,6 +426,21 @@ def divide(num, den):
     return TruncatedSeries(d, Kt, Kz, out)
 
 
+def residual_norms(pieces, rhs):
+    """(absolute, relative) largest coefficient of sum(pieces) - rhs, the
+    pieces added in order and rhs (may be None) subtracted last; relative to
+    the largest piece or rhs, or absolute when all are zero."""
+    acc, scale = None, 0.0
+    for piece in pieces:
+        scale = max(scale, piece.norm_max())
+        acc = piece if acc is None else acc + piece
+    if rhs is not None:
+        scale = max(scale, rhs.norm_max())
+        acc = -rhs if acc is None else acc - rhs
+    res = 0.0 if acc is None else acc.norm_max()
+    return res, res / scale if scale > 0 else res
+
+
 def invert(a):
     """Multiplicative inverse up to the window; requires a(0,0) != 0."""
     return divide(TruncatedSeries.const(1.0, a.d, a.Kt, a.Kz), a)

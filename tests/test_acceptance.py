@@ -97,8 +97,8 @@ def test_criterion_4_asymptotic_verifier(euler_sol, euler_grid):
 
 
 def test_criterion_5_spiral_bound(euler_grid, euler_sol, ex2_parts):
-    fit1 = fit_spiral_bound(euler_grid, rz=euler_sol.R1)
-    fit2 = fit_spiral_bound(ex2_parts["grid"], rz=ex2_parts["sol"].R1)
+    fit1 = fit_spiral_bound(euler_grid)
+    fit2 = fit_spiral_bound(ex2_parts["grid"])
     ok = (fit1.C <= 1.1 and fit1.H <= 1.1
           and math.isfinite(fit2.C) and math.isfinite(fit2.H) and fit2.bounded)
     record("5 spiral growth bound", ok,

@@ -104,6 +104,31 @@ def test_json_pointer_paths_for_bad_terms():
         from_json(json.dumps(doc))
 
 
+def test_zero_denominator_in_the_header_is_a_parse_error():
+    with pytest.raises(ParseError) as err:
+        parse_equation("q=2; delta=1/0; m=1; d=0; eq: S^0(X) = 1")
+    assert str(err.value) == "line 1, col 14: zero denominator"
+    assert (err.value.line, err.value.col) == (1, 14)
+
+
+@pytest.mark.parametrize("path, pointer", [
+    (("m",), "/m"), (("delta", "den"), "/delta"), (("q",), "/q"), (("d",), "/d"),
+    (("Kz",), "/Kt"), (("R",), "/R"), (("terms", 0, "j"), "/terms/0/j"),
+    (("terms", 0, "alpha", 0), "/terms/0/alpha"), (("terms", 0, "coeff", 0, 0), "/terms/0/coeff/0/0"),
+    (("terms", 0, "coeff", 0, 1, 0), "/terms/0/coeff/0/1"), (("rhs", 0, 2), "/rhs/0/2"),
+    (("rhs", 0, 3), "/rhs/0/3")])
+def test_json_booleans_are_not_numbers(path, pointer):
+    eq = parse_equation("q=2; delta=1; m=2; d=1; eq: S^1(X) + t*S^1 Dz1^1(X) = 1")
+    doc = json.loads(to_json(eq))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = True
+    with pytest.raises(SchemaError) as err:
+        from_json(json.dumps(doc))
+    assert err.value.pointer == pointer
+
+
 def test_validate_reports():
     eq = parse_equation("q=2; delta=1; m=1; d=0; eq: t*S^1(X) + S^0(X) = 1")
     assert validate(eq).ok

@@ -238,6 +238,8 @@ USAGE_ERRORS = {
                                                       "--mmax", "10", "--N", "6"],
     "N above orders": ["verify", "{euler}", "--orders", "6", "--N", "8"],
     "t at the origin": ["resum", "{euler}", "--t", "0,0"],
+    "t is nan": ["resum", "{euler}", "--t", "nan,0"],
+    "t is infinite": ["resum", "{euler}", "--t", "inf,0"],
     "growth with one sample": ["growth", "{euler}", "--mmax", "1"],
     "negative orders": ["check", "{euler}", "--orders", "-1"],
     "zero orders": ["report", "{euler}", "--orders", "0"],
@@ -270,6 +272,25 @@ def test_usage_error_exit_code(tmp_path, euler_file, case):
     assert proc.returncode == 5
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def _euler_doc(**changes):
+    from qsum.equation import parse_equation, to_json
+    doc = json.loads(to_json(parse_equation(EULER, Kt=8, Kz=1)))
+    doc.update(changes)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("text, message", [
+    (EULER.replace("delta=1", "delta=1/0"), "error: line 1, col 14: zero denominator\n"),
+    (_euler_doc(m=True), "error: /m: m must be a positive integer\n"),
+    (_euler_doc(delta={"num": 1, "den": True}),
+     "error: /delta: delta must be {num, den} with integer entries\n")])
+def test_malformed_header_exit_code(tmp_path, capsys, text, message):
+    p = tmp_path / "eq.txt"
+    p.write_text(text)
+    assert run_cli(["report", str(p), "--orders", "8", "--mmax", "8", "--N", "4"]) == 5
+    assert capsys.readouterr().err == message
 
 
 def test_epsilon_is_checked_before_the_solve():

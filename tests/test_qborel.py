@@ -105,7 +105,7 @@ def test_scaling_identity_on_corpus(base_seed):
 
 
 def test_bound_fit_euler(euler_grid, euler_sol):
-    fit = fit_spiral_bound(euler_grid, rz=euler_sol.R1)
+    fit = fit_spiral_bound(euler_grid)
     assert fit.C <= 1.1 and fit.H <= 1.1
     assert fit.bounded
 
@@ -113,12 +113,12 @@ def test_bound_fit_euler(euler_grid, euler_sol):
 def test_bound_fit_trivial_grids(euler_grid):
     from qsum.qborel import ScaledSeries, SpiralGrid
     zero = ScaledSeries(TruncatedSeries.zero(0, 1, 1), 0.0)
-    g0 = SpiralGrid(1.0, 2.0, -1, 3, 0, {m: zero for m in range(-1, 4)}, math.pi, 1.0, 0)
+    g0 = SpiralGrid(1.0, 2.0, -1, 3, 0, {m: zero for m in range(-1, 4)}, [], 1.0, 0)
     fit = fit_spiral_bound(g0)
     assert fit.C == 0.0
 
     single = {-1: zero, 0: ScaledSeries(TruncatedSeries.const(5.0, 0, 1, 1), 0.0)}
-    g1 = SpiralGrid(1.0, 2.0, -1, 0, 0, single, math.pi, 1.0, 0)
+    g1 = SpiralGrid(1.0, 2.0, -1, 0, 0, single, [], 1.0, 0)
     fit1 = fit_spiral_bound(g1)
     assert fit1.C == pytest.approx(5.0) and fit1.H == 1.0
 

@@ -159,7 +159,7 @@ def test_q_laplace_zero_grid(euler_grid):
     from qsum.qborel import ScaledSeries, SpiralGrid
     from qsum.series import TruncatedSeries
     zero = ScaledSeries(TruncatedSeries.zero(0, 1, 1), 0.0)
-    g = SpiralGrid(1.0, Q, -30, 10, 0, {m: zero for m in range(-30, 11)}, math.pi, 1.0, 0)
+    g = SpiralGrid(1.0, Q, -30, 10, 0, {m: zero for m in range(-30, 11)}, [], 1.0, 0)
     assert q_laplace(g, 0.07) == 0
 
 
@@ -196,7 +196,7 @@ def test_residual_zero_grid_homogeneous(euler_eq, euler_grid):
     from qsum.qborel import ScaledSeries, SpiralGrid
     from qsum.series import TruncatedSeries
     zero = ScaledSeries(TruncatedSeries.zero(0, 1, 1), 0.0)
-    g = SpiralGrid(1.0, Q, -40, 10, 0, {m: zero for m in range(-40, 11)}, math.pi, 1.0, 0)
+    g = SpiralGrid(1.0, Q, -40, 10, 0, {m: zero for m in range(-40, 11)}, [], 1.0, 0)
     hom = euler_eq.with_rhs(TruncatedSeries.zero(0, euler_eq.Kt, euler_eq.Kz))
     rep = residual_check(hom, g, [0.05 + 0.05j])
     assert rep.max_absolute == 0.0
@@ -364,7 +364,7 @@ def test_banded_kernel_sum_reports_a_short_grid_as_the_direct_sum(euler_grid):
         for m in boost:
             values[m] = ScaledSeries(values[m].series, values[m].qexp + 200.0)
         return SpiralGrid(euler_grid.lam, euler_grid.q, lo, hi, min(euler_grid.seed_top, hi),
-                          values, euler_grid.theta_budget, euler_grid.radius_est, euler_grid.d)
+                          values, euler_grid.lead_roots, euler_grid.R1, euler_grid.d)
 
     lo, hi = euler_grid.m_min, euler_grid.m_max
     kinds = set()
@@ -392,8 +392,8 @@ def test_resummed_value_beyond_double_range_raises(euler_grid):
     from qsum.qborel import ScaledSeries, SpiralGrid
     g = euler_grid
     values = {m: ScaledSeries(v.series, v.qexp + 1100.0) for m, v in g.values.items()}
-    raised = SpiralGrid(g.lam, g.q, g.m_min, g.m_max, g.seed_top, values, g.theta_budget,
-                        g.radius_est, g.d)
+    raised = SpiralGrid(g.lam, g.q, g.m_min, g.m_max, g.seed_top, values, g.lead_roots,
+                        g.R1, g.d)
     for resum in (q_laplace, q_laplace_series):
         with pytest.raises(OverflowError) as err:
             resum(raised, 0.05, 0.3)
