@@ -3,9 +3,11 @@
 Subcommands: check, polygon, directions, solve, borel, continue, square,
 resum, verify, growth, report.  Each is a view of one `pipeline.Run`,
 the one place the stages are computed: a view reads only the stages it
-needs.  `check`, `polygon`, `directions` and `square` read the equation
-at the requested z-window.  The views that solve check the conditions
-there first and again on the padded equation they solve.  All artifacts
+needs and returns its JSON document and exit code, and `main` writes the
+document (after any CSV the view writes).  `check`, `polygon`,
+`directions` and `square` read the equation at the requested z-window.
+The views that solve check the conditions there first and again on the
+padded equation they solve.  All artifacts
 are UTF-8; JSON is emitted pretty-printed with sorted keys and CSV with
 a header row, so identical inputs produce byte-identical files (timings
 are quarantined in their own report field).
@@ -16,7 +18,8 @@ unreachable, root finding, a non-finite coefficient, too few nonzero
 values for the growth fit);
 5 usage or parse error (bad arguments, an unreadable file, a bad
 configuration value, or an option value the methods cannot use, such as
-a negative size or an epsilon at or above (q-1)/(q+1)).
+a negative size, an epsilon at or above (q-1)/(q+1), or a t that is
+zero or not finite).
 """
 
 import argparse
@@ -180,8 +183,6 @@ def _fail(exc, code):
 
 
 # ---------------------------------------------------------------- views
-# Each view returns (JSON document, exit code); a view that writes CSV
-# does so before main writes the document.
 
 def _check(run, args):
     cond = run.conditions
@@ -296,8 +297,8 @@ def _growth(run, args):
     values = [math.exp(norms[m] * lnq) if math.isfinite(norms[m]) else 0.0 for m in ms]
     fitg = fit_growth(dict(zip(samples, values)).__getitem__, q, samples)
     if args.csv is not None:
-        rows = [(math.log(abs(t)), math.log(v) if v > 0 else "", bound_log(q, fitg.M, fitg.alpha, abs(t)))
-                for t, v in zip(samples, values)]
+        rows = [(math.log(abs(t)), math.log(v) if v > 0 else "",
+                 bound_log(q, fitg.M, fitg.alpha, abs(t))) for t, v in zip(samples, values)]
         _emit_csv(rows, ("log_t", "log_f", "log_bound"), args.csv)
     return {"M": fitg.M, "alpha": fitg.alpha, "samples": len(samples)}, EXIT_OK
 

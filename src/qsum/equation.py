@@ -7,6 +7,7 @@ constraint is decidable without floating-point ties.
 """
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -138,8 +139,8 @@ def parse_equation(text, Kt=24, Kz=8):
     cur.next()
     cur.expect(":")
 
-    if q <= 1.0:
-        raise ParseError("q must exceed 1 (got %r)" % q, tok.line, tok.col)
+    if not 1.0 < q < math.inf:
+        raise ParseError("q must be finite and exceed 1 (got %r)" % q, tok.line, tok.col)
     if delta <= 0:
         raise ParseError("delta must be positive (got %s)" % delta, tok.line, tok.col)
 
@@ -298,8 +299,8 @@ def from_json(text):
     if not isinstance(doc, dict):
         raise SchemaError("top level must be an object")
     q = _require(doc, "q")
-    if not _is_number(q) or not q > 1.0:
-        raise SchemaError("q must be a number greater than 1", "/q")
+    if not _is_number(q) or not 1.0 < q < math.inf:
+        raise SchemaError("q must be a finite number greater than 1", "/q")
     delta_doc = _require(doc, "delta")
     if not (isinstance(delta_doc, dict) and _is_int(delta_doc.get("num"))
             and _is_int(delta_doc.get("den")) and delta_doc["den"] != 0):
@@ -313,13 +314,13 @@ def from_json(text):
     d = _require(doc, "d")
     if not _is_int(d) or d < 0:
         raise SchemaError("d must be a nonnegative integer", "/d")
-    Kt = _require(doc, "Kt")
-    Kz = _require(doc, "Kz")
-    if not (_is_int(Kt) and Kt >= 1 and _is_int(Kz) and Kz >= 1):
-        raise SchemaError("Kt and Kz must be positive integers", "/Kt")
+    Kt, Kz = _require(doc, "Kt"), _require(doc, "Kz")
+    for key, K in (("Kt", Kt), ("Kz", Kz)):
+        if not (_is_int(K) and K >= 1):
+            raise SchemaError("%s must be a positive integer" % key, "/" + key)
     R = doc.get("R", 1.0)
-    if not _is_number(R) or not R > 0:
-        raise SchemaError("R must be a positive number", "/R")
+    if not _is_number(R) or not 0 < R < math.inf:
+        raise SchemaError("R must be a positive finite number", "/R")
     terms_doc = _require(doc, "terms")
     if not isinstance(terms_doc, list):
         raise SchemaError("terms must be an array", "/terms")

@@ -113,7 +113,7 @@ def test_zero_denominator_in_the_header_is_a_parse_error():
 
 @pytest.mark.parametrize("path, pointer", [
     (("m",), "/m"), (("delta", "den"), "/delta"), (("q",), "/q"), (("d",), "/d"),
-    (("Kz",), "/Kt"), (("R",), "/R"), (("terms", 0, "j"), "/terms/0/j"),
+    (("Kt",), "/Kt"), (("Kz",), "/Kz"), (("R",), "/R"), (("terms", 0, "j"), "/terms/0/j"),
     (("terms", 0, "alpha", 0), "/terms/0/alpha"), (("terms", 0, "coeff", 0, 0), "/terms/0/coeff/0/0"),
     (("terms", 0, "coeff", 0, 1, 0), "/terms/0/coeff/0/1"), (("rhs", 0, 2), "/rhs/0/2"),
     (("rhs", 0, 3), "/rhs/0/3")])
@@ -127,6 +127,21 @@ def test_json_booleans_are_not_numbers(path, pointer):
     with pytest.raises(SchemaError) as err:
         from_json(json.dumps(doc))
     assert err.value.pointer == pointer
+
+
+@pytest.mark.parametrize("key", ["q", "R"])
+def test_json_infinite_q_and_r_are_schema_errors(key):
+    doc = json.loads(to_json(parse_equation("q=2; delta=1; m=1; d=0; eq: S^0(X) = 1")))
+    doc[key] = 1.0
+    text = json.dumps(doc).replace('"%s": 1.0' % key, '"%s": 1e400' % key)  # loads as inf
+    with pytest.raises(SchemaError) as err:
+        from_json(text)
+    assert err.value.pointer == "/" + key
+
+
+def test_infinite_q_in_the_dsl_is_a_parse_error():
+    with pytest.raises(ParseError, match="q must be finite and exceed 1"):
+        parse_equation("q=1e400; delta=1; m=1; d=0; eq: S^0(X) = 1")
 
 
 def test_validate_reports():
