@@ -16,10 +16,11 @@ Exit codes: 0 success; 2 a polygon-level condition failed; 3 singular or
 effectively singular direction; 4 numerical failure (grid too short, seed
 unreachable, root finding, a non-finite coefficient, too few nonzero
 values for the growth fit);
-5 usage or parse error (bad arguments, an unreadable file, a bad
-configuration value, or an option value the methods cannot use, such as
-a negative size, an epsilon at or above (q-1)/(q+1), or a t that is
-zero or not finite).
+5 usage or parse error (bad arguments, an unreadable file, a config line
+that is not `key = value`, names an unknown key or holds a bad value, or
+an option value the methods cannot use, such as a negative size, an
+epsilon at or above (q-1)/(q+1), or a t that is zero, not finite, or
+more than 2^1000 times larger or smaller than lambda).
 """
 
 import argparse
@@ -54,16 +55,25 @@ def _parse_complex(s):
 
 
 def _load_config(path):
-    """Flat key = value text; '#' starts a comment."""
+    """Flat key = value text; '#' starts a comment.  Every other line
+    must set one of the settings' config keys.  A file that does not
+    exist is read as empty."""
     config = {}
     if not path or not os.path.exists(path):
         return config
+    known = [key for _, key, _ in _SETTINGS]
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
-            if not line or "=" not in line:
+            if not line:
                 continue
+            if "=" not in line:
+                raise UsageError("config %s line %d: expected key = value, got %r"
+                                 % (path, number, line))
             key, value = (x.strip() for x in line.split("=", 1))
+            if key not in known:
+                raise UsageError("config %s line %d: unknown key %r (known: %s)"
+                                 % (path, number, key, ", ".join(known)))
             config[key] = value.strip('"')
     return config
 

@@ -37,6 +37,10 @@ class FormalSolution:
         """Sup norms of v_n on |z| <= R1, per order."""
         return tuple(v.sup_norm(self.R1) for v in self.scaled)
 
+    def origin_values(self, n_max):
+        """v_0..v_{n_max} at z = 0."""
+        return [v.evaluate(0.0, (0.0,) * self.d) for v in self.scaled[:n_max + 1]]
+
     def gevrey_rate(self):
         """log h: the largest log||v_n|| / n over the last third of the
         orders n >= 1 with v_n != 0, where the pre-asymptotic wobble has

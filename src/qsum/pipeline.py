@@ -31,7 +31,8 @@ from .newton import (SINGULAR_RAY_TOL, characteristic_polynomial, check_interior
                      reduced_coefficients, singular_directions)
 from .qborel import (borel_transform, borel_transformed_equation,
                      continue_spiral, fit_spiral_bound)
-from .qlaplace import SpiralGeometry, asymptotic_check, q_laplace, residual_check, sample_fan
+from .qlaplace import (SpiralGeometry, asymptotic_check, q_laplace, remainder_row,
+                       residual_check, sample_fan)
 
 # with the polygon shape, the conditions every stage past them needs
 HARD_CONDITIONS = ("interior", "nondegeneracy")
@@ -191,7 +192,7 @@ class Run:
         self.options = options or Options()
         self.timings = {}
         self._nested = 0.0
-        self._w = {}
+        self._rows = {}
 
     @_stage("parse")
     def requested(self):
@@ -293,16 +294,24 @@ class Run:
                              (0.05 * abs(lam), 0.1 * abs(lam)))
         return residual_check(self.equation, self.grid, samples, epsilon=eps)
 
-    def w_fn(self, epsilon):
-        """W(t, 0) on the grid, summed once per point t for the whole run.
-        W does not depend on epsilon, which only rejects points in the
-        disks; both asymptotic stages sample the same rays and radii, and a
-        point outside the epsilon-disks is outside the epsilon/2-disks."""
-        def w(t):
-            if t not in self._w:
-                self._w[t] = q_laplace(self.grid, t, epsilon)
-            return self._w[t]
-        return w
+    @cached_property
+    def origin_values(self):
+        """The formal solution's v_0..v_N at z = 0, N = n_check: the terms
+        of the partial sums in every remainder row."""
+        return self.solution.origin_values(self.options.n_check)
+
+    def remainder_rows(self, epsilon):
+        """W(t, 0) and the remainder row E_0..E_N at a sample point t,
+        computed once per point for the whole run.  Neither depends on
+        epsilon, which only rejects points in the disks; both asymptotic
+        stages sample the same rays and radii, and a point outside the
+        epsilon-disks is outside the epsilon/2-disks."""
+        def row(t):
+            if t not in self._rows:
+                w = q_laplace(self.grid, t, epsilon)
+                self._rows[t] = w, remainder_row(self.grid.q, self.origin_values, w, t)
+            return self._rows[t]
+        return row
 
     # the expansion property quantifies over all small epsilon; the report
     # checks a fixed pair and states each verdict separately
@@ -310,13 +319,13 @@ class Run:
     def asymptotic(self):
         eps = self.options.epsilon
         return asymptotic_check(self.solution, self.grid, eps, self.options.n_check,
-                                w_fn=self.w_fn(eps))
+                                row_fn=self.remainder_rows(eps))
 
     @_stage("asymptotic")
     def asymptotic_half(self):
         eps = self.options.epsilon / 2.0
         return asymptotic_check(self.solution, self.grid, eps, self.options.n_check,
-                                w_fn=self.w_fn(eps))
+                                row_fn=self.remainder_rows(eps))
 
     def report(self):
         """Every stage, read in order, as a RunReport.  Raises

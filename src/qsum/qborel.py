@@ -28,6 +28,9 @@ from .series import TruncatedSeries, divide
 
 SEED_TAIL_RTOL = 1e-14
 LEAD_SINGULAR_TOL = 1e-10
+# coefficients this close (relative) to a value's largest magnitude can
+# hold the largest |c * x|; see near_peak
+PEAK_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -174,6 +177,29 @@ class SpiralGrid:
         lnq = math.log(self.q)
         return {m: v.qexp + math.log(n) / lnq if (n := v.series.norm_max()) > 0 else -math.inf
                 for m, v in self.values.items()}
+
+    @cached_property
+    def peak_coeffs(self):
+        """Per index, the coefficients of the value that can hold its
+        largest |c * x| for any x (see near_peak); computed once per grid
+        for the kernel sums."""
+        return {m: near_peak(v.series.coeffs.values()) for m, v in self.values.items()}
+
+
+def near_peak(coeffs):
+    """The coefficients whose magnitude is at least (1 - PEAK_RTOL) times
+    the largest, less 1e-300.
+
+    For complex x with |x| well above 1e-300, the computed |c * x| is
+    |c| |x| (1 + d) with |d| below about 4 ulp (sqrt(5) ulp for the
+    product, one for its hypot), and abs(c) is within one ulp of |c|.  A
+    coefficient below the cut therefore never holds the largest computed
+    |c * x|, and the maximum over this list is the same float as over all
+    coefficients.  The absolute 1e-300 covers subnormal values, whose
+    products round by whole units and keep every coefficient here."""
+    coeffs = tuple(coeffs)
+    cut = (1.0 - PEAK_RTOL) * max(map(abs, coeffs), default=0.0) - 1e-300
+    return tuple(c for c in coeffs if abs(c) >= cut)
 
 
 def continue_spiral(beq, u, lam, m_max, seed_radius_fraction=0.5, extra_low=60):

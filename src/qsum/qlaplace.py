@@ -119,6 +119,11 @@ def zone_membership(geom, t):
     if not cmath.isfinite(t):
         raise UsageError("t must be finite (got %r)" % t)
     q, lam, eps = geom.q, geom.lam, geom.epsilon
+    # the same 1000 scale as QScaled.to_complex: beyond it q^m and theta's
+    # argument lambda q^m / t leave double range
+    if abs(math.log2(abs(t)) - math.log2(abs(lam))) > 1000.0:
+        raise UsageError("t = %r is out of double range against lambda (|log2 t/lambda| > 1000)"
+                         % t)
     center = math.log(abs(t) / abs(lam)) / math.log(q)
     lo = math.floor(center + math.log1p(-min(eps * ZONE_GUARD, 0.9)) / math.log(q)) - 1
     hi = math.ceil(center + math.log1p(eps * ZONE_GUARD) / math.log(q)) + 1
@@ -178,8 +183,9 @@ def _kernel_terms(grid, t, epsilon):
     * scale: inv is the inverse theta mantissa and scale the complex
     q^(e - top), with e the term's exponent.  A term's size is its largest
     coefficient magnitude, that of the series product values[m].series *
-    inv.  Returns (terms, top); the terms are empty when every grid value
-    in the band is zero."""
+    inv, taken over the value's near-peak coefficients
+    (SpiralGrid.peak_coeffs), which provably hold it.  Returns (terms,
+    top); the terms are empty when every grid value in the band is zero."""
     q, lam = grid.q, grid.lam
     t = complex(t)
     zone = zone_membership(SpiralGeometry(lam, epsilon, q), t)
@@ -207,8 +213,8 @@ def _kernel_terms(grid, t, epsilon):
         # the theta mantissa lies in [1, q), so its inverse is finite and nonzero
         inv = complex(1.0 / th.mantissa)
         e = val.qexp - th.qexp
-        coeffs = val.series.coeffs.values()
-        lm = e + math.log(max(abs(c * inv) for c in coeffs)) / lnq if coeffs else -math.inf
+        peaks = grid.peak_coeffs[m]
+        lm = e + math.log(max(abs(c * inv) for c in peaks)) / lnq if peaks else -math.inf
         band.append((m, inv, e, lm))
 
     finite = [lm for *_, lm in band if math.isfinite(lm)]
@@ -263,13 +269,16 @@ class KernelResidualReport:
 
 def residual_check(eq, grid, samples, epsilon=0.05):
     """Evaluate sum a_{j,alpha}(t,z) Dz^alpha W(q^j t, z) - F(t,z) at each
-    sample, with W and its z-derivatives taken from the kernel sum."""
+    sample, with W and its z-derivatives taken from the kernel sum.  The
+    kernel series is summed once per distinct point q^j t: samples on one
+    ray q^k apart share their shifted points."""
     q = eq.q
     results = []
     rejected = []
     worst_abs = worst_rel = 0.0
     geom = SpiralGeometry(grid.lam, epsilon, q)
     shifts = sorted({term.j for term in eq.terms})
+    series = {}
     for t in samples:
         t = complex(t)
         bad = None
@@ -281,7 +290,12 @@ def residual_check(eq, grid, samples, epsilon=0.05):
         if bad:
             rejected.append((t, bad))
             continue
-        w = {j: q_laplace_series(grid, t * q ** j, epsilon) for j in shifts}
+        w = {}
+        for j in shifts:
+            s = t * q ** j
+            if s not in series:
+                series[s] = q_laplace_series(grid, s, epsilon)
+            w[j] = series[s]
         res, rel = residual_norms((term.coeff.eval_t(t) * w[term.j].dz_multi(term.alpha)
                                    for term in eq.terms), eq.rhs.eval_t(t))
         results.append(SampleResidual(t, res, rel))
@@ -322,7 +336,21 @@ def sample_fan(geom, rays, radii):
     return points
 
 
-def asymptotic_check(sol, grid, epsilon, n_max, rays=8, radii=12, w_fn=None):
+def remainder_row(q, values, w, t):
+    """The remainders E_N = |W(t, 0) - partial_N(t)| at one point t, given
+    w = W(t, 0) and values[N] = v_N(0), the formal solution's scaled
+    coefficients at z = 0 (FormalSolution.origin_values); the partial sums
+    are carried in QScaled form.  The row depends on the point alone, not
+    on epsilon, which only decides which points are sampled."""
+    ws, partial = QScaled(q, w), QScaled.zero(q)
+    row = []
+    for N, vN in enumerate(values):
+        row.append(abs(ws - partial))
+        partial = partial + QScaled(q, vN * t ** N, N * (N - 1) / 2.0)
+    return row
+
+
+def asymptotic_check(sol, grid, epsilon, n_max, rays=8, radii=12, row_fn=None):
     """Fit (M, H) with  |W - partial_N| <= (M H^N / eps) q^{N(N-1)/2} |t|^N
     over a ray/radius sample fan, and judge the expansion:
 
@@ -331,6 +359,10 @@ def asymptotic_check(sol, grid, epsilon, n_max, rays=8, radii=12, w_fn=None):
       * the order-1 remainder must scale (at least linearly) with |t|,
         which is what separates a true asymptotic solution from one with
         a constant offset.
+
+    row_fn(t) gives (W(t, 0), remainder row E_0..E_{n_max}) at a sample
+    point; by default W is the kernel sum q_laplace and the row is
+    remainder_row's.
     """
     q = grid.q
     lam = grid.lam
@@ -344,19 +376,17 @@ def asymptotic_check(sol, grid, epsilon, n_max, rays=8, radii=12, w_fn=None):
     r_lo = r_max / 20.0
     points = sample_fan(geom, rays, [r_lo * (r_max / r_lo) ** (k / (radii - 1.0)) if radii > 1
                                      else r_max for k in range(radii)])
-    wvals = [w_fn(t) if w_fn else q_laplace(grid, t, epsilon) for t in points]
+    if row_fn is None:
+        values = sol.origin_values(n_max)
+
+        def row_fn(t):
+            w = q_laplace(grid, t, epsilon)
+            return w, remainder_row(q, values, w, t)
+    pairs = [row_fn(t) for t in points]
+    wvals = [w for w, _ in pairs]
+    EN = [[row[N] for _, row in pairs] for N in range(0, n_max + 1)]
 
     lnq = math.log(q)
-    # scaled partial sums of the formal series at each sample
-    EN = []
-    partials = [QScaled.zero(q) for _ in points]
-    wscaled = [QScaled(q, w) for w in wvals]
-    for N in range(0, n_max + 1):
-        row = [abs(w - p) for w, p in zip(wscaled, partials)]
-        EN.append(row)
-        vN = sol.scaled[N].evaluate(0.0, (0.0,) * grid.d)
-        for i, t in enumerate(points):
-            partials[i] = partials[i] + QScaled(q, vN * t ** N, N * (N - 1) / 2.0)
     # normalized remainders and the envelope fit
     rho = [None] * (n_max + 1)
     log_r = {}

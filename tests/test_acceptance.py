@@ -18,7 +18,7 @@ from qsum.newton import (characteristic_polynomial, check_shape,
                          reduced_coefficients, singular_directions)
 from qsum.qborel import (borel_transform, borel_transformed_equation,
                          continue_spiral, fit_spiral_bound, lead_roots)
-from qsum.qlaplace import (asymptotic_check, q_laplace, residual_check, theta)
+from qsum.qlaplace import (asymptotic_check, q_laplace, remainder_row, residual_check, theta)
 from qsum.scaled import QScaled
 from qsum.series import TruncatedSeries
 from qsum.square import (check_borel_square_identity,
@@ -87,8 +87,12 @@ def test_criterion_4_asymptotic_verifier(euler_sol, euler_grid):
     base = asymptotic_check(euler_sol, euler_grid, 0.3, 12)
     dense = asymptotic_check(euler_sol, euler_grid, 0.3, 12, rays=16, radii=24)
     stable = abs(dense.H - base.H) <= 0.2 * base.H
-    fault = asymptotic_check(euler_sol, euler_grid, 0.3, 12,
-                             w_fn=lambda t: q_laplace(euler_grid, t) + 1.0)
+    values = euler_sol.origin_values(12)
+
+    def offset(t):
+        w = q_laplace(euler_grid, t) + 1.0
+        return w, remainder_row(euler_grid.q, values, w, t)
+    fault = asymptotic_check(euler_sol, euler_grid, 0.3, 12, row_fn=offset)
     fault_at_1 = (not fault.passed) and any("order-1" in r for r in fault.reasons)
     ok = base.passed and math.isfinite(base.M) and math.isfinite(base.H) and stable and fault_at_1
     record("4 asymptotic-expansion verifier", ok,

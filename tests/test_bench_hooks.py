@@ -120,3 +120,38 @@ def test_corpus_reports_equal_the_benchmark_reference_and_sum_each_point_once(mo
     summed = _count_kernel_sums(monkeypatch)
     rejected = _assert_exact_and_summed_once("corpus-cli", summed)
     assert rejected == ["corpus-20240901-%02d" % i for i in (2, 7, 10, 11)]
+
+
+def test_reports_build_each_row_and_residual_series_once(monkeypatch):
+    """Each benchmark DSL report builds one remainder row per distinct
+    point of the two asymptotic fans, and sums the residual kernel series
+    once per distinct shifted point q^j t: at q = 2 the radii 0.05|lambda|
+    and 0.1|lambda| put t q of one sample on another."""
+    inputs = _load("inputs")
+    remainder_row, q_laplace_series = qsum.pipeline.remainder_row, qsum.qlaplace.q_laplace_series
+    rows, series = [], []
+
+    def counting_row(q, values, w, t):
+        rows.append(t)
+        return remainder_row(q, values, w, t)
+
+    def counting_series(grid, t, epsilon):
+        series.append(t)
+        return q_laplace_series(grid, t, epsilon)
+
+    monkeypatch.setattr(qsum.pipeline, "remainder_row", counting_row)
+    monkeypatch.setattr(qsum.qlaplace, "q_laplace_series", counting_series)
+    calls = {}
+    for workload in ("euler", "zseries"):
+        for key, _, text in inputs.build(workload):
+            rows.clear()
+            series.clear()
+            run = Run(text, inputs.options(workload))
+            run.report()
+            assert sorted(rows, key=repr) == sorted(
+                set(run.asymptotic.samples) | set(run.asymptotic_half.samples), key=repr), key
+            q, shifts = run.equation.q, {term.j for term in run.equation.terms}
+            shifted = {s.t * q ** j for s in run.residuals.samples for j in shifts}
+            assert sorted(series, key=repr) == sorted(shifted, key=repr), key
+            calls[key] = len(series)
+    assert calls == {"euler": 15, "readme-d1": 15, "mixed-d2": 20}

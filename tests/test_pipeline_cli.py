@@ -145,6 +145,26 @@ def test_config_file_defaults(tmp_path, euler_file):
     assert json.loads(out2.read_text())["equation"]["Kt"] == 16
 
 
+@pytest.mark.parametrize("text, message", [
+    ("epsilom = 0.1\n", "line 1: unknown key 'epsilom'"),
+    ("orders = 10\nmmax 12\n", "line 2: expected key = value, got 'mmax 12'")])
+def test_config_mistakes_are_usage_errors(tmp_path, capsys, euler_file, text, message):
+    cfg = tmp_path / "qsum.toml"
+    cfg.write_text(text)
+    assert run_cli(["--config", str(cfg), "report", euler_file, "--json", os.devnull]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: config %s " % cfg) and message in err and err.count("\n") == 1
+
+
+def test_the_default_config_file_is_optional_and_checked(tmp_path, euler_file, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["check", euler_file, "--json", os.devnull]) == 0
+    (tmp_path / "qsum.toml").write_text("zorder = 3\n")
+    assert run_cli(["check", euler_file, "--json", os.devnull]) == 0
+    (tmp_path / "qsum.toml").write_text("zorder = 3\nzroder = 4\n")
+    assert run_cli(["check", euler_file, "--json", os.devnull]) == 5
+
+
 def test_console_entry_point(euler_file, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "qsum.cli", "check", euler_file, "--json", os.devnull],
@@ -240,6 +260,8 @@ USAGE_ERRORS = {
     "t at the origin": ["resum", "{euler}", "--t", "0,0"],
     "t is nan": ["resum", "{euler}", "--t", "nan,0"],
     "t is infinite": ["resum", "{euler}", "--t", "inf,0"],
+    "t beyond double range above lambda": ["resum", "{euler}", "--t", "1e308,0"],
+    "t beyond double range below lambda": ["resum", "{euler}", "--t", "1e-320,0"],
     "growth with one sample": ["growth", "{euler}", "--mmax", "1"],
     "negative orders": ["check", "{euler}", "--orders", "-1"],
     "zero orders": ["report", "{euler}", "--orders", "0"],

@@ -7,8 +7,8 @@ import pytest
 from qsum.errors import PoleProximityError
 from qsum.qborel import borel_transform, borel_transformed_equation, continue_spiral
 from qsum.qlaplace import (THETA_TERM_CUTOFF, SpiralGeometry, _theta_polar, asymptotic_check,
-                           q_laplace, q_laplace_series, residual_check, sample_fan, theta,
-                           zone_membership)
+                           q_laplace, q_laplace_series, remainder_row, residual_check, sample_fan,
+                           theta, zone_membership)
 from qsum.scaled import QScaled
 
 Q = 2.0
@@ -233,8 +233,12 @@ def test_asymptotic_n0_row_is_w_magnitude(euler_sol, euler_grid):
 
 
 def test_asymptotic_constant_offset_fails(euler_sol, euler_grid):
-    rep = asymptotic_check(euler_sol, euler_grid, 0.3, 12,
-                           w_fn=lambda t: q_laplace(euler_grid, t) + 1.0)
+    values = euler_sol.origin_values(12)
+
+    def offset(t):
+        w = q_laplace(euler_grid, t) + 1.0
+        return w, remainder_row(euler_grid.q, values, w, t)
+    rep = asymptotic_check(euler_sol, euler_grid, 0.3, 12, row_fn=offset)
     assert not rep.passed
     assert any("order-1" in r for r in rep.reasons)
 
