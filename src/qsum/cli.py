@@ -4,13 +4,14 @@ Subcommands: check, polygon, directions, solve, borel, continue, square,
 resum, verify, growth, report.  Each is a view of one `pipeline.Run`,
 the one place the stages are computed: a view reads only the stages it
 needs and returns its JSON document and exit code, and `main` writes the
-document (after any CSV the view writes).  `check`, `polygon`,
-`directions` and `square` read the equation at the requested z-window.
-The views that solve check the conditions there first and again on the
-padded equation they solve.  All artifacts
-are UTF-8; JSON is emitted pretty-printed with sorted keys and CSV with
-a header row, so identical inputs produce byte-identical files (timings
-are quarantined in their own report field).
+document (after the CSV that `polygon`, `solve`, `continue`, `verify`
+and `growth` write with `--emit-csv`, which only they take).  `check`,
+`polygon`, `directions` and `square` read the equation at the requested
+z-window.  The views that solve check the conditions there first and
+again on the padded equation they solve.  All artifacts are UTF-8; JSON
+is emitted pretty-printed with sorted keys and CSV with a header row, so
+identical inputs produce byte-identical files (timings are quarantined
+in their own report field).
 
 Exit codes: 0 success; 2 a polygon-level condition failed; 3 singular or
 effectively singular direction; 4 numerical failure (grid too short, seed
@@ -19,8 +20,9 @@ values for the growth fit);
 5 usage or parse error (bad arguments, an unreadable file, a config line
 that is not `key = value`, names an unknown key or holds a bad value, or
 an option value the methods cannot use, such as a negative size, an
-epsilon at or above (q-1)/(q+1), or a t that is zero, not finite, or
-more than 2^1000 times larger or smaller than lambda).
+epsilon at or above (q-1)/(q+1), a remainder depth N above the orders,
+or a t that is zero, not finite, or more than 2^1000 times larger or
+smaller than lambda).
 """
 
 import argparse
@@ -127,7 +129,6 @@ def build_parser():
         p.add_argument("--zorder", dest="Kz", type=int, default=None,
                        help="requested z-window Kz (default 8)")
         p.add_argument("--json", nargs="?", const="-", default=None, metavar="PATH")
-        p.add_argument("--emit-csv", dest="csv", default=None, metavar="PATH")
         if with_lambda:
             p.add_argument("--lambda", dest="lam", type=_parse_complex, default=None, metavar="RE,IM")
 
@@ -138,6 +139,8 @@ def build_parser():
         common(p)
         p.add_argument("--mmax", type=int, default=None, help="top continuation index (default 40)")
     for name, p in sub.choices.items():
+        if name in ("polygon", "solve", "continue", "verify", "growth"):
+            p.add_argument("--emit-csv", dest="csv", default=None, metavar="PATH")
         if name in ("resum",):
             p.add_argument("--t", type=_parse_complex, required=True, metavar="RE,IM")
         if name in ("verify", "report"):

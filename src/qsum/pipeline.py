@@ -31,8 +31,7 @@ from .newton import (SINGULAR_RAY_TOL, characteristic_polynomial, check_interior
                      reduced_coefficients, singular_directions)
 from .qborel import (borel_transform, borel_transformed_equation,
                      continue_spiral, fit_spiral_bound)
-from .qlaplace import (SpiralGeometry, asymptotic_check, q_laplace, remainder_row,
-                       residual_check, sample_fan)
+from .qlaplace import SpiralGeometry, asymptotic_check, residual_check, sample_fan
 
 # with the polygon shape, the conditions every stage past them needs
 HARD_CONDITIONS = ("interior", "nondegeneracy")
@@ -192,6 +191,7 @@ class Run:
         self.options = options or Options()
         self.timings = {}
         self._nested = 0.0
+        # t -> (W(t, 0), remainder row), shared by both asymptotic stages
         self._rows = {}
 
     @_stage("parse")
@@ -237,9 +237,13 @@ class Run:
     def require_epsilon(self):
         """The gate of the views that read the asymptotic stages, after
         the conditions and before anything is solved: epsilon must lie
-        below the disk-disjointness threshold (q-1)/(q+1)."""
-        SpiralGeometry(complex(self.options.lam), self.options.epsilon,
-                       self.equation.q).require_disjoint()
+        below the disk-disjointness threshold (q-1)/(q+1), and the
+        remainder depth N must not exceed the formal orders."""
+        opt = self.options
+        SpiralGeometry(complex(opt.lam), opt.epsilon, self.equation.q).require_disjoint()
+        if opt.n_check > opt.orders:
+            raise UsageError("remainder depth %d exceeds the computed formal order %d"
+                             % (opt.n_check, opt.orders))
 
     @_stage("parse")
     def equation(self):
@@ -294,38 +298,17 @@ class Run:
                              (0.05 * abs(lam), 0.1 * abs(lam)))
         return residual_check(self.equation, self.grid, samples, epsilon=eps)
 
-    @cached_property
-    def origin_values(self):
-        """The formal solution's v_0..v_N at z = 0, N = n_check: the terms
-        of the partial sums in every remainder row."""
-        return self.solution.origin_values(self.options.n_check)
-
-    def remainder_rows(self, epsilon):
-        """W(t, 0) and the remainder row E_0..E_N at a sample point t,
-        computed once per point for the whole run.  Neither depends on
-        epsilon, which only rejects points in the disks; both asymptotic
-        stages sample the same rays and radii, and a point outside the
-        epsilon-disks is outside the epsilon/2-disks."""
-        def row(t):
-            if t not in self._rows:
-                w = q_laplace(self.grid, t, epsilon)
-                self._rows[t] = w, remainder_row(self.grid.q, self.origin_values, w, t)
-            return self._rows[t]
-        return row
-
     # the expansion property quantifies over all small epsilon; the report
     # checks a fixed pair and states each verdict separately
     @_stage("asymptotic")
     def asymptotic(self):
-        eps = self.options.epsilon
-        return asymptotic_check(self.solution, self.grid, eps, self.options.n_check,
-                                row_fn=self.remainder_rows(eps))
+        return asymptotic_check(self.solution, self.grid, self.options.epsilon,
+                                self.options.n_check, rows=self._rows)
 
     @_stage("asymptotic")
     def asymptotic_half(self):
-        eps = self.options.epsilon / 2.0
-        return asymptotic_check(self.solution, self.grid, eps, self.options.n_check,
-                                row_fn=self.remainder_rows(eps))
+        return asymptotic_check(self.solution, self.grid, self.options.epsilon / 2.0,
+                                self.options.n_check, rows=self._rows)
 
     def report(self):
         """Every stage, read in order, as a RunReport.  Raises
@@ -380,7 +363,7 @@ class Run:
             "rejected": len(res.rejected),
             "samples": [{"t": _cnum(s.t), "abs": s.absolute, "rel": s.relative} for s in res.samples],
         }
-        verdicts["residual"] = _verdict(res.max_absolute <= 1e-5, str(res))
+        verdicts["residual"] = _verdict(res.passed, str(res))
 
         per_eps = [self.asymptotic, self.asymptotic_half]
         primary = per_eps[0]

@@ -171,19 +171,17 @@ class SpiralGrid:
                 for m, v in self.values.items()}
 
     @cached_property
-    def value_norms_logq(self):
-        """log_q of each value's largest coefficient magnitude, -inf for
-        zero; computed once per grid for the kernel sums."""
-        lnq = math.log(self.q)
-        return {m: v.qexp + math.log(n) / lnq if (n := v.series.norm_max()) > 0 else -math.inf
-                for m, v in self.values.items()}
-
-    @cached_property
     def peak_coeffs(self):
-        """Per index, the coefficients of the value that can hold its
-        largest |c * x| for any x (see near_peak); computed once per grid
-        for the kernel sums."""
-        return {m: near_peak(v.series.coeffs.values()) for m, v in self.values.items()}
+        """The kernel sums' table: per index, (log_q of the value's largest
+        coefficient magnitude, -inf for zero; near_peak's coefficients,
+        which hold the largest, so the log size is that of norm_max)."""
+        lnq = math.log(self.q)
+        table = {}
+        for m, v in self.values.items():
+            peaks = near_peak(v.series.coeffs.values())
+            n = max(map(abs, peaks), default=0.0)
+            table[m] = (v.qexp + math.log(n) / lnq if n > 0 else -math.inf, peaks)
+        return table
 
 
 def near_peak(coeffs):

@@ -38,6 +38,8 @@ ZONE_GUARD = 1.1
 # more slowly than this power of |t|
 RHO_TREND_MAX = 0.1
 ORDER1_SLOPE_MIN = 0.5
+# residual_check passes when no sample's absolute residual exceeds this
+RESIDUAL_MAX_ABS = 1e-5
 
 
 def theta(x, q):
@@ -129,7 +131,10 @@ def zone_membership(geom, t):
     hi = math.ceil(center + math.log1p(eps * ZONE_GUARD) / math.log(q)) + 1
     best, best_m = math.inf, None
     for m in range(lo, hi + 1):
-        ratio = abs(1.0 + lam * q ** float(m) / t)
+        try:
+            ratio = abs(1.0 + lam * q ** float(m) / t)
+        except OverflowError:  # |lambda q^m / t| > 2^24 > 1 > |lambda q^lo / t|
+            continue
         if ratio < best:
             best, best_m = ratio, m
     if best <= eps:
@@ -147,13 +152,13 @@ def q_laplace_series(grid, t, epsilon=0.05):
     KERNEL_DROP_RTOL relative are dropped so negligible far indices cannot
     shrink the z-window of the result.
 
-    Theta is summed directly only where a term can survive that rule: one
-    direct theta at m = 0 and the functional equation
-    theta(q^m x) = q^{m(m+1)/2} x^m theta(x) estimate every term's size,
-    and the direct sums cover the indices estimated within
-    KERNEL_DROP_RTOL * KERNEL_BAND_MARGIN of the largest, plus the three
-    at each end that the tail checks read.  The estimates choose indices
-    and are never summed, so the result is the all-indices direct sum."""
+    Theta is summed directly only where a term can survive that rule: the
+    functional equation theta(q^m x) = q^{m(m+1)/2} x^m theta(x) estimates
+    every term's size relative to the others, and the direct sums cover
+    the indices estimated within KERNEL_DROP_RTOL * KERNEL_BAND_MARGIN of
+    the largest, plus the three at each end that the tail checks read.
+    The estimates choose indices and are never summed, so the result is
+    the all-indices direct sum."""
     terms, top = _kernel_terms(grid, t, epsilon)
     if not terms:
         return TruncatedSeries.zero(grid.d, 1, grid.values[grid.m_max].series.Kz)
@@ -183,9 +188,10 @@ def _kernel_terms(grid, t, epsilon):
     * scale: inv is the inverse theta mantissa and scale the complex
     q^(e - top), with e the term's exponent.  A term's size is its largest
     coefficient magnitude, that of the series product values[m].series *
-    inv, taken over the value's near-peak coefficients
-    (SpiralGrid.peak_coeffs), which provably hold it.  Returns (terms,
-    top); the terms are empty when every grid value in the band is zero."""
+    inv, taken over the value's near-peak coefficients, which provably
+    hold it; the grid's table (SpiralGrid.peak_coeffs) gives those and
+    each value's log size for the estimates.  Returns (terms, top); the
+    terms are empty when every grid value in the band is zero."""
     q, lam = grid.q, grid.lam
     t = complex(t)
     zone = zone_membership(SpiralGeometry(lam, epsilon, q), t)
@@ -196,11 +202,10 @@ def _kernel_terms(grid, t, epsilon):
     lnq = math.log(q)
     base_logq = math.log(abs(lam) / abs(t)) / lnq
     phase = cmath.phase(lam / t)
-    th0 = _theta_polar(q, base_logq, phase)
-    theta0_logq = th0.logq_abs()
-    norms = grid.value_norms_logq
+    table = grid.peak_coeffs
     indices = range(grid.m_min, grid.m_max + 1)
-    sizes = [norms[m] - (theta0_logq + m * (m + 1) / 2.0 + m * base_logq) for m in indices]
+    # log_q sizes less that of theta(lambda / t), the same in every term
+    sizes = [table[m][0] - (m * (m + 1) / 2.0 + m * base_logq) for m in indices]
     cut = max(sizes) + math.log(KERNEL_DROP_RTOL * KERNEL_BAND_MARGIN) / lnq
     ends = set(indices[:3]) | set(indices[-3:])
     # (m, inv, e, log_q size) per directly summed index
@@ -208,12 +213,11 @@ def _kernel_terms(grid, t, epsilon):
     for m, size in zip(indices, sizes):
         if size < cut and m not in ends:
             continue
-        th = th0 if m == 0 else _theta_polar(q, base_logq + m, phase)
-        val = grid.values[m]
+        th = _theta_polar(q, base_logq + m, phase)
         # the theta mantissa lies in [1, q), so its inverse is finite and nonzero
         inv = complex(1.0 / th.mantissa)
-        e = val.qexp - th.qexp
-        peaks = grid.peak_coeffs[m]
+        e = grid.values[m].qexp - th.qexp
+        peaks = table[m][1]
         lm = e + math.log(max(abs(c * inv) for c in peaks)) / lnq if peaks else -math.inf
         band.append((m, inv, e, lm))
 
@@ -261,6 +265,10 @@ class KernelResidualReport:
     max_absolute: float
     max_relative: float
     rejected: list           # (t, reason) for zone-rejected samples
+
+    @property
+    def passed(self):
+        return self.max_absolute <= RESIDUAL_MAX_ABS
 
     def __str__(self):
         return "max |residual| %.3e (relative %.3e) over %d samples" % (
@@ -340,8 +348,7 @@ def remainder_row(q, values, w, t):
     """The remainders E_N = |W(t, 0) - partial_N(t)| at one point t, given
     w = W(t, 0) and values[N] = v_N(0), the formal solution's scaled
     coefficients at z = 0 (FormalSolution.origin_values); the partial sums
-    are carried in QScaled form.  The row depends on the point alone, not
-    on epsilon, which only decides which points are sampled."""
+    are carried in QScaled form."""
     ws, partial = QScaled(q, w), QScaled.zero(q)
     row = []
     for N, vN in enumerate(values):
@@ -350,7 +357,7 @@ def remainder_row(q, values, w, t):
     return row
 
 
-def asymptotic_check(sol, grid, epsilon, n_max, rays=8, radii=12, row_fn=None):
+def asymptotic_check(sol, grid, epsilon, n_max, rays=8, radii=12, rows=None):
     """Fit (M, H) with  |W - partial_N| <= (M H^N / eps) q^{N(N-1)/2} |t|^N
     over a ray/radius sample fan, and judge the expansion:
 
@@ -360,9 +367,10 @@ def asymptotic_check(sol, grid, epsilon, n_max, rays=8, radii=12, row_fn=None):
         which is what separates a true asymptotic solution from one with
         a constant offset.
 
-    row_fn(t) gives (W(t, 0), remainder row E_0..E_{n_max}) at a sample
-    point; by default W is the kernel sum q_laplace and the row is
-    remainder_row's.
+    `rows` maps each sample point t to W(t, 0), the kernel sum q_laplace,
+    and its remainder_row, and gains the points not yet in it.  Neither
+    depends on epsilon, which only picks the points, so calls on one
+    solution, grid and n_max may share the dict.
     """
     q = grid.q
     lam = grid.lam
@@ -376,13 +384,13 @@ def asymptotic_check(sol, grid, epsilon, n_max, rays=8, radii=12, row_fn=None):
     r_lo = r_max / 20.0
     points = sample_fan(geom, rays, [r_lo * (r_max / r_lo) ** (k / (radii - 1.0)) if radii > 1
                                      else r_max for k in range(radii)])
-    if row_fn is None:
-        values = sol.origin_values(n_max)
-
-        def row_fn(t):
-            w = q_laplace(grid, t, epsilon)
-            return w, remainder_row(q, values, w, t)
-    pairs = [row_fn(t) for t in points]
+    rows = {} if rows is None else rows
+    new = [t for t in points if t not in rows]
+    values = sol.origin_values(n_max) if new else None
+    for t in new:
+        w = q_laplace(grid, t, epsilon)
+        rows[t] = w, remainder_row(q, values, w, t)
+    pairs = [rows[t] for t in points]
     wvals = [w for w, _ in pairs]
     EN = [[row[N] for _, row in pairs] for N in range(0, n_max + 1)]
 

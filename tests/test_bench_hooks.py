@@ -7,6 +7,7 @@ alters a report fails in the fast suite."""
 
 import importlib.util
 import json
+import math
 import os
 import sys
 
@@ -67,14 +68,14 @@ def test_reports_match_the_benchmark_reference():
 
 def _count_kernel_sums(monkeypatch):
     """The points t at which the pipeline sums W(t, 0), in call order."""
-    q_laplace = qsum.pipeline.q_laplace
+    q_laplace = qsum.qlaplace.q_laplace
     summed = []
 
     def counting(grid, t, epsilon):
         summed.append(t)
         return q_laplace(grid, t, epsilon)
 
-    monkeypatch.setattr(qsum.pipeline, "q_laplace", counting)
+    monkeypatch.setattr(qsum.qlaplace, "q_laplace", counting)
     return summed
 
 
@@ -128,7 +129,7 @@ def test_reports_build_each_row_and_residual_series_once(monkeypatch):
     once per distinct shifted point q^j t: at q = 2 the radii 0.05|lambda|
     and 0.1|lambda| put t q of one sample on another."""
     inputs = _load("inputs")
-    remainder_row, q_laplace_series = qsum.pipeline.remainder_row, qsum.qlaplace.q_laplace_series
+    remainder_row, q_laplace_series = qsum.qlaplace.remainder_row, qsum.qlaplace.q_laplace_series
     rows, series = [], []
 
     def counting_row(q, values, w, t):
@@ -139,7 +140,7 @@ def test_reports_build_each_row_and_residual_series_once(monkeypatch):
         series.append(t)
         return q_laplace_series(grid, t, epsilon)
 
-    monkeypatch.setattr(qsum.pipeline, "remainder_row", counting_row)
+    monkeypatch.setattr(qsum.qlaplace, "remainder_row", counting_row)
     monkeypatch.setattr(qsum.qlaplace, "q_laplace_series", counting_series)
     calls = {}
     for workload in ("euler", "zseries"):
@@ -155,3 +156,17 @@ def test_reports_build_each_row_and_residual_series_once(monkeypatch):
             assert sorted(series, key=repr) == sorted(shifted, key=repr), key
             calls[key] = len(series)
     assert calls == {"euler": 15, "readme-d1": 15, "mixed-d2": 20}
+
+
+def test_kernel_table_sizes_are_the_largest_coefficients():
+    """On each benchmark DSL grid, the kernel table's log size of every
+    index is the same float as that of the value's norm_max."""
+    inputs = _load("inputs")
+    for workload in ("euler", "zseries"):
+        for key, _, text in inputs.build(workload):
+            grid = Run(text, inputs.options(workload)).grid
+            lnq = math.log(grid.q)
+            for m, v in grid.values.items():
+                n = v.series.norm_max()
+                size = v.qexp + math.log(n) / lnq if n > 0 else -math.inf
+                assert grid.peak_coeffs[m][0] == size, (key, m)

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import qsum.pipeline
 from qsum.cli import main
 from qsum.errors import UsageError
 from qsum.pipeline import Options, Run
@@ -320,6 +321,37 @@ def test_epsilon_is_checked_before_the_solve():
     with pytest.raises(UsageError, match="epsilon 0.3 not below the disk-disjointness"):
         run.report()
     assert not {"solution", "borel", "grid", "residuals", "asymptotic"} & set(vars(run))
+
+
+@pytest.mark.parametrize("cmd", ["report", "verify"])
+def test_n_above_orders_is_checked_before_the_solve(euler_file, capsys, monkeypatch, cmd):
+    def unsolvable(eq, n_max):
+        raise AssertionError("solved")
+    monkeypatch.setattr(qsum.pipeline, "solve_formal", unsolvable)
+    assert run_cli([cmd, euler_file, "--orders", "10", "--json", os.devnull]) == 5
+    assert capsys.readouterr().err == "error: remainder depth 12 exceeds the computed formal order 10\n"
+
+
+@pytest.mark.parametrize("cmd", ["check", "directions", "borel", "square", "resum", "report"])
+def test_only_the_csv_views_take_emit_csv(tmp_path, euler_file, capsys, cmd):
+    csv = tmp_path / "x.csv"
+    argv = [cmd, euler_file, "--emit-csv", str(csv), "--json", os.devnull]
+    if cmd == "resum":
+        argv += ["--t", "0.1,0"]
+    assert run_cli(argv) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "--emit-csv" in err
+    assert not csv.exists()
+
+
+def test_resum_far_from_lambda_at_a_large_q_is_a_kernel_error(tmp_path, capsys):
+    # the zone scan at |t| = 1e250 reaches q^4 = 1e400, beyond double range
+    p = tmp_path / "bigq.qde"
+    p.write_text(EULER.replace("q=2", "q=1e100"))
+    assert run_cli(["resum", str(p), "--orders", "1", "--mmax", "2", "--t", "1e250,0",
+                    "--json", os.devnull]) == 4
+    assert capsys.readouterr().err == (
+        "error: kernel terms not yet decaying at the upper end of the grid\n")
 
 
 @pytest.mark.parametrize("cmd", ["report", "verify"])

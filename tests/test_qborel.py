@@ -125,6 +125,14 @@ def test_bound_fit_trivial_grids(euler_grid):
     assert fit1.C == pytest.approx(5.0) and fit1.H == 1.0
 
 
+def test_kernel_table_of_zero_and_constant_values():
+    from qsum.qborel import ScaledSeries, SpiralGrid
+    values = {0: ScaledSeries(TruncatedSeries.zero(0, 1, 1), 0.0),
+              1: ScaledSeries(TruncatedSeries.const(1.5, 0, 1, 1), 3.0)}
+    table = SpiralGrid(1.0, 2.0, 0, 1, 0, values, [], 1.0, 0).peak_coeffs
+    assert table == {0: (-math.inf, ()), 1: (3.0 + math.log(1.5) / math.log(2.0), (1.5 + 0j,))}
+
+
 def test_truncation_stability_under_kz_doubling():
     # doubling the z-window moves the continued values at z = 0 by < 1e-9
     text = "q=2; delta=1; m=2; d=1; eq: S^1(X) + t*S^2(X) + t*S^1 Dz1^1(X) = 1/(1-z1)"

@@ -1,13 +1,15 @@
 import cmath
 import math
 import random
+from dataclasses import fields
 
 import pytest
 
+import qsum.qlaplace
 from qsum.errors import PoleProximityError
 from qsum.qborel import borel_transform, borel_transformed_equation, continue_spiral
-from qsum.qlaplace import (THETA_TERM_CUTOFF, SpiralGeometry, _theta_polar, asymptotic_check,
-                           q_laplace, q_laplace_series, remainder_row, residual_check, sample_fan,
+from qsum.qlaplace import (THETA_TERM_CUTOFF, ResumReport, SpiralGeometry, _theta_polar,
+                           asymptotic_check, q_laplace, q_laplace_series, residual_check, sample_fan,
                            theta, zone_membership)
 from qsum.scaled import QScaled
 
@@ -135,6 +137,17 @@ def test_zone_near_boundary_band():
     assert zone_membership(g, t).kind == "near-boundary"
 
 
+def test_zone_scan_skips_indices_beyond_double_range():
+    # at q = 1e100 the scan around |t / lambda| = 1e250 or 1e300 reaches an
+    # index whose q^m overflows; that index is never the nearest disk
+    g = SpiralGeometry(1.0, 0.3, 1e100)
+    far = zone_membership(g, 1e250)
+    assert far.outside
+    assert far.min_ratio == min(abs(1.0 + 1e100 ** float(m) / 1e250) for m in (1, 2, 3))
+    on_pole = zone_membership(g, -1e300)
+    assert on_pole.kind == "inside" and on_pole.m == 3 and on_pole.min_ratio == 0.0
+
+
 def test_kernel_inversion_identity():
     lam, t = 1.0, 0.3
     base = math.log(abs(lam)) / math.log(Q)
@@ -232,15 +245,32 @@ def test_asymptotic_n0_row_is_w_magnitude(euler_sol, euler_grid):
         assert e == pytest.approx(abs(w))
 
 
-def test_asymptotic_constant_offset_fails(euler_sol, euler_grid):
-    values = euler_sol.origin_values(12)
-
-    def offset(t):
-        w = q_laplace(euler_grid, t) + 1.0
-        return w, remainder_row(euler_grid.q, values, w, t)
-    rep = asymptotic_check(euler_sol, euler_grid, 0.3, 12, row_fn=offset)
+def test_asymptotic_constant_offset_fails(euler_sol, euler_grid, monkeypatch):
+    monkeypatch.setattr(qsum.qlaplace, "q_laplace",
+                        lambda grid, t, epsilon: q_laplace(grid, t, epsilon) + 1.0)
+    rep = asymptotic_check(euler_sol, euler_grid, 0.3, 12)
     assert not rep.passed
     assert any("order-1" in r for r in rep.reasons)
+
+
+def test_asymptotic_rows_are_shared_across_epsilons(euler_sol, euler_grid, monkeypatch):
+    """With one rows dict, the epsilon/2 call reads every W and remainder
+    row the epsilon call made, and reports what a fresh call does."""
+    rows = {}
+    first = asymptotic_check(euler_sol, euler_grid, 0.3, 12, rows=rows)
+    summed = []
+
+    def counting(grid, t, epsilon):
+        summed.append(t)
+        return q_laplace(grid, t, epsilon)
+    monkeypatch.setattr(qsum.qlaplace, "q_laplace", counting)
+    half = asymptotic_check(euler_sol, euler_grid, 0.15, 12, rows=rows)
+    assert summed == []
+    assert set(rows) == set(first.samples) | set(half.samples)
+    fresh = asymptotic_check(euler_sol, euler_grid, 0.15, 12)
+    assert len(summed) == len(fresh.samples) > 0
+    for f in fields(ResumReport):
+        assert getattr(half, f.name) == getattr(fresh, f.name), f.name
 
 
 def test_asymptotic_epsilon_must_be_disjoint(euler_sol, euler_grid):
