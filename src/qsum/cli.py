@@ -238,14 +238,14 @@ def _square(run, args):
 
 def _solve(run, args):
     sol, fit = run.solution, run.gevrey
-    log10 = [m.log_abs() / math.log(10.0) if not m.is_zero() else None for m in fit.norms]
+    log10 = [m.log_abs() / math.log(10.0) if not m.is_zero() else None for m in sol.norms]
+    doc = {"orders": sol.count, "A": fit.A, "h": fit.H,
+           "coefficients": [{"n": n, "v": series_rows(v), "log10_norm": log10[n], "g": fit.diag[n]}
+                            for n, v in enumerate(sol.scaled)]}
     if args.csv is not None:
-        rows = [(n, "-inf" if lg is None else lg, fit.g[n] if fit.g[n] is not None else "")
+        rows = [(n, "-inf" if lg is None else lg, fit.diag[n] if fit.diag[n] is not None else "")
                 for n, lg in enumerate(log10)]
         _emit_csv(rows, ("n", "log10_norm", "g_n"), args.csv)
-    doc = {"orders": sol.count, "A": fit.A, "h": fit.h,
-           "coefficients": [{"n": n, "v": series_rows(v), "log10_norm": log10[n], "g": fit.g[n]}
-                            for n, v in enumerate(sol.scaled)]}
     return doc, EXIT_OK
 
 
@@ -260,18 +260,18 @@ def _continue(run, args):
     run.require_solvable()
     grid, fitb = run.grid, run.spiral_bound
     norms = grid.norms_logq
-    if args.csv is not None:
-        rows = [(m, fitb.diag[m] if 0 <= m < len(fitb.diag) and fitb.diag[m] is not None else "")
-                for m in range(grid.m_min, grid.m_max + 1)]
-        _emit_csv(rows, ("m", "diagnostic"), args.csv)
     doc = {"lambda": grid.lam,
            "m_min": grid.m_min, "m_max": grid.m_max, "seed_top": grid.seed_top,
-           "C": fitb.C, "H": fitb.H, "bounded": fitb.bounded,
+           "C": fitb.A, "H": fitb.H, "bounded": fitb.settled,
            "values": [{"m": m,
                        "value_z0": {"mantissa": grid.values[m].series.constant_term(),
                                     "qexp": grid.values[m].qexp},
                        "sup_logq": norms[m]}
                       for m in range(max(grid.m_min, -10), grid.m_max + 1)]}
+    if args.csv is not None:
+        rows = [(m, fitb.diag[m] if 0 <= m < len(fitb.diag) and fitb.diag[m] is not None else "")
+                for m in range(grid.m_min, grid.m_max + 1)]
+        _emit_csv(rows, ("m", "diagnostic"), args.csv)
     return doc, EXIT_OK
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ResonanceError, UnsupportedEquationError
-from .growth import GROWTH_SLACK, last_third
+from .growth import fit_envelope
 from .scaled import QScaled
 from .series import TruncatedSeries, residual_norms
 
@@ -37,19 +37,21 @@ class FormalSolution:
         """Sup norms of v_n on |z| <= R1, per order."""
         return tuple(v.sup_norm(self.R1) for v in self.scaled)
 
+    @cached_property
+    def norms(self):
+        """Sup norms of X_n = v_n q^{n(n-1)/2} on |z| <= R1, as QScaled."""
+        return tuple(QScaled(self.q, s, n * (n - 1) / 2.0) for n, s in enumerate(self.sup_norms))
+
+    def certified_by(self, fit):
+        """Whether ||X_n|| <= A h^n q^{n(n-1)/2} holds on every order for
+        the Gevrey fit's (A, h), read on the QScaled norms of X_n."""
+        lnq = math.log(self.q)
+        return fit.holds([None if m.is_zero() else m.log_abs() for m in self.norms],
+                         [n * (n - 1) / 2.0 * lnq for n in range(self.count + 1)])
+
     def origin_values(self, n_max):
         """v_0..v_{n_max} at z = 0."""
         return [v.evaluate(0.0, (0.0,) * self.d) for v in self.scaled[:n_max + 1]]
-
-    def gevrey_rate(self):
-        """log h: the largest log||v_n|| / n over the last third of the
-        orders n >= 1 with v_n != 0, where the pre-asymptotic wobble has
-        died out; None when every such v_n is zero.  The Borel radius is
-        exp(-rate)."""
-        nonzero = [n for n in range(1, self.count + 1) if self.sup_norms[n] > 0]
-        if not nonzero:
-            return None
-        return max(math.log(self.sup_norms[n]) / n for n in last_third(nonzero, self.count))
 
 
 def _presliced(eq):
@@ -159,40 +161,12 @@ def verify_formal(eq, sol, tol=1e-10):
     return ResidualReport(per_order, worst, flagged, tol)
 
 
-@dataclass
-class GevreyFit:
-    A: float
-    h: float
-    norms: list       # QScaled sup-norm estimates of X_n on the R1 polydisc
-    g: list           # diagnostic (log M_n - (n(n-1)/2) log q) / n, None where M_n = 0
-
-    def certificate_holds(self, q):
-        """Post-hoc check of |X_n| <= A h^n q^{n(n-1)/2} on every order."""
-        if self.A == 0:
-            return all(m.is_zero() for m in self.norms)
-        logA, logh = math.log(self.A), math.log(self.h)
-        for n, mn in enumerate(self.norms):
-            if mn.is_zero():
-                continue
-            bound = logA + n * logh + n * (n - 1) / 2.0 * math.log(q)
-            if mn.log_abs() > bound + GROWTH_SLACK:
-                return False
-        return True
-
-
 def gevrey_fit(sol):
-    """Envelope constants (A, h) with ||X_n|| <= A h^n q^{n(n-1)/2}.
+    """Envelope constants (A, H), the report's (A, h), with
+    ||X_n|| <= A h^n q^{n(n-1)/2}.
 
-    h is the largest ||v_n||^{1/n} over the stabilized window (the last
-    third of computed orders, where the pre-asymptotic wobble has died
-    out); A is then the smallest constant making the bound hold at every
-    order."""
-    norms = [QScaled(sol.q, s, n * (n - 1) / 2.0) for n, s in enumerate(sol.sup_norms)]
+    Fitted on the scaled norms ||v_n|| with no quadratic factor, so the
+    diagnostic is log||v_n|| / n and h its largest value over the last
+    third of the computed orders; exp(-log h) is the Borel radius."""
     logs = [math.log(s) if s > 0 else None for s in sol.sup_norms]
-    g = [None if lg is None or n == 0 else lg / n for n, lg in enumerate(logs)]
-    if all(lg is None for lg in logs):
-        return GevreyFit(0.0, 1.0, norms, g)
-    rate = sol.gevrey_rate()
-    logh = 0.0 if rate is None else rate
-    logA = max(logs[n] - n * logh for n in range(sol.count + 1) if logs[n] is not None)
-    return GevreyFit(math.exp(logA), math.exp(logh), norms, g)
+    return fit_envelope(logs, [0.0] * len(logs), -math.inf)

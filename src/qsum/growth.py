@@ -5,10 +5,12 @@ Coefficient side:  |a_n| <= A H^n / q^{n(n-1)/2}.
 Function side:     |f(t)| <= M exp( (log|t|)^2 / (2 log q) + alpha log|t| ).
 
 Both directions are certified on finite data only: envelopes are fitted
-and then verified pointwise, with the sampled range reported."""
+and then verified pointwise, with the sampled range reported.  The
+coefficient-side fit, `fit_envelope`, also serves the formal solution's
+|X_n| <= A h^n q^{n(n-1)/2} and the Borel grid's C H^m q^{m^2/2}."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import FitError
 
@@ -20,21 +22,53 @@ GROWTH_SLACK = 1e-9
 
 
 @dataclass
-class CoeffBound:
-    A: float
-    H: float
-    h_seq: list = field(default_factory=list)   # per-n envelope values (None where a_n = 0)
-    diverging: bool = False                      # h_seq trending up: no finite H exists
+class Envelope:
+    """Fitted envelope exp(logs[n]) <= A H^n exp(quad[n]) of a sequence
+    of log magnitudes, with its diagnostic and the diagnostic's trend."""
+    logA: float         # -inf when every magnitude is zero
+    logH: float
+    diag: list          # (logs[n] - quad[n]) / n for n >= 1, None at n = 0 and for zeros
+    slope: float        # least-squares slope of diag over the last half of the orders
 
-    def holds(self, coeffs, q):
-        lnq = math.log(q)
-        for n, a in enumerate(coeffs):
-            if a == 0:
-                continue
-            bound = math.log(self.A) + n * math.log(self.H) - n * (n - 1) / 2.0 * lnq
-            if math.log(abs(a)) > bound + GROWTH_SLACK:
-                return False
-        return True
+    @property
+    def A(self):
+        return math.exp(self.logA)
+
+    @property
+    def H(self):
+        return math.exp(self.logH)
+
+    @property
+    def settled(self):
+        """Whether the diagnostic does not trend upward; when it does, no
+        finite H bounds the data in this shape."""
+        return self.slope <= TREND_TOL
+
+    def holds(self, logs, quad):
+        """Pointwise check of exp(logs[n]) <= A H^n exp(quad[n]) on every
+        n with logs[n] not None, to GROWTH_SLACK in log."""
+        return all(lg is None or lg <= self.logA + n * self.logH + quad[n] + GROWTH_SLACK
+                   for n, lg in enumerate(logs))
+
+
+def fit_envelope(logs, quad, floor):
+    """Envelope (A, H) for exp(logs[n]) <= A H^n exp(quad[n]), n = 0..len(logs)-1.
+
+    logs[n] is a log magnitude, None for a zero; quad[n] the quadratic
+    log factor of the bound shape.  log H is the largest diagnostic
+    (logs[n] - quad[n]) / n over the last third of the orders, where the
+    pre-asymptotic wobble has died out, clamped below at `floor`; it is 0
+    when no n >= 1 is nonzero.  A is then the smallest constant making
+    the bound hold at every order, 0 for all-zero data."""
+    n_top = len(logs) - 1
+    diag = [None if n == 0 or lg is None else (lg - quad[n]) / n for n, lg in enumerate(logs)]
+    usable = [n for n in range(1, n_top + 1) if diag[n] is not None]
+    logH = max(floor, max(diag[n] for n in last_third(usable, n_top))) if usable else 0.0
+    logA = max((lg - n * logH - quad[n] for n, lg in enumerate(logs) if lg is not None),
+               default=-math.inf)
+    half = [n for n in usable if n >= max(1, n_top // 2)]
+    slope = ls_slope([(n, diag[n]) for n in half]) if len(half) >= 3 else 0.0
+    return Envelope(logA, logH, diag, slope)
 
 
 def fit_coeff_bound(coeffs, q):
@@ -42,27 +76,14 @@ def fit_coeff_bound(coeffs, q):
 
     H is the largest (|a_n| q^{n(n-1)/2})^{1/n} over the stabilized window;
     when that sequence keeps climbing there is no finite H and the fit is
-    flagged as diverging (the data is not Taylor data of a theta-type
-    entire function)."""
+    not settled (the data is not Taylor data of a theta-type entire
+    function)."""
     coeffs = [complex(c) for c in coeffs]
     if len(coeffs) < 3:
         raise ValueError("need at least 3 coefficients")
     lnq = math.log(q)
-    n_top = len(coeffs) - 1
-    h_seq = [None] * (n_top + 1)
-    for n in range(1, n_top + 1):
-        if coeffs[n] != 0:
-            h_seq[n] = (math.log(abs(coeffs[n])) + n * (n - 1) / 2.0 * lnq) / n
-    usable = [n for n in range(1, n_top + 1) if h_seq[n] is not None]
-    if not usable:
-        a0 = abs(coeffs[0])
-        return CoeffBound(a0, 1.0, h_seq, False)
-    logH = max(h_seq[n] for n in last_third(usable, n_top))
-    logA = max((math.log(abs(coeffs[n])) + n * (n - 1) / 2.0 * lnq - n * logH)
-               for n in range(n_top + 1) if coeffs[n] != 0)
-    half = [n for n in usable if n >= max(1, n_top // 2)]
-    slope = ls_slope([(float(n), h_seq[n]) for n in half]) if len(half) >= 3 else 0.0
-    return CoeffBound(math.exp(logA), math.exp(logH), h_seq, slope > TREND_TOL)
+    return fit_envelope([math.log(abs(c)) if c != 0 else None for c in coeffs],
+                        [-(n * (n - 1) / 2.0 * lnq) for n in range(len(coeffs))], -math.inf)
 
 
 @dataclass
@@ -117,7 +138,10 @@ def fit_growth(evaluator, q, samples):
         raise FitError("degenerate sample spread in log|t|")
     alpha = ls_slope(pts)
     logM = max(y - alpha * x for x, y in pts)
-    return GrowthBound(math.exp(logM), alpha)
+    try:
+        return GrowthBound(math.exp(logM), alpha)
+    except OverflowError:
+        raise FitError("growth constant M = e^%.6g exceeds double range" % logM) from None
 
 
 def ls_slope(points, degenerate=0.0):
@@ -148,7 +172,7 @@ def last_third(indices, n, fallback=True):
 def truncated_entire_eval(coeffs):
     """Plain evaluator for the truncated sum of a_n t^n.
 
-    For coefficient data satisfying a CoeffBound the dropped tail is
+    For coefficient data within a fit_coeff_bound envelope the dropped tail is
     superexponentially small on any fixed annulus once enough terms are
     kept; callers choose the truncation depth accordingly."""
     coeffs = [complex(c) for c in coeffs]

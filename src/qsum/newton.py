@@ -265,14 +265,10 @@ def check_strong_margin(eq, m0):
 
 @dataclass(frozen=True)
 class CharPoly:
-    """Polynomial in tau with z-series coefficients, indexed 0..degree."""
+    """Polynomial in tau with z-series coefficients, ascending powers."""
     q: float
     m0: int
     coeffs: tuple  # tuple of TruncatedSeries (z-only), ascending tau powers
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
 
     def at_z0(self):
         """Complex coefficient list at z = 0, ascending powers."""

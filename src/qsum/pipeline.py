@@ -334,10 +334,10 @@ class Run:
 
         eq = self.equation
         formal_residual, fit = self.formal_residual, self.gevrey
-        certificate = fit.certificate_holds(eq.q)
+        certificate = self.solution.certified_by(fit)
         gevrey = {
-            "A": fit.A, "h": fit.h,
-            "g_tail": fit.g[-5:],
+            "A": fit.A, "h": fit.H,
+            "g_tail": fit.diag[-5:],
             "certificate": certificate,
             "formal_residual": formal_residual.max_relative,
         }
@@ -346,14 +346,16 @@ class Run:
 
         u, grid, bound = self.borel, self.grid, self.spiral_bound
         spiral_bound = {
-            "C": bound.C, "H": bound.H, "bounded": bound.bounded,
-            "trend_slope": bound.trend_slope,
+            "C": bound.A, "H": bound.H, "bounded": bound.settled,
+            "trend_slope": bound.slope,
             "grid": {"m_min": grid.m_min, "seed_top": grid.seed_top, "m_max": grid.m_max},
             "radius_est": json_float(u.radius_est),
             "theta_budget": grid.theta_budget,
             "lead_roots": [_cnum(r) for r in grid.lead_roots],
         }
-        verdicts["spiral_bound"] = _verdict(bound.bounded, str(bound))
+        verdicts["spiral_bound"] = _verdict(
+            bound.settled, "C=%.6g H=%.6g (diagnostic %s, trend %.3g/step)"
+            % (bound.A, bound.H, "bounded" if bound.settled else "UNBOUNDED", bound.slope))
 
         res = self.residuals
         residuals = {

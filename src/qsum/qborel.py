@@ -21,7 +21,8 @@ from functools import cached_property
 from .errors import (EffectivelySingularError, GridTooShortError,
                      RadiusTooSmallError, SingularDirectionError,
                      UnsupportedEquationError)
-from .growth import TREND_TOL, last_third, ls_slope
+from .formal import gevrey_fit
+from .growth import fit_envelope
 from .newton import SINGULAR_RAY_TOL, durand_kerner, ray_clearance
 from .scaled import _ALIGN_BITS
 from .series import TruncatedSeries, divide
@@ -45,9 +46,11 @@ class BorelFunction:
 
 
 def borel_transform(sol):
-    """Borel coefficients u_k = X_k / q^{k(k-1)/2} with a ratio-test radius."""
-    rate = sol.gevrey_rate()
-    radius = math.inf if rate is None else math.exp(-rate)
+    """Borel coefficients u_k = X_k / q^{k(k-1)/2} with a ratio-test
+    radius exp(-log h) from the Gevrey fit; infinite when every u_k with
+    k >= 1 is zero."""
+    fit = gevrey_fit(sol)
+    radius = math.exp(-fit.logH) if any(g is not None for g in fit.diag) else math.inf
     return BorelFunction(sol.q, sol.scaled, radius, sol.R1, sol.d)
 
 
@@ -314,45 +317,17 @@ def continue_spiral(beq, u, lam, m_max, seed_radius_fraction=0.5, extra_low=60):
     return SpiralGrid(lam, q, m_min, m_max, top, values, roots, u.R1, beq.d)
 
 
-@dataclass
-class SpiralBoundFit:
-    C: float
-    H: float
-    diag: list          # (log||u*_m|| - (m^2/2) log q)/m for m >= 1, None when zero
-    trend_slope: float  # least-squares slope of the diagnostic over the last half
-    bounded: bool
-
-    def __str__(self):
-        return "C=%.6g H=%.6g (diagnostic %s, trend %.3g/step)" % (
-            self.C, self.H, "bounded" if self.bounded else "UNBOUNDED", self.trend_slope)
-
-
 def fit_spiral_bound(grid):
-    """Envelope (C, H) with ||u*(lam q^m)|| <= C H^m q^{m^2/2} for m >= 0,
-    ||.|| the sup norm on |z| <= grid.R1.
+    """Envelope (C, H) = (A, H) with ||u*(lam q^m)|| <= C H^m q^{m^2/2}
+    for m >= 0, ||.|| the sup norm on |z| <= grid.R1.
 
     H is clamped below at 1 (the bound only weakens as H grows, and the
     quadratic factor already dominates decaying grids); C is then the
     smallest consistent constant.  The diagnostic sequence must not trend
-    upward or the bound shape itself is wrong."""
+    upward (the envelope is `settled`) or the bound shape itself is wrong."""
     if grid.m_min > 0 or grid.m_max < 0:
         raise GridTooShortError("bound fit needs the grid to cover m = 0..m_max")
     lnq = math.log(grid.q)
-    lognorm = {m: lg * lnq if math.isfinite(lg) else None
-               for m, lg in grid.norms_logq.items() if m >= 0}
-    diag = [None] * (grid.m_max + 1)
-    for m in range(1, grid.m_max + 1):
-        if lognorm[m] is not None:
-            diag[m] = (lognorm[m] - m * m / 2.0 * lnq) / m
-    usable = [m for m in range(1, grid.m_max + 1) if diag[m] is not None]
-    if not usable:
-        if all(v is None for v in lognorm.values()):
-            return SpiralBoundFit(0.0, 1.0, diag, 0.0, True)
-        logH = 0.0
-    else:
-        logH = max(0.0, max(diag[m] for m in last_third(usable, grid.m_max)))
-    logC = max(lognorm[m] - m * logH - m * m / 2.0 * lnq
-               for m in range(0, grid.m_max + 1) if lognorm[m] is not None)
-    half = [m for m in usable if m >= max(1, grid.m_max // 2)]
-    slope = ls_slope([(m, diag[m]) for m in half]) if len(half) >= 3 else 0.0
-    return SpiralBoundFit(math.exp(logC), math.exp(logH), diag, slope, slope <= TREND_TOL)
+    norms = grid.norms_logq
+    logs = [norms[m] * lnq if math.isfinite(norms[m]) else None for m in range(grid.m_max + 1)]
+    return fit_envelope(logs, [m * m / 2.0 * lnq for m in range(grid.m_max + 1)], 0.0)

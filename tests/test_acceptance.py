@@ -101,11 +101,11 @@ def test_criterion_4_asymptotic_verifier(euler_sol, euler_grid, monkeypatch):
 def test_criterion_5_spiral_bound(euler_grid, euler_sol, ex2_parts):
     fit1 = fit_spiral_bound(euler_grid)
     fit2 = fit_spiral_bound(ex2_parts["grid"])
-    ok = (fit1.C <= 1.1 and fit1.H <= 1.1
-          and math.isfinite(fit2.C) and math.isfinite(fit2.H) and fit2.bounded)
+    ok = (fit1.A <= 1.1 and fit1.H <= 1.1
+          and math.isfinite(fit2.A) and math.isfinite(fit2.H) and fit2.settled)
     record("5 spiral growth bound", ok,
            "q-Euler C=%.3g H=%.3g; second equation C=%.3g H=%.3g bounded=%s"
-           % (fit1.C, fit1.H, fit2.C, fit2.H, fit2.bounded))
+           % (fit1.A, fit1.H, fit2.A, fit2.H, fit2.settled))
 
 
 def test_criterion_6_polygon_and_directions(euler_eq, ex2_eq):

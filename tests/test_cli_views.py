@@ -67,7 +67,10 @@ def view_digest(command, equation, workdir):
         doc = json.loads(stdout)
         doc.pop("timings")
         stdout = json.dumps(doc, indent=2, sort_keys=True)
-    csv_text = open(csv, encoding="utf-8").read() if os.path.exists(csv) else None
+    csv_text = None
+    if os.path.exists(csv):
+        with open(csv, encoding="utf-8") as fh:
+            csv_text = fh.read()
     blob = json.dumps([code, stdout, err.getvalue(), csv_text])
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 

@@ -64,9 +64,9 @@ def test_linearity_in_rhs():
 
 def test_gevrey_fit_euler(euler_sol):
     fit = gevrey_fit(euler_sol)
-    assert fit.A == 1.0 and fit.h == 1.0
-    assert all(g == 0.0 for g in fit.g[1:])
-    assert fit.certificate_holds(2.0)
+    assert fit.A == 1.0 and fit.H == 1.0
+    assert all(g == 0.0 for g in fit.diag[1:])
+    assert euler_sol.certified_by(fit)
 
 
 def test_gevrey_fit_convergent_sequence():
@@ -76,10 +76,10 @@ def test_gevrey_fit_convergent_sequence():
                for n in range(30))
     sol = FormalSolution(q, 29, vs, R1=0.5, d=0)
     fit = gevrey_fit(sol)
-    assert fit.h <= 1.0
-    assert fit.certificate_holds(q)
+    assert fit.H <= 1.0
+    assert sol.certified_by(fit)
     # diagnostic heads to -infinity
-    assert fit.g[29] < fit.g[10] < fit.g[2]
+    assert fit.diag[29] < fit.diag[10] < fit.diag[2]
 
 
 def test_gevrey_fit_single_coefficient():
@@ -87,7 +87,7 @@ def test_gevrey_fit_single_coefficient():
                                   TruncatedSeries.zero(0, 1, 1),
                                   TruncatedSeries.zero(0, 1, 1)), R1=0.5, d=0)
     fit = gevrey_fit(sol)
-    assert fit.A == pytest.approx(7.0) and fit.certificate_holds(2.0)
+    assert fit.A == pytest.approx(7.0) and sol.certified_by(fit)
 
 
 def test_gevrey_fit_zero_solution():
@@ -112,4 +112,4 @@ def test_gevrey_window_at_multiple_of_three():
     vs = tuple(TruncatedSeries.const(math.exp(10.0) if n == 20 else 1.0, 0, 1, 1)
                for n in range(31))
     fit = gevrey_fit(FormalSolution(2.0, 30, vs, R1=0.5, d=0))
-    assert fit.h == pytest.approx(math.exp(0.5))
+    assert fit.H == pytest.approx(math.exp(0.5))

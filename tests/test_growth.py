@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from qsum.growth import (check_growth_bound, fit_coeff_bound, fit_growth,
+from qsum.growth import (check_growth_bound, fit_coeff_bound, fit_envelope, fit_growth,
                          last_third, truncated_entire_eval)
 
 Q = 2.0
@@ -11,6 +11,12 @@ Q = 2.0
 
 def theta_type_coeffs(n=80, scale=1.0, H=1.0):
     return [scale * H ** k * Q ** (-k * (k - 1) / 2.0) for k in range(n)]
+
+
+def coeff_logs(coeffs):
+    """(logs, quad) of |a_n| <= A H^n Q^{-n(n-1)/2}, as Envelope.holds reads them."""
+    return ([math.log(abs(a)) if a != 0 else None for a in coeffs],
+            [-n * (n - 1) / 2.0 * math.log(Q) for n in range(len(coeffs))])
 
 
 def log_spaced(lo, hi, count):
@@ -21,21 +27,21 @@ def log_spaced(lo, hi, count):
 def test_fit_coeff_bound_definitional():
     fit = fit_coeff_bound(theta_type_coeffs(), Q)
     assert fit.A == pytest.approx(1.0) and fit.H == pytest.approx(1.0)
-    assert not fit.diverging and fit.holds(theta_type_coeffs(), Q)
+    assert fit.settled and fit.holds(*coeff_logs(theta_type_coeffs()))
 
 
 def test_fit_coeff_bound_h3():
     coeffs = [(-1) ** n * 3.0 ** n * Q ** (-n * (n - 1) / 2.0) for n in range(40)]
     fit = fit_coeff_bound(coeffs, Q)
     assert fit.H == pytest.approx(3.0, rel=1e-9)
-    assert not fit.diverging and fit.holds(coeffs, Q)
+    assert fit.settled and fit.holds(*coeff_logs(coeffs))
 
 
 def test_fit_coeff_bound_divergent_data():
     # alternating units are not coefficients of a theta-type entire function:
     # the envelope sequence climbs without bound
     fit = fit_coeff_bound([(-1.0) ** k for k in range(40)], Q)
-    assert fit.diverging
+    assert not fit.settled
 
 
 def test_fit_coeff_bound_envelope_monotone():
@@ -48,7 +54,7 @@ def test_fit_coeff_bound_envelope_monotone():
             continue
         bound = math.log(fit.A) + n * math.log(fit.H * 1.5) - n * (n - 1) / 2.0 * lnq
         loose_ok &= math.log(abs(a)) <= bound + 1e-9
-    assert fit.holds(coeffs, Q) and loose_ok  # enlarging H never invalidates
+    assert fit.holds(*coeff_logs(coeffs)) and loose_ok  # enlarging H never invalidates
 
 
 def test_growth_check_theta_type():
@@ -102,7 +108,7 @@ def test_round_trip_equivalence_small_corpus():
     ]
     for coeffs in corpus:
         cb = fit_coeff_bound(coeffs, Q)
-        assert not cb.diverging
+        assert cb.settled
         ev = truncated_entire_eval(coeffs)
         fit_samples = log_spaced(0.1, 1e3, 20)
         gb = fit_growth(ev, Q, fit_samples)
@@ -125,3 +131,22 @@ def test_coeff_bound_window_at_multiple_of_three():
     coeffs = [Q ** (-n * (n - 1) / 2.0) for n in range(31)]
     coeffs[20] *= math.exp(10.0)
     assert fit_coeff_bound(coeffs, Q).H == pytest.approx(math.exp(0.5))
+
+
+def test_envelope_edge_cases_shared_by_every_fit():
+    flat = [0.0] * 31
+    zero = fit_envelope([None] * 31, flat, -math.inf)
+    assert zero.A == 0.0 and zero.H == 1.0 and zero.holds([None] * 31, flat)
+    assert not zero.holds([None] * 30 + [0.0], flat)
+    origin = fit_envelope([math.log(3.0)] + [None] * 30, flat, -math.inf)
+    assert origin.H == 1.0 and origin.A == pytest.approx(3.0)
+    # log|a_n| = -n: H = 1/e unless the floor clamps it to 1
+    decaying = [-float(n) for n in range(31)]
+    assert fit_envelope(decaying, flat, 0.0).H == 1.0
+    assert fit_envelope(decaying, flat, -math.inf).H == pytest.approx(math.exp(-1.0))
+    # 30 orders: the window is 20..30, so a peak at order 20 sets H and not
+    # the larger one at order 19
+    peaked = [0.0] * 31
+    peaked[19], peaked[20] = 19.0, 10.0
+    fit = fit_envelope(peaked, flat, -math.inf)
+    assert fit.H == pytest.approx(math.exp(0.5)) and fit.holds(peaked, flat)

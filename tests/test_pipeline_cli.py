@@ -383,6 +383,15 @@ def test_growth_of_a_zero_solution_exit_code(tmp_path):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
+def test_growth_constant_beyond_double_range_is_a_fit_error(euler_file, capsys):
+    # q-Euler sampled up to |t| = 2^200: the fitted log M is far above 709
+    assert run_cli(["growth", euler_file, "--orders", "5", "--mmax", "200",
+                    "--json", os.devnull]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: growth constant M = e^") and err.count("\n") == 1
+    assert err.endswith(" exceeds double range\n")
+
+
 def test_help_exit_code():
     proc = subprocess.run([sys.executable, "-m", "qsum.cli", "--help"],
                           capture_output=True, text=True)

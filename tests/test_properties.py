@@ -67,7 +67,7 @@ def property_formal_residuals(seed):
         rep = verify_formal(eq, sol, tol=1e-10)
         assert rep.passed, "scaled residual %e at seed %s" % (rep.max_relative, seed)
         fit = gevrey_fit(sol)
-        assert fit.certificate_holds(eq.q)
+        assert sol.certified_by(fit)
 
 
 def property_overlap_consistency(seed):
