@@ -277,7 +277,7 @@ def _continue(run, args):
 
 def _resum(run, args):
     run.require_solvable()
-    return {"t": args.t, "W": q_laplace(run.grid, args.t, epsilon=run.kernel_epsilon)}, EXIT_OK
+    return {"t": args.t, "W": q_laplace(run.grid, args.t, epsilon=run.kernel_epsilon)[0]}, EXIT_OK
 
 
 def _verify(run, args):
@@ -294,7 +294,8 @@ def _verify(run, args):
             rows.append((N, e_max, bound, rep.rho[N] if rep.rho[N] is not None else ""))
         _emit_csv(rows, ("N", "max_E_N", "bound", "rho_N"), args.csv)
     doc = {"verdict": rep.verdict, "M": rep.M, "H": rep.H,
-           "epsilon": rep.epsilon, "reasons": rep.reasons, "samples": len(rep.samples)}
+           "epsilon": rep.epsilon, "reasons": rep.reasons, "samples": len(rep.samples),
+           "pairs_used": rep.used, "pairs_dropped": rep.dropped}
     return doc, EXIT_OK if rep.passed else EXIT_NUMERIC
 
 

@@ -191,7 +191,8 @@ class Run:
         self.options = options or Options()
         self.timings = {}
         self._nested = 0.0
-        # t -> (W(t, 0), remainder row), shared by both asymptotic stages
+        # t -> (W(t, 0), its rounding floor, remainder row), shared by both
+        # asymptotic stages
         self._rows = {}
 
     @_stage("parse")
@@ -375,9 +376,11 @@ class Run:
             "epsilon": primary.epsilon,
             "samples": len(primary.samples),
             "rho": list(primary.rho),
+            "pairs_used": primary.used, "pairs_dropped": primary.dropped,
             "reasons": primary.reasons,
-            "per_epsilon": [{"epsilon": a.epsilon, "verdict": a.verdict,
-                             "M": a.M, "H": a.H} for a in per_eps],
+            "per_epsilon": [{"epsilon": a.epsilon, "verdict": a.verdict, "M": a.M, "H": a.H,
+                             "pairs_used": a.used, "pairs_dropped": a.dropped}
+                            for a in per_eps],
         }
         verdicts["asymptotic"] = _verdict(all(a.passed for a in per_eps),
                                           "; ".join(r for a in per_eps for r in a.reasons))

@@ -6,14 +6,23 @@ The kernel convention is
     theta_q(x) = sum_{n in Z} q^{-n(n-1)/2} x^n,
 
 an entire function on C* with functional equation theta(qx) = qx theta(x)
-and zero set exactly -q^Z.  The resummed solution is the kernel-weighted
-sum over the continuation grid
+and zero set exactly -q^Z.  It is evaluated from the Jacobi triple
+product, with p = 1/q,
+
+    theta_q(x) = prod_{n >= 1} (1 - p^n)(1 + x p^(n-1))(1 + p^n / x),
+
+at a reduced argument y = x / q^k with 1 <= |y| < q, and
+theta(q^k y) = q^{k(k+1)/2} y^k theta(y) in closed form.  The resummed
+solution is the kernel-weighted sum over the continuation grid
 
     W(t, z) = sum_{m in Z} u*(lambda q^m, z) / theta_q(lambda q^m / t),
 
 whose poles lie on the spiral -lambda q^Z; the monomial inversion
 identity sum_m (lambda q^m)^n / theta_q(lambda q^m / t) = q^{n(n-1)/2} t^n
 is the internal witness that this convention inverts the Borel transform.
+Every theta(lambda q^m / t) of one W shares one reduced argument, so a
+kernel sum takes one product.  W(t, 0) comes with the rounding floor of
+its sum, and the asymptotic verifier reads only remainders above it.
 """
 
 import cmath
@@ -25,12 +34,39 @@ from .growth import last_third, ls_slope
 from .scaled import QScaled
 from .series import TruncatedSeries, residual_norms
 
-THETA_TERM_CUTOFF = 1e-17
 KERNEL_TAIL_RTOL = 1e-12
 KERNEL_DROP_RTOL = 1e-16
-# kernel terms estimated this far below the drop rule are still summed
-# directly, so no error in the estimate can move a term across the rule
+# kernel terms estimated this far below the drop rule still get a theta
+# and a size, so no error in the estimate can move a term across the rule
 KERNEL_BAND_MARGIN = 1e-4
+# The rounding floor of a kernel sum.  Each rounded operation errs by at
+# most one unit, ROUNDING_UNIT, relative to its result (a complex product
+# by at most sqrt(5) < 3).  One kept term at z = 0 is c * inv * scale, and
+# its roundings, to first order, are:
+#   * the product theta(y): per step, the sums 1 - p^n, 1 + p^n y and
+#     1 + p^n / y, one real and two complex products
+#     (PRODUCT_STEP_UNITS); and the error of each a in a factor 1 + a,
+#     which 1 + a scales by |a| / |1 + a| (FACTOR_UNITS: one for q**-n,
+#     one for its product with y or 1/y, three for y = rect(q**frac,
+#     phase) and three more for 1/y).  Summed over the factors that scale
+#     is at most 2q / min(|1 + y|, |1 + y/q|) + 3q / (q - 1)^2, as
+#     |y p^n| <= p^(n-1) and |p^n / y| <= p^n;
+#   * the closed form: k frac + log_q|theta(y)| and k arg y + arg theta(y)
+#     round by a unit of their sizes, which moves the term by ln q resp.
+#     one times that: at most 2 (pi + ln q) (|k| + 1) + 2 |ln|theta(y)||;
+#   * the scale power q^(e - top) of a term above the drop rule: ln q
+#     |e - top| <= ln(1 / KERNEL_DROP_RTOL) + ln q from its exponent, and
+#     one unit for the power;
+#   * TERM_UNITS for the rest: the logs and phase of theta(y), the
+#     exponent power and rect of the inverse mantissa, the products c *
+#     inv * scale, the final power q^top and its product;
+# and the sum of n terms adds at most n - 1 units of the sum of their
+# magnitudes.  Rounding in the reduction of lambda / t to (k0, frac, arg
+# y) is common to every term: it moves t by a few units, not the sum.
+ROUNDING_UNIT = 2.0 ** -53
+PRODUCT_STEP_UNITS = 10
+FACTOR_UNITS = 8
+TERM_UNITS = 16
 # disks within this factor of epsilon count as near the boundary
 ZONE_GUARD = 1.1
 # asymptotic_check fails a fit whose log rho_N rises faster than this per
@@ -43,42 +79,71 @@ RESIDUAL_MAX_ABS = 1e-5
 
 
 def theta(x, q):
-    """theta_q(x) by symmetric truncation around the peak term.
+    """theta_q(x) as a QScaled, from the Jacobi triple product.
 
-    Terms fall off like q^{-(n-n*)^2/2}; summation stops once they drop
-    below 1e-17 of the peak, so the dropped tail is below 1e-15 of the
-    peak term.  Near the zeros -q^Z the result is small through
-    cancellation and its *relative* accuracy degrades accordingly."""
+    x = q^k y with 1 <= |y| < q, and theta(q^k y) = q^{k(k+1)/2} y^k
+    theta(y) with theta(y) from _theta_product; the kernel sums use the
+    same product and closed form.  The reduction divides x by q**k, so at
+    x = -q**k it gives y = -1 exactly and the result is the zero QScaled.
+    No terms cancel: near a zero the relative error is a few units of
+    2^-53 over x's relative distance from it, the condition number of
+    theta there."""
     x = complex(x)
     if x == 0:
         raise ValueError("theta is undefined at x = 0")
-    return _theta_polar(q, math.log(abs(x)) / math.log(q), cmath.phase(x))
-
-
-def _theta_polar(q, logq_mag, phase):
-    n0 = round(logq_mag + 0.5)
     lnq = math.log(q)
-    exp, rect, cutoff = math.exp, cmath.rect, THETA_TERM_CUTOFF
-    c0 = n0 * (n0 - 1)
-    # term n is rect(exp(rel * lnq), n * phase), with rel its log-q
-    # magnitude relative to the n0 term; rel = 0 at n0
-    acc = rect(1.0, n0 * phase)
-    peak = abs(acc)
-    for step in (1, -1):
-        n = n0 + step
-        while True:
-            rel = (n - n0) * logq_mag - (n * (n - 1) - c0) / 2.0
-            piece = rect(exp(rel * lnq), n * phase)
-            acc += piece
-            mag = abs(piece)
-            if mag > peak:
-                peak = mag
-            if mag < cutoff * peak:
-                break
-            n += step
-            if abs(n - n0) > 400:
-                raise ArithmeticError("theta summation failed to localize")
-    return QScaled(q, acc, n0 * logq_mag - n0 * (n0 - 1) / 2.0)
+    k = math.floor(math.log(abs(x)) / lnq)
+    # the log may round across an integer; step k until 1 <= |x / q**k| < q
+    while abs(x) >= _power(q, k + 1):
+        k += 1
+    while abs(x) < _power(q, k):
+        k -= 1
+    y = x / q ** k
+    th = _theta_product(y, q)[0]
+    if th == 0:
+        return QScaled.zero(q)
+    r, angle, qexp = _shifted(k, math.log(abs(y)) / lnq, cmath.phase(y),
+                              math.log(abs(th)) / lnq, cmath.phase(th))
+    return QScaled(q, cmath.rect(q ** r, angle), qexp)
+
+
+def _power(q, k):
+    """q**k, or inf where it leaves double range."""
+    try:
+        return q ** k
+    except OverflowError:
+        return math.inf
+
+
+def _theta_product(y, q):
+    """theta_q(y) for 1 <= |y| < q, and the number of product steps:
+
+        theta_q(y) = (1 + y) prod_{n >= 1} (1 - p^n)(1 + y p^n)(1 + p^n / y),
+
+    p = 1/q.  After step n the factors left differ from 1 by at most
+    (2 + q) p^{n+1} / (1 - p) = (2 + q) p^n / (q - 1) in all; the product
+    stops once that is below 2^-54, half a unit in the last place of 1."""
+    inv_y = 1.0 / y
+    acc = 1.0 + y
+    tail = (2.0 + q) / (q - 1.0)
+    n = 0
+    while True:
+        n += 1
+        pn = q ** -n
+        acc *= (1.0 - pn) * (1.0 + pn * y) * (1.0 + pn * inv_y)
+        if pn * tail < 0.5 * ROUNDING_UNIT:
+            return acc, n
+
+
+def _shifted(k, frac, phase, log_th, arg_th):
+    """theta(q^k y) as (r, angle, exponent), the value q^r e^{i angle}
+    q^exponent with 0 <= r < 1, given log_q|y| = frac, arg y = phase, and
+    log_q|theta(y)| and arg theta(y).  The exponent is the integer
+    k(k+1)/2 plus floor(k frac + log_q|theta(y)|), so no rounding of the
+    quadratic part reaches r."""
+    g = k * frac + log_th
+    shift = math.floor(g)
+    return g - shift, k * phase + arg_th, k * (k + 1) // 2 + shift
 
 
 @dataclass(frozen=True)
@@ -152,14 +217,14 @@ def q_laplace_series(grid, t, epsilon=0.05):
     KERNEL_DROP_RTOL relative are dropped so negligible far indices cannot
     shrink the z-window of the result.
 
-    Theta is summed directly only where a term can survive that rule: the
-    functional equation theta(q^m x) = q^{m(m+1)/2} x^m theta(x) estimates
-    every term's size relative to the others, and the direct sums cover
-    the indices estimated within KERNEL_DROP_RTOL * KERNEL_BAND_MARGIN of
-    the largest, plus the three at each end that the tail checks read.
-    The estimates choose indices and are never summed, so the result is
-    the all-indices direct sum."""
-    terms, top = _kernel_terms(grid, t, epsilon)
+    One triple product per t gives theta(y) for the reduced argument y of
+    lambda / t, and the functional equation theta(q^k y) = q^{k(k+1)/2}
+    y^k theta(y) every kernel theta in closed form.  The closed form also
+    estimates every term's size relative to the others, and only the
+    indices estimated within KERNEL_DROP_RTOL * KERNEL_BAND_MARGIN of the
+    largest, plus the three at each end that the tail checks read, get a
+    theta and a size; the others lie far below the drop rule."""
+    terms, top, _ = _kernel_terms(grid, t, epsilon)
     if not terms:
         return TruncatedSeries.zero(grid.d, 1, grid.values[grid.m_max].series.Kz)
     acc = TruncatedSeries.combination([(grid.values[m].series * inv, scale)
@@ -168,18 +233,26 @@ def q_laplace_series(grid, t, epsilon=0.05):
 
 
 def q_laplace(grid, t, epsilon=0.05):
-    """Resummed value W(t, 0) at the origin in z.
+    """(W(t, 0), floor): the resummed value at the origin in z, and the
+    rounding floor of its sum, the sum of the kept terms' magnitudes
+    times a bound on each term's relative rounding error (see
+    ROUNDING_UNIT).  W's error from the kernel sum's roundings is below
+    the floor, so a difference from W no larger than it is not resolved.
 
     The terms are those of q_laplace_series; only the constant coefficient
     of each is summed, with the same floating-point operations, so the
     value is that series' at z = 0."""
-    terms, top = _kernel_terms(grid, t, epsilon)
+    terms, top, rtol = _kernel_terms(grid, t, epsilon)
     origin = (0, (0,) * grid.d)
-    acc = None
+    acc, size = None, 0.0
     for m, inv, scale in terms:
         piece = grid.values[m].series.coeffs.get(origin, 0j) * inv * scale
         acc = piece if acc is None else acc + piece
-    return 0j if acc is None else acc * complex(grid.q ** top)
+        size += abs(piece)
+    if acc is None:
+        return 0j, 0.0
+    unit = complex(grid.q ** top)
+    return acc * unit, size * abs(unit) * rtol
 
 
 def _kernel_terms(grid, t, epsilon):
@@ -190,8 +263,10 @@ def _kernel_terms(grid, t, epsilon):
     coefficient magnitude, that of the series product values[m].series *
     inv, taken over the value's near-peak coefficients, which provably
     hold it; the grid's table (SpiralGrid.peak_coeffs) gives those and
-    each value's log size for the estimates.  Returns (terms, top); the
-    terms are empty when every grid value in the band is zero."""
+    each value's log size for the estimates.  Returns (terms, top, rtol),
+    rtol the bound on a term's relative rounding error that the rounding
+    floor reads; the terms are empty when every grid value in the band is
+    zero."""
     q, lam = grid.q, grid.lam
     t = complex(t)
     zone = zone_membership(SpiralGeometry(lam, epsilon, q), t)
@@ -202,28 +277,36 @@ def _kernel_terms(grid, t, epsilon):
     lnq = math.log(q)
     base_logq = math.log(abs(lam) / abs(t)) / lnq
     phase = cmath.phase(lam / t)
+    # lambda / t = q^k0 y with y = q^frac e^{i phase}: one product gives
+    # theta(y), and the functional equation every theta(lambda q^m / t)
+    k0 = math.floor(base_logq)
+    frac = base_logq - k0
+    y = cmath.rect(q ** frac, phase)
+    th, steps = _theta_product(y, q)
+    # t lies outside the disks, so theta(y) is not zero
+    log_th, arg_th = math.log(abs(th)) / lnq, cmath.phase(th)
     table = grid.peak_coeffs
     indices = range(grid.m_min, grid.m_max + 1)
     # log_q sizes less that of theta(lambda / t), the same in every term
     sizes = [table[m][0] - (m * (m + 1) / 2.0 + m * base_logq) for m in indices]
     cut = max(sizes) + math.log(KERNEL_DROP_RTOL * KERNEL_BAND_MARGIN) / lnq
     ends = set(indices[:3]) | set(indices[-3:])
-    # (m, inv, e, log_q size) per directly summed index
+    # (m, inv, e, log_q size) per index in the band
     band = []
     for m, size in zip(indices, sizes):
         if size < cut and m not in ends:
             continue
-        th = _theta_polar(q, base_logq + m, phase)
-        # the theta mantissa lies in [1, q), so its inverse is finite and nonzero
-        inv = complex(1.0 / th.mantissa)
-        e = grid.values[m].qexp - th.qexp
+        r, angle, qexp = _shifted(m + k0, frac, phase, log_th, arg_th)
+        # the inverse theta mantissa, of magnitude in (1/q, 1]
+        inv = cmath.rect(q ** -r, -angle)
+        e = grid.values[m].qexp - qexp
         peaks = table[m][1]
         lm = e + math.log(max(abs(c * inv) for c in peaks)) / lnq if peaks else -math.inf
         band.append((m, inv, e, lm))
 
     finite = [lm for *_, lm in band if math.isfinite(lm)]
     if not finite:
-        return [], None
+        return [], None, 0.0
     top = max(finite)
 
     def check_tail(side, name):
@@ -248,8 +331,15 @@ def _kernel_terms(grid, t, epsilon):
     drop = top + math.log(KERNEL_DROP_RTOL) / lnq
     # complex scales: a series times a scalar multiplies each coefficient
     # by complex(scale), so both sums do the same operations
-    return [(m, inv, complex(q ** (e - top))) for m, inv, e, lm in band
-            if math.isfinite(lm) and lm >= drop], top
+    terms = [(m, inv, complex(q ** (e - top))) for m, inv, e, lm in band
+             if math.isfinite(lm) and lm >= drop]
+    k_max = max(abs(m + k0) for m, _, _ in terms)
+    units = (PRODUCT_STEP_UNITS * steps
+             + FACTOR_UNITS * (2.0 * q / min(abs(1.0 + y), abs(1.0 + y / q))
+                               + 3.0 * q / (q - 1.0) ** 2)
+             + 2.0 * (math.pi + lnq) * (k_max + 1) + 2.0 * abs(log_th * lnq)
+             + math.log(1.0 / KERNEL_DROP_RTOL) + lnq + 1.0 + TERM_UNITS + len(terms) - 1)
+    return terms, top, units * ROUNDING_UNIT
 
 
 @dataclass
@@ -318,11 +408,14 @@ class ResumReport:
     epsilon: float
     samples: list            # complex sample points
     Wvals: list              # W(t, 0) per sample
+    floors: list             # rounding floor of W(t, 0) per sample
     EN: list                 # EN[N][i] = |W(t_i) - partial_N(t_i)|
     rho: list                # rho[N] = max_i normalized remainder^(1/N), N >= 1
     M: float
     H: float
     verdict: str             # "pass" | "fail"
+    used: int                # (N, t) pairs with E_N above the floor, which the fit reads
+    dropped: int             # (N, t) pairs with E_N at or below it
     reasons: list = field(default_factory=list)
 
     @property
@@ -367,10 +460,15 @@ def asymptotic_check(sol, grid, epsilon, n_max, rays=8, radii=12, rows=None):
         which is what separates a true asymptotic solution from one with
         a constant offset.
 
-    `rows` maps each sample point t to W(t, 0), the kernel sum q_laplace,
-    and its remainder_row, and gains the points not yet in it.  Neither
-    depends on epsilon, which only picks the points, so calls on one
-    solution, grid and n_max may share the dict.
+    Only the pairs (N, t) whose E_N lies above the rounding floor of
+    W(t, 0) are read: at or below it, E_N may be the kernel sum's rounding
+    error.  With no pair resolved the verdict is a vacuous pass.
+
+    `rows` maps each sample point t to W(t, 0) and its rounding floor,
+    from the kernel sum q_laplace, and its remainder_row, and gains the
+    points not yet in it.  None of these depends on epsilon, which only
+    picks the points, so calls on one solution, grid and n_max may share
+    the dict.
     """
     q = grid.q
     lam = grid.lam
@@ -388,11 +486,15 @@ def asymptotic_check(sol, grid, epsilon, n_max, rays=8, radii=12, rows=None):
     new = [t for t in points if t not in rows]
     values = sol.origin_values(n_max) if new else None
     for t in new:
-        w = q_laplace(grid, t, epsilon)
-        rows[t] = w, remainder_row(q, values, w, t)
-    pairs = [rows[t] for t in points]
-    wvals = [w for w, _ in pairs]
-    EN = [[row[N] for _, row in pairs] for N in range(0, n_max + 1)]
+        w, floor = q_laplace(grid, t, epsilon)
+        rows[t] = w, floor, remainder_row(q, values, w, t)
+    picked = [rows[t] for t in points]
+    wvals = [w for w, _, _ in picked]
+    floors = [floor for _, floor, _ in picked]
+    EN = [[row[N] for _, _, row in picked] for N in range(0, n_max + 1)]
+    # the resolved remainders, per order; None where E_N is at or below the floor
+    resolved = [[e if e > floor else None for e, floor in zip(EN[N], floors)]
+                for N in range(0, n_max + 1)]
 
     lnq = math.log(q)
     # normalized remainders and the envelope fit
@@ -400,7 +502,7 @@ def asymptotic_check(sol, grid, epsilon, n_max, rays=8, radii=12, rows=None):
     log_r = {}
     for N in range(0, n_max + 1):
         for i, t in enumerate(points):
-            if EN[N][i] == 0.0:
+            if resolved[N][i] is None:
                 continue
             log_r[(N, i)] = (math.log(EN[N][i]) + math.log(epsilon)
                              - N * (N - 1) / 2.0 * lnq - N * math.log(abs(t)))
@@ -424,18 +526,22 @@ def asymptotic_check(sol, grid, epsilon, n_max, rays=8, radii=12, rows=None):
     logM = max((lr - N * logH for (N, _), lr in log_r.items()), default=-math.inf)
     M = math.exp(logM) if math.isfinite(logM) else 0.0
 
-    slope = _order1_slope(points, EN[1] if n_max >= 1 else None)
+    slope = _order1_slope(points, resolved[1] if n_max >= 1 else None)
     if slope is not None and slope < ORDER1_SLOPE_MIN:
         reasons.append("order-1 remainder does not scale with |t| (slope %.2f)" % slope)
 
     verdict = "pass" if not reasons else "fail"
-    return ResumReport(epsilon, points, wvals, EN, rho, M, math.exp(logH), verdict, reasons)
+    pairs = len(points) * (n_max + 1)
+    return ResumReport(epsilon, points, wvals, floors, EN, rho, M, math.exp(logH), verdict,
+                       len(log_r), pairs - len(log_r), reasons)
 
 
 def _order1_slope(points, e1):
+    """The least-squares slope of log E_1 against log |t| over the
+    resolved order-1 remainders (None where unresolved)."""
     if e1 is None:
         return None
-    data = [(math.log(abs(t)), math.log(e)) for t, e in zip(points, e1) if e > 0]
+    data = [(math.log(abs(t)), math.log(e)) for t, e in zip(points, e1) if e is not None]
     if len(data) < 4:
         return None
     return ls_slope(data, degenerate=None)

@@ -1,8 +1,9 @@
 """Minimal structural validator for the published run-report schema.
 
 Supports the subset of JSON-schema keywords the shipped schema uses:
-type, required, properties, enum, and a uniform value schema for objects
-(additionalPropertiesSchema).  Returns a list of problems; empty is valid.
+type, required, properties, enum, a uniform value schema for objects
+(additionalPropertiesSchema) and one for array items (items).  Returns a
+list of problems; empty is valid.
 """
 
 import json
@@ -46,6 +47,10 @@ def _check(doc, schema, path, problems):
     if uniform and isinstance(doc, dict):
         for key, value in doc.items():
             _check(value, uniform, "%s/%s" % (path, key), problems)
+    items = schema.get("items")
+    if items and isinstance(doc, list):
+        for i, value in enumerate(doc):
+            _check(value, items, "%s/%d" % (path, i), problems)
 
 
 def validate_report(doc, schema=None):

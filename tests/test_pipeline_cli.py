@@ -47,6 +47,23 @@ def test_report_end_to_end(tmp_path, euler_file):
     assert doc["polygon"]["m0"] == 0
 
 
+def test_report_counts_the_resolved_remainder_pairs(tmp_path, euler_file):
+    """Each asymptotic fit states how many (N, t) pairs it read and how
+    many it dropped at or below W's rounding floor; the schema requires
+    both, in the section and in every per-epsilon entry."""
+    out = tmp_path / "report.json"
+    assert run_cli(["report", euler_file, "--orders", "16", "--mmax", "16", "--N", "6",
+                    "--json", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    asym = doc["asymptotic"]
+    for entry in [asym] + asym["per_epsilon"]:
+        assert entry["pairs_used"] > 0 and entry["pairs_dropped"] >= 0
+    assert asym["pairs_used"] + asym["pairs_dropped"] == 7 * asym["samples"]
+    del asym["per_epsilon"][1]["pairs_dropped"]
+    assert validate_report(doc) == [
+        "/asymptotic/per_epsilon/1: required field 'pairs_dropped' missing"]
+
+
 def test_report_exit_code_singular(tmp_path, euler_file):
     code = run_cli(["report", euler_file, "--lambda=-1,0", "--json", os.devnull])
     assert code == 3
