@@ -27,6 +27,7 @@ its sum, and the asymptotic verifier reads only remainders above it.
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .errors import GridTooShortError, PoleProximityError, UsageError
@@ -98,7 +99,10 @@ def theta(x, q):
         k += 1
     while abs(x) < _power(q, k):
         k -= 1
-    y = x / q ** k
+    # a q**k below the normal range has lost digits, or is zero: divide
+    # by two normal powers there
+    s = q ** k
+    y = x / s if s >= sys.float_info.min else x / q ** (k // 2) / q ** (k - k // 2)
     th = _theta_product(y, q)[0]
     if th == 0:
         return QScaled.zero(q)

@@ -71,13 +71,13 @@ def test_theta_is_zero_on_the_zero_set():
 
 def _mp_theta(mp, x, q):
     """theta_q(x) by the direct sum at mpmath's working precision: the
-    terms around the peak until they fall 10 digits below its last one."""
+    terms on each side of the peak until they fall 10 digits further
+    below it than that precision."""
     x, q = mp.mpc(x), mp.mpf(q)
     n0 = int(mp.nint(mp.log(abs(x)) / mp.log(q) + 0.5))
     cut = mp.mpf(10) ** -(mp.mp.dps + 10)
     acc, peak = mp.mpc(0), mp.mpf(0)
-    for n0_side, step in ((n0, 1), (n0 - 1, -1)):
-        n = n0_side
+    for n, step in ((n0, 1), (n0 - 1, -1)):
         while True:
             term = q ** (-mp.mpf(n) * (n - 1) / 2) * x ** n
             acc += term
@@ -89,13 +89,18 @@ def _mp_theta(mp, x, q):
 
 
 def _theta_oracle_points(q):
-    """(x, bound): 24 generic points, bound 1e-13 relative, and points at
-    relative distance d = 1e-3 and 1e-6 from the zeros -q^k, radially and
-    in angle, bound 4 units of 2^-53 over d: the condition number of
-    theta there is about 1/d, so no double evaluation does better."""
+    """(x, bound): 24 generic points and the extremes of double range,
+    bound 1e-13 plus 16 units of 2^-53 per unit of |log_q x| (the closed
+    form's k arg y rounds by a unit of |k| pi), and points at relative
+    distance d = 1e-3 and 1e-6 from the zeros -q^k, radially and in
+    angle, bound 4 units over d: the condition number of theta there is
+    about 1/d, so no double evaluation does better."""
     rng = random.Random(int(q * 100))
-    points = [(cmath.rect(q ** rng.uniform(-12.0, 12.0), rng.uniform(-math.pi, math.pi)), 1e-13)
-              for _ in range(24)]
+    generic = [cmath.rect(q ** rng.uniform(-12.0, 12.0), rng.uniform(-math.pi, math.pi))
+               for _ in range(24)]
+    extremes = [5e-324, -1e-310j, 3e-300 + 4e-300j, 1.7e308, -1.7e308]
+    points = [(x, 1e-13 + 16.0 * 2.0 ** -53 * abs(math.log(abs(x), q)))
+              for x in generic + extremes]
     for k in (-4, -1, 0, 1, 3, 6):
         for d in (1e-3, 1e-6):
             for x in (-q ** k * (1.0 + d), -q ** k * (1.0 - d), -q ** k * cmath.rect(1.0, d)):
