@@ -339,18 +339,28 @@ def test_asymptotic_epsilon_must_be_disjoint(euler_sol, euler_grid):
 
 
 def _direct_q_laplace_series(grid, t, epsilon):
-    """The kernel sum with theta() at every grid index: the reference for
-    the banded sum's short-grid errors."""
+    """The kernel sum over every grid index, each term sized by the largest
+    coefficient of its whole series: the reference the banded sum in
+    q_laplace_series must reproduce exactly.  Every theta comes from the
+    one triple product at the reduced argument of lambda / t and the
+    closed form, as there."""
     from qsum.errors import GridTooShortError
+    from qsum.qlaplace import _shifted, _theta_product
     from qsum.series import TruncatedSeries
     q, lam = grid.q, grid.lam
     t = complex(t)
     assert zone_membership(SpiralGeometry(lam, epsilon, q), t).outside
+    base_logq = math.log(abs(lam) / abs(t)) / math.log(q)
+    phase = cmath.phase(lam / t)
+    k0 = math.floor(base_logq)
+    frac = base_logq - k0
+    th, _ = _theta_product(cmath.rect(q ** frac, phase), q)
+    log_th, arg_th = math.log(abs(th)) / math.log(q), cmath.phase(th)
     terms = []
     for m in range(grid.m_min, grid.m_max + 1):
-        th = theta(lam * q ** m / t, q)
+        r, angle, qexp = _shifted(m + k0, frac, phase, log_th, arg_th)
         val = grid.values[m]
-        terms.append((m, val.series * (1.0 / th.mantissa), val.qexp - th.qexp))
+        terms.append((m, val.series * cmath.rect(q ** -r, -angle), val.qexp - qexp))
     mags = [(m, e + (math.log(s.norm_max()) / math.log(q) if not s.is_zero() else -math.inf))
             for m, s, e in terms]
     finite = [lm for _, lm in mags if math.isfinite(lm)]
@@ -418,6 +428,15 @@ def _band_cases(grid):
                              [0.005 * lam, 0.02 * lam, 0.1 * lam])
             cases += [(eps, t) for t in fan]
     return cases
+
+
+@pytest.mark.parametrize("name", BAND_GRIDS)
+def test_banded_kernel_sum_equals_the_direct_sum(band_grids, name):
+    grid = band_grids[name]
+    for eps, t in _band_cases(grid):
+        got = q_laplace_series(grid, t, eps)
+        want = _direct_q_laplace_series(grid, t, eps)
+        assert got == want, (name, eps, t)
 
 
 @pytest.mark.parametrize("name", BAND_GRIDS)
