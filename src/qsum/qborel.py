@@ -29,9 +29,6 @@ from .series import TruncatedSeries, divide
 
 SEED_TAIL_RTOL = 1e-14
 LEAD_SINGULAR_TOL = 1e-10
-# coefficients this close (relative) to a value's largest magnitude can
-# hold the largest |c * x|; see near_peak
-PEAK_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -174,33 +171,12 @@ class SpiralGrid:
                 for m, v in self.values.items()}
 
     @cached_property
-    def peak_coeffs(self):
-        """The kernel sums' table: per index, (log_q of the value's largest
-        coefficient magnitude, -inf for zero; near_peak's coefficients,
-        which hold the largest, so the log size is that of norm_max)."""
+    def logq_sizes(self):
+        """log_q of each value's largest coefficient magnitude, -inf for
+        zero: the kernel sums size their terms from it."""
         lnq = math.log(self.q)
-        table = {}
-        for m, v in self.values.items():
-            peaks = near_peak(v.series.coeffs.values())
-            n = max(map(abs, peaks), default=0.0)
-            table[m] = (v.qexp + math.log(n) / lnq if n > 0 else -math.inf, peaks)
-        return table
-
-
-def near_peak(coeffs):
-    """The coefficients whose magnitude is at least (1 - PEAK_RTOL) times
-    the largest, less 1e-300.
-
-    For complex x with |x| well above 1e-300, the computed |c * x| is
-    |c| |x| (1 + d) with |d| below about 4 ulp (sqrt(5) ulp for the
-    product, one for its hypot), and abs(c) is within one ulp of |c|.  A
-    coefficient below the cut therefore never holds the largest computed
-    |c * x|, and the maximum over this list is the same float as over all
-    coefficients.  The absolute 1e-300 covers subnormal values, whose
-    products round by whole units and keep every coefficient here."""
-    coeffs = tuple(coeffs)
-    cut = (1.0 - PEAK_RTOL) * max(map(abs, coeffs), default=0.0) - 1e-300
-    return tuple(c for c in coeffs if abs(c) >= cut)
+        return {m: v.qexp + math.log(n) / lnq if (n := v.series.norm_max()) > 0 else -math.inf
+                for m, v in self.values.items()}
 
 
 def continue_spiral(beq, u, lam, m_max, seed_radius_fraction=0.5, extra_low=60):

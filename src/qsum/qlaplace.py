@@ -37,9 +37,6 @@ from .series import TruncatedSeries, residual_norms
 
 KERNEL_TAIL_RTOL = 1e-12
 KERNEL_DROP_RTOL = 1e-16
-# kernel terms estimated this far below the drop rule still get a theta
-# and a size, so no error in the estimate can move a term across the rule
-KERNEL_BAND_MARGIN = 1e-4
 # The rounding floor of a kernel sum.  Each rounded operation errs by at
 # most one unit, ROUNDING_UNIT, relative to its result (a complex product
 # by at most sqrt(5) < 3).  One kept term at z = 0 is c * inv * scale, and
@@ -55,9 +52,15 @@ KERNEL_BAND_MARGIN = 1e-4
 #   * the closed form: k frac + log_q|theta(y)| and k arg y + arg theta(y)
 #     round by a unit of their sizes, which moves the term by ln q resp.
 #     one times that: at most 2 (pi + ln q) (|k| + 1) + 2 |ln|theta(y)||;
-#   * the scale power q^(e - top) of a term above the drop rule: ln q
-#     |e - top| <= ln(1 / KERNEL_DROP_RTOL) + ln q from its exponent, and
-#     one unit for the power;
+#   * the scale power q^(e - top) of a term above the drop rule: e, the
+#     difference of the value's and theta's integer exponents, is exact,
+#     and top's own rounding is common to q^top and q^(e - top), so the
+#     subtraction rounds by a unit of |e - top| and moves the term by ln q
+#     times that.  The term's closed-form log_q size s lies within
+#     log_q(1 / KERNEL_DROP_RTOL) below top, and e - top = s - top + r -
+#     log_q|mantissa|, with r in [0, 1) and the grid's mantissas of
+#     largest magnitude in [1, q), so ln q |e - top| <= ln(1 /
+#     KERNEL_DROP_RTOL) + ln q; one unit more for the power;
 #   * TERM_UNITS for the rest: the logs and phase of theta(y), the
 #     exponent power and rect of the inverse mantissa, the products c *
 #     inv * scale, the final power q^top and its product;
@@ -224,10 +227,8 @@ def q_laplace_series(grid, t, epsilon=0.05):
     One triple product per t gives theta(y) for the reduced argument y of
     lambda / t, and the functional equation theta(q^k y) = q^{k(k+1)/2}
     y^k theta(y) every kernel theta in closed form.  The closed form also
-    estimates every term's size relative to the others, and only the
-    indices estimated within KERNEL_DROP_RTOL * KERNEL_BAND_MARGIN of the
-    largest, plus the three at each end that the tail checks read, get a
-    theta and a size; the others lie far below the drop rule."""
+    gives every term's log size, and only the kept terms get a theta
+    mantissa."""
     terms, top, _ = _kernel_terms(grid, t, epsilon)
     if not terms:
         return TruncatedSeries.zero(grid.d, 1, grid.values[grid.m_max].series.Kz)
@@ -263,14 +264,13 @@ def _kernel_terms(grid, t, epsilon):
     """The terms of W(t, .) that survive the drop rule, in index order,
     as (m, inv, scale) with W(t, .) = q^top * sum values[m].series * inv
     * scale: inv is the inverse theta mantissa and scale the complex
-    q^(e - top), with e the term's exponent.  A term's size is its largest
-    coefficient magnitude, that of the series product values[m].series *
-    inv, taken over the value's near-peak coefficients, which provably
-    hold it; the grid's table (SpiralGrid.peak_coeffs) gives those and
-    each value's log size for the estimates.  Returns (terms, top, rtol),
-    rtol the bound on a term's relative rounding error that the rounding
-    floor reads; the terms are empty when every grid value in the band is
-    zero."""
+    q^(e - top), with e the term's exponent.  A term's log_q size is its
+    value's (SpiralGrid.logq_sizes) less log_q|theta(q^k y)| = k(k+1)/2 +
+    k frac + log_q|theta(y)|, k = m + k0, in floats; the tail checks, top,
+    the drop rule and the overflow guard read those sizes, and only the
+    kept terms get a theta mantissa.  Returns (terms, top, rtol), rtol the
+    bound on a term's relative rounding error that the rounding floor
+    reads; the terms are empty when every grid value is zero."""
     q, lam = grid.q, grid.lam
     t = complex(t)
     zone = zone_membership(SpiralGeometry(lam, epsilon, q), t)
@@ -289,54 +289,43 @@ def _kernel_terms(grid, t, epsilon):
     th, steps = _theta_product(y, q)
     # t lies outside the disks, so theta(y) is not zero
     log_th, arg_th = math.log(abs(th)) / lnq, cmath.phase(th)
-    table = grid.peak_coeffs
+    # log_q sizes of the terms: the value's less log_q|theta(lambda q^m / t)|
     indices = range(grid.m_min, grid.m_max + 1)
-    # log_q sizes less that of theta(lambda / t), the same in every term
-    sizes = [table[m][0] - (m * (m + 1) / 2.0 + m * base_logq) for m in indices]
-    cut = max(sizes) + math.log(KERNEL_DROP_RTOL * KERNEL_BAND_MARGIN) / lnq
-    ends = set(indices[:3]) | set(indices[-3:])
-    # (m, inv, e, log_q size) per index in the band
-    band = []
-    for m, size in zip(indices, sizes):
-        if size < cut and m not in ends:
-            continue
-        r, angle, qexp = _shifted(m + k0, frac, phase, log_th, arg_th)
-        # the inverse theta mantissa, of magnitude in (1/q, 1]
-        inv = cmath.rect(q ** -r, -angle)
-        e = grid.values[m].qexp - qexp
-        peaks = table[m][1]
-        lm = e + math.log(max(abs(c * inv) for c in peaks)) / lnq if peaks else -math.inf
-        band.append((m, inv, e, lm))
-
-    finite = [lm for *_, lm in band if math.isfinite(lm)]
-    if not finite:
+    table = grid.logq_sizes
+    sizes = [table[m] - ((m + k0) * (m + k0 + 1) / 2.0 + (m + k0) * frac + log_th)
+             for m in indices]
+    top = max(sizes)
+    if top == -math.inf:
         return [], None, 0.0
-    top = max(finite)
 
-    def check_tail(side, name):
-        tail = [lm for *_, lm in side[-3:]]
+    def check_tail(tail, needed, name):
+        """tail: the sizes of the three end indices, the outermost last."""
         if len(tail) < 3:
             raise GridTooShortError("grid too short on the %s side" % name)
         if not (tail[-1] < tail[-2] < tail[-3]):
             raise GridTooShortError(
-                "kernel terms not yet decaying at the %s end of the grid" % name,
-                needed=side[-1][0])
+                "kernel terms not yet decaying at the %s end of the grid" % name, needed=needed)
         ratio = math.exp((tail[-1] - tail[-2]) * lnq)
         est = math.exp((tail[-1] - top) * lnq) * ratio / (1.0 - ratio)
         if est > KERNEL_TAIL_RTOL:
             raise GridTooShortError(
                 "%s tail estimate %.2e exceeds %.0e of the partial sum" % (name, est, KERNEL_TAIL_RTOL),
-                needed=side[-1][0])
+                needed=needed)
 
-    check_tail(band, "upper")
-    check_tail(band[::-1], "lower")
+    check_tail(sizes[-3:], grid.m_max, "upper")
+    check_tail(sizes[2::-1], grid.m_min, "lower")
     if abs(top * lnq) >= 690.0:
         raise OverflowError("resummed value magnitude q^%.1f exceeds double range" % top)
     drop = top + math.log(KERNEL_DROP_RTOL) / lnq
-    # complex scales: a series times a scalar multiplies each coefficient
-    # by complex(scale), so both sums do the same operations
-    terms = [(m, inv, complex(q ** (e - top))) for m, inv, e, lm in band
-             if math.isfinite(lm) and lm >= drop]
+    terms = []
+    for m, size in zip(indices, sizes):
+        if size >= drop:
+            r, angle, qexp = _shifted(m + k0, frac, phase, log_th, arg_th)
+            # the inverse theta mantissa, of magnitude in (1/q, 1], and the
+            # complex scale: a series times a scalar multiplies each
+            # coefficient by complex(scale), so both sums do the same operations
+            terms.append((m, cmath.rect(q ** -r, -angle),
+                          complex(q ** (grid.values[m].qexp - qexp - top))))
     k_max = max(abs(m + k0) for m, _, _ in terms)
     units = (PRODUCT_STEP_UNITS * steps
              + FACTOR_UNITS * (2.0 * q / min(abs(1.0 + y), abs(1.0 + y / q))
@@ -419,7 +408,7 @@ class ResumReport:
     H: float
     verdict: str             # "pass" | "fail"
     used: int                # (N, t) pairs with E_N above the floor, which the fit reads
-    dropped: int             # (N, t) pairs with E_N at or below it
+    dropped: int             # (N, t) pairs with E_N at or below it, or infinite
     reasons: list = field(default_factory=list)
 
     @property
@@ -444,13 +433,22 @@ def sample_fan(geom, rays, radii):
 def remainder_row(q, values, w, t):
     """The remainders E_N = |W(t, 0) - partial_N(t)| at one point t, given
     w = W(t, 0) and values[N] = v_N(0), the formal solution's scaled
-    coefficients at z = 0 (FormalSolution.origin_values); the partial sums
-    are carried in QScaled form."""
-    ws, partial = QScaled(q, w), QScaled.zero(q)
-    row = []
+    coefficients at z = 0 (FormalSolution.origin_values).  The partial
+    sums are complex floats, the N-th term v_N exp(N log t + N(N-1)/2 ln
+    q), so q^{N(N-1)/2} and t^N never leave double range apart; a term
+    errs by a few units of its exponent's size.  Once a term or a partial
+    sum leaves double range, E_N is inf from that order on."""
+    log_t, lnq = cmath.log(t), math.log(q)
+    partial, row = 0j, []
     for N, vN in enumerate(values):
-        row.append(abs(ws - partial))
-        partial = partial + QScaled(q, vN * t ** N, N * (N - 1) / 2.0)
+        row.append(abs(w - partial))
+        if vN:
+            try:
+                partial += vN * cmath.exp(N * log_t + N * (N - 1) / 2.0 * lnq)
+            except OverflowError:
+                partial = math.inf
+            if not cmath.isfinite(partial):
+                return row + [math.inf] * (len(values) - 1 - N)
     return row
 
 
@@ -466,7 +464,9 @@ def asymptotic_check(sol, grid, epsilon, n_max, rays=8, radii=12, rows=None):
 
     Only the pairs (N, t) whose E_N lies above the rounding floor of
     W(t, 0) are read: at or below it, E_N may be the kernel sum's rounding
-    error.  With no pair resolved the verdict is a vacuous pass.
+    error.  An E_N outside double range (inf, see remainder_row) is not
+    read either, and counts with the unresolved pairs in `dropped`.  With
+    no pair resolved the verdict is a vacuous pass.
 
     `rows` maps each sample point t to W(t, 0) and its rounding floor,
     from the kernel sum q_laplace, and its remainder_row, and gains the
@@ -496,8 +496,9 @@ def asymptotic_check(sol, grid, epsilon, n_max, rays=8, radii=12, rows=None):
     wvals = [w for w, _, _ in picked]
     floors = [floor for _, floor, _ in picked]
     EN = [[row[N] for _, _, row in picked] for N in range(0, n_max + 1)]
-    # the resolved remainders, per order; None where E_N is at or below the floor
-    resolved = [[e if e > floor else None for e, floor in zip(EN[N], floors)]
+    # the resolved remainders, per order; None where E_N is at or below the
+    # floor or outside double range
+    resolved = [[e if floor < e < math.inf else None for e, floor in zip(EN[N], floors)]
                 for N in range(0, n_max + 1)]
 
     lnq = math.log(q)

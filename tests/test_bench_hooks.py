@@ -174,7 +174,7 @@ def test_reports_build_each_row_and_residual_series_once(monkeypatch):
 
 
 def test_kernel_table_sizes_are_the_largest_coefficients():
-    """On each benchmark DSL grid, the kernel table's log size of every
+    """On each benchmark DSL grid, the kernel sums' log size of every
     index is the same float as that of the value's norm_max."""
     inputs = _load("inputs")
     for workload in ("euler", "zseries"):
@@ -184,4 +184,4 @@ def test_kernel_table_sizes_are_the_largest_coefficients():
             for m, v in grid.values.items():
                 n = v.series.norm_max()
                 size = v.qexp + math.log(n) / lnq if n > 0 else -math.inf
-                assert grid.peak_coeffs[m][0] == size, (key, m)
+                assert grid.logq_sizes[m] == size, (key, m)

@@ -13,7 +13,8 @@ the output re-records them with
 
     PYTHONPATH=src python tests/test_cli_views.py
 
-and says why in its description.
+which prints each key whose digest changed, and says why in its
+description.
 """
 
 import hashlib
@@ -99,7 +100,15 @@ def test_view_output_is_unchanged(tmp_path, recorded, command):
 
 
 if __name__ == "__main__":
+    old = {}
+    if os.path.exists(DIGESTS):
+        with open(DIGESTS, encoding="utf-8") as fh:
+            old = json.load(fh)
+    new = all_digests()
+    for key in sorted(set(old) | set(new)):
+        if old.get(key) != new.get(key):
+            print(key)
     with open(DIGESTS, "w", encoding="utf-8") as fh:
-        json.dump(all_digests(), fh, indent=2, sort_keys=True)
+        json.dump(new, fh, indent=2, sort_keys=True)
         fh.write("\n")
     sys.exit(0)

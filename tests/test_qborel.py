@@ -1,8 +1,6 @@
-import cmath
 import math
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
 from qsum.corpus import corpus
 from qsum.equation import parse_equation
@@ -12,7 +10,7 @@ from qsum.newton import (characteristic_polynomial, check_shape,
                          newton_polygon, reduced_coefficients,
                          singular_directions)
 from qsum.qborel import (borel_transform, borel_transformed_equation,
-                         continue_spiral, fit_spiral_bound, lead_roots, near_peak)
+                         continue_spiral, fit_spiral_bound, lead_roots)
 from qsum.qlaplace import q_laplace
 from qsum.series import TruncatedSeries
 
@@ -129,8 +127,8 @@ def test_kernel_table_of_zero_and_constant_values():
     from qsum.qborel import ScaledSeries, SpiralGrid
     values = {0: ScaledSeries(TruncatedSeries.zero(0, 1, 1), 0.0),
               1: ScaledSeries(TruncatedSeries.const(1.5, 0, 1, 1), 3.0)}
-    table = SpiralGrid(1.0, 2.0, 0, 1, 0, values, [], 1.0, 0).peak_coeffs
-    assert table == {0: (-math.inf, ()), 1: (3.0 + math.log(1.5) / math.log(2.0), (1.5 + 0j,))}
+    sizes = SpiralGrid(1.0, 2.0, 0, 1, 0, values, [], 1.0, 0).logq_sizes
+    assert sizes == {0: -math.inf, 1: 3.0 + math.log(1.5) / math.log(2.0)}
 
 
 def test_truncation_stability_under_kz_doubling():
@@ -157,49 +155,4 @@ def test_kernel_consistency_with_doubled_range(euler_grid, euler_eq, euler_sol):
         a, _ = q_laplace(euler_grid, t)
         b, _ = q_laplace(wide, t)
         assert abs(a - b) <= 1e-6 * abs(b)
-
-
-SUB = 5e-324  # the smallest subnormal double
-TIE_A, TIE_B = 1.857826078576913, 1.5360129542659842
-SUBNORMAL = [complex(-6 * SUB, -12 * SUB), complex(3 * SUB, 8 * SUB), complex(-8 * SUB, 11 * SUB),
-             complex(-4 * SUB, 9 * SUB)]
-
-
-@st.composite
-def value_and_inverse(draw):
-    """Coefficients of a grid value and an inverse theta mantissa x with
-    |x| in (1/q, 1], as _kernel_terms multiplies them.  The coefficients
-    mix exact-modulus ties at different phases (a+bi, b+ai and sign
-    flips have the same computed abs), 1-ulp near-ties, smaller values
-    and subnormals, or are all subnormal."""
-    q = draw(st.sampled_from((1.05, 2.0, 10.0)))
-    x = cmath.rect(draw(st.floats(1.0 / q, 1.0, exclude_min=True)), draw(st.floats(-math.pi, math.pi)))
-    subnormal = st.builds(lambda i, j: complex(i * SUB, j * SUB),
-                          st.integers(-16, 16), st.integers(-16, 16))
-    if draw(st.booleans()):
-        return draw(st.lists(subnormal, max_size=8)), x
-    a, b = draw(st.floats(0.0, q)), draw(st.floats(0.0, q))
-    down = math.nextafter(a, 0.0)
-    close = [complex(a, b), complex(b, a), complex(-a, b), complex(a, -b), complex(-b, -a),
-             complex(down, b), complex(b, -down), complex(a, math.nextafter(b, math.inf))]
-    smaller = st.complex_numbers(max_magnitude=a, allow_nan=False, allow_infinity=False)
-    coeffs = draw(st.lists(st.one_of(st.sampled_from(close), smaller, subnormal), max_size=12))
-    return draw(st.permutations(coeffs)), x
-
-
-@settings(max_examples=400, deadline=None)
-@given(value_and_inverse())
-@example(([complex(TIE_A, TIE_B), complex(TIE_B, TIE_A), complex(-TIE_A, TIE_B),
-           complex(TIE_A, -TIE_B)], complex(-0.40654867369770686, -0.6911583784520087)))
-@example((SUBNORMAL, complex(0.756972966008103, -0.6286141373971187)))
-def test_near_peak_coefficients_hold_the_largest_product(case):
-    """The kernel term size max |c * x| over the near-peak coefficients is
-    the same float as over every coefficient.  The first example is an
-    exact tie whose products differ in the last bit; the second is a
-    subnormal value where a purely relative cut would drop the maximum."""
-    coeffs, x = case
-    peaks = near_peak(coeffs)
-    assert all(c in coeffs for c in peaks)
-    assert (max((abs(c * x) for c in peaks), default=None)
-            == max((abs(c * x) for c in coeffs), default=None))
 

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import sys
 from dataclasses import fields
 
 import pytest
@@ -8,8 +9,9 @@ import pytest
 import qsum.qlaplace
 from qsum.errors import PoleProximityError
 from qsum.qborel import borel_transform, borel_transformed_equation, continue_spiral
-from qsum.qlaplace import (ResumReport, SpiralGeometry, asymptotic_check, q_laplace,
-                           q_laplace_series, residual_check, sample_fan, theta, zone_membership)
+from qsum.qlaplace import (ResumReport, SpiralGeometry, _kernel_terms, asymptotic_check,
+                           q_laplace, q_laplace_series, residual_check, sample_fan, theta,
+                           zone_membership)
 from qsum.scaled import QScaled
 
 Q = 2.0
@@ -338,12 +340,85 @@ def test_asymptotic_epsilon_must_be_disjoint(euler_sol, euler_grid):
         asymptotic_check(euler_sol, euler_grid, 0.5, 4)
 
 
+def test_asymptotic_check_skips_remainders_outside_double_range():
+    """At q = 10 and 40 orders the partial sums leave double range, so
+    1,200 of the E_N are infinite.  Read as resolved they fit H = inf
+    and M = 0 and still pass; skipped and counted as dropped, the fit
+    is finite."""
+    from qsum.pipeline import Options, Run
+    from conftest import EULER_TEXT
+    rep = Run(EULER_TEXT.replace("q=2", "q=10"), Options(orders=40, n_check=40)).asymptotic
+    infinite = sum(e == math.inf for row in rep.EN for e in row)
+    assert infinite > 0 and rep.dropped >= infinite
+    assert rep.used + rep.dropped == len(rep.samples) * 41
+    assert math.isfinite(rep.H) and math.isfinite(rep.M) and rep.M > 0
+
+
+@pytest.mark.parametrize("q", [1.2, 2.0, 10.0])
+@pytest.mark.parametrize("name", ["euler", "readme-d1"])
+def test_remainder_row_matches_the_mpmath_partial_sums(name, q):
+    """E_N = |W - partial_N| against the same v_N, t and W summed at 60
+    digits.  The bound counts units u = 2^-53: term n, v_n exp(x_n) with
+    x_n = n log t + n(n-1)/2 ln q, errs by the rounding of x_n, at most
+    3 X_n with X_n = |n ln|t|| + n(n-1)/2 ln q + n |arg t|, plus 6 for
+    the exponential and the product; each of the N additions by 2 of
+    the partial sum, at most sum |terms|; the difference with W by 2 of
+    |W| + sum |terms|, and the modulus by 1 of E_N.  Without the 3 X_n
+    the bound fails by factors up to 6 at q = 10."""
+    mp = pytest.importorskip("mpmath")
+    from qsum.pipeline import Options, Run
+    from qsum.qlaplace import ROUNDING_UNIT, remainder_row
+    from conftest import EULER_TEXT, EX2_TEXT
+    eps = min(0.3, 0.5 * (q - 1.0) / (q + 1.0))
+    text = {"euler": EULER_TEXT, "readme-d1": EX2_TEXT}[name]
+    run = Run(text.replace("q=2", "q=%r" % q), Options(epsilon=eps))
+    rep = run.asymptotic
+    values = run.solution.origin_values(12)
+    lnq = math.log(q)
+    with mp.workdps(60):
+        for t, w in zip(rep.samples, rep.Wvals):
+            row = remainder_row(q, values, w, t)
+            partial, weighted, size = mp.mpc(0), 0.0, 0.0
+            for N, vN in enumerate(values):
+                want = abs(mp.mpc(w) - partial)
+                bound = ROUNDING_UNIT * (weighted + 2.0 * (abs(w) + size) + float(want))
+                assert abs(row[N] - want) <= bound, (name, q, t, N)
+                term = mp.mpc(vN) * mp.mpc(t) ** N * mp.mpf(q) ** (N * (N - 1) // 2)
+                partial += term
+                X = N * abs(math.log(abs(t))) + N * (N - 1) / 2.0 * lnq + N * abs(cmath.phase(t))
+                weighted += float(abs(term)) * (3.0 * X + 6.0 + 2.0 * len(values))
+                size += float(abs(term))
+
+
+def test_remainder_row_is_infinite_once_a_term_leaves_double_range():
+    """At q = 10 and 40 orders the q-Euler terms t^N q^{N(N-1)/2} (v_N =
+    +-1) leave double range within the row: E_N is finite up to the
+    first such term and inf for every order after it.  The QScaled
+    partial sums this replaced did the same, except that their modulus
+    turned inf above 2^1020 rather than the largest double, one order
+    earlier on the radius 0.026 here."""
+    from qsum.pipeline import Options, Run
+    from qsum.qlaplace import remainder_row
+    from conftest import EULER_TEXT
+    q = 10.0
+    run = Run(EULER_TEXT.replace("q=2", "q=10"), Options(orders=40, n_check=40))
+    values = run.solution.origin_values(40)
+    assert all(abs(v) == 1.0 for v in values)
+    largest = math.log(sys.float_info.max)
+    for t, w in zip(run.asymptotic.samples, run.asymptotic.Wvals):
+        row = remainder_row(q, values, w, t)
+        first = next(N for N in range(41)
+                     if N * math.log(abs(t)) + N * (N - 1) / 2.0 * math.log(q) > largest)
+        assert all(math.isfinite(e) for e in row[:first + 1]), t
+        assert row[first + 1:] == [math.inf] * (40 - first), t
+
+
 def _direct_q_laplace_series(grid, t, epsilon):
     """The kernel sum over every grid index, each term sized by the largest
-    coefficient of its whole series: the reference the banded sum in
-    q_laplace_series must reproduce exactly.  Every theta comes from the
-    one triple product at the reduced argument of lambda / t and the
-    closed form, as there."""
+    coefficient of its whole series, and the indices it keeps: the
+    reference for q_laplace_series, which sizes the terms in closed form.
+    Every theta comes from the one triple product at the reduced argument
+    of lambda / t and the closed form, as there."""
     from qsum.errors import GridTooShortError
     from qsum.qlaplace import _shifted, _theta_product
     from qsum.series import TruncatedSeries
@@ -365,7 +440,7 @@ def _direct_q_laplace_series(grid, t, epsilon):
             for m, s, e in terms]
     finite = [lm for _, lm in mags if math.isfinite(lm)]
     if not finite:
-        return TruncatedSeries.zero(grid.d, 1, grid.values[grid.m_max].series.Kz)
+        return TruncatedSeries.zero(grid.d, 1, grid.values[grid.m_max].series.Kz), []
     top = max(finite)
     lnq = math.log(q)
 
@@ -386,13 +461,14 @@ def _direct_q_laplace_series(grid, t, epsilon):
 
     check_tail(mags, "upper")
     check_tail(list(reversed(mags)), "lower")
-    acc = None
+    acc, kept = None, []
     for (m, s, e), (_, lm) in zip(terms, mags):
         if not math.isfinite(lm) or lm < top + math.log(1e-16) / lnq:
             continue
         piece = s * (q ** (e - top))
         acc = piece if acc is None else acc + piece
-    return acc * (q ** top)
+        kept.append(m)
+    return acc * (q ** top), kept
 
 
 def _near_disk_points(grid, ratio):
@@ -432,11 +508,16 @@ def _band_cases(grid):
 
 @pytest.mark.parametrize("name", BAND_GRIDS)
 def test_banded_kernel_sum_equals_the_direct_sum(band_grids, name):
+    """The closed-form sizes keep the indices the whole-series sizes of
+    the reference keep, and W(t, 0) differs from the reference's by no
+    more than q_laplace's rounding floor."""
     grid = band_grids[name]
+    origin = (0.0,) * grid.d
     for eps, t in _band_cases(grid):
-        got = q_laplace_series(grid, t, eps)
-        want = _direct_q_laplace_series(grid, t, eps)
-        assert got == want, (name, eps, t)
+        want, kept = _direct_q_laplace_series(grid, t, eps)
+        assert [m for m, _, _ in _kernel_terms(grid, t, eps)[0]] == kept, (name, eps, t)
+        w, floor = q_laplace(grid, t, eps)
+        assert abs(w - want.evaluate(0.0, origin)) <= floor, (name, eps, t)
 
 
 @pytest.mark.parametrize("name", BAND_GRIDS)
