@@ -238,7 +238,7 @@ def _square(run, args):
 
 def _solve(run, args):
     sol, fit = run.solution, run.gevrey
-    log10 = [m.log_abs() / math.log(10.0) if not m.is_zero() else None for m in sol.norms]
+    log10 = [lg / math.log(10.0) if lg is not None else None for lg in sol.log_norms]
     doc = {"orders": sol.count, "A": fit.A, "h": fit.H,
            "coefficients": [{"n": n, "v": series_rows(v), "log10_norm": log10[n], "g": fit.diag[n]}
                             for n, v in enumerate(sol.scaled)]}

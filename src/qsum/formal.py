@@ -18,7 +18,6 @@ from functools import cached_property
 
 from .errors import ResonanceError, UnsupportedEquationError
 from .growth import fit_envelope
-from .scaled import QScaled
 from .series import TruncatedSeries, residual_norms
 
 RESONANCE_TOL = 1e-12
@@ -38,16 +37,18 @@ class FormalSolution:
         return tuple(v.sup_norm(self.R1) for v in self.scaled)
 
     @cached_property
-    def norms(self):
-        """Sup norms of X_n = v_n q^{n(n-1)/2} on |z| <= R1, as QScaled."""
-        return tuple(QScaled(self.q, s, n * (n - 1) / 2.0) for n, s in enumerate(self.sup_norms))
+    def log_norms(self):
+        """log ||X_n|| = log ||v_n|| + n(n-1)/2 ln q on |z| <= R1, per
+        order; None for zero."""
+        lnq = math.log(self.q)
+        return tuple(math.log(s) + n * (n - 1) / 2.0 * lnq if s > 0 else None
+                     for n, s in enumerate(self.sup_norms))
 
     def certified_by(self, fit):
         """Whether ||X_n|| <= A h^n q^{n(n-1)/2} holds on every order for
-        the Gevrey fit's (A, h), read on the QScaled norms of X_n."""
+        the Gevrey fit's (A, h), read on log_norms."""
         lnq = math.log(self.q)
-        return fit.holds([None if m.is_zero() else m.log_abs() for m in self.norms],
-                         [n * (n - 1) / 2.0 * lnq for n in range(self.count + 1)])
+        return fit.holds(self.log_norms, [n * (n - 1) / 2.0 * lnq for n in range(self.count + 1)])
 
     def origin_values(self, n_max):
         """v_0..v_{n_max} at z = 0."""

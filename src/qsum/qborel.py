@@ -24,11 +24,12 @@ from .errors import (EffectivelySingularError, GridTooShortError,
 from .formal import gevrey_fit
 from .growth import fit_envelope
 from .newton import SINGULAR_RAY_TOL, durand_kerner, ray_clearance
-from .scaled import _ALIGN_BITS
 from .series import TruncatedSeries, divide
 
 SEED_TAIL_RTOL = 1e-14
 LEAD_SINGULAR_TOL = 1e-10
+# exponent gaps beyond this (in units of log2) cannot influence a double
+_ALIGN_BITS = 1100.0
 
 
 @dataclass(frozen=True)

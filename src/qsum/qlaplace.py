@@ -19,7 +19,8 @@ solution is the kernel-weighted sum over the continuation grid
 
 whose poles lie on the spiral -lambda q^Z; the monomial inversion
 identity sum_m (lambda q^m)^n / theta_q(lambda q^m / t) = q^{n(n-1)/2} t^n
-is the internal witness that this convention inverts the Borel transform.
+is the internal witness that this convention inverts the Borel transform;
+the tests sum it with q_laplace itself, over a grid of monomials xi^n.
 Every theta(lambda q^m / t) of one W shares one reduced argument, so a
 kernel sum takes one product.  W(t, 0) comes with the rounding floor of
 its sum, and the asymptotic verifier reads only remainders above it.
@@ -91,10 +92,13 @@ def theta(x, q):
     x = -q**k it gives y = -1 exactly and the result is the zero QScaled.
     No terms cancel: near a zero the relative error is a few units of
     2^-53 over x's relative distance from it, the condition number of
-    theta there."""
+    theta there.  A base q outside (1, inf) and an x that is zero or not
+    finite raise ValueError."""
     x = complex(x)
-    if x == 0:
-        raise ValueError("theta is undefined at x = 0")
+    if not 1.0 < q < math.inf:
+        raise ValueError("theta needs a base q in (1, inf), got %r" % q)
+    if x == 0 or not cmath.isfinite(x):
+        raise ValueError("theta is undefined at x = %r" % x)
     lnq = math.log(q)
     k = math.floor(math.log(abs(x)) / lnq)
     # the log may round across an integer; step k until 1 <= |x / q**k| < q

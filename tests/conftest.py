@@ -8,12 +8,24 @@ sys.path.insert(0, os.path.dirname(__file__))
 from qsum.equation import parse_equation
 from qsum.formal import solve_formal
 from qsum.newton import check_shape, newton_polygon
-from qsum.qborel import borel_transform, borel_transformed_equation, continue_spiral
+from qsum.qborel import (ScaledSeries, SpiralGrid, borel_transform, borel_transformed_equation,
+                         continue_spiral)
+from qsum.series import TruncatedSeries
 
 BASE_SEED = int(os.environ.get("QSUM_SEED", "20240901"))
 
 EULER_TEXT = "q=2; delta=1; m=1; d=0; eq: t*S^1(X) + S^0(X) = 1"
 EX2_TEXT = "q=2; delta=1; m=2; d=1; eq: S^1(X) + t*S^2(X) + t*S^1 Dz1^1(X) = 1/(1-z1)"
+
+
+def monomial_grid(q, n, reach=60):
+    """A grid on lambda = 1 whose value at index m is the monomial xi^n at
+    xi = q^m, the constant series 1 with q-exponent n m, for m = -reach ..
+    reach.  q_laplace over it sums the kernel inversion identity
+    sum_m (q^m)^n / theta_q(q^m / t) = q^{n(n-1)/2} t^n."""
+    one = TruncatedSeries.const(1.0, 0, 1, 1)
+    values = {m: ScaledSeries(one, float(n * m)) for m in range(-reach, reach + 1)}
+    return SpiralGrid(1.0, q, -reach, reach, 0, values, [], 1.0, 0)
 
 
 @pytest.fixture(scope="session")

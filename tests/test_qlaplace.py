@@ -12,7 +12,7 @@ from qsum.qborel import borel_transform, borel_transformed_equation, continue_sp
 from qsum.qlaplace import (ResumReport, SpiralGeometry, _kernel_terms, asymptotic_check,
                            q_laplace, q_laplace_series, residual_check, sample_fan, theta,
                            zone_membership)
-from qsum.scaled import QScaled
+from conftest import monomial_grid
 
 Q = 2.0
 
@@ -23,24 +23,6 @@ THETA_ONE_Q2 = 3.2832651213103077
 
 def direct_theta(x, q, nrange=60):
     return sum(q ** (-n * (n - 1) / 2.0) * x ** n for n in range(-nrange, nrange + 1))
-
-
-def test_theta_functional_equation():
-    rng = random.Random(42)
-    worst = 0.0
-    for _ in range(100):
-        x = cmath.rect(math.exp(rng.uniform(-3.0, 3.0)), rng.uniform(-math.pi, math.pi))
-        lhs = theta(Q * x, Q)
-        rhs = QScaled(Q, Q * x) * theta(x, Q)
-        worst = max(worst, abs((lhs / rhs).to_complex() - 1.0))
-    assert worst <= 1e-12
-
-
-def test_theta_zero_set():
-    for k in range(-3, 4):
-        z = theta(-Q ** k, Q)
-        ref = theta(Q ** k, Q)
-        assert math.exp(z.log_abs() - ref.log_abs()) <= 1e-10
 
 
 def test_theta_regression_value():
@@ -54,13 +36,23 @@ def test_theta_rejects_origin():
         theta(0.0, Q)
 
 
+@pytest.mark.parametrize("x, q", [(1.5, 0.5), (1.5, 1.0), (1.5, -2.0), (1.5, math.inf),
+                                  (1.5, math.nan), (math.nan, Q), (math.inf, Q),
+                                  (complex(1.0, math.nan), Q)])
+def test_theta_rejects_a_bad_base_or_a_non_finite_argument(x, q):
+    # unchecked, q < 1 never leaves the reduction's loop and q = inf the product's
+    with pytest.raises(ValueError):
+        theta(x, q)
+
+
 def test_theta_extreme_argument_magnitudes():
     # theta value far beyond double range; checked through the functional eq
     big = theta(2.0 ** 40, Q)
     ref = theta(2.0 ** 39, Q)
-    expect = QScaled(Q, 1.0, 40.0) * ref  # q x theta(x) with x = 2^39
-    assert abs((big / expect).to_complex() - 1.0) <= 1e-12
-    assert big.logq_abs() > 700  # not representable unscaled
+    # q x theta(x) with x = 2^39: the same mantissa, 40 more in the exponent
+    assert abs(big.mantissa / ref.mantissa - 1.0) <= 1e-12
+    assert big.qexp == ref.qexp + 40
+    assert big.qexp > 700  # not representable unscaled
 
 
 def test_theta_is_zero_on_the_zero_set():
@@ -181,17 +173,14 @@ def test_zone_scan_skips_indices_beyond_double_range():
     assert on_pole.kind == "inside" and on_pole.m == 3 and on_pole.min_ratio == 0.0
 
 
-def test_kernel_inversion_identity():
-    lam, t = 1.0, 0.3
-    base = math.log(abs(lam)) / math.log(Q)
-    for n in range(0, 9):
-        acc = QScaled.zero(Q)
-        for m in range(-60, 61):
-            th = theta(lam * Q ** m / t, Q)
-            num = QScaled.from_polar(Q, n * (base + m), 0.0)
-            acc = acc + num / th
-        want = QScaled(Q, t ** n, n * (n - 1) / 2.0)
-        assert abs((acc / want).to_complex() - 1.0) <= 1e-7
+@pytest.mark.parametrize("q", [1.2, 1.5, 3.0, 10.0])
+def test_kernel_inversion_identity(q):
+    # the production kernel sum over a grid of monomials xi^n meets the
+    # identity within its own rounding floor
+    for t in (0.3, cmath.rect(0.3, 2.0)):
+        for n in range(0, 9):
+            w, floor = q_laplace(monomial_grid(q, n), t)
+            assert abs(w - q ** (n * (n - 1) / 2.0) * t ** n) <= floor, (t, n)
 
 
 def test_q_laplace_euler_value_and_rejection(euler_grid):

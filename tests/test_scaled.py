@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import pytest
@@ -12,48 +11,14 @@ def test_normalization_invariant():
     assert abs(v.to_complex() - (12.5 + 3j) * 16.0) <= 1e-9 * abs(v.to_complex())
 
 
-def test_zero_and_arithmetic():
+def test_exponents_beyond_double_range():
+    """log_abs and to_complex at the ends of the exponent range: zero, a
+    value above double range and one below it."""
     q = 2.0
     z = QScaled.zero(q)
-    a = QScaled(q, 3.0, 10.0)
-    assert (z + a).to_complex() == a.to_complex()
-    assert (a - a).is_zero()
-    b = QScaled(q, -0.25j, -3.0)
-    prod = a * b
-    assert cmath.isclose(prod.to_complex(), a.to_complex() * b.to_complex(), rel_tol=1e-12)
-    quot = a / b
-    assert cmath.isclose(quot.to_complex(), a.to_complex() / b.to_complex(), rel_tol=1e-12)
-
-
-def test_exponents_beyond_double_range():
-    q = 2.0
-    big = QScaled(q, 1.5, 900.0)
-    small = QScaled(q, 1.5, -900.0)
-    prod = big * small
-    assert cmath.isclose(prod.to_complex(), 2.25, rel_tol=1e-12)
-    # the huge value itself cannot collapse
+    assert z.is_zero() and z.to_complex() == 0j and z.log_abs() == -math.inf
+    big = QScaled(q, -3.0j, 1800.0)
+    assert big.log_abs() == pytest.approx(math.log(3.0) + 1800.0 * math.log(q), rel=1e-15)
     with pytest.raises(OverflowError):
-        (big * big).to_complex()
-    assert (big * big).logq_abs() == pytest.approx(2 * (math.log2(1.5) + 900.0), rel=1e-12)
-
-
-def test_add_alignment_drops_negligible():
-    q = 2.0
-    a = QScaled(q, 1.0, 0.0)
-    tiny = QScaled(q, 1.0, -2000.0)
-    assert (a + tiny).to_complex() == 1.0
-
-
-def test_from_polar():
-    q = 3.0
-    v = QScaled.from_polar(q, 2.5, math.pi / 3)
-    assert v.logq_abs() == pytest.approx(2.5, abs=1e-12)
-    assert v.phase() == pytest.approx(math.pi / 3, abs=1e-12)
-
-
-def test_mixed_scalar_ops():
-    q = 2.0
-    a = QScaled(q, 1.25, 2.0)
-    assert cmath.isclose((a * 2.0).to_complex(), 10.0, rel_tol=1e-12)
-    assert cmath.isclose((1.0 / a).to_complex(), 0.2, rel_tol=1e-12)
-    assert cmath.isclose((a + 1.0).to_complex(), 6.0, rel_tol=1e-12)
+        big.to_complex()
+    assert QScaled(q, 1.5, -1800.0).to_complex() == 0j
