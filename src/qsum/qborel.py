@@ -15,6 +15,7 @@ mantissa * q^exponent form because the values grow like q^{m^2/2}.
 
 import cmath
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -145,6 +146,37 @@ def _scaled_sum(q, parts):
     return _normalize(q, acc, top)
 
 
+class _OnDemand(dict):
+    """A dict that fills a missing key on first read with fill(key); fill
+    raises KeyError for a key it cannot fill."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+class SeedValues(_OnDemand):
+    """Grid values m -> ScaledSeries whose indices in `low` are direct
+    sums of the Borel series, each summed on first read; the march fills
+    the others.  bounds[m] is log_q of sum_k ||u_k|| |xi|^k at an index in
+    `low`, at least log_q of the value's largest coefficient magnitude,
+    and inf at every other index."""
+
+    def __init__(self, fill, low, bound):
+        super().__init__(fill)
+        self.low = low
+        self.bounds = _OnDemand(lambda m: bound(m) if m in low else math.inf)
+
+    def __missing__(self, m):
+        if m not in self.low:
+            raise KeyError(m)
+        return super().__missing__(m)
+
+
 @dataclass
 class SpiralGrid:
     """Continued Borel values on the grid lambda * q^m."""
@@ -164,20 +196,28 @@ class SpiralGrid:
         return ray_clearance(self.lam, [cmath.phase(r) for r in self.lead_roots])
 
     @cached_property
+    def size_bounds(self):
+        """m -> an upper bound on logq_sizes[m]: SeedValues.bounds, or inf
+        at every index of a grid built otherwise."""
+        values = self.values
+        return values.bounds if isinstance(values, SeedValues) else defaultdict(lambda: math.inf)
+
+    @cached_property
     def norms_logq(self):
-        """log_q of each value's sup norm on |z| <= R1, -inf for zero."""
-        lnq = math.log(self.q)
-        return {m: math.log(s) / lnq + v.qexp if (s := v.series.sup_norm(self.R1)) != 0.0
-                else -math.inf
-                for m, v in self.values.items()}
+        """log_q of each value's sup norm on |z| <= R1, -inf for zero;
+        filled per index on first read."""
+        values, lnq, R1 = self.values, math.log(self.q), self.R1
+        return _OnDemand(lambda m: math.log(s) / lnq + v.qexp
+                         if (s := (v := values[m]).series.sup_norm(R1)) != 0.0 else -math.inf)
 
     @cached_property
     def logq_sizes(self):
         """log_q of each value's largest coefficient magnitude, -inf for
-        zero: the kernel sums size their terms from it."""
-        lnq = math.log(self.q)
-        return {m: v.qexp + math.log(n) / lnq if (n := v.series.norm_max()) > 0 else -math.inf
-                for m, v in self.values.items()}
+        zero: the kernel sums size their terms from it.  Filled per index
+        on first read."""
+        values, lnq = self.values, math.log(self.q)
+        return _OnDemand(lambda m: v.qexp + math.log(n) / lnq
+                         if (n := (v := values[m]).series.norm_max()) > 0 else -math.inf)
 
 
 def continue_spiral(beq, u, lam, m_max, seed_radius_fraction=0.5, extra_low=60):
@@ -185,9 +225,11 @@ def continue_spiral(beq, u, lam, m_max, seed_radius_fraction=0.5, extra_low=60):
 
     A seed window of direct summations of the convergent series (tail
     below SEED_TAIL_RTOL) anchors the march; above it, each step isolates
-    the newest grid value through the leading symbol.  The grid also
-    extends `extra_low` indices below the seed window by direct summation
-    so that downstream kernel sums have their decaying tail available.
+    the newest grid value through the leading symbol.  Each direct sum
+    runs on first read (SeedValues): the march reads the seed window, and
+    `extra_low`, the floor of the direct sums, extends the grid that many
+    indices below it so that downstream kernel sums have their decaying
+    tail available; they sum only the indices they keep or check.
     """
     q = beq.q
     lam = complex(lam)
@@ -209,8 +251,8 @@ def continue_spiral(beq, u, lam, m_max, seed_radius_fraction=0.5, extra_low=60):
     norms = [v.norm_max() for v in u.coeffs]
 
     def seed_terms(m):
-        """The powers xi^k at xi = lam q^m and the relative tail estimate
-        of the sum of u_k xi^k there.
+        """The powers xi^k at xi = lam q^m, the relative tail estimate of
+        the sum of u_k xi^k there and the sum of the ||u_k|| |xi^k|.
 
         The tail ratio is taken from the observed decay of the last term
         norms rather than from the fitted radius, which can overshoot."""
@@ -234,7 +276,7 @@ def continue_spiral(beq, u, lam, m_max, seed_radius_fraction=0.5, extra_low=60):
         else:
             tail = max(term_norms[-3:]) * r / (1.0 - r)
         rel = tail / peak if peak > 0 else 0.0
-        return powers, rel
+        return powers, rel, sum(term_norms)
 
     # top of the seed window: inside the disk by the requested fraction and
     # with the direct-summation tail below tolerance; |xi| is also capped
@@ -245,7 +287,7 @@ def continue_spiral(beq, u, lam, m_max, seed_radius_fraction=0.5, extra_low=60):
         top = math.floor(math.log(1.0 / abs(lam), q)) if abs(lam) > 1 else 0
     top = min(top, m_max)
     for _ in range(400):
-        _, rel = seed_terms(top)
+        _, rel, _ = seed_terms(top)
         if rel <= SEED_TAIL_RTOL:
             break
         top -= 1
@@ -253,13 +295,20 @@ def continue_spiral(beq, u, lam, m_max, seed_radius_fraction=0.5, extra_low=60):
         raise RadiusTooSmallError(
             "direct summation cannot reach relative tail %.1e inside the disk" % SEED_TAIL_RTOL)
 
+    # the march reads the `window` indices below it; every seed index,
+    # down to `extra_low` below those, is summed on first read
     window = max(beq.reach, 1)
     m_min = top - window + 1 - extra_low
-    values = {}
-    for m in range(m_min, top + 1):
-        powers, _ = seed_terms(m)
-        v = TruncatedSeries.combination(zip(u.coeffs, powers))
-        values[m] = _normalize(q, v, 0.0)
+
+    def seed_value(m):
+        powers, _, _ = seed_terms(m)
+        return _normalize(q, TruncatedSeries.combination(zip(u.coeffs, powers)), 0.0)
+
+    def seed_bound(m):
+        total = seed_terms(m)[2]
+        return math.log(total) / math.log(q) if total > 0 else -math.inf
+
+    values = SeedValues(seed_value, range(m_min, top + 1), seed_bound)
 
     lead_slices = beq.lead.t_slices()
     lead_deg = max((i for i, _ in lead_slices), default=0)

@@ -30,6 +30,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import GridTooShortError, PoleProximityError, UsageError
 from .growth import last_third, ls_slope
@@ -272,7 +273,9 @@ def _kernel_terms(grid, t, epsilon):
     value's (SpiralGrid.logq_sizes) less log_q|theta(q^k y)| = k(k+1)/2 +
     k frac + log_q|theta(y)|, k = m + k0, in floats; the tail checks, top,
     the drop rule and the overflow guard read those sizes, and only the
-    kept terms get a theta mantissa.  Returns (terms, top, rtol), rtol the
+    kept terms get a theta mantissa.  Below theta's vertex the sizing
+    stops where SpiralGrid.size_bounds shows that no lower term passes
+    the drop rule, so the grid never sums those values.  Returns (terms, top, rtol), rtol the
     bound on a term's relative rounding error that the rounding floor
     reads; the terms are empty when every grid value is zero."""
     q, lam = grid.q, grid.lam
@@ -293,12 +296,25 @@ def _kernel_terms(grid, t, epsilon):
     th, steps = _theta_product(y, q)
     # t lies outside the disks, so theta(y) is not zero
     log_th, arg_th = math.log(abs(th)) / lnq, cmath.phase(th)
-    # log_q sizes of the terms: the value's less log_q|theta(lambda q^m / t)|
-    indices = range(grid.m_min, grid.m_max + 1)
-    table = grid.logq_sizes
-    sizes = [table[m] - ((m + k0) * (m + k0 + 1) / 2.0 + (m + k0) * frac + log_th)
-             for m in indices]
-    top = max(sizes)
+    # log_q sizes of the terms: the value's less log_q|theta(lambda q^m / t)|,
+    # at the three indices at each end (the tail checks read them) and at
+    # every index from theta's vertex (m + k0 = 0) or the upper three up
+    table, bounds, lo, hi = grid.logq_sizes, grid.size_bounds, grid.m_min, grid.m_max
+    start = max(lo, min(-k0, hi - 2))
+    sizes = {m: table[m] - ((m + k0) * (m + k0 + 1) / 2.0 + (m + k0) * frac + log_th)
+             for m in chain(range(lo, min(lo + 3, start)), range(start, hi + 1))}
+    top = max(sizes.values())
+    # below the vertex theta's size grows and the grid's size bound falls as
+    # m falls: once a term's bound is a q-unit below the drop threshold, no
+    # lower term can pass it, and the walk down stops before the grid sums
+    # those values
+    gap = math.log(KERNEL_DROP_RTOL) / lnq
+    for m in range(start - 1, lo + 2, -1):
+        th = (m + k0) * (m + k0 + 1) / 2.0 + (m + k0) * frac + log_th
+        if bounds[m] - th < top + gap - 1.0:
+            break
+        size = sizes[m] = table[m] - th
+        top = max(top, size)
     if top == -math.inf:
         return [], None, 0.0
 
@@ -316,13 +332,13 @@ def _kernel_terms(grid, t, epsilon):
                 "%s tail estimate %.2e exceeds %.0e of the partial sum" % (name, est, KERNEL_TAIL_RTOL),
                 needed=needed)
 
-    check_tail(sizes[-3:], grid.m_max, "upper")
-    check_tail(sizes[2::-1], grid.m_min, "lower")
+    check_tail([sizes[m] for m in range(max(hi - 2, lo), hi + 1)], hi, "upper")
+    check_tail([sizes[m] for m in range(min(lo + 2, hi), lo - 1, -1)], lo, "lower")
     if abs(top * lnq) >= 690.0:
         raise OverflowError("resummed value magnitude q^%.1f exceeds double range" % top)
-    drop = top + math.log(KERNEL_DROP_RTOL) / lnq
+    drop = top + gap
     terms = []
-    for m, size in zip(indices, sizes):
+    for m, size in sorted(sizes.items()):
         if size >= drop:
             r, angle, qexp = _shifted(m + k0, frac, phase, log_th, arg_th)
             # the inverse theta mantissa, of magnitude in (1/q, 1], and the

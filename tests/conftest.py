@@ -16,6 +16,8 @@ BASE_SEED = int(os.environ.get("QSUM_SEED", "20240901"))
 
 EULER_TEXT = "q=2; delta=1; m=1; d=0; eq: t*S^1(X) + S^0(X) = 1"
 EX2_TEXT = "q=2; delta=1; m=2; d=1; eq: S^1(X) + t*S^2(X) + t*S^1 Dz1^1(X) = 1/(1-z1)"
+MIXED_D2_TEXT = ("q=2; delta=1; m=2; d=2; "
+                 "eq: S^1(X) + t*S^2(X) + t^2*z2*S^0 Dz1^1 Dz2^1(X) = 1 + z1*z2")
 
 
 def monomial_grid(q, n, reach=60):

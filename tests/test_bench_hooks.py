@@ -9,6 +9,7 @@ the reference recorded with the direct-sum theta that the triple product
 replaced; their floats are pinned again when the reference is
 re-recorded."""
 
+import gc
 import importlib.util
 import json
 import math
@@ -173,6 +174,23 @@ def test_reports_build_each_row_and_residual_series_once(monkeypatch):
     assert calls == {"euler": 15, "readme-d1": 15, "mixed-d2": 20}
 
 
+def test_benchmark_reports_leave_no_reference_cycles():
+    """The grid's on-demand tables hold its values, never the grid, so a
+    report frees its grid by reference counting alone: with the cyclic
+    collector off, the three benchmark DSL reports leave it nothing."""
+    inputs = _load("inputs")
+    jobs = [(text, inputs.options(workload)) for workload in ("euler", "zseries")
+            for _, _, text in inputs.build(workload)]
+    gc.collect()
+    gc.disable()
+    try:
+        for text, opt in jobs:
+            run_report(text, opt)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_kernel_table_sizes_are_the_largest_coefficients():
     """On each benchmark DSL grid, the kernel sums' log size of every
     index is the same float as that of the value's norm_max."""
@@ -181,7 +199,8 @@ def test_kernel_table_sizes_are_the_largest_coefficients():
         for key, _, text in inputs.build(workload):
             grid = Run(text, inputs.options(workload)).grid
             lnq = math.log(grid.q)
-            for m, v in grid.values.items():
+            for m in range(grid.m_min, grid.m_max + 1):
+                v = grid.values[m]
                 n = v.series.norm_max()
                 size = v.qexp + math.log(n) / lnq if n > 0 else -math.inf
                 assert grid.logq_sizes[m] == size, (key, m)

@@ -361,6 +361,16 @@ def test_only_the_csv_views_take_emit_csv(tmp_path, euler_file, capsys, cmd):
     assert not csv.exists()
 
 
+def test_resum_far_below_lambda(euler_file, capsys):
+    """The grid sums its low indices on demand: W at |t| = 1e-12 |lambda|,
+    whose kernel peak lies near m = -40, still resums, and at 1e-30 the
+    grid ends before the kernel terms decay, as before."""
+    assert run_cli(["resum", euler_file, "--t", "1e-12,0", "--json", os.devnull]) == 0
+    assert run_cli(["resum", euler_file, "--t", "1e-30,0", "--json", os.devnull]) == 4
+    assert capsys.readouterr().err == (
+        "error: kernel terms not yet decaying at the lower end of the grid\n")
+
+
 def test_resum_far_from_lambda_at_a_large_q_is_a_kernel_error(tmp_path, capsys):
     # the zone scan at |t| = 1e250 reaches q^4 = 1e400, beyond double range
     p = tmp_path / "bigq.qde"

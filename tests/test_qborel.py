@@ -127,7 +127,8 @@ def test_kernel_table_of_zero_and_constant_values():
     from qsum.qborel import ScaledSeries, SpiralGrid
     values = {0: ScaledSeries(TruncatedSeries.zero(0, 1, 1), 0.0),
               1: ScaledSeries(TruncatedSeries.const(1.5, 0, 1, 1), 3.0)}
-    sizes = SpiralGrid(1.0, 2.0, 0, 1, 0, values, [], 1.0, 0).logq_sizes
+    grid = SpiralGrid(1.0, 2.0, 0, 1, 0, values, [], 1.0, 0)
+    sizes = {m: grid.logq_sizes[m] for m in range(grid.m_min, grid.m_max + 1)}
     assert sizes == {0: -math.inf, 1: 3.0 + math.log(1.5) / math.log(2.0)}
 
 

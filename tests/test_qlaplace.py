@@ -582,10 +582,111 @@ def test_banded_kernel_sum_reports_a_short_grid_as_the_direct_sum(euler_grid):
 def test_resummed_value_beyond_double_range_raises(euler_grid):
     from qsum.qborel import ScaledSeries, SpiralGrid
     g = euler_grid
-    values = {m: ScaledSeries(v.series, v.qexp + 1100.0) for m, v in g.values.items()}
+    values = {m: ScaledSeries(g.values[m].series, g.values[m].qexp + 1100.0)
+              for m in range(g.m_min, g.m_max + 1)}
     raised = SpiralGrid(g.lam, g.q, g.m_min, g.m_max, g.seed_top, values, g.lead_roots,
                         g.R1, g.d)
     for resum in (q_laplace, q_laplace_series):
         with pytest.raises(OverflowError) as err:
             resum(raised, 0.05, 0.3)
         assert str(err.value) == "resummed value magnitude q^1098.3 exceeds double range"
+
+
+ON_DEMAND_POINTS = [0.3, 0.01 + 0.002j, 1e-4j, 2e-6, 3 + 1j]
+ON_DEMAND_QS = [1.2, 1.5, 3.0, 10.0]
+
+
+def _kernel_outcome(grid, t, eps):
+    """q_laplace's (W, floor), or its error's type, text and needed index."""
+    from qsum.errors import QsumError
+    try:
+        return q_laplace(grid, t, eps)
+    except QsumError as err:
+        return type(err).__name__, str(err), getattr(err, "needed", None)
+
+
+@pytest.fixture(scope="module")
+def on_demand_runs():
+    """(name, q) -> two Runs of one benchmark equation at base q: the
+    grid of the first sums its low indices on demand, the second's is
+    read at every index before any kernel sum."""
+    from qsum.pipeline import Options, Run
+    from conftest import EULER_TEXT, EX2_TEXT, MIXED_D2_TEXT
+    texts = {"euler": EULER_TEXT, "readme-d1": EX2_TEXT, "mixed-d2": MIXED_D2_TEXT}
+    runs = {}
+    for name, text in texts.items():
+        for q in [2.0] + ON_DEMAND_QS:
+            text_q = text.replace("q=2;", "q=%r;" % q)
+            opt = Options(epsilon=0.5 * (q - 1.0) / (q + 1.0))
+            lazy, eager = Run(text_q, opt), Run(text_q, opt)
+            grid = eager.grid
+            read = [grid.values[m] for m in range(grid.m_min, grid.m_max + 1)]
+            assert len(read) == len(grid.values)
+            runs[name, q] = lazy, eager
+    return runs
+
+
+@pytest.mark.parametrize("name", ["euler", "readme-d1", "mixed-d2"])
+def test_on_demand_grid_sums_match_the_eager_sums(on_demand_runs, name):
+    """W and its floor, or the kernel sum's error, are bit-identical on a
+    grid that sums its low indices on demand and on one whose every index
+    was read first: the walk down stops only where the drop rule would
+    drop every lower term.  The points span |t| from 2e-6 to 3."""
+    from dataclasses import replace
+    cases = [(2.0, t) for t in ON_DEMAND_POINTS] + [(q, 0.01 + 0.002j) for q in ON_DEMAND_QS]
+    for q, t in cases:
+        lazy, eager = (run.grid for run in on_demand_runs[name, q])
+        eps = 0.5 * (q - 1.0) / (q + 1.0)
+        # the eager grid's values in a plain dict carry no size bounds, so
+        # its kernel sums size every index, as a grid summed eagerly did
+        plain = replace(eager, values={m: eager.values[m]
+                                       for m in range(eager.m_min, eager.m_max + 1)})
+        want = _kernel_outcome(plain, t, eps)
+        assert _kernel_outcome(lazy, t, eps) == want, (name, q, t)
+        assert _kernel_outcome(eager, t, eps) == want, (name, q, t)
+    lazy = on_demand_runs[name, 2.0][0].grid
+    assert len(lazy.values) < lazy.m_max - lazy.m_min + 1
+
+
+@pytest.mark.parametrize("name", ["euler", "readme-d1", "mixed-d2"])
+def test_seed_size_bounds_hold_the_summed_sizes(on_demand_runs, name):
+    """The premise of the walk's stop rule: at every index summed on
+    demand, the size bound is at least the log size of the summed
+    value, and it is inf at every other index."""
+    for q in [2.0] + ON_DEMAND_QS:
+        grid = on_demand_runs[name, q][1].grid
+        low = grid.values.low
+        assert low.start == grid.m_min and low.stop <= grid.seed_top + 1
+        for m in range(grid.m_min, grid.m_max + 1):
+            if m in low:
+                assert grid.size_bounds[m] >= grid.logq_sizes[m], (name, q, m)
+            else:
+                assert grid.size_bounds[m] == math.inf, (name, q, m)
+
+
+def test_default_readme_report_sums_only_the_indices_it_keeps_or_checks():
+    """A default README d=1 report sums the three lowest grid indices
+    for the lower tail check and no index from there up to -20."""
+    from qsum.pipeline import Options, Run
+    from conftest import EX2_TEXT
+    run = Run(EX2_TEXT, Options())
+    run.report()
+    grid = run.grid
+    summed = set(grid.values)
+    assert {grid.m_min, grid.m_min + 1, grid.m_min + 2} <= summed
+    assert not summed & set(range(grid.m_min + 3, -20))
+
+
+@pytest.mark.parametrize("name, text", [
+    ("euler", "lower tail estimate 1.62e-03 exceeds 1e-12 of the partial sum"),
+    ("mixed-d2", "lower tail estimate 2.56e-04 exceeds 1e-12 of the partial sum")])
+def test_grid_too_short_at_q_near_one(name, text):
+    """At q = 1.05 the fixed extra_low still leaves the grid short; the
+    report fails as before, with the same lower tail estimate."""
+    from qsum.errors import GridTooShortError
+    from qsum.pipeline import Options, run_report
+    from conftest import EULER_TEXT, MIXED_D2_TEXT
+    eq = {"euler": EULER_TEXT, "mixed-d2": MIXED_D2_TEXT}[name].replace("q=2;", "q=1.05;")
+    with pytest.raises(GridTooShortError) as err:
+        run_report(eq, Options(epsilon=0.5 * 0.05 / 2.05))
+    assert str(err.value) == text
