@@ -7,7 +7,7 @@ through the theta kernel into a true solution whose asymptotic expansion
 is verified against the formal series.
 """
 
-from .dsl import format_series, parse_series
+from .dsl import parse_series
 from .equation import Equation, Term, from_json, parse_equation, to_json, validate
 from .errors import QsumError
 from .formal import FormalSolution, gevrey_fit, solve_formal, verify_formal
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Equation", "Term", "parse_equation", "to_json", "from_json", "validate",
-    "TruncatedSeries", "QScaled", "QsumError", "parse_series", "format_series",
+    "TruncatedSeries", "QScaled", "QsumError", "parse_series",
     "newton_polygon", "check_shape", "characteristic_polynomial",
     "singular_directions", "direction_clearance",
     "NewtonPolygon", "CharPoly", "DirectionSet",

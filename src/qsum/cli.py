@@ -9,13 +9,16 @@ write with `--emit-csv`, which only they take).  `growth` prints the
 report's `spiral_bound` section.  `check`, `polygon`, `directions` and
 `square` read the equation at the requested z-window.  The views that
 solve check the conditions there first and again on the padded equation
-they solve.  All artifacts are UTF-8; JSON is emitted pretty-printed
+they solve, except `solve`, which reads no condition: an input whose
+conditions fail exits 4 there when the recursion cannot run, where the
+other views exit 2.  All artifacts are UTF-8; JSON is emitted pretty-printed
 with sorted keys and CSV with a header row, so identical inputs produce
 byte-identical files (timings are quarantined in their own report field).
 
 Exit codes: 0 success; 2 a polygon-level condition failed; 3 singular or
 effectively singular direction; 4 numerical failure (grid too short, seed
-unreachable, root finding, a non-finite coefficient);
+unreachable, root finding, a non-finite coefficient) or a failed
+asymptotic verdict in `verify`;
 5 usage or parse error (bad arguments, an unreadable file, a config line
 that is not `key = value`, names an unknown key or holds a bad value, or
 an option value the methods cannot use, such as a negative size, an
@@ -231,7 +234,7 @@ def _directions(run, args):
 
 def _square(run, args):
     run.require()
-    sq = substitute_square(run.requested, run.conditions["shape"].m0)
+    sq = substitute_square(run.requested)
     return json.loads(to_json(sq.equation)), EXIT_OK
 
 
@@ -295,7 +298,10 @@ def _verify(run, args):
     doc = {"verdict": rep.verdict, "M": rep.M, "H": rep.H,
            "epsilon": rep.epsilon, "reasons": rep.reasons, "samples": len(rep.samples),
            "pairs_used": rep.used, "pairs_dropped": rep.dropped}
-    return doc, EXIT_OK if rep.passed else EXIT_NUMERIC
+    if rep.passed:
+        return doc, EXIT_OK
+    return doc, _fail("asymptotic verdict %s: %s" % (rep.verdict, "; ".join(rep.reasons)),
+                      EXIT_NUMERIC)
 
 
 def _growth(run, args):

@@ -233,33 +233,3 @@ def parse_rational(cur):
         if den == 0:
             raise ParseError("zero denominator", tok.line, tok.col)
     return Fraction(sign * num, den)
-
-
-def format_complex(c):
-    """Render a coefficient in the (re+imi) literal form the parser accepts."""
-    re_, im = c.real, c.imag
-    if im == 0:
-        return repr(re_) if re_ >= 0 else "(0-%r)" % -re_
-    if im >= 0:
-        return "(%r+%ri)" % (re_, im)
-    return "(%r-%ri)" % (re_, -im)
-
-
-def format_series(s):
-    """Canonical literal for a series: sum of monomial terms."""
-    if s.is_zero():
-        return "0"
-    parts = []
-    for (n, beta), c in s.items():
-        factors = [format_complex(c)]
-        if n == 1:
-            factors.append("t")
-        elif n > 1:
-            factors.append("t^%d" % n)
-        for axis, b in enumerate(beta, start=1):
-            if b == 1:
-                factors.append("z%d" % axis)
-            elif b > 1:
-                factors.append("z%d^%d" % (axis, b))
-        parts.append("*".join(factors))
-    return " + ".join(parts)

@@ -45,9 +45,6 @@ class Equation:
     def term_map(self):
         return {(t.j, t.alpha): t for t in self.terms}
 
-    def with_rhs(self, rhs):
-        return Equation(self.q, self.delta, self.m, self.d, self.terms, rhs, self.R)
-
     def max_coeff_t_degree(self):
         return max((t.coeff.t_degree() for t in self.terms), default=-1)
 
@@ -213,22 +210,6 @@ def parse_equation(text, Kt=24, Kz=8):
     if not report.ok:
         raise ParseError("; ".join(report.violations))
     return eq
-
-
-def equation_to_dsl(eq):
-    """Canonical DSL emission; parse(equation_to_dsl(eq)) is structurally eq."""
-    parts = []
-    for term in eq.terms:
-        ops = "S^%d" % term.j
-        for axis, a in enumerate(term.alpha, start=1):
-            if a:
-                ops += " Dz%d^%d" % (axis, a)
-        parts.append("(%s)*%s(X)" % (dsl.format_series(term.coeff), ops))
-    lhs = " + ".join(parts) if parts else "(0)*S^0(X)"
-    return "q=%r; delta=%s; m=%d; d=%d; eq: %s = %s" % (
-        eq.q,
-        "%d/%d" % (eq.delta.numerator, eq.delta.denominator),
-        eq.m, eq.d, lhs, dsl.format_series(eq.rhs))
 
 
 # ------------------------------------------------------------------ JSON

@@ -21,6 +21,9 @@ from .growth import fit_envelope
 from .series import TruncatedSeries, residual_norms
 
 RESONANCE_TOL = 1e-12
+# verify_formal flags an order whose residual exceeds this, relative to its
+# largest contribution
+FORMAL_RESIDUAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -136,7 +139,7 @@ class ResidualReport:
         return s
 
 
-def verify_formal(eq, sol, tol=1e-10):
+def verify_formal(eq, sol):
     """Substitute the scaled solution back into the equation.
 
     Residuals are computed order by order in the same scaled arithmetic as
@@ -157,9 +160,9 @@ def verify_formal(eq, sol, tol=1e-10):
             None if fn is None else fn * (q ** (-n * (n - 1) / 2.0)))
         per_order.append((n, res, rel))
         worst = max(worst, rel)
-        if rel > tol:
+        if rel > FORMAL_RESIDUAL_TOL:
             flagged.append(n)
-    return ResidualReport(per_order, worst, flagged, tol)
+    return ResidualReport(per_order, worst, flagged, FORMAL_RESIDUAL_TOL)
 
 
 def gevrey_fit(sol):

@@ -37,25 +37,6 @@ class NewtonPolygon:
     slopes: tuple         # finite boundary slopes between vertices
     m: int                # declared weighted order of the equation
 
-    def contains(self, x, y):
-        """Point of the hull region (as a closed set)."""
-        if not self.support:
-            return False
-        if x > max(p.j for p in self.support):
-            return False
-        return y >= self._floor(x)
-
-    def _floor(self, x):
-        """Lower boundary height of the hull region at abscissa x."""
-        verts = self.vertices
-        if x <= verts[0][0]:
-            return verts[0][1]
-        for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
-            if x <= x1:
-                # exact rational comparison is not needed: inputs are ints
-                return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-        return verts[-1][1]
-
 
 def newton_polygon(eq):
     """Hull of the support quadrants; orders must be determined by the window."""
@@ -274,8 +255,9 @@ class CharPoly:
         """Complex coefficient list at z = 0, ascending powers."""
         return [c.constant_term() for c in self.coeffs]
 
-    def eval(self, tau, z0=None):
-        z0 = z0 if z0 is not None else (0,) * self.coeffs[0].d
+    def eval(self, tau):
+        """P(tau, 0)."""
+        z0 = (0,) * self.coeffs[0].d
         acc = 0j
         for k, c in enumerate(self.coeffs):
             acc += c.evaluate(0, z0) * tau ** k

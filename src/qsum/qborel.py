@@ -28,6 +28,10 @@ from .newton import SINGULAR_RAY_TOL, durand_kerner, ray_clearance
 from .series import TruncatedSeries, divide
 
 SEED_TAIL_RTOL = 1e-14
+# the seed window stays inside this fraction of the Borel radius estimate
+SEED_RADIUS_FRACTION = 0.5
+# grid indices below the seed window, summed on first read for the kernel tails
+EXTRA_LOW = 60
 LEAD_SINGULAR_TOL = 1e-10
 # exponent gaps beyond this (in units of log2) cannot influence a double
 _ALIGN_BITS = 1100.0
@@ -220,14 +224,14 @@ class SpiralGrid:
                          if (n := (v := values[m]).series.norm_max()) > 0 else -math.inf)
 
 
-def continue_spiral(beq, u, lam, m_max, seed_radius_fraction=0.5, extra_low=60):
+def continue_spiral(beq, u, lam, m_max):
     """March the Borel-transformed equation along lambda * q^m.
 
     A seed window of direct summations of the convergent series (tail
     below SEED_TAIL_RTOL) anchors the march; above it, each step isolates
     the newest grid value through the leading symbol.  Each direct sum
     runs on first read (SeedValues): the march reads the seed window, and
-    `extra_low`, the floor of the direct sums, extends the grid that many
+    EXTRA_LOW, the floor of the direct sums, extends the grid that many
     indices below it so that downstream kernel sums have their decaying
     tail available; they sum only the indices they keep or check.
     """
@@ -278,11 +282,11 @@ def continue_spiral(beq, u, lam, m_max, seed_radius_fraction=0.5, extra_low=60):
         rel = tail / peak if peak > 0 else 0.0
         return powers, rel, sum(term_norms)
 
-    # top of the seed window: inside the disk by the requested fraction and
+    # top of the seed window: inside SEED_RADIUS_FRACTION of the radius and
     # with the direct-summation tail below tolerance; |xi| is also capped
     # absolutely so the power ladder in seed_terms stays in double range
     if math.isfinite(radius):
-        top = math.floor(math.log(min(seed_radius_fraction * radius, 1e3) / abs(lam), q))
+        top = math.floor(math.log(min(SEED_RADIUS_FRACTION * radius, 1e3) / abs(lam), q))
     else:
         top = math.floor(math.log(1.0 / abs(lam), q)) if abs(lam) > 1 else 0
     top = min(top, m_max)
@@ -296,9 +300,9 @@ def continue_spiral(beq, u, lam, m_max, seed_radius_fraction=0.5, extra_low=60):
             "direct summation cannot reach relative tail %.1e inside the disk" % SEED_TAIL_RTOL)
 
     # the march reads the `window` indices below it; every seed index,
-    # down to `extra_low` below those, is summed on first read
+    # down to EXTRA_LOW below those, is summed on first read
     window = max(beq.reach, 1)
-    m_min = top - window + 1 - extra_low
+    m_min = top - window + 1 - EXTRA_LOW
 
     def seed_value(m):
         powers, _, _ = seed_terms(m)

@@ -80,6 +80,9 @@ ZONE_GUARD = 1.1
 # more slowly than this power of |t|
 RHO_TREND_MAX = 0.1
 ORDER1_SLOPE_MIN = 0.5
+# asymptotic_check samples this many rays and this many radii per ray
+ASYMPTOTIC_RAYS = 8
+ASYMPTOTIC_RADII = 12
 # residual_check passes when no sample's absolute residual exceeds this
 RESIDUAL_MAX_ABS = 1e-5
 
@@ -472,7 +475,7 @@ def remainder_row(q, values, w, t):
     return row
 
 
-def asymptotic_check(sol, grid, epsilon, n_max, rays=8, radii=12, rows=None):
+def asymptotic_check(sol, grid, epsilon, n_max, rows=None):
     """Fit (M, H) with  |W - partial_N| <= (M H^N / eps) q^{N(N-1)/2} |t|^N
     over a ray/radius sample fan, and judge the expansion:
 
@@ -501,11 +504,12 @@ def asymptotic_check(sol, grid, epsilon, n_max, rays=8, radii=12, rows=None):
     if n_max > sol.count:
         raise UsageError("remainder depth %d exceeds the computed formal order %d"
                          % (n_max, sol.count))
-    # `radii` radii spaced geometrically from r_max / 20 to r_max
+    # ASYMPTOTIC_RADII radii spaced geometrically from r_max / 20 to r_max
     r_max = 0.1 * abs(lam)
     r_lo = r_max / 20.0
-    points = sample_fan(geom, rays, [r_lo * (r_max / r_lo) ** (k / (radii - 1.0)) if radii > 1
-                                     else r_max for k in range(radii)])
+    points = sample_fan(geom, ASYMPTOTIC_RAYS,
+                        [r_lo * (r_max / r_lo) ** (k / (ASYMPTOTIC_RADII - 1.0))
+                         for k in range(ASYMPTOTIC_RADII)])
     rows = {} if rows is None else rows
     new = [t for t in points if t not in rows]
     values = sol.origin_values(n_max) if new else None

@@ -53,8 +53,8 @@ def _check(doc, schema, path, problems):
             _check(value, items, "%s/%d" % (path, i), problems)
 
 
-def validate_report(doc, schema=None):
+def validate_report(doc):
     """Problems in `doc` relative to the run-report schema (empty = valid)."""
     problems = []
-    _check(doc, schema or load_schema(), "", problems)
+    _check(doc, load_schema(), "", problems)
     return problems

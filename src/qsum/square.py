@@ -36,17 +36,15 @@ class SquaredEquation:
         return self.equation.rhs
 
 
-def substitute_square(eq, m0=None):
+def substitute_square(eq):
     """Rewrite under t -> t^2: coefficients a(t^2, z), shifts 2j, base q^{1/4}."""
-    if m0 is None:
-        shape = check_shape(newton_polygon(eq))
-        if not shape.ok:
-            raise QsumError("squared form needs the polygon shape to hold: %s" % shape)
-        m0 = shape.m0
+    shape = check_shape(newton_polygon(eq))
+    if not shape.ok:
+        raise QsumError("squared form needs the polygon shape to hold: %s" % shape)
     q1 = eq.q ** 0.25
     terms = tuple(Term(2 * t.j, t.alpha, t.coeff.subs_t_squared()) for t in eq.terms)
     sq = Equation(q1, 2 * eq.delta, 2 * eq.m, eq.d, terms, eq.rhs.subs_t_squared(), eq.R)
-    return SquaredEquation(sq, q1, 2 * m0, 2 * eq.m)
+    return SquaredEquation(sq, q1, 2 * shape.m0, 2 * eq.m)
 
 
 def check_doubled_floors(sq):

@@ -84,7 +84,10 @@ def test_criterion_3_resummed_residuals(euler_eq, euler_grid, ex2_eq, ex2_parts)
 
 def test_criterion_4_asymptotic_verifier(euler_sol, euler_grid, monkeypatch):
     base = asymptotic_check(euler_sol, euler_grid, 0.3, 12)
-    dense = asymptotic_check(euler_sol, euler_grid, 0.3, 12, rays=16, radii=24)
+    with monkeypatch.context() as patch:
+        patch.setattr(qsum.qlaplace, "ASYMPTOTIC_RAYS", 16)
+        patch.setattr(qsum.qlaplace, "ASYMPTOTIC_RADII", 24)
+        dense = asymptotic_check(euler_sol, euler_grid, 0.3, 12)
     stable = abs(dense.H - base.H) <= 0.2 * base.H
     def offset(grid, t, epsilon):
         w, floor = q_laplace(grid, t, epsilon)

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from qsum.dsl import format_series, parse_series
-from qsum.equation import (Equation, Term, equation_to_dsl, from_json,
-                           parse_equation, to_json, validate)
+from qsum.dsl import parse_series
+from qsum.equation import (Equation, Term, from_json, parse_equation, to_json,
+                           validate)
 from qsum.errors import ParseError, SchemaError
 from qsum.series import TruncatedSeries
 
@@ -56,15 +56,20 @@ def test_duplicate_terms_merge():
     assert eq.terms[0].coeff.constant_term() == 3
 
 
-def test_dsl_round_trip_canonical():
-    for text in (
-        "q=2; delta=1; m=1; d=0; eq: t*S^1(X) + S^0(X) = 1",
-        "q=2; delta=1; m=2; d=1; eq: S^1(X) + t*S^2(X) + t*S^1 Dz1^1(X) = 1/(1-z1)",
-        "q=1.5; delta=1/2; m=2; d=2; eq: (1+2i)*S^1(X) + t^2*S^2(X) + t*z2*S^0 Dz1^2(X) = t*z1",
-    ):
-        eq = parse_equation(text, Kt=7, Kz=5)
-        again = parse_equation(equation_to_dsl(eq), Kt=7, Kz=5)
-        assert again == eq
+def test_parse_rational_delta_and_parenthesized_coefficients():
+    text = ("q=1.5; delta=1/2; m=2; d=2; eq: (1.0+2.0i)*S^1(X) + (1.0*t^2)*S^2(X)"
+            " + (1.0*t*z2)*S^0 Dz1^2(X) = (0-1.0)*t*z1")
+    eq = parse_equation(text, Kt=7, Kz=5)
+    expect = Equation(
+        1.5, Fraction(1, 2), 2, 2,
+        (
+            Term(0, (2, 0), TruncatedSeries(2, 7, 5, {(1, (0, 1)): 1.0})),
+            Term(1, (0, 0), TruncatedSeries(2, 7, 5, {(0, (0, 0)): 1 + 2j})),
+            Term(2, (0, 0), TruncatedSeries(2, 7, 5, {(2, (0, 0)): 1.0})),
+        ),
+        TruncatedSeries(2, 7, 5, {(1, (1, 0)): -1.0}),
+    )
+    assert eq == expect
 
 
 def test_complex_literals_and_q_symbol():
@@ -75,9 +80,12 @@ def test_complex_literals_and_q_symbol():
     assert eq.rhs.constant_term() == 4
 
 
-def test_series_literal_round_trip():
-    s = TruncatedSeries(2, 5, 4, {(0, (0, 0)): 1.5 - 2j, (2, (1, 0)): 3, (1, (0, 2)): -1j})
-    assert parse_series(format_series(s), 2, 5, 4) == s
+def test_series_literal_forms():
+    # complex literals with a negative imaginary part, a negative real as
+    # (0-x), a bare imaginary, and products of t and z powers
+    s = parse_series("(1.5-2.0i) + 3.0*t^2*z1 + (0-1.0)*t*z2^2 + 3.0i*t^2*z1^2", 2, 5, 4)
+    assert s == TruncatedSeries(2, 5, 4, {(0, (0, 0)): 1.5 - 2j, (2, (1, 0)): 3.0,
+                                          (1, (0, 2)): -1.0, (2, (2, 0)): 3j})
 
 
 def test_json_q_must_exceed_one():

@@ -1,7 +1,9 @@
 import math
+from dataclasses import replace
 
 import pytest
 
+import qsum.formal
 from qsum.equation import parse_equation
 from qsum.errors import ResonanceError
 from qsum.formal import FormalSolution, gevrey_fit, solve_formal, verify_formal
@@ -23,7 +25,7 @@ def test_example2_constant_rhs_closed_form():
 
 
 def test_zero_rhs_gives_zero_solution(euler_eq):
-    hom = euler_eq.with_rhs(TruncatedSeries.zero(0, euler_eq.Kt, euler_eq.Kz))
+    hom = replace(euler_eq, rhs=TruncatedSeries.zero(0, euler_eq.Kt, euler_eq.Kz))
     sol = solve_formal(hom, 20)
     assert all(v.is_zero() for v in sol.scaled)
     assert verify_formal(hom, sol).max_relative == 0.0
@@ -34,11 +36,12 @@ def test_verify_euler_residual(euler_eq, euler_sol):
     assert rep.passed and rep.max_relative <= 1e-13
 
 
-def test_verify_flags_perturbation(euler_eq, euler_sol):
+def test_verify_flags_perturbation(euler_eq, euler_sol, monkeypatch):
     bad = list(euler_sol.scaled)
     bad[5] = bad[5] + TruncatedSeries.const(1e-3, 0, 1, bad[5].Kz)
     broken = FormalSolution(euler_sol.q, euler_sol.count, tuple(bad), euler_sol.R1, euler_sol.d)
-    rep = verify_formal(euler_eq, broken, tol=1e-8)
+    monkeypatch.setattr(qsum.formal, "FORMAL_RESIDUAL_TOL", 1e-8)
+    rep = verify_formal(euler_eq, broken)
     assert rep.flagged == [5, 6]
 
 

@@ -229,6 +229,31 @@ def test_failed_condition_exit_code(tmp_path, capsys, cmd, failing):
         assert "conditions failed: " + failing in capsys.readouterr().err
 
 
+# `solve` reads no condition: these inputs stop in the recursion instead
+SOLVE_FAILURES = {
+    "shape": "error: no coefficient of t-order 0; the recursion has no diagonal\n",
+    "nondegeneracy": "error: no unique formal coefficient at order 0\n",
+}
+
+
+@pytest.mark.parametrize("failing", sorted(CONDITION_FAILURES))
+def test_solve_reads_no_condition(tmp_path, capsys, failing):
+    p = tmp_path / "eq.qde"
+    p.write_text(CONDITION_FAILURES[failing])
+    assert run_cli(["solve", str(p), "--json", os.devnull]) == 4
+    assert capsys.readouterr().err == SOLVE_FAILURES[failing]
+
+
+def test_failed_verdict_prints_its_reasons(euler_file, capsys):
+    # at so small an epsilon the normalized remainders cannot settle
+    assert run_cli(["verify", euler_file, "--epsilon", "1e-300", "--json", "-"]) == 4
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert doc["verdict"] == "fail"
+    assert captured.err == "error: asymptotic verdict fail: %s\n" % "; ".join(doc["reasons"])
+    assert "normalized remainders trend upward" in captured.err
+
+
 # the derivative term's coefficient z1 lies outside the requested window
 # Kz=1, but not outside the padded window the solving views use, where the
 # term sits on the polygon's boundary

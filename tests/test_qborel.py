@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import qsum.qborel
 from qsum.corpus import corpus
 from qsum.equation import parse_equation
 from qsum.errors import SingularDirectionError
@@ -78,9 +79,10 @@ def test_continuation_rejects_singular_direction(euler_eq, euler_sol):
         continue_spiral(beq, u, -1.0, 10)
 
 
-def test_overlap_consistency_example2(ex2_parts):
+def test_overlap_consistency_example2(ex2_parts, monkeypatch):
     u = ex2_parts["u"]
-    grid = continue_spiral(ex2_parts["beq"], u, 1.0, 0, seed_radius_fraction=0.125)
+    monkeypatch.setattr(qsum.qborel, "SEED_RADIUS_FRACTION", 0.125)
+    grid = continue_spiral(ex2_parts["beq"], u, 1.0, 0)
     for m in range(grid.seed_top + 1, 1):
         xi = 2.0 ** m
         direct = sum(u.coeffs[k].constant_term() * xi ** k for k in range(len(u.coeffs)))
@@ -148,10 +150,14 @@ def test_truncation_stability_under_kz_doubling():
         assert abs(a - b) <= 1e-9 * max(1.0, abs(b))
 
 
-def test_kernel_consistency_with_doubled_range(euler_grid, euler_eq, euler_sol):
+def test_kernel_consistency_with_doubled_range(euler_grid, euler_eq, euler_sol, monkeypatch):
     u = borel_transform(euler_sol)
     beq = borel_transformed_equation(euler_eq, 0)
-    wide = continue_spiral(beq, u, 1.0, 60, extra_low=100)
+    assert continue_spiral(beq, u, 1.0, 60).m_min == -62
+    # the constant is read at call time
+    monkeypatch.setattr(qsum.qborel, "EXTRA_LOW", 100)
+    wide = continue_spiral(beq, u, 1.0, 60)
+    assert wide.m_min == -102
     for t in (0.1, 0.05 + 0.02j):
         a, _ = q_laplace(euler_grid, t)
         b, _ = q_laplace(wide, t)

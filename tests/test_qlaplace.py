@@ -2,7 +2,7 @@ import cmath
 import math
 import random
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -232,7 +232,7 @@ def test_residual_zero_grid_homogeneous(euler_eq, euler_grid):
     from qsum.series import TruncatedSeries
     zero = ScaledSeries(TruncatedSeries.zero(0, 1, 1), 0.0)
     g = SpiralGrid(1.0, Q, -40, 10, 0, {m: zero for m in range(-40, 11)}, [], 1.0, 0)
-    hom = euler_eq.with_rhs(TruncatedSeries.zero(0, euler_eq.Kt, euler_eq.Kz))
+    hom = replace(euler_eq, rhs=TruncatedSeries.zero(0, euler_eq.Kt, euler_eq.Kz))
     rep = residual_check(hom, g, [0.05 + 0.05j])
     assert rep.max_absolute == 0.0
 
@@ -681,7 +681,7 @@ def test_default_readme_report_sums_only_the_indices_it_keeps_or_checks():
     ("euler", "lower tail estimate 1.62e-03 exceeds 1e-12 of the partial sum"),
     ("mixed-d2", "lower tail estimate 2.56e-04 exceeds 1e-12 of the partial sum")])
 def test_grid_too_short_at_q_near_one(name, text):
-    """At q = 1.05 the fixed extra_low still leaves the grid short; the
+    """At q = 1.05 the fixed EXTRA_LOW still leaves the grid short; the
     report fails as before, with the same lower tail estimate."""
     from qsum.errors import GridTooShortError
     from qsum.pipeline import Options, run_report

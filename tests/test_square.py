@@ -30,7 +30,7 @@ def test_substitute_square_euler(euler_eq):
 
 def test_substitute_square_coefficients():
     eq = parse_equation("q=2; delta=1; m=1; d=0; eq: (1+t)*S^0(X) + t*S^1(X) = 1+t")
-    sq = substitute_square(eq, m0=0)
+    sq = substitute_square(eq)
     c = {(t.j, t.alpha): t.coeff for t in sq.terms}[(0, ())]
     assert c.get(0) == 1 and c.get(2) == 1 and c.get(1) == 0
     assert sq.rhs.get(2) == 1
