@@ -23,8 +23,8 @@ asymptotic verdict in `verify`;
 that is not `key = value`, names an unknown key or holds a bad value, or
 an option value the methods cannot use, such as a negative size, an
 epsilon at or above (q-1)/(q+1), a remainder depth N above the orders,
-or a t that is zero, not finite, or more than 2^1000 times larger or
-smaller than lambda).
+or a t that is zero, not finite, more than 2^1000 times larger or
+smaller than lambda, or inside or near an excluded spiral disk).
 """
 
 import argparse
@@ -38,8 +38,8 @@ from .equation import series_rows, to_json
 from .errors import (ConditionsFailed, ParseError, QsumError, SchemaError,
                      SingularDirectionError, UsageError)
 from .newton import is_interior
-from .pipeline import (HARD_CONDITIONS, Options, Run, json_float, polygon_doc,
-                       spiral_bound_doc)
+from .pipeline import (HARD_CONDITIONS, Options, Run, asymptotic_doc, directions_doc,
+                       json_float, polygon_doc, spiral_bound_doc)
 from .qlaplace import q_laplace
 from .report_schema import validate_report
 from .square import substitute_square
@@ -228,8 +228,7 @@ def _polygon(run, args):
 
 def _directions(run, args):
     run.require("nondegeneracy")
-    ds = run.directions
-    return {"roots": list(ds.roots), "rays": list(ds.rays)}, EXIT_OK
+    return directions_doc(run.directions), EXIT_OK
 
 
 def _square(run, args):
@@ -295,9 +294,7 @@ def _verify(run, args):
                      * max(abs(t) for t in rep.samples) ** N)
             rows.append((N, e_max, bound, rep.rho[N] if rep.rho[N] is not None else ""))
         _emit_csv(rows, ("N", "max_E_N", "bound", "rho_N"), args.csv)
-    doc = {"verdict": rep.verdict, "M": rep.M, "H": rep.H,
-           "epsilon": rep.epsilon, "reasons": rep.reasons, "samples": len(rep.samples),
-           "pairs_used": rep.used, "pairs_dropped": rep.dropped}
+    doc = asymptotic_doc(rep)
     if rep.passed:
         return doc, EXIT_OK
     return doc, _fail("asymptotic verdict %s: %s" % (rep.verdict, "; ".join(rep.reasons)),

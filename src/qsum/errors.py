@@ -44,10 +44,6 @@ class ConditionsFailed(QsumError):
     """A polygon-level condition (shape, interior, nondegeneracy) fails."""
 
 
-class IndeterminatePolygonError(QsumError):
-    """A coefficient's t-order is truncation-limited, so the polygon is unknown."""
-
-
 class OrderFloorViolationError(QsumError):
     """Exact t-power division left a remainder; the order floor is violated."""
 
@@ -83,12 +79,8 @@ class RadiusTooSmallError(QsumError):
 class GridTooShortError(QsumError):
     """The spiral grid does not cover the index range the kernel sum needs."""
 
-    def __init__(self, message, needed=None):
-        self.needed = needed
-        super().__init__(message)
 
-
-class PoleProximityError(QsumError):
+class PoleProximityError(UsageError):
     """Evaluation point lies in or too near the excluded spiral disks."""
 
 

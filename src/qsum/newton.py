@@ -11,8 +11,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-from .errors import (IndeterminatePolygonError, OrderFloorViolationError,
-                     RootFindingError, SingularDirectionError)
+from .errors import OrderFloorViolationError, RootFindingError, SingularDirectionError
 from .series import TruncatedSeries
 
 RAY_MERGE_TOL = 1e-9
@@ -39,16 +38,9 @@ class NewtonPolygon:
 
 
 def newton_polygon(eq):
-    """Hull of the support quadrants; orders must be determined by the window."""
-    support = []
-    for term in eq.terms:
-        o = term.coeff.ord_t()
-        if o.truncation_limited:
-            if term.coeff.is_zero():
-                continue  # exactly-zero coefficient contributes no quadrant
-            raise IndeterminatePolygonError(
-                "ord_t of coefficient (j=%d, alpha=%s) is truncation-limited" % (term.j, list(term.alpha)))
-        support.append(SupportPoint(term.j, term.alpha, o.order))
+    """Hull of the support quadrants; a zero coefficient has none."""
+    support = [SupportPoint(term.j, term.alpha, term.coeff.ord_t())
+               for term in eq.terms if not term.coeff.is_zero()]
     support.sort(key=lambda p: (p.j, p.alpha))
     vertices = _hull_vertices([(p.j, p.ord_t) for p in support])
     segment_slopes = [
@@ -231,14 +223,13 @@ def check_strong_margin(eq, m0):
     for term in eq.terms:
         if sum(term.alpha) == 0 or not m0 <= term.j < eq.m:
             continue
+        # a zero coefficient's order, inf, is above every floor
         o = term.coeff.ord_t()
-        if o.truncation_limited and term.coeff.is_zero():
-            continue
-        if o.order < term.j - m0 + 2:
+        if o < term.j - m0 + 2:
             holds = False
             messages.append(
                 "ord_t=%s at (j=%d, alpha=%s) is below j-m0+2=%d" %
-                (o.order, term.j, list(term.alpha), term.j - m0 + 2))
+                (o, term.j, list(term.alpha), term.j - m0 + 2))
     if not holds:
         messages.append("strong margin fails; summability still follows via the squared-variable route")
     return CheckReport(holds, messages)

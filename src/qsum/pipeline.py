@@ -148,6 +148,18 @@ def polygon_doc(polygon, shape):
             "m0": shape.m0}
 
 
+def directions_doc(ds):
+    """The characteristic roots and the singular rays."""
+    return {"roots": [_cnum(r) for r in ds.roots], "rays": list(ds.rays)}
+
+
+def asymptotic_doc(rep):
+    """An asymptotic check's verdict, constants and resolved pairs."""
+    return {"verdict": rep.verdict, "M": rep.M, "H": rep.H, "epsilon": rep.epsilon,
+            "reasons": rep.reasons, "samples": len(rep.samples),
+            "pairs_used": rep.used, "pairs_dropped": rep.dropped}
+
+
 def spiral_bound_doc(run):
     """The fitted bound ||u*(lambda q^m)|| <= C H^m q^{m^2/2}, with the grid
     it was fitted on, the Borel radius and the leading symbol's roots."""
@@ -340,8 +352,7 @@ class Run:
 
         ds = self.directions
         clearance = direction_clearance(ds, lam)
-        directions = {"roots": [_cnum(r) for r in ds.roots], "rays": list(ds.rays),
-                      "clearance": clearance}
+        directions = dict(directions_doc(ds), clearance=clearance)
         if clearance <= SINGULAR_RAY_TOL:
             raise SingularDirectionError("lambda lies on a singular ray (clearance %.2e)" % clearance)
 
@@ -374,18 +385,9 @@ class Run:
 
         per_eps = [self.asymptotic, self.asymptotic_half]
         primary = per_eps[0]
-        asymptotic = {
-            "verdict": primary.verdict,
-            "M": primary.M, "H": primary.H,
-            "epsilon": primary.epsilon,
-            "samples": len(primary.samples),
-            "rho": list(primary.rho),
-            "pairs_used": primary.used, "pairs_dropped": primary.dropped,
-            "reasons": primary.reasons,
-            "per_epsilon": [{"epsilon": a.epsilon, "verdict": a.verdict, "M": a.M, "H": a.H,
-                             "pairs_used": a.used, "pairs_dropped": a.dropped}
-                            for a in per_eps],
-        }
+        asymptotic = dict(asymptotic_doc(primary), rho=list(primary.rho), per_epsilon=[
+            {"epsilon": a.epsilon, "verdict": a.verdict, "M": a.M, "H": a.H,
+             "pairs_used": a.used, "pairs_dropped": a.dropped} for a in per_eps])
         verdicts["asymptotic"] = _verdict(all(a.passed for a in per_eps),
                                           "; ".join(r for a in per_eps for r in a.reasons))
         return RunReport(

@@ -113,12 +113,7 @@ def borel_transformed_equation(eq, m0):
 def lead_roots(beq):
     """Roots in xi of the leading symbol at z = 0."""
     zero_beta = (0,) * beq.d
-    coeffs = [beq.lead.get(i, zero_beta) for i in range(beq.lead.Kt)]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    if len(coeffs) < 2:
-        return []
-    return durand_kerner(coeffs)
+    return durand_kerner([beq.lead.get(i, zero_beta) for i in range(beq.lead.Kt)])
 
 
 @dataclass(frozen=True)

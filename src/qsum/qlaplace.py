@@ -93,7 +93,7 @@ def theta(x, q):
     x = q^k y with 1 <= |y| < q, and theta(q^k y) = q^{k(k+1)/2} y^k
     theta(y) with theta(y) from _theta_product; the kernel sums use the
     same product and closed form.  The reduction divides x by q**k, so at
-    x = -q**k it gives y = -1 exactly and the result is the zero QScaled.
+    x = -q**k it gives y = -1 exactly and the mantissa is 0.
     No terms cancel: near a zero the relative error is a few units of
     2^-53 over x's relative distance from it, the condition number of
     theta there.  A base q outside (1, inf) and an x that is zero or not
@@ -116,7 +116,7 @@ def theta(x, q):
     y = x / s if s >= sys.float_info.min else x / q ** (k // 2) / q ** (k - k // 2)
     th = _theta_product(y, q)[0]
     if th == 0:
-        return QScaled.zero(q)
+        return QScaled(q, 0j, 0)
     r, angle, qexp = _shifted(k, math.log(abs(y)) / lnq, cmath.phase(y),
                               math.log(abs(th)) / lnq, cmath.phase(th))
     return QScaled(q, cmath.rect(q ** r, angle), qexp)
@@ -178,6 +178,10 @@ class SpiralGeometry:
         if self.epsilon >= self.disjointness_threshold():
             raise UsageError("epsilon %.3g not below the disk-disjointness threshold %.3g"
                              % (self.epsilon, self.disjointness_threshold()))
+
+
+# a zone kind other than "outside", as the messages place a point
+PLACEMENT = {"inside": "inside", "near-boundary": "near the boundary of"}
 
 
 @dataclass(frozen=True)
@@ -286,8 +290,8 @@ def _kernel_terms(grid, t, epsilon):
     zone = zone_membership(SpiralGeometry(lam, epsilon, q), t)
     if not zone.outside:
         raise PoleProximityError(
-            "t = %s is %s the excluded spiral disks (m=%s, ratio %.3g)"
-            % (t, zone.kind, zone.m, zone.min_ratio))
+            "t = %s lies %s the excluded spiral disks (m=%s, ratio %.3g)"
+            % (t, PLACEMENT[zone.kind], zone.m, zone.min_ratio))
     lnq = math.log(q)
     base_logq = math.log(abs(lam) / abs(t)) / lnq
     phase = cmath.phase(lam / t)
@@ -321,22 +325,21 @@ def _kernel_terms(grid, t, epsilon):
     if top == -math.inf:
         return [], None, 0.0
 
-    def check_tail(tail, needed, name):
+    def check_tail(tail, name):
         """tail: the sizes of the three end indices, the outermost last."""
         if len(tail) < 3:
             raise GridTooShortError("grid too short on the %s side" % name)
         if not (tail[-1] < tail[-2] < tail[-3]):
             raise GridTooShortError(
-                "kernel terms not yet decaying at the %s end of the grid" % name, needed=needed)
+                "kernel terms not yet decaying at the %s end of the grid" % name)
         ratio = math.exp((tail[-1] - tail[-2]) * lnq)
         est = math.exp((tail[-1] - top) * lnq) * ratio / (1.0 - ratio)
         if est > KERNEL_TAIL_RTOL:
             raise GridTooShortError(
-                "%s tail estimate %.2e exceeds %.0e of the partial sum" % (name, est, KERNEL_TAIL_RTOL),
-                needed=needed)
+                "%s tail estimate %.2e exceeds %.0e of the partial sum" % (name, est, KERNEL_TAIL_RTOL))
 
-    check_tail([sizes[m] for m in range(max(hi - 2, lo), hi + 1)], hi, "upper")
-    check_tail([sizes[m] for m in range(min(lo + 2, hi), lo - 1, -1)], lo, "lower")
+    check_tail([sizes[m] for m in range(max(hi - 2, lo), hi + 1)], "upper")
+    check_tail([sizes[m] for m in range(min(lo + 2, hi), lo - 1, -1)], "lower")
     if abs(top * lnq) >= 690.0:
         raise OverflowError("resummed value magnitude q^%.1f exceeds double range" % top)
     drop = top + gap
@@ -399,7 +402,7 @@ def residual_check(eq, grid, samples, epsilon=0.05):
         for j in shifts:
             zone = zone_membership(geom, t * q ** j)
             if not zone.outside:
-                bad = "shift q^%d t lies %s the excluded disks" % (j, zone.kind)
+                bad = "shift q^%d t lies %s the excluded disks" % (j, PLACEMENT[zone.kind])
                 break
         if bad:
             rejected.append((t, bad))

@@ -6,17 +6,15 @@ z-multi-index, restricted to the window n < Kt and |beta| < Kz.  Every
 operation returns a new series whose window is the componentwise minimum
 of its inputs' windows: results are never extrapolated beyond what the
 inputs determine, so a formal derivative costs one unit of z-window and
-that loss propagates through all downstream arithmetic.
+that loss propagates through all downstream arithmetic.  No series
+stores a coefficient that is exactly 0.
 """
 
 import heapq
 import math
 from cmath import isfinite
-from collections import namedtuple
 
 from .errors import DimensionMismatchError, NonFiniteError, NotAUnitError, TruncationError
-
-OrdResult = namedtuple("OrdResult", ["order", "truncation_limited"])
 
 
 class TruncatedSeries:
@@ -93,8 +91,7 @@ class TruncatedSeries:
         s0 * c0 + s1 * c1 + ...: the same products and additions in the
         same order, the smallest window, and a key whose sum is exactly 0
         deleted as each __add__ deletes it, so that a later piece enters
-        it again at the end.  (A lone pair differs from the lone scalar
-        product only where that keeps a coefficient underflowed to 0.)"""
+        it again at the end."""
         pairs = iter(pairs)
         first = next(pairs, None)
         if first is None:
@@ -102,10 +99,7 @@ class TruncatedSeries:
         series, scale = first
         d, Kt, Kz = series.d, series.Kt, series.Kz
         scale = _scalar(scale)
-        out = {k: c * scale for k, c in series.coeffs.items()} if scale != 0 else {}
-        # the first piece keeps an underflowed 0 where a scalar product
-        # would; the first __add__ drops it unless the second piece adds to it
-        stale = 0j in out.values()
+        out = {k: v for k, c in series.coeffs.items() if (v := c * scale)}
         for series, scale in pairs:
             if series.d != d:
                 raise DimensionMismatchError("series in %d and %d z-variables" % (d, series.d))
@@ -119,9 +113,6 @@ class TruncatedSeries:
                         out[k] = v
                     else:
                         out.pop(k, None)
-            if stale:
-                out = {k: v for k, v in out.items() if v}
-                stale = False
         if not all(map(isfinite, out.values())):
             raise NonFiniteError("non-finite coefficient")
         return cls(d, Kt, Kz, out)
@@ -192,7 +183,8 @@ class TruncatedSeries:
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
             other = _scalar(other)
-            coeffs = {k: c * other for k, c in self.coeffs.items()} if other != 0 else {}
+            # a product that underflows to 0 is dropped, as the constructor drops it
+            coeffs = {k: v for k, c in self.coeffs.items() if (v := c * other)}
             if not all(map(isfinite, coeffs.values())):
                 raise NonFiniteError("non-finite coefficient")
             out = TruncatedSeries.__new__(TruncatedSeries)
@@ -278,15 +270,11 @@ class TruncatedSeries:
     # ---------------------------------------------------------------- structure
 
     def ord_t(self):
-        """Least t-exponent with a nonzero coefficient.
-
-        Returns OrdResult(order, truncation_limited); order is math.inf for
-        the zero truncation, in which case the flag is set because the
-        window cannot distinguish 0 from t**Kt * (...).
-        """
+        """Least t-exponent with a nonzero coefficient; math.inf for the
+        zero truncation."""
         if not self.coeffs:
-            return OrdResult(math.inf, True)
-        return OrdResult(min(n for (n, _) in self.coeffs), False)
+            return math.inf
+        return min(n for (n, _) in self.coeffs)
 
     def t_degree(self):
         """Largest populated t-exponent, or -1 for the zero truncation."""

@@ -27,14 +27,6 @@ class SquaredEquation:
     m0_doubled: int
     m_doubled: int
 
-    @property
-    def terms(self):
-        return self.equation.terms
-
-    @property
-    def rhs(self):
-        return self.equation.rhs
-
 
 def substitute_square(eq):
     """Rewrite under t -> t^2: coefficients a(t^2, z), shifts 2j, base q^{1/4}."""
@@ -57,22 +49,22 @@ def check_doubled_floors(sq):
     messages = []
     ok = True
     M0, M = sq.m0_doubled, sq.m_doubled
-    for term in sq.terms:
-        o = term.coeff.ord_t()
-        if o.truncation_limited:
+    for term in sq.equation.terms:
+        if term.coeff.is_zero():
             continue
-        if o.order % 2:
+        o = term.coeff.ord_t()
+        if o % 2:
             ok = False
-            messages.append("odd t-order %d at (j=%d)" % (o.order, term.j))
+            messages.append("odd t-order %d at (j=%d)" % (o, term.j))
         if sum(term.alpha) == 0:
             floor = max(0, term.j - M0)
         else:
             floor = max(2, term.j - M0 + 2)
-        if o.order < floor:
+        if o < floor:
             ok = False
             messages.append("ord_t=%d at (shift=%d, alpha=%s) below floor %d"
-                            % (o.order, term.j, list(term.alpha), floor))
-        if sum(term.alpha) > 0 and M0 <= term.j < M and o.order < term.j - M0 + 2:
+                            % (o, term.j, list(term.alpha), floor))
+        if sum(term.alpha) > 0 and M0 <= term.j < M and o < term.j - M0 + 2:
             ok = False
             messages.append("strong margin fails at (shift=%d, alpha=%s)" % (term.j, list(term.alpha)))
     return CheckReport(ok, messages)

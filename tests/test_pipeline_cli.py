@@ -305,6 +305,8 @@ USAGE_ERRORS = {
     "t is infinite": ["resum", "{euler}", "--t", "inf,0"],
     "t beyond double range above lambda": ["resum", "{euler}", "--t", "1e308,0"],
     "t beyond double range below lambda": ["resum", "{euler}", "--t", "1e-320,0"],
+    "t inside an excluded disk": ["resum", "{euler}", "--t=-1.05,0"],
+    "t near an excluded disk": ["resum", "{euler}", "--t=-1.115,0"],
     "negative orders": ["check", "{euler}", "--orders", "-1"],
     "zero orders": ["report", "{euler}", "--orders", "0"],
     "negative mmax": ["report", "{euler}", "--mmax", "-3"],

@@ -22,26 +22,26 @@ def test_substitute_square_euler(euler_eq):
     sq = substitute_square(euler_eq)
     assert sq.q1 == pytest.approx(2.0 ** 0.25)
     assert sq.m0_doubled == 0 and sq.m_doubled == 2
-    tmap = {(t.j, t.alpha): t.coeff for t in sq.terms}
+    tmap = {(t.j, t.alpha): t.coeff for t in sq.equation.terms}
     assert set(tmap) == {(0, ()), (2, ())}
     assert tmap[(2, ())].get(2) == 1 and tmap[(2, ())].get(1) == 0
-    assert sq.rhs.constant_term() == 1
+    assert sq.equation.rhs.constant_term() == 1
 
 
 def test_substitute_square_coefficients():
     eq = parse_equation("q=2; delta=1; m=1; d=0; eq: (1+t)*S^0(X) + t*S^1(X) = 1+t")
     sq = substitute_square(eq)
-    c = {(t.j, t.alpha): t.coeff for t in sq.terms}[(0, ())]
+    c = {(t.j, t.alpha): t.coeff for t in sq.equation.terms}[(0, ())]
     assert c.get(0) == 1 and c.get(2) == 1 and c.get(1) == 0
-    assert sq.rhs.get(2) == 1
+    assert sq.equation.rhs.get(2) == 1
 
 
 def test_ord_doubles_exactly():
     eq = parse_equation(EX2, Kt=10, Kz=6)
     sq = substitute_square(eq)
-    orig = {(t.j, t.alpha): t.coeff.ord_t().order for t in eq.terms}
-    for t in sq.terms:
-        assert t.coeff.ord_t().order == 2 * orig[(t.j // 2, t.alpha)]
+    orig = {(t.j, t.alpha): t.coeff.ord_t() for t in eq.terms}
+    for t in sq.equation.terms:
+        assert t.coeff.ord_t() == 2 * orig[(t.j // 2, t.alpha)]
 
 
 def test_doubled_floors_examples(euler_eq):
