@@ -182,7 +182,7 @@ def main(argv=None):
         doc, code = VIEWS[args.command](run, args)
         _write(json.dumps(doc, indent=2, sort_keys=True, default=_json_default) + "\n", args.json)
         return code
-    except (ParseError, SchemaError, UsageError, OSError) as exc:
+    except (ParseError, SchemaError, UsageError, OSError, UnicodeDecodeError) as exc:
         return _fail(exc, EXIT_USAGE)
     except ConditionsFailed as exc:
         return _fail(exc, EXIT_CONDITION)

@@ -117,6 +117,13 @@ def parse_equation(text, Kt=24, Kz=8):
     where each summand is a product of expression factors and exactly one
     operator factor S^j [Dz<k>^<int> ...](X).
     """
+    try:
+        return _parse_dsl(text, Kt, Kz)
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None
+
+
+def _parse_dsl(text, Kt, Kz):
     cur = dsl._Cursor(dsl.tokenize(text))
     header = []
     for name, parse in (("q", lambda: dsl.parse_number(cur)),
@@ -277,6 +284,8 @@ def from_json(text):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError("invalid JSON: %s" % exc)
+    except RecursionError:
+        raise SchemaError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise SchemaError("top level must be an object")
     q = _require(doc, "q")

@@ -123,7 +123,6 @@ def solve_formal(eq, n_max):
 
 @dataclass
 class ResidualReport:
-    per_order: list          # (n, absolute residual, relative residual)
     max_relative: float
     flagged: list            # orders with relative residual above tolerance
     tolerance: float
@@ -149,20 +148,18 @@ def verify_formal(eq, sol):
     _check_exponent_envelope(eq, sol.count)
     slices = _presliced(eq)
     rhs_slices = dict(eq.rhs.t_slices())
-    per_order = []
     flagged = []
     worst = 0.0
     for n in range(sol.count + 1):
         fn = rhs_slices.get(n)
-        res, rel = residual_norms(
+        _, rel = residual_norms(
             (zpart * (q ** ((j - p) * (n - p) - p * (p - 1) / 2.0)) * sol.scaled[n - p].dz_multi(alpha)
              for j, alpha, p, zpart in slices if p <= n),
             None if fn is None else fn * (q ** (-n * (n - 1) / 2.0)))
-        per_order.append((n, res, rel))
         worst = max(worst, rel)
         if rel > FORMAL_RESIDUAL_TOL:
             flagged.append(n)
-    return ResidualReport(per_order, worst, flagged, FORMAL_RESIDUAL_TOL)
+    return ResidualReport(worst, flagged, FORMAL_RESIDUAL_TOL)
 
 
 def gevrey_fit(sol):

@@ -2,8 +2,8 @@
 
 One fit, `fit_envelope`, bounds log magnitudes by A H^n exp(quad[n]) for
 a given quadratic log factor.  It serves the formal solution's
-|X_n| <= A h^n q^{n(n-1)/2}, the Borel grid's C H^m q^{m^2/2} and, through
-`ls_slope` and `last_third`, the asymptotic check's fit.  The envelope is
+|X_n| <= A h^n q^{n(n-1)/2}, the Borel grid's C H^m q^{m^2/2} and the
+asymptotic check's M H^N on the normalized remainders.  The envelope is
 fitted and then verified pointwise on the sampled orders only."""
 
 import math

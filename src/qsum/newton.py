@@ -246,14 +246,6 @@ class CharPoly:
         """Complex coefficient list at z = 0, ascending powers."""
         return [c.constant_term() for c in self.coeffs]
 
-    def eval(self, tau):
-        """P(tau, 0)."""
-        z0 = (0,) * self.coeffs[0].d
-        acc = 0j
-        for k, c in enumerate(self.coeffs):
-            acc += c.evaluate(0, z0) * tau ** k
-        return acc
-
 
 def characteristic_polynomial(eq, reduced, m0):
     """P(tau, z) = sum_{m0<j<=m} b_j(0,z) q^{-j(j-1)/2} tau^{j-m0}

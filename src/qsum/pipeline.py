@@ -29,7 +29,7 @@ from .newton import (SINGULAR_RAY_TOL, characteristic_polynomial, check_interior
                      check_nondegeneracy, check_order_floors, check_shape,
                      check_strong_margin, direction_clearance, newton_polygon,
                      reduced_coefficients, singular_directions)
-from .qborel import (borel_transform, borel_transformed_equation,
+from .qborel import (SEED_RADIUS_FRACTION, borel_transform, borel_transformed_equation,
                      continue_spiral, fit_spiral_bound)
 from .qlaplace import SpiralGeometry, asymptotic_check, residual_check, sample_fan
 
@@ -132,7 +132,7 @@ def size_parse_window(text, options, requested):
     except UnsupportedEquationError:
         radius = math.inf
     if math.isfinite(radius) and radius > 0:
-        seed_est = math.floor(math.log(0.5 * radius / abs(complex(options.lam)), probe.q))
+        seed_est = math.floor(math.log(SEED_RADIUS_FRACTION * radius / abs(options.lam), probe.q))
     else:
         seed_est = 0
     span = options.mmax - min(seed_est, 0) + 4

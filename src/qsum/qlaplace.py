@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 from .errors import GridTooShortError, PoleProximityError, UsageError
-from .growth import last_third, ls_slope
+from .growth import fit_envelope, last_third, ls_slope
 from .scaled import QScaled
 from .series import TruncatedSeries, residual_norms
 
@@ -529,43 +529,31 @@ def asymptotic_check(sol, grid, epsilon, n_max, rows=None):
                 for N in range(0, n_max + 1)]
 
     lnq = math.log(q)
-    # normalized remainders and the envelope fit
-    rho = [None] * (n_max + 1)
-    log_r = {}
-    for N in range(0, n_max + 1):
-        for i, t in enumerate(points):
-            if resolved[N][i] is None:
-                continue
-            log_r[(N, i)] = (math.log(EN[N][i]) + math.log(epsilon)
-                             - N * (N - 1) / 2.0 * lnq - N * math.log(abs(t)))
-        if N >= 1:
-            vals = [log_r[(N, i)] for i in range(len(points)) if (N, i) in log_r]
-            rho[N] = math.exp(max(vals) / N) if vals else None
+    # per order, the largest normalized log remainder over the resolved
+    # pairs; the envelope's A is M, and its diagnostic is log rho_N
+    logs = [max((math.log(e) + math.log(epsilon) - N * (N - 1) / 2.0 * lnq - N * math.log(abs(t))
+                 for e, t in zip(resolved[N], points) if e is not None), default=None)
+            for N in range(0, n_max + 1)]
+    env = fit_envelope(logs, [0.0] * (n_max + 1), 0.0)
+    rho = [None if g is None else math.exp(g) for g in env.diag]
 
     reasons = []
-    usable = [N for N in range(1, n_max + 1) if rho[N] is not None]
-    if not usable:
-        logH = 0.0
-    else:
-        logH = max(0.0, max(math.log(rho[N]) for N in last_third(usable, n_max)))
-        # rho_N settling toward a finite limit is the healthy pattern; only a
-        # sustained upward trend means no envelope of this shape exists
-        tail = last_third(usable, n_max, fallback=False)
-        if len(tail) >= 3:
-            slope = ls_slope([(float(N), math.log(rho[N])) for N in tail])
-            if slope > RHO_TREND_MAX:
-                reasons.append("normalized remainders trend upward (%.3g/order); no finite envelope" % slope)
-    logM = max((lr - N * logH for (N, _), lr in log_r.items()), default=-math.inf)
-    M = math.exp(logM) if math.isfinite(logM) else 0.0
+    # rho_N settling toward a finite limit is the healthy pattern; only a
+    # sustained upward trend means no envelope of this shape exists
+    tail = last_third([N for N in range(1, n_max + 1) if rho[N] is not None], n_max, fallback=False)
+    if len(tail) >= 3:
+        slope = ls_slope([(float(N), env.diag[N]) for N in tail])
+        if slope > RHO_TREND_MAX:
+            reasons.append("normalized remainders trend upward (%.3g/order); no finite envelope" % slope)
 
     slope = _order1_slope(points, resolved[1] if n_max >= 1 else None)
     if slope is not None and slope < ORDER1_SLOPE_MIN:
         reasons.append("order-1 remainder does not scale with |t| (slope %.2f)" % slope)
 
     verdict = "pass" if not reasons else "fail"
-    pairs = len(points) * (n_max + 1)
-    return ResumReport(epsilon, points, wvals, floors, EN, rho, M, math.exp(logH), verdict,
-                       len(log_r), pairs - len(log_r), reasons)
+    used = sum(e is not None for row in resolved for e in row)
+    return ResumReport(epsilon, points, wvals, floors, EN, rho, env.A, env.H, verdict,
+                       used, len(points) * (n_max + 1) - used, reasons)
 
 
 def _order1_slope(points, e1):

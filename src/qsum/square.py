@@ -1,11 +1,12 @@
 """Substitution t -> t^2 with the quartic-root rebase of the shift.
 
 Replacing t by t^2 and reading each shift S^j through the substitution
-turns the equation into one of the same form with base q1 = q^{1/4} and
-shift powers 2j; every t-order doubles, so an equation that misses the
-strong order margin acquires it after squaring.  The identities tying the
-squared equation's Borel transform and characteristic polynomial back to
-the original ones are verified numerically here."""
+turns the equation into one of the same form with base q^{1/4} and shift
+powers 2j; every t-order doubles, so an equation that misses the strong
+order margin acquires it after squaring.  The squared equation is checked
+with the polygon conditions of `newton` like any other equation.  The
+identities tying its Borel transform and characteristic polynomial back
+to the original ones are verified numerically here."""
 
 import cmath
 import math
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .equation import Equation, Term
 from .errors import QsumError
-from .newton import CheckReport, check_shape, durand_kerner, newton_polygon
+from .newton import check_shape, durand_kerner, newton_polygon
 
 IDENTITY_RTOL = 1e-10
 BOREL_IDENTITY_SAMPLES = 10
@@ -22,10 +23,8 @@ CHARPOLY_IDENTITY_SAMPLES = 20
 
 @dataclass(frozen=True)
 class SquaredEquation:
-    equation: Equation      # same model: base q1, shifts 2j, delta doubled
-    q1: float
+    equation: Equation      # same model: base q^{1/4}, shifts 2j, delta and m doubled
     m0_doubled: int
-    m_doubled: int
 
 
 def substitute_square(eq):
@@ -33,41 +32,9 @@ def substitute_square(eq):
     shape = check_shape(newton_polygon(eq))
     if not shape.ok:
         raise QsumError("squared form needs the polygon shape to hold: %s" % shape)
-    q1 = eq.q ** 0.25
     terms = tuple(Term(2 * t.j, t.alpha, t.coeff.subs_t_squared()) for t in eq.terms)
-    sq = Equation(q1, 2 * eq.delta, 2 * eq.m, eq.d, terms, eq.rhs.subs_t_squared(), eq.R)
-    return SquaredEquation(sq, q1, 2 * shape.m0, 2 * eq.m)
-
-
-def check_doubled_floors(sq):
-    """Order floors of the squared equation, including the strong margin
-
-        ord_t(A_{j,alpha}) >= 2j - 2m0 + 2   for |alpha| > 0,
-
-    which holds after squaring even when the original equation misses it;
-    this is what makes the squared route always available."""
-    messages = []
-    ok = True
-    M0, M = sq.m0_doubled, sq.m_doubled
-    for term in sq.equation.terms:
-        if term.coeff.is_zero():
-            continue
-        o = term.coeff.ord_t()
-        if o % 2:
-            ok = False
-            messages.append("odd t-order %d at (j=%d)" % (o, term.j))
-        if sum(term.alpha) == 0:
-            floor = max(0, term.j - M0)
-        else:
-            floor = max(2, term.j - M0 + 2)
-        if o < floor:
-            ok = False
-            messages.append("ord_t=%d at (shift=%d, alpha=%s) below floor %d"
-                            % (o, term.j, list(term.alpha), floor))
-        if sum(term.alpha) > 0 and M0 <= term.j < M and o < term.j - M0 + 2:
-            ok = False
-            messages.append("strong margin fails at (shift=%d, alpha=%s)" % (term.j, list(term.alpha)))
-    return CheckReport(ok, messages)
+    sq = Equation(eq.q ** 0.25, 2 * eq.delta, 2 * eq.m, eq.d, terms, eq.rhs.subs_t_squared(), eq.R)
+    return SquaredEquation(sq, 2 * shape.m0)
 
 
 @dataclass
@@ -83,11 +50,11 @@ class IdentityReport:
 
 
 def truncated_entire_eval(coeffs):
-    """Plain evaluator for the truncated sum of a_n t^n.
+    """Plain evaluator for the truncated sum of a_n t^n, exact for a polynomial.
 
-    Inside the disk of convergence the dropped tail is small once enough
-    terms are kept; callers choose the sample radius and the truncation
-    depth accordingly."""
+    For a series, inside the disk of convergence the dropped tail is small
+    once enough terms are kept; callers choose the sample radius and the
+    truncation depth accordingly."""
     coeffs = [complex(c) for c in coeffs]
 
     def ev(t):
@@ -102,6 +69,15 @@ def truncated_entire_eval(coeffs):
     return ev
 
 
+def _identity_gaps(points, lhs, rhs):
+    """Relative gap between lhs(x) and rhs(x) at each sample point, and the worst."""
+    samples = []
+    for x in points:
+        left, right = lhs(x), rhs(x)
+        samples.append((x, abs(left - right) / max(abs(left), abs(right), 1e-30)))
+    return samples, max(gap for _, gap in samples)
+
+
 def check_borel_square_identity(u_orig, u_sq, q, z0=None):
     """u1(xi, z) = u(q^{-1/4} xi^2, z) at sample points inside both disks.
 
@@ -113,17 +89,10 @@ def check_borel_square_identity(u_orig, u_sq, q, z0=None):
     r = min(r_sq, r_from_orig)
     eval_sq = truncated_entire_eval([v.evaluate(0.0, z0) for v in u_sq.coeffs])
     eval_orig = truncated_entire_eval([v.evaluate(0.0, z0) for v in u_orig.coeffs])
-    samples = []
-    worst = 0.0
     n = BOREL_IDENTITY_SAMPLES
-    for k in range(n):
-        xi = cmath.rect(r * (0.3 + 0.7 * (k + 1) / n), 2.0 * math.pi * k / n + 0.3)
-        lhs = eval_sq(xi)
-        rhs = eval_orig(q ** -0.25 * xi * xi)
-        scale = max(abs(lhs), abs(rhs), 1e-30)
-        gap = abs(lhs - rhs) / scale
-        samples.append((xi, gap))
-        worst = max(worst, gap)
+    points = [cmath.rect(r * (0.3 + 0.7 * (k + 1) / n), 2.0 * math.pi * k / n + 0.3)
+              for k in range(n)]
+    samples, worst = _identity_gaps(points, eval_sq, lambda xi: eval_orig(q ** -0.25 * xi * xi))
     return IdentityReport(worst <= IDENTITY_RTOL, worst, samples)
 
 
@@ -131,17 +100,11 @@ def check_charpoly_square_identity(P, P1, m0, q):
     """P1(rho, 0) = q^{-m0/4} P(q^{-1/4} rho^2, 0) at sample points, plus the
     root correspondence rho^2 in q^{1/4} * roots(P)."""
     factor = q ** (-m0 / 4.0)
-    samples = []
-    worst = 0.0
+    eval_p = truncated_entire_eval(P.at_z0())
     n = CHARPOLY_IDENTITY_SAMPLES
-    for k in range(n):
-        rho = cmath.rect(0.5 + 1.5 * k / (n - 1), 2.0 * math.pi * k / n + 0.1)
-        lhs = P1.eval(rho)
-        rhs = factor * P.eval(q ** -0.25 * rho * rho)
-        scale = max(abs(lhs), abs(rhs), 1e-30)
-        gap = abs(lhs - rhs) / scale
-        samples.append((rho, gap))
-        worst = max(worst, gap)
+    points = [cmath.rect(0.5 + 1.5 * k / (n - 1), 2.0 * math.pi * k / n + 0.1) for k in range(n)]
+    samples, worst = _identity_gaps(points, truncated_entire_eval(P1.at_z0()),
+                                    lambda rho: factor * eval_p(q ** -0.25 * rho * rho))
     messages = []
     ok = worst <= IDENTITY_RTOL
     p_roots = durand_kerner(P.at_z0())

@@ -14,15 +14,16 @@ import qsum.qlaplace
 from qsum.corpus import corpus
 from qsum.equation import parse_equation
 from qsum.formal import solve_formal
-from qsum.newton import (characteristic_polynomial, check_shape,
-                         check_strong_margin, newton_polygon,
-                         reduced_coefficients, singular_directions)
+from qsum.newton import (characteristic_polynomial, check_interior,
+                         check_order_floors, check_shape, check_strong_margin,
+                         newton_polygon, reduced_coefficients,
+                         singular_directions)
 from qsum.qborel import (borel_transform, borel_transformed_equation,
                          continue_spiral, fit_spiral_bound, lead_roots)
 from qsum.qlaplace import asymptotic_check, q_laplace, residual_check, theta
 from qsum.series import TruncatedSeries
 from qsum.square import (check_borel_square_identity,
-                         check_charpoly_square_identity, check_doubled_floors,
+                         check_charpoly_square_identity,
                          shift_square_identity_gap, substitute_square)
 
 import test_properties as props
@@ -169,11 +170,17 @@ def test_criterion_7_square_identities(euler_eq, euler_sol):
 
     ex2 = parse_equation("q=2; delta=1; m=2; d=1; eq: S^1(X) + t*S^2(X) + t*S^1 Dz1^1(X) = 1/(1-z1)",
                          Kt=10, Kz=6)
-    floors = check_doubled_floors(substitute_square(ex2))
-    ok = worst_shift <= 1e-12 and worst43 <= 1e-10 and worst44 <= 1e-10 and floors.passed
+    sq = substitute_square(ex2)
+    p1 = newton_polygon(sq.equation)
+    sh1 = check_shape(p1)
+    interior = check_interior(sq.equation, p1, sq.m0_doubled)
+    margin = (sh1.ok and sh1.m0 == sq.m0_doubled and interior.passed
+              and check_order_floors(sq.equation, p1, sh1, interior).passed
+              and check_strong_margin(sq.equation, sq.m0_doubled).passed)
+    ok = worst_shift <= 1e-12 and worst43 <= 1e-10 and worst44 <= 1e-10 and margin
     record("7 squared-variable identities", ok,
            "shift %.1e, transform %.1e, charpoly %.1e, squared margin=%s"
-           % (worst_shift, worst43, worst44, floors.passed))
+           % (worst_shift, worst43, worst44, margin))
 
 
 def test_criterion_8_scaling_identity(base_seed):

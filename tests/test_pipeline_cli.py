@@ -319,6 +319,10 @@ USAGE_ERRORS = {
                                    "--mmax", "8", "--N", "4"],
     "zero lambda": ["report", "{euler}", "--lambda", "0,0", "--orders", "8", "--mmax", "8",
                     "--N", "4"],
+    "equation file not UTF-8": ["check", "{undecodable}"],
+    "config file not UTF-8": ["--config", "{undecodable_config}", "check", "{euler}"],
+    "DSL nested too deeply": ["check", "{deep}"],
+    "JSON nested too deeply": ["check", "{deep_json}"],
 }
 
 
@@ -330,8 +334,18 @@ def test_usage_error_exit_code(tmp_path, euler_file, case):
     ex2.write_text(EX2)
     config = tmp_path / "bad.toml"
     config.write_text("orders = x\n")
+    undecodable = tmp_path / "ff.qde"
+    undecodable.write_bytes(EULER.encode() + b"\xff\n")
+    undecodable_config = tmp_path / "ff.toml"
+    undecodable_config.write_bytes(b"orders = 10\xff\n")
+    deep = tmp_path / "deep.qde"
+    deep.write_text(EULER.replace("= 1", "= " + "(" * 3000 + "1" + ")" * 3000))
+    deep_json = tmp_path / "deep.json"
+    deep_json.write_text(_euler_doc(rhs="@").replace('"@"', "[" * 5000 + "]" * 5000))
     names = {"euler": euler_file, "euler15": str(euler15), "ex2": str(ex2),
-             "config": str(config), "tmp": str(tmp_path)}
+             "config": str(config), "tmp": str(tmp_path), "undecodable": str(undecodable),
+             "undecodable_config": str(undecodable_config), "deep": str(deep),
+             "deep_json": str(deep_json)}
     argv = [a.format(**names) for a in USAGE_ERRORS[case]]
     proc = subprocess.run([sys.executable, "-m", "qsum.cli"] + argv,
                           capture_output=True, text=True)

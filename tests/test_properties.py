@@ -17,8 +17,10 @@ from qsum.formal import gevrey_fit, solve_formal, verify_formal
 from qsum.newton import (characteristic_polynomial, check_interior,
                          check_order_floors, check_shape, newton_polygon,
                          reduced_coefficients, singular_directions)
+from qsum.pipeline import analyze_conditions
 from qsum.qborel import (borel_transform, borel_transformed_equation,
                          continue_spiral, lead_roots)
+from qsum.square import substitute_square
 
 
 def clear_direction(rays, radius=1.0):
@@ -152,6 +154,17 @@ def property_series_ring(seed):
         assert (unit * invert(unit)).approx_equal(one, 1e-10)
 
 
+def property_squared_route_has_the_strong_margin(seed):
+    # t -> t^2 doubles every t-order, so the squared equation meets every
+    # polygon condition and the strong margin, whether or not the original does
+    for eq in corpus(40, seed):
+        sq = substitute_square(eq)
+        cond = analyze_conditions(sq.equation)
+        assert cond["shape"].ok and cond["shape"].m0 == sq.m0_doubled
+        for key in ("interior", "floors", "nondegeneracy", "strong_margin"):
+            assert cond[key].passed, (key, cond[key].messages)
+
+
 def property_report_determinism(seed):
     import json
     from qsum.pipeline import Options, run_report
@@ -173,6 +186,7 @@ ALL_PROPERTIES = (
     property_overlap_consistency,
     property_json_round_trip,
     property_series_ring,
+    property_squared_route_has_the_strong_margin,
     property_report_determinism,
 )
 

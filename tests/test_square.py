@@ -6,12 +6,13 @@ import pytest
 
 from qsum.equation import parse_equation
 from qsum.formal import solve_formal
-from qsum.newton import (characteristic_polynomial, check_shape,
+from qsum.newton import (characteristic_polynomial, check_interior,
+                         check_order_floors, check_shape, check_strong_margin,
                          newton_polygon, reduced_coefficients)
 from qsum.qborel import borel_transform, borel_transformed_equation, continue_spiral
 from qsum.series import TruncatedSeries
 from qsum.square import (check_borel_square_identity,
-                         check_charpoly_square_identity, check_doubled_floors,
+                         check_charpoly_square_identity,
                          shift_square_identity_gap, substitute_square)
 
 Q = 2.0
@@ -20,8 +21,8 @@ EX2 = "q=2; delta=1; m=2; d=1; eq: S^1(X) + t*S^2(X) + t*S^1 Dz1^1(X) = 1/(1-z1)
 
 def test_substitute_square_euler(euler_eq):
     sq = substitute_square(euler_eq)
-    assert sq.q1 == pytest.approx(2.0 ** 0.25)
-    assert sq.m0_doubled == 0 and sq.m_doubled == 2
+    assert sq.equation.q == pytest.approx(2.0 ** 0.25)
+    assert sq.m0_doubled == 0 and sq.equation.m == 2
     tmap = {(t.j, t.alpha): t.coeff for t in sq.equation.terms}
     assert set(tmap) == {(0, ()), (2, ())}
     assert tmap[(2, ())].get(2) == 1 and tmap[(2, ())].get(1) == 0
@@ -45,11 +46,18 @@ def test_ord_doubles_exactly():
 
 
 def test_doubled_floors_examples(euler_eq):
-    assert check_doubled_floors(substitute_square(euler_eq)).passed
-    # the regime case: original misses the strong margin, the square has it
+    # the second equation misses the strong margin; its square has it
     eq = parse_equation(EX2, Kt=10, Kz=6)
-    rep = check_doubled_floors(substitute_square(eq))
-    assert rep.passed
+    assert not check_strong_margin(eq, check_shape(newton_polygon(eq)).m0).passed
+    for orig in (euler_eq, eq):
+        sq = substitute_square(orig)
+        polygon = newton_polygon(sq.equation)
+        shape = check_shape(polygon)
+        assert shape.ok and shape.m0 == sq.m0_doubled
+        interior = check_interior(sq.equation, polygon, shape.m0)
+        assert interior.passed
+        assert check_order_floors(sq.equation, polygon, shape, interior).passed
+        assert check_strong_margin(sq.equation, sq.m0_doubled).passed
 
 
 def test_shift_identity_random_instances():
@@ -147,7 +155,7 @@ def test_squared_pipeline_reproduces_continuation():
         a = grid.values[k]
         b = grid1.values[m1]
         va = a.series.constant_term() * Q ** a.qexp
-        vb = b.series.constant_term() * sq.q1 ** b.qexp
+        vb = b.series.constant_term() * sq.equation.q ** b.qexp
         assert abs(va - vb) <= 1e-8 * max(abs(va), 1e-30)
         checked += 1
     assert checked >= 10
