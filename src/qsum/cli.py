@@ -66,20 +66,28 @@ def _load_config(path):
     if not path or not os.path.exists(path):
         return config
     known = [key for _, key, _ in _SETTINGS]
-    with open(path, "r", encoding="utf-8") as fh:
-        for number, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError("config %s line %d: expected key = value, got %r"
-                                 % (path, number, line))
-            key, value = (x.strip() for x in line.split("=", 1))
-            if key not in known:
-                raise UsageError("config %s line %d: unknown key %r (known: %s)"
-                                 % (path, number, key, ", ".join(known)))
-            config[key] = value.strip('"')
+    for number, line in enumerate(_read_text(path, "config").split("\n"), 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError("config %s line %d: expected key = value, got %r"
+                             % (path, number, line))
+        key, value = (x.strip() for x in line.split("=", 1))
+        if key not in known:
+            raise UsageError("config %s line %d: unknown key %r (known: %s)"
+                             % (path, number, key, ", ".join(known)))
+        config[key] = value.strip('"')
     return config
+
+
+def _read_text(path, what):
+    """The text of a UTF-8 file; any other is a usage error naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise UsageError("%s %s is not UTF-8: %s" % (what, path, exc)) from exc
 
 
 def _json_default(o):
@@ -177,12 +185,11 @@ def main(argv=None):
         opt = _options_from(args, _load_config(args.config))
         if args.command == "solve":
             opt = replace(opt, mmax=0)  # no march: pad the z-window for the recursion only
-        with open(args.equation, "r", encoding="utf-8") as fh:
-            run = Run(fh.read(), opt)
+        run = Run(_read_text(args.equation, "equation file"), opt)
         doc, code = VIEWS[args.command](run, args)
         _write(json.dumps(doc, indent=2, sort_keys=True, default=_json_default) + "\n", args.json)
         return code
-    except (ParseError, SchemaError, UsageError, OSError, UnicodeDecodeError) as exc:
+    except (ParseError, SchemaError, UsageError, OSError) as exc:
         return _fail(exc, EXIT_USAGE)
     except ConditionsFailed as exc:
         return _fail(exc, EXIT_CONDITION)

@@ -52,7 +52,7 @@ class Options:
         (q-1)/(q+1), is checked where q is known (Run.require_epsilon).
         Errors name the setting as the config file and the flags do."""
         for name, key, low in (("orders", "orders", 1), ("mmax", "mmax", 0),
-                               ("n_check", "N", 0), ("Kz", "zorder", 0)):
+                               ("n_check", "N", 1), ("Kz", "zorder", 0)):
             if getattr(self, name) < low:
                 raise UsageError("%s must be at least %d (got %d)" % (key, low, getattr(self, name)))
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):

@@ -8,11 +8,17 @@ of its inputs' windows: results are never extrapolated beyond what the
 inputs determine, so a formal derivative costs one unit of z-window and
 that loss propagates through all downstream arithmetic.  No series
 stores a coefficient that is exactly 0.
+
+The public constructor checks every key and value of outside data.
+Results of arithmetic on series, whose keys come from in-window keys,
+are built by `_result`, which checks only finiteness, zeros and, where
+the operands' windows differ, the common window.
 """
 
 import heapq
 import math
 from cmath import isfinite
+from operator import add
 
 from .errors import DimensionMismatchError, NonFiniteError, NotAUnitError, TruncationError
 
@@ -85,7 +91,7 @@ class TruncatedSeries:
     @classmethod
     def combination(cls, pairs):
         """The sum of series * scale over the (series, scale) pairs, built
-        by one constructor call.
+        as one result.
 
         Values, window and key order are those of the chained
         s0 * c0 + s1 * c1 + ...: the same products and additions in the
@@ -100,10 +106,13 @@ class TruncatedSeries:
         d, Kt, Kz = series.d, series.Kt, series.Kz
         scale = _scalar(scale)
         out = {k: v for k, c in series.coeffs.items() if (v := c * scale)}
+        trim = False
         for series, scale in pairs:
             if series.d != d:
                 raise DimensionMismatchError("series in %d and %d z-variables" % (d, series.d))
-            Kt, Kz = min(Kt, series.Kt), min(Kz, series.Kz)
+            if series.Kt != Kt or series.Kz != Kz:
+                trim = True
+                Kt, Kz = min(Kt, series.Kt), min(Kz, series.Kz)
             scale = _scalar(scale)
             if scale != 0:
                 get = out.get
@@ -113,9 +122,7 @@ class TruncatedSeries:
                         out[k] = v
                     else:
                         out.pop(k, None)
-        if not all(map(isfinite, out.values())):
-            raise NonFiniteError("non-finite coefficient")
-        return cls(d, Kt, Kz, out)
+        return _result(d, Kt, Kz, out, trim)
 
     # ---------------------------------------------------------------- access
 
@@ -160,22 +167,25 @@ class TruncatedSeries:
             other = self._lift(other)
         Kt, Kz = self._common_window(other)
         out = dict(self.coeffs)
+        get = out.get
         for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0j) + c
-        return TruncatedSeries(self.d, Kt, Kz, out)
+            out[k] = get(k, 0j) + c
+        return _result(self.d, Kt, Kz, out, (self.Kt, self.Kz) != (other.Kt, other.Kz))
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = TruncatedSeries.__new__(TruncatedSeries)
-        out.d, out.Kt, out.Kz = self.d, self.Kt, self.Kz
-        out.coeffs = {k: -c for k, c in self.coeffs.items()}
-        return out
+        return _result(self.d, self.Kt, self.Kz, {k: -c for k, c in self.coeffs.items()}, False)
 
     def __sub__(self, other):
         if not isinstance(other, TruncatedSeries):
             other = self._lift(other)
-        return self + (-other)
+        Kt, Kz = self._common_window(other)
+        out = dict(self.coeffs)
+        get = out.get
+        for k, c in other.coeffs.items():
+            out[k] = get(k, 0j) - c
+        return _result(self.d, Kt, Kz, out, (self.Kt, self.Kz) != (other.Kt, other.Kz))
 
     def __rsub__(self, other):
         return self._lift(other) - self
@@ -183,33 +193,38 @@ class TruncatedSeries:
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
             other = _scalar(other)
-            # a product that underflows to 0 is dropped, as the constructor drops it
+            # _result's checks, done in place: on the one-term series of a
+            # kernel sum the call would add a fifth to the product's time
             coeffs = {k: v for k, c in self.coeffs.items() if (v := c * other)}
             if not all(map(isfinite, coeffs.values())):
                 raise NonFiniteError("non-finite coefficient")
             out = TruncatedSeries.__new__(TruncatedSeries)
-            out.d, out.Kt, out.Kz = self.d, self.Kt, self.Kz
-            out.coeffs = coeffs
+            out.d, out.Kt, out.Kz, out.coeffs = self.d, self.Kt, self.Kz, coeffs
             return out
         Kt, Kz = self._common_window(other)
         a, b = self.coeffs, other.coeffs
         if len(a) > len(b):
             a, b = b, a
         out = {}
+        get = out.get
+        one = self.d == 1
         bitems = [(n, beta, sum(beta), c) for (n, beta), c in b.items()]
         for (n1, b1), c1 in a.items():
-            if n1 >= Kt:
+            rt, rz = Kt - n1, Kz - sum(b1)
+            if rt <= 0 or rz <= 0:
                 continue
-            w1 = sum(b1)
-            if w1 >= Kz:
-                continue
-            for n2, b2, w2, c2 in bitems:
-                n = n1 + n2
-                if n >= Kt or w1 + w2 >= Kz:
-                    continue
-                key = (n, tuple(x + y for x, y in zip(b1, b2)))
-                out[key] = out.get(key, 0j) + c1 * c2
-        return TruncatedSeries(self.d, Kt, Kz, out)
+            if one:
+                z1 = b1[0]
+                for n2, b2, w2, c2 in bitems:
+                    if n2 < rt and w2 < rz:
+                        key = (n1 + n2, (z1 + w2,))
+                        out[key] = get(key, 0j) + c1 * c2
+            else:
+                for n2, b2, w2, c2 in bitems:
+                    if n2 < rt and w2 < rz:
+                        key = (n1 + n2, tuple(map(add, b1, b2)))
+                        out[key] = get(key, 0j) + c1 * c2
+        return _result(self.d, Kt, Kz, out, False)
 
     __rmul__ = __mul__
 
@@ -246,6 +261,10 @@ class TruncatedSeries:
         Kz = self.Kz - order
         if Kz < 1:
             raise TruncationError("z-window exhausted by derivative of order %d" % order)
+        if self.d == order == 1:
+            # c * b is c * (1.0 * b) bit for bit
+            out = {(n, (b - 1,)): c * b for (n, (b,)), c in self.coeffs.items() if b}
+            return _result(1, self.Kt, Kz, out, False)
         i = axis - 1
         out = {}
         for (n, beta), c in self.coeffs.items():
@@ -257,7 +276,7 @@ class TruncatedSeries:
                 fac *= b - r
             nb = beta[:i] + (b - order,) + beta[i + 1:]
             out[(n, nb)] = c * fac
-        return TruncatedSeries(self.d, self.Kt, Kz, out)
+        return _result(self.d, self.Kt, Kz, out, False)
 
     def dz_multi(self, alpha):
         """Apply the mixed derivative given by the multi-index alpha."""
@@ -285,7 +304,7 @@ class TruncatedSeries:
     def t_slice(self, n):
         """The z-series coefficient of t**n (Kt collapses to 1)."""
         out = {(0, beta): c for (m, beta), c in self.coeffs.items() if m == n}
-        return TruncatedSeries(self.d, 1, self.Kz, out)
+        return _result(self.d, 1, self.Kz, out, False)
 
     def t_slices(self):
         """Sorted list of (n, z-series) over populated t-exponents."""
@@ -340,13 +359,11 @@ class TruncatedSeries:
         for (n, beta), c in self.coeffs.items():
             key = (0, beta)
             out[key] = out.get(key, 0j) + c * t0 ** n
-        return TruncatedSeries(self.d, 1, self.Kz, out)
+        return _result(self.d, 1, self.Kz, out, False)
 
     def norm_max(self):
         """Largest coefficient magnitude."""
-        if not self.coeffs:
-            return 0.0
-        return max(abs(c) for c in self.coeffs.values())
+        return max(map(abs, self.coeffs.values()), default=0.0)
 
     def sup_norm(self, rz):
         """Coefficient-sum upper bound for the sup on |t|<=1, |z_i|<=rz."""
@@ -359,6 +376,21 @@ class TruncatedSeries:
         diff = self - other
         scale = max(self.norm_max(), other.norm_max(), 1.0)
         return diff.norm_max() <= tol * scale
+
+
+def _result(d, Kt, Kz, coeffs, trim):
+    """The series of an operation on series, whose keys it built from keys
+    inside the operands' windows: checks finiteness, then drops exact zeros
+    and, when trim (the operands' windows differ), keys outside (Kt, Kz)."""
+    if not all(map(isfinite, coeffs.values())):
+        raise NonFiniteError("non-finite coefficient")
+    if trim:
+        coeffs = {k: c for k, c in coeffs.items() if c and k[0] < Kt and sum(k[1]) < Kz}
+    elif not all(coeffs.values()):
+        coeffs = {k: c for k, c in coeffs.items() if c}
+    out = TruncatedSeries.__new__(TruncatedSeries)
+    out.d, out.Kt, out.Kz, out.coeffs = d, Kt, Kz, coeffs
+    return out
 
 
 def _scalar(value):
@@ -411,7 +443,7 @@ def divide(num, den):
                 if key[0] < Kt and key[1] < Kz and key not in queued:
                     queued.add(key)
                     heapq.heappush(todo, key)
-    return TruncatedSeries(d, Kt, Kz, out)
+    return _result(d, Kt, Kz, out, False)
 
 
 def residual_norms(pieces, rhs):

@@ -174,6 +174,27 @@ def test_config_mistakes_are_usage_errors(tmp_path, capsys, euler_file, text, me
     assert err.startswith("error: config %s " % cfg) and message in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("which", ["equation file", "config"])
+def test_a_file_that_is_not_utf8_is_named(tmp_path, capsys, euler_file, which):
+    bad = tmp_path / "ff.txt"
+    bad.write_bytes(EULER.encode() + b"\xff\n")
+    argv = ["--config", str(bad), "check", euler_file] if which == "config" else ["check", str(bad)]
+    assert run_cli(argv + ["--json", os.devnull]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s %s is not UTF-8: " % (which, bad))
+    assert "byte 0xff" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cmd", ["report", "verify"])
+def test_an_N_that_checks_no_order_is_a_usage_error(tmp_path, capsys, euler_file, cmd):
+    """With N = 0 the asymptotic check would read no order and pass."""
+    cfg = tmp_path / "qsum.toml"
+    cfg.write_text("N = 0\n")
+    for argv in ([cmd, euler_file, "--N", "0"], ["--config", str(cfg), cmd, euler_file]):
+        assert run_cli(argv + ["--orders", "8", "--mmax", "8", "--json", os.devnull]) == 5
+        assert capsys.readouterr().err == "error: N must be at least 1 (got 0)\n"
+
+
 def test_the_default_config_file_is_optional_and_checked(tmp_path, euler_file, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run_cli(["check", euler_file, "--json", os.devnull]) == 0

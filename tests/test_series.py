@@ -253,6 +253,91 @@ def test_combination_errors():
             TruncatedSeries.combination(pairs)
 
 
+def _ref_sum(a, b, negate):
+    """The reference a + b (a + (-b) when negate): every key through the
+    validating constructor."""
+    out = dict(a.coeffs)
+    for k, c in b.coeffs.items():
+        out[k] = out.get(k, 0j) + (-c if negate else c)
+    return TruncatedSeries(a.d, min(a.Kt, b.Kt), min(a.Kz, b.Kz), out)
+
+
+def _ref_mul(a, b):
+    """The reference product: the convolution over the smaller operand,
+    every key through the validating constructor."""
+    Kt, Kz = min(a.Kt, b.Kt), min(a.Kz, b.Kz)
+    x, y = (b.coeffs, a.coeffs) if len(a.coeffs) > len(b.coeffs) else (a.coeffs, b.coeffs)
+    out = {}
+    for (n1, b1), c1 in x.items():
+        for (n2, b2), c2 in y.items():
+            key = (n1 + n2, tuple(p + r for p, r in zip(b1, b2)))
+            if key[0] < Kt and sum(key[1]) < Kz:
+                out[key] = out.get(key, 0j) + c1 * c2
+    return TruncatedSeries(a.d, Kt, Kz, out)
+
+
+def _ref_dz(a, axis, order):
+    i = axis - 1
+    out = {}
+    for (n, beta), c in a.coeffs.items():
+        if beta[i] >= order:
+            fac = 1.0
+            for r in range(order):
+                fac *= beta[i] - r
+            out[(n, beta[:i] + (beta[i] - order,) + beta[i + 1:])] = c * fac
+    return TruncatedSeries(a.d, a.Kt, a.Kz - order, out)
+
+
+def _ref_combination(pairs):
+    acc = None
+    for s, scale in pairs:
+        piece = TruncatedSeries(s.d, s.Kt, s.Kz, {k: c * complex(scale) for k, c in s.coeffs.items()})
+        acc = piece if acc is None else _ref_sum(acc, piece, False)
+    return acc
+
+
+def _int_series(rng, d, Kt, Kz, count):
+    """Small Gaussian-integer coefficients, whose sums and products cancel
+    to exactly 0 often."""
+    coeffs = {}
+    for _ in range(count):
+        key = (rng.randrange(Kt), tuple(rng.randrange(Kz) for _ in range(d)))
+        coeffs[key] = complex(rng.choice((-2, -1, 1, 2)), rng.choice((0, 0, -1, 1)))
+    return TruncatedSeries(d, Kt, Kz, coeffs)
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
+def test_arithmetic_matches_the_validating_constructor(d):
+    """Every operation that builds its result without the public
+    constructor gives what the constructor gives for the same
+    coefficients: values to the bit, key order and window."""
+    rng = random.Random(20241019 + d)
+    windows = [(6, 5), (7, 6), (5, 4), (4, 3), (8, 7), (6, 3)]
+    cancelled = unequal = 0
+    for _ in range(60):
+        (aKt, aKz), (bKt, bKz) = rng.choice(windows), rng.choice(windows)
+        unequal += (aKt, aKz) != (bKt, bKz)
+        make = rng.choice((_int_series, _random_series))
+        a = make(rng, d, aKt, aKz, rng.choice((0, 1, 4, 12)))
+        b = make(rng, d, bKt, bKz, rng.choice((0, 1, 4, 12)))
+        # shared keys whose values cancel in the sum or in the difference
+        shared = {k: rng.choice((c, -c)) for k, c in a.coeffs.items() if rng.random() < 0.5}
+        b = TruncatedSeries(d, bKt, bKz, {**b.coeffs, **shared})
+        cancelled += sum(k in b.coeffs and abs(b.coeffs[k]) == abs(c) for k, c in a.coeffs.items())
+        _assert_same(a + b, _ref_sum(a, b, False))
+        _assert_same(a - b, _ref_sum(a, b, True))
+        _assert_same(a * b, _ref_mul(a, b))
+        _assert_same(b * a, _ref_mul(b, a))
+        for axis in range(1, d + 1):
+            for order in (1, 2):
+                _assert_same(a.dz(axis, order), _ref_dz(a, axis, order))
+        pairs = [(a, rng.choice((1.0, -1.0, 0.5j))), (b, rng.choice((1.0, -1.0, 2))), (a * b, 0.25)]
+        _assert_same(TruncatedSeries.combination(pairs), _ref_combination(pairs))
+        den = _int_series(rng, d, bKt, bKz, 3) + TruncatedSeries.const(5.0, d, bKt, bKz)
+        _assert_same(divide(a, den), _window_divide(a, den))
+    assert cancelled > 20 and unequal > 20
+
+
 def test_scalar_product_rejects_overflow():
     big = TruncatedSeries.const(1e308, 0, 2, 1)
     for overflow in (lambda: big * 10.0, lambda: 10.0 * big, lambda: big * 10j,
