@@ -18,7 +18,7 @@ from .pipeline import Options, RunReport, run_report
 from .qborel import (BorelFunction, SpiralGrid, borel_transform,
                      borel_transformed_equation, continue_spiral,
                      fit_spiral_bound)
-from .qlaplace import (SpiralGeometry, asymptotic_check, q_laplace,
+from .qlaplace import (KernelSamples, SpiralGeometry, asymptotic_check, q_laplace,
                        q_laplace_series, residual_check, theta,
                        zone_membership)
 from .scaled import QScaled
@@ -37,7 +37,7 @@ __all__ = [
     "borel_transform", "borel_transformed_equation", "continue_spiral",
     "fit_spiral_bound", "BorelFunction", "SpiralGrid",
     "theta", "zone_membership", "q_laplace", "q_laplace_series",
-    "residual_check", "asymptotic_check", "SpiralGeometry",
+    "residual_check", "asymptotic_check", "SpiralGeometry", "KernelSamples",
     "substitute_square",
     "run_report", "Options", "RunReport",
     "__version__",

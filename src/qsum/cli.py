@@ -82,9 +82,9 @@ def _load_config(path):
 
 
 def _read_text(path, what):
-    """The text of a UTF-8 file; any other is a usage error naming it."""
+    """The text of a UTF-8 file, less a byte order mark; any other is a usage error naming it."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise UsageError("%s %s is not UTF-8: %s" % (what, path, exc)) from exc

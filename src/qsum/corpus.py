@@ -28,12 +28,11 @@ def _rand_poly(rng, d, Kt, Kz, n_terms, max_t, max_z, ord_floor=0, mag=1.0):
     return TruncatedSeries(d, Kt, Kz, coeffs)
 
 
-def random_equation(rng=None, seed=None, d=None, Kt=20, Kz=12):
-    """One random equation with the shape, interior and nondegeneracy
+def random_equation(rng, Kt=20, Kz=12):
+    """One random equation from rng with the shape, interior and nondegeneracy
     conditions guaranteed; q in [1.5, 3], m0 in {0, 1}, m <= m0 + 2."""
-    rng = rng if rng is not None else random.Random(seed)
     q = rng.uniform(1.5, 3.0)
-    d = d if d is not None else rng.choice([0, 1, 1])
+    d = rng.choice([0, 1, 1])
     m0 = rng.randint(0, 1)
     m = m0 + rng.randint(1, 2)
     zero_alpha = (0,) * d

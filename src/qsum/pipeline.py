@@ -1,6 +1,7 @@
 """End-to-end orchestration: polygon conditions, formal solve, Borel
-continuation, kernel resummation, and the asymptotic verdict, collected
-into one machine-readable report.
+continuation, the kernel-sample stage (`Run.kernel_samples`, which sums W
+once per sample point), the residuals and the asymptotic verdict,
+collected into one machine-readable report.
 
 `Run` is the one place the stages run.  Each stage is computed on first
 read and at most once, and its own time (without the stages it reads) is
@@ -31,7 +32,7 @@ from .newton import (SINGULAR_RAY_TOL, characteristic_polynomial, check_interior
                      reduced_coefficients, singular_directions)
 from .qborel import (SEED_RADIUS_FRACTION, borel_transform, borel_transformed_equation,
                      continue_spiral, fit_spiral_bound)
-from .qlaplace import SpiralGeometry, asymptotic_check, residual_check, sample_fan
+from .qlaplace import KernelSamples, SpiralGeometry, asymptotic_check, residual_check, sample_fan
 
 # with the polygon shape, the conditions every stage past them needs
 HARD_CONDITIONS = ("interior", "nondegeneracy")
@@ -215,9 +216,6 @@ class Run:
         self.options = options or Options()
         self.timings = {}
         self._nested = 0.0
-        # t -> (W(t, 0), its rounding floor, remainder row), shared by both
-        # asymptotic stages
-        self._rows = {}
 
     @_stage("parse")
     def requested(self):
@@ -309,6 +307,11 @@ class Run:
     def spiral_bound(self):
         return fit_spiral_bound(self.grid)
 
+    @_stage("continuation")
+    def kernel_samples(self):
+        """W at the points the residual and asymptotic stages read, each summed once."""
+        return KernelSamples(self.grid)
+
     @property
     def kernel_epsilon(self):
         """The epsilon of the residual samples and of `qsum resum`: the
@@ -321,19 +324,19 @@ class Run:
         eps, lam = self.kernel_epsilon, self.grid.lam
         samples = sample_fan(SpiralGeometry(lam, eps, self.grid.q), RESIDUAL_SAMPLES // 2,
                              (0.05 * abs(lam), 0.1 * abs(lam)))
-        return residual_check(self.equation, self.grid, samples, epsilon=eps)
+        return residual_check(self.equation, self.kernel_samples, samples, epsilon=eps)
 
     # the expansion property quantifies over all small epsilon; the report
     # checks a fixed pair and states each verdict separately
     @_stage("asymptotic")
     def asymptotic(self):
-        return asymptotic_check(self.solution, self.grid, self.options.epsilon,
-                                self.options.n_check, rows=self._rows)
+        return asymptotic_check(self.solution, self.kernel_samples, self.options.epsilon,
+                                self.options.n_check)
 
     @_stage("asymptotic")
     def asymptotic_half(self):
-        return asymptotic_check(self.solution, self.grid, self.options.epsilon / 2.0,
-                                self.options.n_check, rows=self._rows)
+        return asymptotic_check(self.solution, self.kernel_samples, self.options.epsilon / 2.0,
+                                self.options.n_check)
 
     def report(self):
         """Every stage, read in order, as a RunReport.  Raises

@@ -30,6 +30,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import chain
 
 from .errors import GridTooShortError, PoleProximityError, UsageError
@@ -229,50 +230,70 @@ def zone_membership(geom, t):
 
 
 def q_laplace_series(grid, t, epsilon=0.05):
-    """Kernel-weighted sum of the grid values as a z-series.
-
-    Both tails must decay below KERNEL_TAIL_RTOL of the partial sum inside the
-    available index range, or the grid is reported too short.  Terms below
-    KERNEL_DROP_RTOL relative are dropped so negligible far indices cannot
-    shrink the z-window of the result.
-
-    One triple product per t gives theta(y) for the reduced argument y of
-    lambda / t, and the functional equation theta(q^k y) = q^{k(k+1)/2}
-    y^k theta(y) every kernel theta in closed form.  The closed form also
-    gives every term's log size, and only the kept terms get a theta
-    mantissa."""
-    terms, top, _ = _kernel_terms(grid, t, epsilon)
-    if not terms:
-        return TruncatedSeries.zero(grid.d, 1, grid.values[grid.m_max].series.Kz)
-    acc = TruncatedSeries.combination([(grid.values[m].series * inv, scale)
-                                       for m, inv, scale in terms])
-    return acc * complex(grid.q ** top)
+    """W(t, .) as a z-series at a t off the epsilon-disks (KernelSamples)."""
+    return KernelSamples(grid).series(_outside_disks(grid, t, epsilon))
 
 
 def q_laplace(grid, t, epsilon=0.05):
-    """(W(t, 0), floor): the resummed value at the origin in z, and the
-    rounding floor of its sum, the sum of the kept terms' magnitudes
-    times a bound on each term's relative rounding error (see
-    ROUNDING_UNIT).  W's error from the kernel sum's roundings is below
-    the floor, so a difference from W no larger than it is not resolved.
-
-    The terms are those of q_laplace_series; only the constant coefficient
-    of each is summed, with the same floating-point operations, so the
-    value is that series' at z = 0."""
-    terms, top, rtol = _kernel_terms(grid, t, epsilon)
-    origin = (0, (0,) * grid.d)
-    acc, size = None, 0.0
-    for m, inv, scale in terms:
-        piece = grid.values[m].series.coeffs.get(origin, 0j) * inv * scale
-        acc = piece if acc is None else acc + piece
-        size += abs(piece)
-    if acc is None:
-        return 0j, 0.0
-    unit = complex(grid.q ** top)
-    return acc * unit, size * abs(unit) * rtol
+    """(W(t, 0), floor) at a t off the epsilon-disks (KernelSamples)."""
+    return KernelSamples(grid).origin(_outside_disks(grid, t, epsilon))
 
 
-def _kernel_terms(grid, t, epsilon):
+def _outside_disks(grid, t, epsilon):
+    """complex(t); PoleProximityError where t lies inside or near an epsilon-disk."""
+    t = complex(t)
+    zone = zone_membership(SpiralGeometry(grid.lam, epsilon, grid.q), t)
+    if not zone.outside:
+        raise PoleProximityError(
+            "t = %s lies %s the excluded spiral disks (m=%s, ratio %.3g)"
+            % (t, PLACEMENT[zone.kind], zone.m, zone.min_ratio))
+    return t
+
+
+class KernelSamples:
+    """W at the sample points t of one grid, for every check that reads
+    it.  The kept terms of W(t, .) (_kernel_terms) are found on first read
+    and each sum from them once (functools.cache).  series(t) is W(t, .) as
+    a z-series.  origin(t) is (W(t, 0), floor): each term's constant
+    coefficient summed with the operations of series(t), and the rounding
+    floor, the terms' magnitudes times a bound on each one's relative
+    rounding error (ROUNDING_UNIT), below which a difference from W is not
+    resolved.  rows[t, N] holds asymptotic_check's remainder rows.  W does
+    not depend on epsilon, which only places the points: callers place
+    them off the disks (sample_fan, residual_check's shift test), where no
+    theta(lambda q^m / t) is zero."""
+
+    def __init__(self, grid):
+        self.grid = grid
+        terms = cache(lambda t: _kernel_terms(grid, t))
+        constant = (0, (0,) * grid.d)
+
+        def series(t):
+            kept, top, _ = terms(t)
+            if not kept:
+                return TruncatedSeries.zero(grid.d, 1, grid.values[grid.m_max].series.Kz)
+            acc = TruncatedSeries.combination([(grid.values[m].series * inv, scale)
+                                               for m, inv, scale in kept])
+            return acc * complex(grid.q ** top)
+
+        def at_origin(t):
+            kept, top, rtol = terms(t)
+            acc, size = None, 0.0
+            for m, inv, scale in kept:
+                piece = grid.values[m].series.coeffs.get(constant, 0j) * inv * scale
+                acc = piece if acc is None else acc + piece
+                size += abs(piece)
+            if acc is None:
+                return 0j, 0.0
+            unit = complex(grid.q ** top)
+            return acc * unit, size * abs(unit) * rtol
+
+        self.series = cache(series)
+        self.origin = cache(at_origin)
+        self.rows = {}
+
+
+def _kernel_terms(grid, t):
     """The terms of W(t, .) that survive the drop rule, in index order,
     as (m, inv, scale) with W(t, .) = q^top * sum values[m].series * inv
     * scale: inv is the inverse theta mantissa and scale the complex
@@ -282,16 +303,14 @@ def _kernel_terms(grid, t, epsilon):
     the drop rule and the overflow guard read those sizes, and only the
     kept terms get a theta mantissa.  Below theta's vertex the sizing
     stops where SpiralGrid.size_bounds shows that no lower term passes
-    the drop rule, so the grid never sums those values.  Returns (terms, top, rtol), rtol the
-    bound on a term's relative rounding error that the rounding floor
-    reads; the terms are empty when every grid value is zero."""
+    the drop rule, so the grid never sums those values.  Both tails must
+    decay below KERNEL_TAIL_RTOL of the partial sum inside the grid, and a
+    term below KERNEL_DROP_RTOL relative, which would only shrink W's
+    z-window, is dropped.  Returns (terms, top, rtol), rtol the bound on a
+    term's relative rounding error that the rounding floor reads; the
+    terms are empty when every grid value is zero."""
     q, lam = grid.q, grid.lam
     t = complex(t)
-    zone = zone_membership(SpiralGeometry(lam, epsilon, q), t)
-    if not zone.outside:
-        raise PoleProximityError(
-            "t = %s lies %s the excluded spiral disks (m=%s, ratio %.3g)"
-            % (t, PLACEMENT[zone.kind], zone.m, zone.min_ratio))
     lnq = math.log(q)
     base_logq = math.log(abs(lam) / abs(t)) / lnq
     phase = cmath.phase(lam / t)
@@ -301,7 +320,7 @@ def _kernel_terms(grid, t, epsilon):
     frac = base_logq - k0
     y = cmath.rect(q ** frac, phase)
     th, steps = _theta_product(y, q)
-    # t lies outside the disks, so theta(y) is not zero
+    # t lies off the spiral, so theta(y) is not zero
     log_th, arg_th = math.log(abs(th)) / lnq, cmath.phase(th)
     # log_q sizes of the terms: the value's less log_q|theta(lambda q^m / t)|,
     # at the three indices at each end (the tail checks read them) and at
@@ -384,40 +403,32 @@ class KernelResidualReport:
             self.max_absolute, self.max_relative, len(self.samples))
 
 
-def residual_check(eq, grid, samples, epsilon=0.05):
+def residual_check(eq, kernel, samples, epsilon=0.05):
     """Evaluate sum a_{j,alpha}(t,z) Dz^alpha W(q^j t, z) - F(t,z) at each
-    sample, with W and its z-derivatives taken from the kernel sum.  The
-    kernel series is summed once per distinct point q^j t: samples on one
-    ray q^k apart share their shifted points."""
+    sample, with W and its z-derivatives from the KernelSamples table, which
+    sums each distinct point q^j t once.  A sample with a shifted point
+    inside or near the epsilon-disks is rejected."""
     q = eq.q
     results = []
     rejected = []
     worst_abs = worst_rel = 0.0
-    geom = SpiralGeometry(grid.lam, epsilon, q)
+    geom = SpiralGeometry(kernel.grid.lam, epsilon, q)
     shifts = sorted({term.j for term in eq.terms})
-    series = {}
     for t in samples:
         t = complex(t)
-        bad = None
         for j in shifts:
             zone = zone_membership(geom, t * q ** j)
             if not zone.outside:
-                bad = "shift q^%d t lies %s the excluded disks" % (j, PLACEMENT[zone.kind])
+                rejected.append((t, "shift q^%d t lies %s the excluded disks"
+                                 % (j, PLACEMENT[zone.kind])))
                 break
-        if bad:
-            rejected.append((t, bad))
-            continue
-        w = {}
-        for j in shifts:
-            s = t * q ** j
-            if s not in series:
-                series[s] = q_laplace_series(grid, s, epsilon)
-            w[j] = series[s]
-        res, rel = residual_norms((term.coeff.eval_t(t) * w[term.j].dz_multi(term.alpha)
-                                   for term in eq.terms), eq.rhs.eval_t(t))
-        results.append(SampleResidual(t, res, rel))
-        worst_abs = max(worst_abs, res)
-        worst_rel = max(worst_rel, rel)
+        else:
+            res, rel = residual_norms((term.coeff.eval_t(t)
+                                       * kernel.series(t * q ** term.j).dz_multi(term.alpha)
+                                       for term in eq.terms), eq.rhs.eval_t(t))
+            results.append(SampleResidual(t, res, rel))
+            worst_abs = max(worst_abs, res)
+            worst_rel = max(worst_rel, rel)
     return KernelResidualReport(results, worst_abs, worst_rel, rejected)
 
 
@@ -478,7 +489,7 @@ def remainder_row(q, values, w, t):
     return row
 
 
-def asymptotic_check(sol, grid, epsilon, n_max, rows=None):
+def asymptotic_check(sol, kernel, epsilon, n_max):
     """Fit (M, H) with  |W - partial_N| <= (M H^N / eps) q^{N(N-1)/2} |t|^N
     over a ray/radius sample fan, and judge the expansion:
 
@@ -494,14 +505,12 @@ def asymptotic_check(sol, grid, epsilon, n_max, rows=None):
     read either, and counts with the unresolved pairs in `dropped`.  With
     no pair resolved the verdict is a vacuous pass.
 
-    `rows` maps each sample point t to W(t, 0) and its rounding floor,
-    from the kernel sum q_laplace, and its remainder_row, and gains the
-    points not yet in it.  None of these depends on epsilon, which only
-    picks the points, so calls on one solution, grid and n_max may share
-    the dict.
+    W(t, 0), its floor and the remainder row at each point are read from
+    the kernel-sample table of the grid that continues `sol`'s Borel
+    transform, which computes each once: calls at several epsilons on one
+    table share the points their fans have in common.
     """
-    q = grid.q
-    lam = grid.lam
+    q, lam = kernel.grid.q, kernel.grid.lam
     geom = SpiralGeometry(lam, epsilon, q)
     geom.require_disjoint()
     if n_max > sol.count:
@@ -513,13 +522,12 @@ def asymptotic_check(sol, grid, epsilon, n_max, rows=None):
     points = sample_fan(geom, ASYMPTOTIC_RAYS,
                         [r_lo * (r_max / r_lo) ** (k / (ASYMPTOTIC_RADII - 1.0))
                          for k in range(ASYMPTOTIC_RADII)])
-    rows = {} if rows is None else rows
-    new = [t for t in points if t not in rows]
+    rows = kernel.rows
+    new = [t for t in points if (t, n_max) not in rows]
     values = sol.origin_values(n_max) if new else None
     for t in new:
-        w, floor = q_laplace(grid, t, epsilon)
-        rows[t] = w, floor, remainder_row(q, values, w, t)
-    picked = [rows[t] for t in points]
+        rows[t, n_max] = remainder_row(q, values, kernel.origin(t)[0], t)
+    picked = [kernel.origin(t) + (rows[t, n_max],) for t in points]
     wvals = [w for w, _, _ in picked]
     floors = [floor for _, floor, _ in picked]
     EN = [[row[N] for _, _, row in picked] for N in range(0, n_max + 1)]

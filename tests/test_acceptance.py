@@ -20,7 +20,7 @@ from qsum.newton import (characteristic_polynomial, check_interior,
                          singular_directions)
 from qsum.qborel import (borel_transform, borel_transformed_equation,
                          continue_spiral, fit_spiral_bound, lead_roots)
-from qsum.qlaplace import asymptotic_check, q_laplace, residual_check, theta
+from qsum.qlaplace import KernelSamples, asymptotic_check, q_laplace, residual_check, theta
 from qsum.series import TruncatedSeries
 from qsum.square import (check_borel_square_identity,
                          check_charpoly_square_identity,
@@ -75,8 +75,8 @@ def test_criterion_2_kernel_inversion():
 
 
 def test_criterion_3_resummed_residuals(euler_eq, euler_grid, ex2_eq, ex2_parts):
-    rep1 = residual_check(euler_eq, euler_grid, ten_samples())
-    rep2 = residual_check(ex2_eq, ex2_parts["grid"], ten_samples())
+    rep1 = residual_check(euler_eq, KernelSamples(euler_grid), ten_samples())
+    rep2 = residual_check(ex2_eq, KernelSamples(ex2_parts["grid"]), ten_samples())
     ok = (len(rep1.samples) == 10 and rep1.max_absolute <= 1e-5
           and len(rep2.samples) == 10 and rep2.max_absolute <= 1e-5)
     record("3 resummed-solution residual", ok,
@@ -84,17 +84,17 @@ def test_criterion_3_resummed_residuals(euler_eq, euler_grid, ex2_eq, ex2_parts)
 
 
 def test_criterion_4_asymptotic_verifier(euler_sol, euler_grid, monkeypatch):
-    base = asymptotic_check(euler_sol, euler_grid, 0.3, 12)
+    base = asymptotic_check(euler_sol, KernelSamples(euler_grid), 0.3, 12)
     with monkeypatch.context() as patch:
         patch.setattr(qsum.qlaplace, "ASYMPTOTIC_RAYS", 16)
         patch.setattr(qsum.qlaplace, "ASYMPTOTIC_RADII", 24)
-        dense = asymptotic_check(euler_sol, euler_grid, 0.3, 12)
+        dense = asymptotic_check(euler_sol, KernelSamples(euler_grid), 0.3, 12)
     stable = abs(dense.H - base.H) <= 0.2 * base.H
-    def offset(grid, t, epsilon):
-        w, floor = q_laplace(grid, t, epsilon)
-        return w + 1.0, floor
-    monkeypatch.setattr(qsum.qlaplace, "q_laplace", offset)
-    fault = asymptotic_check(euler_sol, euler_grid, 0.3, 12)
+    # W(t, 0) + 1 at every point the table gives
+    kernel = KernelSamples(euler_grid)
+    w_origin = kernel.origin
+    kernel.origin = lambda t: (w_origin(t)[0] + 1.0, w_origin(t)[1])
+    fault = asymptotic_check(euler_sol, kernel, 0.3, 12)
     fault_at_1 = (not fault.passed) and any("order-1" in r for r in fault.reasons)
     ok = base.passed and math.isfinite(base.M) and math.isfinite(base.H) and stable and fault_at_1
     record("4 asymptotic-expansion verifier", ok,

@@ -9,6 +9,7 @@ the reference recorded with the direct-sum theta that the triple product
 replaced; their floats are pinned again when the reference is
 re-recorded."""
 
+import functools
 import gc
 import importlib.util
 import json
@@ -18,6 +19,7 @@ import sys
 
 import qsum.cli  # noqa: F401  (loads every module the hooks wrap)
 import qsum.pipeline
+import qsum.qlaplace
 from qsum.cli import _json_default
 from qsum.errors import UsageError
 from qsum.pipeline import Options, Run, run_report
@@ -83,15 +85,23 @@ def _assert_matches_reference(check, report, ref, key):
 
 
 def _count_kernel_sums(monkeypatch):
-    """The points t at which the pipeline sums W(t, 0), in call order."""
-    q_laplace = qsum.qlaplace.q_laplace
-    summed = []
+    """The points t at which the pipeline's kernel-sample tables sum
+    W(t, 0) ("origin") and W's z-series ("series"), in call order."""
+    summed = {"origin": [], "series": []}
 
-    def counting(grid, t, epsilon):
-        summed.append(t)
-        return q_laplace(grid, t, epsilon)
+    def recording(fill, points):
+        def fill_and_record(t):
+            points.append(t)
+            return fill(t)
+        return functools.cache(fill_and_record)
 
-    monkeypatch.setattr(qsum.qlaplace, "q_laplace", counting)
+    class Counting(qsum.qlaplace.KernelSamples):
+        def __init__(self, grid):
+            super().__init__(grid)
+            for name, points in summed.items():
+                setattr(self, name, recording(getattr(self, name).__wrapped__, points))
+
+    monkeypatch.setattr(qsum.pipeline, "KernelSamples", Counting)
     return summed
 
 
@@ -125,7 +135,7 @@ def _assert_exact_and_summed_once(workload, summed):
 def test_reports_equal_the_benchmark_reference_and_sum_each_point_once(monkeypatch):
     """The reports match the reference, and W at a sample point is summed
     once per run, for both epsilons."""
-    summed = _count_kernel_sums(monkeypatch)
+    summed = _count_kernel_sums(monkeypatch)["origin"]
     for workload in ("euler", "zseries"):
         assert _assert_exact_and_summed_once(workload, summed) == [], workload
 
@@ -134,7 +144,7 @@ def test_corpus_reports_equal_the_benchmark_reference_and_sum_each_point_once(mo
     """The same on the 12 corpus documents, the benchmark inputs with dense
     divisors.  The 4 with q below 1.86 put the default epsilon 0.3 at or
     above (q-1)/(q+1) and are rejected before anything is summed."""
-    summed = _count_kernel_sums(monkeypatch)
+    summed = _count_kernel_sums(monkeypatch)["origin"]
     rejected = _assert_exact_and_summed_once("corpus-cli", summed)
     assert rejected == ["corpus-20240901-%02d" % i for i in (2, 7, 10, 11)]
 
@@ -145,19 +155,14 @@ def test_reports_build_each_row_and_residual_series_once(monkeypatch):
     once per distinct shifted point q^j t: at q = 2 the radii 0.05|lambda|
     and 0.1|lambda| put t q of one sample on another."""
     inputs = _load("inputs")
-    remainder_row, q_laplace_series = qsum.qlaplace.remainder_row, qsum.qlaplace.q_laplace_series
-    rows, series = [], []
+    remainder_row = qsum.qlaplace.remainder_row
+    rows, series = [], _count_kernel_sums(monkeypatch)["series"]
 
     def counting_row(q, values, w, t):
         rows.append(t)
         return remainder_row(q, values, w, t)
 
-    def counting_series(grid, t, epsilon):
-        series.append(t)
-        return q_laplace_series(grid, t, epsilon)
-
     monkeypatch.setattr(qsum.qlaplace, "remainder_row", counting_row)
-    monkeypatch.setattr(qsum.qlaplace, "q_laplace_series", counting_series)
     calls = {}
     for workload in ("euler", "zseries"):
         for key, _, text in inputs.build(workload):
@@ -172,6 +177,41 @@ def test_reports_build_each_row_and_residual_series_once(monkeypatch):
             assert sorted(series, key=repr) == sorted(shifted, key=repr), key
             calls[key] = len(series)
     assert calls == {"euler": 15, "readme-d1": 15, "mixed-d2": 20}
+
+
+def test_reports_test_each_zone_once_and_find_each_points_terms_once(monkeypatch):
+    """Per benchmark DSL report, zone_membership runs once per point a fan
+    places and once per shift of each residual sample, and no more: the
+    kernel sums do not test the zone again.  The kept kernel terms are
+    found once per distinct point the residual and asymptotic stages
+    read."""
+    inputs = _load("inputs")
+    zone_membership, kernel_terms = qsum.qlaplace.zone_membership, qsum.qlaplace._kernel_terms
+    zones, found = [], []
+
+    def counting_zone(geom, t):
+        zones.append(t)
+        return zone_membership(geom, t)
+
+    def counting_terms(grid, t):
+        found.append(t)
+        return kernel_terms(grid, t)
+
+    monkeypatch.setattr(qsum.qlaplace, "zone_membership", counting_zone)
+    monkeypatch.setattr(qsum.qlaplace, "_kernel_terms", counting_terms)
+    calls = {}
+    for workload in ("euler", "zseries"):
+        for key, _, text in inputs.build(workload):
+            zones.clear()
+            found.clear()
+            run = Run(text, inputs.options(workload))
+            run.report()
+            q, shifts = run.equation.q, {term.j for term in run.equation.terms}
+            points = (set(run.asymptotic.samples) | set(run.asymptotic_half.samples)
+                      | {s.t * q ** j for s in run.residuals.samples for j in shifts})
+            assert len(found) == len(set(found)) and set(found) == points, key
+            calls[key] = len(zones)
+    assert calls == {"euler": 222, "readme-d1": 222, "mixed-d2": 232}
 
 
 def test_benchmark_reports_leave_no_reference_cycles():

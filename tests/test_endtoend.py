@@ -13,7 +13,7 @@ from qsum.newton import (characteristic_polynomial, check_shape,
                          newton_polygon, reduced_coefficients,
                          singular_directions)
 from qsum.qborel import borel_transform, borel_transformed_equation, continue_spiral
-from qsum.qlaplace import asymptotic_check, residual_check
+from qsum.qlaplace import KernelSamples, asymptotic_check, residual_check
 
 
 def build(text, orders, mmax, lam=1.0, Kt=None, Kz=1):
@@ -38,7 +38,7 @@ def test_second_order_two_ray_equation():
         got = v.series.constant_term() * 2.0 ** v.qexp
         want = 1.0 / (1.0 + 2.0 ** (2 * m - 1))
         assert abs(got - want) <= 1e-12 * abs(want)
-    rep = residual_check(eq, grid, [0.05, 0.08, 0.03 - 0.04j])
+    rep = residual_check(eq, KernelSamples(grid), [0.05, 0.08, 0.03 - 0.04j])
     assert rep.max_absolute <= 1e-8
 
 
@@ -50,9 +50,9 @@ def test_euler_along_imaginary_direction():
         got = v.series.constant_term() * 2.0 ** v.qexp
         want = 1.0 / (1.0 + 1j * 2.0 ** m)
         assert abs(got - want) <= 1e-9 * abs(want)
-    rep = residual_check(eq, grid, [0.1j, 0.05j, 0.07 * cmath.exp(2.0j)])
+    rep = residual_check(eq, KernelSamples(grid), [0.1j, 0.05j, 0.07 * cmath.exp(2.0j)])
     assert rep.max_absolute <= 1e-8
-    asym = asymptotic_check(sol, grid, 0.3, 10)
+    asym = asymptotic_check(sol, KernelSamples(grid), 0.3, 10)
     assert asym.passed
 
 
@@ -65,7 +65,7 @@ def test_corner_offset_one_pure_q_difference():
         got = v.series.constant_term() * 2.0 ** v.qexp
         want = 1.0 / (1.0 + 2.0 ** (m - 1))
         assert abs(got - want) <= 1e-12 * abs(want)
-    rep = residual_check(eq, grid, [0.05, 0.1j, -0.06j])
+    rep = residual_check(eq, KernelSamples(grid), [0.05, 0.1j, -0.06j])
     assert rep.max_absolute <= 1e-8
 
 
@@ -87,5 +87,5 @@ def test_non_dyadic_base():
         got = v.series.constant_term() * q ** v.qexp
         want = 1.0 / (1.0 + q ** m)
         assert abs(got - want) <= 1e-10 * abs(want)
-    rep = residual_check(eq, grid, [0.05, 0.1 * cmath.exp(1.2j)])
+    rep = residual_check(eq, KernelSamples(grid), [0.05, 0.1 * cmath.exp(1.2j)])
     assert rep.max_absolute <= 1e-7

@@ -185,6 +185,27 @@ def test_a_file_that_is_not_utf8_is_named(tmp_path, capsys, euler_file, which):
     assert "byte 0xff" in err and err.count("\n") == 1
 
 
+def test_an_equation_file_with_a_byte_order_mark_is_read_past_it(tmp_path, euler_file):
+    """Editors on Windows start UTF-8 files with the mark U+FEFF; it is not
+    part of the equation."""
+    bom = tmp_path / "bom.qde"
+    bom.write_bytes(b"\xef\xbb\xbf" + EULER.encode() + b"\n")
+    got, want = tmp_path / "got.json", tmp_path / "want.json"
+    assert run_cli(["check", str(bom), "--json", str(got)]) == 0
+    assert run_cli(["check", euler_file, "--json", str(want)]) == 0
+    assert got.read_text() == want.read_text()
+
+
+def test_a_config_file_with_a_byte_order_mark_is_read_past_it(tmp_path, euler_file):
+    """The mark is not part of the first key."""
+    cfg = tmp_path / "qsum.toml"
+    cfg.write_bytes(b"\xef\xbb\xbforders = 10\n")
+    out = tmp_path / "rep.json"
+    assert run_cli(["--config", str(cfg), "report", euler_file, "--mmax", "10", "--N", "6",
+                    "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["equation"]["Kt"] == 11
+
+
 @pytest.mark.parametrize("cmd", ["report", "verify"])
 def test_an_N_that_checks_no_order_is_a_usage_error(tmp_path, capsys, euler_file, cmd):
     """With N = 0 the asymptotic check would read no order and pass."""

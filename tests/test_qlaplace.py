@@ -9,9 +9,9 @@ import pytest
 import qsum.qlaplace
 from qsum.errors import PoleProximityError
 from qsum.qborel import borel_transform, borel_transformed_equation, continue_spiral
-from qsum.qlaplace import (ResumReport, SpiralGeometry, _kernel_terms, asymptotic_check,
-                           q_laplace, q_laplace_series, residual_check, sample_fan, theta,
-                           zone_membership)
+from qsum.qlaplace import (KernelSamples, ResumReport, SpiralGeometry, _kernel_terms,
+                           asymptotic_check, q_laplace, q_laplace_series, residual_check,
+                           sample_fan, theta, zone_membership)
 from conftest import monomial_grid
 
 Q = 2.0
@@ -224,7 +224,7 @@ def test_q_laplace_pole_blowup(euler_grid):
 
 def test_residual_euler(euler_eq, euler_grid):
     samples = [r * cmath.exp(1j * math.pi / 4) for r in (0.05, 0.1, 0.15)]
-    rep = residual_check(euler_eq, euler_grid, samples)
+    rep = residual_check(euler_eq, KernelSamples(euler_grid), samples)
     assert not rep.rejected
     assert rep.max_absolute <= 1e-6
 
@@ -235,7 +235,7 @@ def test_residual_zero_grid_homogeneous(euler_eq, euler_grid):
     zero = ScaledSeries(TruncatedSeries.zero(0, 1, 1), 0.0)
     g = SpiralGrid(1.0, Q, -40, 10, 0, {m: zero for m in range(-40, 11)}, [], 1.0, 0)
     hom = replace(euler_eq, rhs=TruncatedSeries.zero(0, euler_eq.Kt, euler_eq.Kz))
-    rep = residual_check(hom, g, [0.05 + 0.05j])
+    rep = residual_check(hom, KernelSamples(g), [0.05 + 0.05j])
     assert rep.max_absolute == 0.0
 
 
@@ -244,13 +244,13 @@ def test_residual_example2(ex2_eq, ex2_parts):
     for ang in (math.pi / 4, -math.pi / 4, math.pi / 2, 3 * math.pi / 4, 0.0):
         for r in (0.05, 0.1):
             samples.append(r * cmath.exp(1j * ang))
-    rep = residual_check(ex2_eq, ex2_parts["grid"], samples)
+    rep = residual_check(ex2_eq, KernelSamples(ex2_parts["grid"]), samples)
     assert len(rep.samples) == 10 and not rep.rejected
     assert rep.max_absolute <= 1e-5
 
 
 def test_asymptotic_euler_pass(euler_sol, euler_grid):
-    rep = asymptotic_check(euler_sol, euler_grid, 0.3, 12)
+    rep = asymptotic_check(euler_sol, KernelSamples(euler_grid), 0.3, 12)
     assert rep.passed
     assert rep.M > 0 and math.isfinite(rep.H)
     # every tabulated remainder satisfies the fitted envelope
@@ -264,42 +264,55 @@ def test_asymptotic_euler_pass(euler_sol, euler_grid):
 
 
 def test_asymptotic_n0_row_is_w_magnitude(euler_sol, euler_grid):
-    rep = asymptotic_check(euler_sol, euler_grid, 0.3, 3)
+    rep = asymptotic_check(euler_sol, KernelSamples(euler_grid), 0.3, 3)
     for w, e in zip(rep.Wvals, rep.EN[0]):
         assert e == pytest.approx(abs(w))
 
 
-def test_asymptotic_constant_offset_fails(euler_sol, euler_grid, monkeypatch):
-    def offset(grid, t, epsilon):
-        w, floor = q_laplace(grid, t, epsilon)
-        return w + 1.0, floor
-    monkeypatch.setattr(qsum.qlaplace, "q_laplace", offset)
-    rep = asymptotic_check(euler_sol, euler_grid, 0.3, 12)
+def _faulted(grid, fault):
+    """A kernel-sample table of grid whose (W(t, 0), floor) at every point
+    is fault(W(t, 0), floor)."""
+    kernel = KernelSamples(grid)
+    w_origin = kernel.origin
+    kernel.origin = lambda t: fault(*w_origin(t))
+    return kernel
+
+
+def test_asymptotic_constant_offset_fails(euler_sol, euler_grid):
+    rep = asymptotic_check(euler_sol, _faulted(euler_grid, lambda w, floor: (w + 1.0, floor)),
+                           0.3, 12)
     assert not rep.passed
     assert any("order-1" in r for r in rep.reasons)
 
 
 def test_asymptotic_rows_are_shared_across_epsilons(euler_sol, euler_grid, monkeypatch):
-    """With one rows dict, the epsilon/2 call reads every W and remainder
-    row the epsilon call made, and reports what a fresh call does."""
-    rows = {}
-    first = asymptotic_check(euler_sol, euler_grid, 0.3, 12, rows=rows)
-    summed = []
+    """On one kernel-sample table, the epsilon/2 call reads every W and
+    remainder row the epsilon call made, and reports what a call on a
+    fresh table does."""
+    kernel = KernelSamples(euler_grid)
+    first = asymptotic_check(euler_sol, kernel, 0.3, 12)
+    kernel_terms, remainder_row = qsum.qlaplace._kernel_terms, qsum.qlaplace.remainder_row
+    summed, rows = [], []
 
-    def counting(grid, t, epsilon):
+    def counting_terms(grid, t):
         summed.append(t)
-        return q_laplace(grid, t, epsilon)
-    monkeypatch.setattr(qsum.qlaplace, "q_laplace", counting)
-    half = asymptotic_check(euler_sol, euler_grid, 0.15, 12, rows=rows)
-    assert summed == []
-    assert set(rows) == set(first.samples) | set(half.samples)
-    fresh = asymptotic_check(euler_sol, euler_grid, 0.15, 12)
-    assert len(summed) == len(fresh.samples) > 0
+        return kernel_terms(grid, t)
+
+    def counting_row(q, values, w, t):
+        rows.append(t)
+        return remainder_row(q, values, w, t)
+    monkeypatch.setattr(qsum.qlaplace, "_kernel_terms", counting_terms)
+    monkeypatch.setattr(qsum.qlaplace, "remainder_row", counting_row)
+    half = asymptotic_check(euler_sol, kernel, 0.15, 12)
+    assert summed == [] and rows == []
+    assert set(kernel.rows) == {(t, 12) for t in set(first.samples) | set(half.samples)}
+    fresh = asymptotic_check(euler_sol, KernelSamples(euler_grid), 0.15, 12)
+    assert len(summed) == len(rows) == len(fresh.samples) > 0
     for f in fields(ResumReport):
         assert getattr(half, f.name) == getattr(fresh, f.name), f.name
 
 
-def test_asymptotic_check_reads_only_remainders_above_the_floor(monkeypatch):
+def test_asymptotic_check_reads_only_remainders_above_the_floor():
     """At q = 1.5 the smallest-radius remainders of high order lie at W's
     rounding floor.  Read as they are, they trend upward and fail the
     check; dropped, the fit passes on the rest.  With every pair at or
@@ -308,27 +321,21 @@ def test_asymptotic_check_reads_only_remainders_above_the_floor(monkeypatch):
     from conftest import EULER_TEXT
     run = Run(EULER_TEXT.replace("q=2", "q=1.5"), Options(epsilon=0.1))
     sol, grid = run.solution, run.grid
-    rep = asymptotic_check(sol, grid, 0.1, 12)
+    rep = asymptotic_check(sol, KernelSamples(grid), 0.1, 12)
     assert rep.passed and rep.dropped > 0 and rep.used > 0
     assert rep.used + rep.dropped == len(rep.samples) * 13
     assert all(f > 0 for f in rep.floors)
 
-    def at_floor(value):
-        def patched(grid, t, epsilon):
-            return q_laplace(grid, t, epsilon)[0], value
-        return patched
-    monkeypatch.setattr(qsum.qlaplace, "q_laplace", at_floor(0.0))
-    unfloored = asymptotic_check(sol, grid, 0.1, 12)
+    unfloored = asymptotic_check(sol, _faulted(grid, lambda w, floor: (w, 0.0)), 0.1, 12)
     assert not unfloored.passed and unfloored.dropped == 0
     assert any("trend upward" in r for r in unfloored.reasons)
-    monkeypatch.setattr(qsum.qlaplace, "q_laplace", at_floor(math.inf))
-    vacuous = asymptotic_check(sol, grid, 0.1, 12)
+    vacuous = asymptotic_check(sol, _faulted(grid, lambda w, floor: (w, math.inf)), 0.1, 12)
     assert vacuous.passed and vacuous.used == 0 and vacuous.rho[1:] == [None] * 12
 
 
 def test_asymptotic_epsilon_must_be_disjoint(euler_sol, euler_grid):
     with pytest.raises(ValueError):
-        asymptotic_check(euler_sol, euler_grid, 0.5, 4)
+        asymptotic_check(euler_sol, KernelSamples(euler_grid), 0.5, 4)
 
 
 def test_asymptotic_check_skips_remainders_outside_double_range():
@@ -503,7 +510,7 @@ def test_banded_kernel_sum_equals_the_direct_sum(band_grids, name):
     origin = (0.0,) * grid.d
     for eps, t in _band_cases(grid):
         want, kept = _direct_q_laplace_series(grid, t, eps)
-        assert [m for m, _, _ in _kernel_terms(grid, t, eps)[0]] == kept, (name, eps, t)
+        assert [m for m, _, _ in _kernel_terms(grid, t)[0]] == kept, (name, eps, t)
         w, floor = q_laplace(grid, t, eps)
         assert abs(w - want.evaluate(0.0, origin)) <= floor, (name, eps, t)
 
