@@ -251,25 +251,24 @@ def _outside_disks(grid, t, epsilon):
 
 
 class KernelSamples:
-    """W at the sample points t of one grid, for every check that reads
-    it.  The kept terms of W(t, .) (_kernel_terms) are found on first read
-    and each sum from them once (functools.cache).  series(t) is W(t, .) as
-    a z-series.  origin(t) is (W(t, 0), floor): each term's constant
-    coefficient summed with the operations of series(t), and the rounding
-    floor, the terms' magnitudes times a bound on each one's relative
-    rounding error (ROUNDING_UNIT), below which a difference from W is not
-    resolved.  rows[t, N] holds asymptotic_check's remainder rows.  W does
-    not depend on epsilon, which only places the points: callers place
-    them off the disks (sample_fan, residual_check's shift test), where no
-    theta(lambda q^m / t) is zero."""
+    """W at the sample points t of one grid, each sum from the kept terms
+    of W(t, .) (_kernel_terms) done once (functools.cache).  series(t) is
+    W(t, .) as a z-series; origin(t) is (W(t, 0), floor): each term's
+    constant coefficient summed with the operations of series(t), and the
+    terms' magnitudes times a bound on each one's relative rounding error
+    (ROUNDING_UNIT), below which a difference from W is not resolved.
+    rows holds asymptotic_check's remainder rows.  Neither reader tests
+    the zone (W does not depend on epsilon, which only places the points):
+    callers place t off the disks, as sample_fan and residual_check do.
+    On the spiral theta is zero and the sum raises ValueError; q_laplace
+    and q_laplace_series test the zone and raise PoleProximityError."""
 
     def __init__(self, grid):
         self.grid = grid
-        terms = cache(lambda t: _kernel_terms(grid, t))
         constant = (0, (0,) * grid.d)
 
         def series(t):
-            kept, top, _ = terms(t)
+            kept, top, _ = _kernel_terms(grid, t)
             if not kept:
                 return TruncatedSeries.zero(grid.d, 1, grid.values[grid.m_max].series.Kz)
             acc = TruncatedSeries.combination([(grid.values[m].series * inv, scale)
@@ -277,7 +276,7 @@ class KernelSamples:
             return acc * complex(grid.q ** top)
 
         def at_origin(t):
-            kept, top, rtol = terms(t)
+            kept, top, rtol = _kernel_terms(grid, t)
             acc, size = None, 0.0
             for m, inv, scale in kept:
                 piece = grid.values[m].series.coeffs.get(constant, 0j) * inv * scale
@@ -505,10 +504,10 @@ def asymptotic_check(sol, kernel, epsilon, n_max):
     read either, and counts with the unresolved pairs in `dropped`.  With
     no pair resolved the verdict is a vacuous pass.
 
-    W(t, 0), its floor and the remainder row at each point are read from
-    the kernel-sample table of the grid that continues `sol`'s Borel
-    transform, which computes each once: calls at several epsilons on one
-    table share the points their fans have in common.
+    W(t, 0) and its floor are read from the kernel-sample table of the
+    grid that continues `sol`'s Borel transform.  Its remainder rows are
+    keyed by t, W(t, 0) and sol's v_N(0): calls at several epsilons with
+    one solution share the rows of the points their fans have in common.
     """
     q, lam = kernel.grid.q, kernel.grid.lam
     geom = SpiralGeometry(lam, epsilon, q)
@@ -522,12 +521,12 @@ def asymptotic_check(sol, kernel, epsilon, n_max):
     points = sample_fan(geom, ASYMPTOTIC_RAYS,
                         [r_lo * (r_max / r_lo) ** (k / (ASYMPTOTIC_RADII - 1.0))
                          for k in range(ASYMPTOTIC_RADII)])
-    rows = kernel.rows
-    new = [t for t in points if (t, n_max) not in rows]
-    values = sol.origin_values(n_max) if new else None
-    for t in new:
-        rows[t, n_max] = remainder_row(q, values, kernel.origin(t)[0], t)
-    picked = [kernel.origin(t) + (rows[t, n_max],) for t in points]
+    values, rows, picked = tuple(sol.origin_values(n_max)), kernel.rows, []
+    for t in points:
+        w, floor = kernel.origin(t)
+        if (t, w, values) not in rows:
+            rows[t, w, values] = remainder_row(q, values, w, t)
+        picked.append((w, floor, rows[t, w, values]))
     wvals = [w for w, _, _ in picked]
     floors = [floor for _, floor, _ in picked]
     EN = [[row[N] for _, _, row in picked] for N in range(0, n_max + 1)]

@@ -7,12 +7,14 @@ from dataclasses import fields, replace
 import pytest
 
 import qsum.qlaplace
+from qsum.equation import parse_equation
 from qsum.errors import PoleProximityError
+from qsum.formal import solve_formal
 from qsum.qborel import borel_transform, borel_transformed_equation, continue_spiral
 from qsum.qlaplace import (KernelSamples, ResumReport, SpiralGeometry, _kernel_terms,
                            asymptotic_check, q_laplace, q_laplace_series, residual_check,
                            sample_fan, theta, zone_membership)
-from conftest import monomial_grid
+from conftest import EULER_TEXT, monomial_grid
 
 Q = 2.0
 
@@ -305,11 +307,31 @@ def test_asymptotic_rows_are_shared_across_epsilons(euler_sol, euler_grid, monke
     monkeypatch.setattr(qsum.qlaplace, "remainder_row", counting_row)
     half = asymptotic_check(euler_sol, kernel, 0.15, 12)
     assert summed == [] and rows == []
-    assert set(kernel.rows) == {(t, 12) for t in set(first.samples) | set(half.samples)}
+    assert {t for t, _, _ in kernel.rows} == set(first.samples) | set(half.samples)
     fresh = asymptotic_check(euler_sol, KernelSamples(euler_grid), 0.15, 12)
     assert len(summed) == len(rows) == len(fresh.samples) > 0
     for f in fields(ResumReport):
         assert getattr(half, f.name) == getattr(fresh, f.name), f.name
+
+
+def test_asymptotic_rows_follow_the_solution_and_w(euler_sol, euler_grid):
+    """On a table already read, a call with another solution, or after
+    W(t, 0) is faulted, reports what a call on a fresh table does: the
+    rows are keyed by all they depend on."""
+    kernel = KernelSamples(euler_grid)
+    assert asymptotic_check(euler_sol, kernel, 0.3, 12).passed
+    doubled = solve_formal(parse_equation(EULER_TEXT.replace("= 1", "= 2"), Kt=45, Kz=1), 40)
+    other = asymptotic_check(doubled, kernel, 0.3, 12)
+    w_origin = kernel.origin
+    kernel.origin = lambda t: (w_origin(t)[0] + 1.0, w_origin(t)[1])
+    offset = asymptotic_check(euler_sol, kernel, 0.3, 12)
+    fresh = (asymptotic_check(doubled, KernelSamples(euler_grid), 0.3, 12),
+             asymptotic_check(euler_sol, _faulted(euler_grid, lambda w, floor: (w + 1.0, floor)),
+                              0.3, 12))
+    for got, want in zip((other, offset), fresh):
+        assert not got.passed
+        for f in fields(ResumReport):
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
 
 
 def test_asymptotic_check_reads_only_remainders_above_the_floor():
