@@ -32,7 +32,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 
 from .equation import series_rows, to_json
 from .errors import (ConditionsFailed, ParseError, QsumError, SchemaError,
@@ -184,7 +183,7 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
         opt = _options_from(args, _load_config(args.config))
         if args.command == "solve":
-            opt = replace(opt, mmax=0)  # no march: pad the z-window for the recursion only
+            opt.mmax = 0  # no march: pad the z-window for the recursion only
         run = Run(_read_text(args.equation, "equation file"), opt)
         doc, code = VIEWS[args.command](run, args)
         _write(json.dumps(doc, indent=2, sort_keys=True, default=_json_default) + "\n", args.json)

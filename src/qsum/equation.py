@@ -9,23 +9,21 @@ constraint is decidable without floating-point ties.
 import json
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import dsl
 from .errors import ParseError, SchemaError
 from .series import TruncatedSeries
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     j: int
     alpha: tuple
     coeff: TruncatedSeries
 
 
-@dataclass(frozen=True)
-class Equation:
+class Equation(NamedTuple):
     q: float
     delta: Fraction
     m: int
@@ -52,10 +50,9 @@ class Equation:
         return max((sum(t.alpha) for t in self.terms), default=0)
 
 
-@dataclass
-class ValidationReport:
-    violations: list = field(default_factory=list)
-    warnings: list = field(default_factory=list)
+class ValidationReport(NamedTuple):
+    violations: list
+    warnings: list
 
     @property
     def ok(self):
@@ -70,7 +67,7 @@ class ValidationReport:
 
 def validate(eq):
     """Structural constraint report; empty violations means valid."""
-    rep = ValidationReport()
+    rep = ValidationReport([], [])
     if not eq.q > 1.0:
         rep.violations.append("q must exceed 1 (got %r)" % eq.q)
     if not eq.delta > 0:

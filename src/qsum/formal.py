@@ -13,8 +13,8 @@ the p-step factor becomes q^{(j-p)(n-p) - p(p-1)/2}.
 """
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import ResonanceError, UnsupportedEquationError
 from .growth import fit_envelope
@@ -26,13 +26,17 @@ RESONANCE_TOL = 1e-12
 FORMAL_RESIDUAL_TOL = 1e-10
 
 
-@dataclass(frozen=True)
 class FormalSolution:
-    q: float
-    count: int          # highest computed order N_max
-    scaled: tuple       # v_n = X_n / q^{n(n-1)/2}, z-series per order
-    R1: float           # working polydisc radius for sup-norm estimates
-    d: int
+    """The formal solution to order count = N_max: scaled[n] is the
+    z-series v_n = X_n / q^{n(n-1)/2}, and R1 the working polydisc radius
+    for sup-norm estimates.  A read-only plain class, not a named tuple:
+    its cached properties need an instance dict."""
+
+    def __init__(self, q, count, scaled, R1, d):
+        self.__dict__.update(q=q, count=count, scaled=scaled, R1=R1, d=d)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to FormalSolution.%s" % name)
 
     @cached_property
     def sup_norms(self):
@@ -121,8 +125,7 @@ def solve_formal(eq, n_max):
     return FormalSolution(q, n_max, tuple(vs), R1=eq.R / 2.0, d=d)
 
 
-@dataclass
-class ResidualReport:
+class ResidualReport(NamedTuple):
     max_relative: float
     flagged: list            # orders with relative residual above tolerance
     tolerance: float

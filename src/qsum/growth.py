@@ -7,7 +7,7 @@ asymptotic check's M H^N on the normalized remainders.  The envelope is
 fitted and then verified pointwise on the sampled orders only."""
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # largest upward slope per order of an envelope diagnostic that still
 # counts as settled, in every envelope fit
@@ -16,8 +16,7 @@ TREND_TOL = 0.05
 GROWTH_SLACK = 1e-9
 
 
-@dataclass
-class Envelope:
+class Envelope(NamedTuple):
     """Fitted envelope exp(logs[n]) <= A H^n exp(quad[n]) of a sequence
     of log magnitudes, with its diagnostic and the diagnostic's trend."""
     logA: float         # -inf when every magnitude is zero

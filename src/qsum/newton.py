@@ -9,7 +9,7 @@ floating-point.
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import OrderFloorViolationError, RootFindingError, SingularDirectionError
 from .series import TruncatedSeries
@@ -22,15 +22,13 @@ ROOT_RTOL = 1e-13       # relative step at which the root iteration has converge
 ROOT_MAX_ITER = 500
 
 
-@dataclass(frozen=True)
-class SupportPoint:
+class SupportPoint(NamedTuple):
     j: int
     alpha: tuple
     ord_t: int
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(NamedTuple):
     support: tuple        # SupportPoint per nonzero coefficient
     vertices: tuple       # corner vertices of the hull boundary, left to right
     slopes: tuple         # finite boundary slopes between vertices
@@ -81,13 +79,12 @@ def _hull_vertices(points):
     return tuple(chain)
 
 
-@dataclass
-class ShapeReport:
+class ShapeReport(NamedTuple):
     """Outcome of matching the polygon against the unit-slope template
     {x <= m, y >= max(0, x - m0)}."""
     ok: bool
-    m0: int = None
-    reasons: list = field(default_factory=list)
+    m0: int             # None where the shape fails
+    reasons: list
 
     def __str__(self):
         if self.ok:
@@ -100,7 +97,7 @@ def check_shape(polygon):
     reasons = []
     m = polygon.m
     if not polygon.support:
-        return ShapeReport(False, reasons=["empty support"])
+        return ShapeReport(False, None, ["empty support"])
     jmax = max(p.j for p in polygon.support)
     if jmax != m:
         reasons.append("support reaches j=%d but the declared order is m=%d" % (jmax, m))
@@ -109,7 +106,7 @@ def check_shape(polygon):
         omin = min(p.ord_t for p in polygon.support)
         reasons.append("region has y >= %d at x=%d; no coefficient of t-order 0" %
                        (omin, max(p.j for p in polygon.support if p.ord_t == omin)))
-        return ShapeReport(False, reasons=reasons)
+        return ShapeReport(False, None, reasons)
     m0 = max(p.j for p in floor_points)
     if not 0 <= m0 < m:
         reasons.append("corner offset m0=%d violates 0 <= m0 < m=%d" % (m0, m))
@@ -120,14 +117,13 @@ def check_shape(polygon):
     if at_m and min(at_m) != m - m0:
         reasons.append("lowest order at j=m is %d, template corner needs %d" % (min(at_m), m - m0))
     if reasons:
-        return ShapeReport(False, reasons=reasons)
-    return ShapeReport(True, m0=m0)
+        return ShapeReport(False, None, reasons)
+    return ShapeReport(True, m0, [])
 
 
-@dataclass
-class CheckReport:
+class CheckReport(NamedTuple):
     passed: bool
-    messages: list = field(default_factory=list)
+    messages: list
     skipped: bool = False
 
     def __str__(self):
@@ -172,7 +168,7 @@ def check_order_floors(eq, polygon, shape, interior):
             raise OrderFloorViolationError(
                 "internal inconsistency: ord floor %d violated at (j=%d, alpha=%s, ord=%d)"
                 % (floor, p.j, list(p.alpha), p.ord_t))
-    return CheckReport(True)
+    return CheckReport(True, [])
 
 
 def reduced_coefficients(eq, m0):
@@ -235,8 +231,7 @@ def check_strong_margin(eq, m0):
     return CheckReport(holds, messages)
 
 
-@dataclass(frozen=True)
-class CharPoly:
+class CharPoly(NamedTuple):
     """Polynomial in tau with z-series coefficients, ascending powers."""
     q: float
     m0: int
@@ -261,8 +256,7 @@ def characteristic_polynomial(eq, reduced, m0):
     return CharPoly(q, m0, tuple(coeffs))
 
 
-@dataclass(frozen=True)
-class DirectionSet:
+class DirectionSet(NamedTuple):
     roots: tuple   # nonzero complex roots of the characteristic polynomial at z=0
     rays: tuple    # arguments in (-pi, pi], duplicates merged
 

@@ -19,8 +19,8 @@ to leave the requested depth at the top of the grid."""
 import cmath
 import math
 import time
-from dataclasses import dataclass, field, fields
 from functools import cached_property
+from typing import NamedTuple
 
 from .equation import from_json, parse_equation, validate
 from .errors import (ConditionsFailed, SingularDirectionError, UnsupportedEquationError,
@@ -39,19 +39,16 @@ HARD_CONDITIONS = ("interior", "nondegeneracy")
 RESIDUAL_SAMPLES = 10
 
 
-@dataclass
 class Options:
-    lam: complex = 1.0 + 0j
-    orders: int = 40
-    mmax: int = 40
-    Kz: int = 8
-    epsilon: float = 0.3
-    n_check: int = 12
+    """The run's settings.  A plain class, not a named tuple, because it
+    checks its values when built."""
 
-    def __post_init__(self):
+    def __init__(self, lam=1.0 + 0j, orders=40, mmax=40, Kz=8, epsilon=0.3, n_check=12):
         """Sizes and epsilon must be in range; the upper bound on epsilon,
         (q-1)/(q+1), is checked where q is known (Run.require_epsilon).
         Errors name the setting as the config file and the flags do."""
+        self.lam, self.orders, self.mmax, self.Kz = lam, orders, mmax, Kz
+        self.epsilon, self.n_check = epsilon, n_check
         for name, key, low in (("orders", "orders", 1), ("mmax", "mmax", 0),
                                ("n_check", "N", 1), ("Kz", "zorder", 0)):
             if getattr(self, name) < low:
@@ -67,8 +64,7 @@ class Options:
         return self.orders + 1
 
 
-@dataclass
-class RunReport:
+class RunReport(NamedTuple):
     equation: dict
     polygon: dict
     verdicts: dict
@@ -77,10 +73,10 @@ class RunReport:
     spiral_bound: dict
     residuals: dict
     asymptotic: dict
-    timings: dict = field(default_factory=dict)
+    timings: dict
 
     def to_dict(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return self._asdict()
 
 
 def _verdict(ok, detail=""):

@@ -16,8 +16,8 @@ mantissa * q^exponent form because the values grow like q^{m^2/2}.
 import cmath
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import (EffectivelySingularError, GridTooShortError,
                      RadiusTooSmallError, SingularDirectionError,
@@ -37,8 +37,7 @@ LEAD_SINGULAR_TOL = 1e-10
 _ALIGN_BITS = 1100.0
 
 
-@dataclass(frozen=True)
-class BorelFunction:
+class BorelFunction(NamedTuple):
     """Coefficients of the Borel transform; identical to the scaled
     formal coefficients, plus a convergence-radius estimate in xi."""
     q: float
@@ -57,8 +56,7 @@ def borel_transform(sol):
     return BorelFunction(sol.q, sol.scaled, radius, sol.R1, sol.d)
 
 
-@dataclass(frozen=True)
-class BorelTerm:
+class BorelTerm(NamedTuple):
     s: int              # shift exponent: the term references u(q^s xi)
     p: int              # xi-power
     alpha: tuple
@@ -66,8 +64,7 @@ class BorelTerm:
     scale_qexp: float   # the factor q^{-p(p-1)/2}, kept as an exponent
 
 
-@dataclass(frozen=True)
-class BorelEquation:
+class BorelEquation(NamedTuple):
     q: float
     m0: int
     d: int
@@ -116,8 +113,7 @@ def lead_roots(beq):
     return durand_kerner([beq.lead.get(i, zero_beta) for i in range(beq.lead.Kt)])
 
 
-@dataclass(frozen=True)
-class ScaledSeries:
+class ScaledSeries(NamedTuple):
     """z-series mantissa with a base-q exponent; value = series * q**qexp."""
     series: TruncatedSeries
     qexp: float
@@ -176,18 +172,16 @@ class SeedValues(_OnDemand):
         return super().__missing__(m)
 
 
-@dataclass
 class SpiralGrid:
-    """Continued Borel values on the grid lambda * q^m."""
-    lam: complex
-    q: float
-    m_min: int
-    m_max: int
-    seed_top: int           # largest index filled by direct summation
-    values: dict            # m -> ScaledSeries
-    lead_roots: list        # roots in xi of the leading symbol at z = 0
-    R1: float               # polydisc radius of the sup norms
-    d: int
+    """Continued Borel values on the grid lambda * q^m: values maps m to
+    a ScaledSeries, seed_top is the largest index filled by direct
+    summation, lead_roots the roots in xi of the leading symbol at z = 0
+    and R1 the polydisc radius of the sup norms.  A plain class, not a
+    named tuple: its cached properties need an instance dict."""
+
+    def __init__(self, lam, q, m_min, m_max, seed_top, values, lead_roots, R1, d):
+        self.lam, self.q, self.m_min, self.m_max, self.seed_top = lam, q, m_min, m_max, seed_top
+        self.values, self.lead_roots, self.R1, self.d = values, lead_roots, R1, d
 
     @property
     def theta_budget(self):

@@ -29,9 +29,9 @@ its sum, and the asymptotic verifier reads only remainders above it.
 import cmath
 import math
 import sys
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain
+from typing import NamedTuple
 
 from .errors import GridTooShortError, PoleProximityError, UsageError
 from .growth import fit_envelope, last_third, ls_slope
@@ -162,8 +162,7 @@ def _shifted(k, frac, phase, log_th, arg_th):
     return g - shift, k * phase + arg_th, k * (k + 1) // 2 + shift
 
 
-@dataclass(frozen=True)
-class SpiralGeometry:
+class SpiralGeometry(NamedTuple):
     """The excluded spiral -lambda q^Z and its epsilon-thickened disks
     {t != 0 : |1 + lambda q^m / t| <= epsilon}."""
     lam: complex
@@ -185,8 +184,7 @@ class SpiralGeometry:
 PLACEMENT = {"inside": "inside", "near-boundary": "near the boundary of"}
 
 
-@dataclass(frozen=True)
-class ZoneResult:
+class ZoneResult(NamedTuple):
     kind: str            # "outside" | "inside" | "near-boundary"
     m: int = None        # witnessing index for inside/near-boundary
     min_ratio: float = math.inf   # smallest |1 + lambda q^m / t| over scanned m
@@ -379,15 +377,13 @@ def _kernel_terms(grid, t):
     return terms, top, units * ROUNDING_UNIT
 
 
-@dataclass
-class SampleResidual:
+class SampleResidual(NamedTuple):
     t: complex
     absolute: float
     relative: float
 
 
-@dataclass
-class KernelResidualReport:
+class KernelResidualReport(NamedTuple):
     samples: list            # SampleResidual per accepted sample
     max_absolute: float
     max_relative: float
@@ -431,8 +427,7 @@ def residual_check(eq, kernel, samples, epsilon=0.05):
     return KernelResidualReport(results, worst_abs, worst_rel, rejected)
 
 
-@dataclass
-class ResumReport:
+class ResumReport(NamedTuple):
     """Remainder table of the resummed solution against the formal series."""
     epsilon: float
     samples: list            # complex sample points
@@ -445,7 +440,7 @@ class ResumReport:
     verdict: str             # "pass" | "fail"
     used: int                # (N, t) pairs with E_N above the floor, which the fit reads
     dropped: int             # (N, t) pairs with E_N at or below it, or infinite
-    reasons: list = field(default_factory=list)
+    reasons: list
 
     @property
     def passed(self):

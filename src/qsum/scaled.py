@@ -9,15 +9,18 @@ exponents in floats and do not use this class.
 """
 
 import math
-from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
 class QScaled:
-    """The complex value mantissa * q**qexp; a zero mantissa is zero."""
-    q: float
-    mantissa: complex
-    qexp: float
+    """The complex value mantissa * q**qexp; a zero mantissa is zero.  A
+    read-only plain class, not a named tuple: perfbench counts its
+    constructions by wrapping __init__."""
+
+    def __init__(self, q, mantissa, qexp):
+        self.__dict__.update(q=q, mantissa=mantissa, qexp=qexp)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to QScaled.%s" % name)
 
     def log_abs(self):
         """Natural log of |value|; -inf for zero."""

@@ -10,7 +10,7 @@ to the original ones are verified numerically here."""
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .equation import Equation, Term
 from .errors import QsumError
@@ -21,8 +21,7 @@ BOREL_IDENTITY_SAMPLES = 10
 CHARPOLY_IDENTITY_SAMPLES = 20
 
 
-@dataclass(frozen=True)
-class SquaredEquation:
+class SquaredEquation(NamedTuple):
     equation: Equation      # same model: base q^{1/4}, shifts 2j, delta and m doubled
     m0_doubled: int
 
@@ -37,12 +36,11 @@ def substitute_square(eq):
     return SquaredEquation(sq, 2 * shape.m0)
 
 
-@dataclass
-class IdentityReport:
+class IdentityReport(NamedTuple):
     passed: bool
     worst: float
     samples: list
-    messages: list = field(default_factory=list)
+    messages: list
 
     def __str__(self):
         tag = "pass" if self.passed else "fail"
@@ -93,7 +91,7 @@ def check_borel_square_identity(u_orig, u_sq, q, z0=None):
     points = [cmath.rect(r * (0.3 + 0.7 * (k + 1) / n), 2.0 * math.pi * k / n + 0.3)
               for k in range(n)]
     samples, worst = _identity_gaps(points, eval_sq, lambda xi: eval_orig(q ** -0.25 * xi * xi))
-    return IdentityReport(worst <= IDENTITY_RTOL, worst, samples)
+    return IdentityReport(worst <= IDENTITY_RTOL, worst, samples, [])
 
 
 def check_charpoly_square_identity(P, P1, m0, q):

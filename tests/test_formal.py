@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -25,7 +24,7 @@ def test_example2_constant_rhs_closed_form():
 
 
 def test_zero_rhs_gives_zero_solution(euler_eq):
-    hom = replace(euler_eq, rhs=TruncatedSeries.zero(0, euler_eq.Kt, euler_eq.Kz))
+    hom = euler_eq._replace(rhs=TruncatedSeries.zero(0, euler_eq.Kt, euler_eq.Kz))
     sol = solve_formal(hom, 20)
     assert all(v.is_zero() for v in sol.scaled)
     assert verify_formal(hom, sol).max_relative == 0.0

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -48,7 +47,7 @@ def test_fit_coeff_bound_envelope_monotone():
     fit = fit_coeffs(coeffs)
     # enlarging H never invalidates the bound
     assert fit.holds(*coeff_logs(coeffs))
-    assert replace(fit, logH=fit.logH + math.log(1.5)).holds(*coeff_logs(coeffs))
+    assert fit._replace(logH=fit.logH + math.log(1.5)).holds(*coeff_logs(coeffs))
 
 
 def test_last_third_starts_at_two_thirds():

@@ -2,7 +2,6 @@ import cmath
 import math
 import random
 import sys
-from dataclasses import fields, replace
 
 import pytest
 
@@ -10,7 +9,7 @@ import qsum.qlaplace
 from qsum.equation import parse_equation
 from qsum.errors import PoleProximityError
 from qsum.formal import solve_formal
-from qsum.qborel import borel_transform, borel_transformed_equation, continue_spiral
+from qsum.qborel import SpiralGrid, borel_transform, borel_transformed_equation, continue_spiral
 from qsum.qlaplace import (KernelSamples, ResumReport, SpiralGeometry, _kernel_terms,
                            asymptotic_check, q_laplace, q_laplace_series, residual_check,
                            sample_fan, theta, zone_membership)
@@ -236,7 +235,7 @@ def test_residual_zero_grid_homogeneous(euler_eq, euler_grid):
     from qsum.series import TruncatedSeries
     zero = ScaledSeries(TruncatedSeries.zero(0, 1, 1), 0.0)
     g = SpiralGrid(1.0, Q, -40, 10, 0, {m: zero for m in range(-40, 11)}, [], 1.0, 0)
-    hom = replace(euler_eq, rhs=TruncatedSeries.zero(0, euler_eq.Kt, euler_eq.Kz))
+    hom = euler_eq._replace(rhs=TruncatedSeries.zero(0, euler_eq.Kt, euler_eq.Kz))
     rep = residual_check(hom, KernelSamples(g), [0.05 + 0.05j])
     assert rep.max_absolute == 0.0
 
@@ -310,8 +309,8 @@ def test_asymptotic_rows_are_shared_across_epsilons(euler_sol, euler_grid, monke
     assert {t for t, _, _ in kernel.rows} == set(first.samples) | set(half.samples)
     fresh = asymptotic_check(euler_sol, KernelSamples(euler_grid), 0.15, 12)
     assert len(summed) == len(rows) == len(fresh.samples) > 0
-    for f in fields(ResumReport):
-        assert getattr(half, f.name) == getattr(fresh, f.name), f.name
+    for name in ResumReport._fields:
+        assert getattr(half, name) == getattr(fresh, name), name
 
 
 def test_asymptotic_rows_follow_the_solution_and_w(euler_sol, euler_grid):
@@ -330,8 +329,8 @@ def test_asymptotic_rows_follow_the_solution_and_w(euler_sol, euler_grid):
                               0.3, 12))
     for got, want in zip((other, offset), fresh):
         assert not got.passed
-        for f in fields(ResumReport):
-            assert getattr(got, f.name) == getattr(want, f.name), f.name
+        for name in ResumReport._fields:
+            assert getattr(got, name) == getattr(want, name), name
 
 
 def test_asymptotic_check_reads_only_remainders_above_the_floor():
@@ -658,15 +657,15 @@ def test_on_demand_grid_sums_match_the_eager_sums(on_demand_runs, name):
     grid that sums its low indices on demand and on one whose every index
     was read first: the walk down stops only where the drop rule would
     drop every lower term.  The points span |t| from 2e-6 to 3."""
-    from dataclasses import replace
     cases = [(2.0, t) for t in ON_DEMAND_POINTS] + [(q, 0.01 + 0.002j) for q in ON_DEMAND_QS]
     for q, t in cases:
         lazy, eager = (run.grid for run in on_demand_runs[name, q])
         eps = 0.5 * (q - 1.0) / (q + 1.0)
         # the eager grid's values in a plain dict carry no size bounds, so
         # its kernel sums size every index, as a grid summed eagerly did
-        plain = replace(eager, values={m: eager.values[m]
-                                       for m in range(eager.m_min, eager.m_max + 1)})
+        plain = SpiralGrid(eager.lam, eager.q, eager.m_min, eager.m_max, eager.seed_top,
+                           {m: eager.values[m] for m in range(eager.m_min, eager.m_max + 1)},
+                           eager.lead_roots, eager.R1, eager.d)
         want = _kernel_outcome(plain, t, eps)
         assert _kernel_outcome(lazy, t, eps) == want, (name, q, t)
         assert _kernel_outcome(eager, t, eps) == want, (name, q, t)
