@@ -25,7 +25,7 @@ from .errors import (EffectivelySingularError, GridTooShortError,
 from .formal import gevrey_fit
 from .growth import fit_envelope
 from .newton import SINGULAR_RAY_TOL, durand_kerner, ray_clearance
-from .series import TruncatedSeries, divide
+from .series import Columns, TruncatedSeries, divide
 
 SEED_TAIL_RTOL = 1e-14
 # the seed window stays inside this fraction of the Borel radius estimate
@@ -293,9 +293,11 @@ def continue_spiral(beq, u, lam, m_max):
     window = max(beq.reach, 1)
     m_min = top - window + 1 - EXTRA_LOW
 
+    columns = Columns(u.coeffs)
+
     def seed_value(m):
         powers, _, _ = seed_terms(m)
-        return _normalize(q, TruncatedSeries.combination(zip(u.coeffs, powers)), 0.0)
+        return _normalize(q, columns.combination(powers), 0.0)
 
     def seed_bound(m):
         total = seed_terms(m)[2]

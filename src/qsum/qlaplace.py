@@ -29,7 +29,7 @@ its sum, and the asymptotic verifier reads only remainders above it.
 import cmath
 import math
 import sys
-from functools import cache
+from functools import cache, lru_cache
 from itertools import chain
 from typing import NamedTuple
 
@@ -136,19 +136,32 @@ def _theta_product(y, q):
 
         theta_q(y) = (1 + y) prod_{n >= 1} (1 - p^n)(1 + y p^n)(1 + p^n / y),
 
-    p = 1/q.  After step n the factors left differ from 1 by at most
-    (2 + q) p^{n+1} / (1 - p) = (2 + q) p^n / (q - 1) in all; the product
-    stops once that is below 2^-54, half a unit in the last place of 1."""
+    p = 1/q, with the factors p^n and 1 - p^n of _theta_factors."""
     inv_y = 1.0 / y
     acc = 1.0 + y
+    factors = _theta_factors(q)
+    for pn, one_less in factors:
+        acc *= one_less * (1.0 + pn * y) * (1.0 + pn * inv_y)
+    return acc, len(factors)
+
+
+@lru_cache(maxsize=16)
+def _theta_factors(q):
+    """The pairs (p^n, 1 - p^n), p = 1/q, of _theta_product's steps n = 1,
+    2, ...  After step n the factors left differ from 1 by at most
+    (2 + q) p^{n+1} / (1 - p) = (2 + q) p^n / (q - 1) in all; the product
+    stops once that is below 2^-54, half a unit in the last place of 1.
+    They depend on q alone, and a run has one q: a small cache keeps them
+    for the q values in use."""
     tail = (2.0 + q) / (q - 1.0)
+    factors = []
     n = 0
     while True:
         n += 1
         pn = q ** -n
-        acc *= (1.0 - pn) * (1.0 + pn * y) * (1.0 + pn * inv_y)
+        factors.append((pn, 1.0 - pn))
         if pn * tail < 0.5 * ROUNDING_UNIT:
-            return acc, n
+            return tuple(factors)
 
 
 def _shifted(k, frac, phase, log_th, arg_th):
@@ -269,8 +282,8 @@ class KernelSamples:
             kept, top, _ = _kernel_terms(grid, t)
             if not kept:
                 return TruncatedSeries.zero(grid.d, 1, grid.values[grid.m_max].series.Kz)
-            acc = TruncatedSeries.combination([(grid.values[m].series * inv, scale)
-                                               for m, inv, scale in kept])
+            acc = TruncatedSeries.combination_of_products((grid.values[m].series, inv, scale)
+                                                          for m, inv, scale in kept)
             return acc * complex(grid.q ** top)
 
         def at_origin(t):
@@ -332,40 +345,29 @@ def _kernel_terms(grid, t):
     # lower term can pass it, and the walk down stops before the grid sums
     # those values
     gap = math.log(KERNEL_DROP_RTOL) / lnq
+    low = start
     for m in range(start - 1, lo + 2, -1):
         th = (m + k0) * (m + k0 + 1) / 2.0 + (m + k0) * frac + log_th
         if bounds[m] - th < top + gap - 1.0:
             break
         size = sizes[m] = table[m] - th
         top = max(top, size)
+        low = m
     if top == -math.inf:
         return [], None, 0.0
-
-    def check_tail(tail, name):
-        """tail: the sizes of the three end indices, the outermost last."""
-        if len(tail) < 3:
-            raise GridTooShortError("grid too short on the %s side" % name)
-        if not (tail[-1] < tail[-2] < tail[-3]):
-            raise GridTooShortError(
-                "kernel terms not yet decaying at the %s end of the grid" % name)
-        ratio = math.exp((tail[-1] - tail[-2]) * lnq)
-        est = math.exp((tail[-1] - top) * lnq) * ratio / (1.0 - ratio)
-        if est > KERNEL_TAIL_RTOL:
-            raise GridTooShortError(
-                "%s tail estimate %.2e exceeds %.0e of the partial sum" % (name, est, KERNEL_TAIL_RTOL))
-
-    check_tail([sizes[m] for m in range(max(hi - 2, lo), hi + 1)], "upper")
-    check_tail([sizes[m] for m in range(min(lo + 2, hi), lo - 1, -1)], "lower")
+    _check_tail([sizes[m] for m in range(max(hi - 2, lo), hi + 1)], top, lnq, "upper")
+    _check_tail([sizes[m] for m in range(min(lo + 2, hi), lo - 1, -1)], top, lnq, "lower")
     if abs(top * lnq) >= 690.0:
         raise OverflowError("resummed value magnitude q^%.1f exceeds double range" % top)
     drop = top + gap
     terms = []
-    for m, size in sorted(sizes.items()):
-        if size >= drop:
+    # the sized indices in index order: the lower tail's, then the walk's up
+    for m in chain(range(lo, min(lo + 3, start)), range(low, hi + 1)):
+        if sizes[m] >= drop:
             r, angle, qexp = _shifted(m + k0, frac, phase, log_th, arg_th)
             # the inverse theta mantissa, of magnitude in (1/q, 1], and the
-            # complex scale: a series times a scalar multiplies each
-            # coefficient by complex(scale), so both sums do the same operations
+            # complex scale: both sums take (c * inv) * complex(scale) for
+            # each coefficient c
             terms.append((m, cmath.rect(q ** -r, -angle),
                           complex(q ** (grid.values[m].qexp - qexp - top))))
     k_max = max(abs(m + k0) for m, _, _ in terms)
@@ -375,6 +377,22 @@ def _kernel_terms(grid, t):
              + 2.0 * (math.pi + lnq) * (k_max + 1) + 2.0 * abs(log_th * lnq)
              + math.log(1.0 / KERNEL_DROP_RTOL) + lnq + 1.0 + TERM_UNITS + len(terms) - 1)
     return terms, top, units * ROUNDING_UNIT
+
+
+def _check_tail(tail, top, lnq, name):
+    """GridTooShortError unless the log_q term sizes of one end of the grid,
+    the three end indices' with the outermost last, decay and their tail
+    estimate is below KERNEL_TAIL_RTOL of q^top."""
+    if len(tail) < 3:
+        raise GridTooShortError("grid too short on the %s side" % name)
+    if not (tail[-1] < tail[-2] < tail[-3]):
+        raise GridTooShortError(
+            "kernel terms not yet decaying at the %s end of the grid" % name)
+    ratio = math.exp((tail[-1] - tail[-2]) * lnq)
+    est = math.exp((tail[-1] - top) * lnq) * ratio / (1.0 - ratio)
+    if est > KERNEL_TAIL_RTOL:
+        raise GridTooShortError(
+            "%s tail estimate %.2e exceeds %.0e of the partial sum" % (name, est, KERNEL_TAIL_RTOL))
 
 
 class SampleResidual(NamedTuple):

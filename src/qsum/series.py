@@ -17,6 +17,7 @@ the operands' windows differ, the common window.
 
 import heapq
 import math
+from bisect import bisect_left
 from cmath import isfinite
 from operator import add
 
@@ -97,7 +98,12 @@ class TruncatedSeries:
         s0 * c0 + s1 * c1 + ...: the same products and additions in the
         same order, the smallest window, and a key whose sum is exactly 0
         deleted as each __add__ deletes it, so that a later piece enters
-        it again at the end."""
+        it again at the end.
+
+        It sums the aligned parts of each march step (qborel._scaled_sum).
+        The continuation's seed sums go through Columns and the kernel
+        z-series through combination_of_products, which give its results
+        without forming what it forms and trims or walks twice."""
         pairs = iter(pairs)
         first = next(pairs, None)
         if first is None:
@@ -122,6 +128,44 @@ class TruncatedSeries:
                         out[k] = v
                     else:
                         out.pop(k, None)
+        return _result(d, Kt, Kz, out, trim)
+
+    @classmethod
+    def combination_of_products(cls, triples):
+        """The sum of (series * a) * b over the (series, a, b) triples, with
+        the values, window and key order of combination([(series * a, b),
+        ...]) but no series * a built: each coefficient's c * a is scaled
+        by b in the same loop.  Where c * a is exactly 0, the scalar product
+        would drop it, so it adds nothing, not even to the sign of a zero."""
+        triples = iter(triples)
+        first = next(triples, None)
+        if first is None:
+            raise ValueError("combination of no series")
+        series, a, b = first
+        d, Kt, Kz = series.d, series.Kt, series.Kz
+        a, b = _scalar(a), _scalar(b)
+        out = {k: v for k, c in series.coeffs.items() if (v := c * a * b)}
+        trim = False
+        for series, a, b in triples:
+            if series.d != d:
+                raise DimensionMismatchError("series in %d and %d z-variables" % (d, series.d))
+            if series.Kt != Kt or series.Kz != Kz:
+                trim = True
+                Kt, Kz = min(Kt, series.Kt), min(Kz, series.Kz)
+            a, b = _scalar(a), _scalar(b)
+            if b != 0:
+                get = out.get
+                for k, c in series.coeffs.items():
+                    x = c * a
+                    if x:
+                        v = get(k, 0j) + x * b
+                        if v:
+                            out[k] = v
+                        else:
+                            out.pop(k, None)
+            elif not all(isfinite(c * a) for c in series.coeffs.values()):
+                # the product series * a that combination would skip
+                raise NonFiniteError("non-finite coefficient")
         return _result(d, Kt, Kz, out, trim)
 
     # ---------------------------------------------------------------- access
@@ -399,6 +443,87 @@ def _scalar(value):
     if not isfinite(value):
         raise NonFiniteError("non-finite coefficient")
     return value
+
+
+class Columns:
+    """One list of series, gathered by key for many sums of the series
+    times scales: combination(scales) is TruncatedSeries.combination(
+    zip(series, scales)), with the same values, window and key order.  It
+    sums the continuation's seed values, the series being the Borel
+    coefficients and the scales the powers of one point.
+
+    Each key inside the common window keeps its column: the indices of the
+    series that hold it, as a range where they run on without a gap, and
+    the coefficients there.  Keys outside it are not kept, so their
+    products, which combination forms and then trims, are never formed
+    and cannot raise NonFiniteError."""
+
+    __slots__ = ("series", "d", "Kt", "Kz", "columns")
+
+    def __init__(self, series):
+        self.series = series = tuple(series)
+        self.d = series[0].d
+        self.Kt, self.Kz = Kt, Kz = min(s.Kt for s in series), min(s.Kz for s in series)
+        gathered = {}
+        for k, s in enumerate(series):
+            inside = (s.Kt, s.Kz) == (Kt, Kz)
+            for key, c in s.coeffs.items():
+                if inside or (key[0] < Kt and sum(key[1]) < Kz):
+                    column = gathered.get(key)
+                    if column is None:
+                        gathered[key] = column = ([], [])
+                    column[0].append(k)
+                    column[1].append(c)
+        # in the order in which the keys first appear, combination's order
+        # when no key leaves the sum
+        self.columns = [(key, range(ks[0], ks[-1] + 1) if ks[-1] - ks[0] == len(ks) - 1
+                         else tuple(ks), tuple(cs)) for key, (ks, cs) in gathered.items()]
+
+    def combination(self, scales):
+        """The sum of series[k] * scales[k], given a list of one finite
+        scale per series in which a zero scale is followed only by zero
+        scales, as the powers of one number are once they underflow.
+
+        Each column is walked in k order with combination's products and
+        additions: the first series' products are not added to anything, a
+        zero scale adds nothing, and a key whose sum is exactly 0 leaves
+        the sum.  A key that entered the sum later than at the first index
+        of its column is placed by that index and its position in that
+        series, where combination's dict puts it."""
+        if not all(map(isfinite, scales)):
+            raise NonFiniteError("non-finite coefficient")
+        live = scales.index(0) if 0 in scales else len(scales)
+        if any(scales[live:]):
+            raise ValueError("a zero scale is followed by a nonzero one")
+        out, entered = {}, {}
+        for key, ks, cs in self.columns:
+            if live < len(scales):
+                ks = ks[:bisect_left(ks, live)]
+            acc, entry = 0j, None
+            for k, c in zip(ks, cs):
+                v = c * scales[k] if k == 0 else acc + c * scales[k]
+                if v:
+                    if not acc:
+                        entry = k
+                    acc = v
+                else:
+                    acc = 0j
+            if acc:
+                out[key] = acc
+                if entry != ks[0]:
+                    entered[key] = entry
+        if entered:
+            first = {key: ks[0] for key, ks, _ in self.columns}
+            positions = {}
+
+            def place(key):
+                k = entered.get(key, first[key])
+                if k not in positions:
+                    positions[k] = {p: i for i, p in enumerate(self.series[k].coeffs)}
+                return k, positions[k][key]
+
+            out = {key: out[key] for key in sorted(out, key=place)}
+        return _result(self.d, self.Kt, self.Kz, out, False)
 
 
 def divide(num, den):

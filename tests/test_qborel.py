@@ -10,10 +10,13 @@ from qsum.formal import solve_formal
 from qsum.newton import (characteristic_polynomial, check_shape,
                          newton_polygon, reduced_coefficients,
                          singular_directions)
+from qsum.pipeline import Options, Run
 from qsum.qborel import (borel_transform, borel_transformed_equation,
                          continue_spiral, fit_spiral_bound, lead_roots)
 from qsum.qlaplace import q_laplace
 from qsum.series import TruncatedSeries
+
+from conftest import EULER_TEXT, EX2_TEXT, MIXED_D2_TEXT
 
 
 def test_borel_coefficients_are_scaled_coefficients(euler_sol):
@@ -163,3 +166,26 @@ def test_kernel_consistency_with_doubled_range(euler_grid, euler_eq, euler_sol, 
         b, _ = q_laplace(wide, t)
         assert abs(a - b) <= 1e-6 * abs(b)
 
+
+
+@pytest.mark.parametrize("text", [EULER_TEXT, EX2_TEXT, MIXED_D2_TEXT])
+def test_seed_values_equal_the_combination_of_the_borel_coefficients(text):
+    """Every seed value of a benchmark grid, default options, is the
+    normalized TruncatedSeries.combination of the Borel coefficients
+    times the powers of xi = lambda q^m, bit for bit and in key order.  The
+    README d=1 grid has keys that cancel to exactly 0 and enter again, and
+    its lowest indices have powers that underflow to 0."""
+    run = Run(text, Options())
+    u, grid = run.borel, run.grid
+    for m in range(grid.m_min, grid.seed_top + 1):
+        xi = grid.lam * grid.q ** float(m)
+        powers, power = [], 1.0 + 0j
+        for _ in u.coeffs:
+            powers.append(power)
+            power *= xi
+        want = qsum.qborel._normalize(grid.q, TruncatedSeries.combination(zip(u.coeffs, powers)),
+                                      0.0)
+        got = grid.values[m]
+        assert (got.series.Kt, got.series.Kz, got.qexp) == (want.series.Kt, want.series.Kz,
+                                                            want.qexp), m
+        assert repr(list(got.series.coeffs.items())) == repr(list(want.series.coeffs.items())), m

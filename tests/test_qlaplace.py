@@ -10,10 +10,12 @@ from qsum.equation import parse_equation
 from qsum.errors import PoleProximityError
 from qsum.formal import solve_formal
 from qsum.qborel import SpiralGrid, borel_transform, borel_transformed_equation, continue_spiral
+from qsum.pipeline import Options, Run
 from qsum.qlaplace import (KernelSamples, ResumReport, SpiralGeometry, _kernel_terms,
-                           asymptotic_check, q_laplace, q_laplace_series, residual_check,
-                           sample_fan, theta, zone_membership)
-from conftest import EULER_TEXT, monomial_grid
+                           _theta_product, asymptotic_check, q_laplace, q_laplace_series,
+                           residual_check, sample_fan, theta, zone_membership)
+from qsum.series import TruncatedSeries
+from conftest import EULER_TEXT, EX2_TEXT, MIXED_D2_TEXT, monomial_grid
 
 Q = 2.0
 
@@ -62,6 +64,50 @@ def test_theta_is_zero_on_the_zero_set():
         for k in (-5, -1, 0, 1, 4):
             assert theta(-q ** k, q).mantissa == 0, (q, k)
         assert theta(-q ** 2 * (1.0 + 1e-12), q).mantissa != 0
+
+
+def _stepwise_theta_product(y, q):
+    """The triple product with each step's p^n, 1 - p^n and stop test
+    computed in the loop, for comparison with _theta_product."""
+    inv_y = 1.0 / y
+    acc = 1.0 + y
+    tail = (2.0 + q) / (q - 1.0)
+    n = 0
+    while True:
+        n += 1
+        pn = q ** -n
+        acc *= (1.0 - pn) * (1.0 + pn * y) * (1.0 + pn * inv_y)
+        if pn * tail < 0.5 * qsum.qlaplace.ROUNDING_UNIT:
+            return acc, n
+
+
+@pytest.mark.parametrize("q", [1.05, 1.2, 2.0, 10.0, 1000.0])
+def test_theta_product_equals_the_stepwise_product(q):
+    rng = random.Random(20241021)
+    points = [1.0, -1.0, 1j, complex(-q ** 0.5, 0.0)] + [
+        cmath.rect(q ** rng.random(), rng.uniform(-math.pi, math.pi)) for _ in range(40)]
+    for y in points:
+        assert repr(_theta_product(y, q)) == repr(_stepwise_theta_product(y, q)), y
+
+
+@pytest.mark.parametrize("text", [EULER_TEXT, EX2_TEXT, MIXED_D2_TEXT])
+def test_kernel_series_equals_the_combination_of_scaled_values(text):
+    """At every point where a benchmark report sums W's z-series (each
+    residual sample t shifted to q^j t), the table's series equals the
+    combination of values[m].series * inv with the scales, times q^top,
+    bit for bit and in key order."""
+    run = Run(text, Options())
+    grid, q = run.grid, run.grid.q
+    shifts = {term.j for term in run.equation.terms}
+    points = {s.t * q ** j for s in run.residuals.samples for j in shifts}
+    assert points
+    for t in points:
+        kept, top, _ = _kernel_terms(grid, t)
+        want = TruncatedSeries.combination([(grid.values[m].series * inv, scale)
+                                            for m, inv, scale in kept]) * complex(q ** top)
+        got = run.kernel_samples.series(t)
+        assert (got.Kt, got.Kz) == (want.Kt, want.Kz), t
+        assert repr(list(got.coeffs.items())) == repr(list(want.coeffs.items())), t
 
 
 def _mp_theta(mp, x, q):

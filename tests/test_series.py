@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsum.errors import DimensionMismatchError, NonFiniteError, NotAUnitError
-from qsum.series import TruncatedSeries, divide, invert
+from qsum.series import Columns, TruncatedSeries, divide, invert
 
 
 def S(d=0, Kt=8, Kz=4, **coeffs):
@@ -251,6 +251,124 @@ def test_combination_errors():
             _chained(pairs)
         with pytest.raises(NonFiniteError, match="non-finite coefficient"):
             TruncatedSeries.combination(pairs)
+
+
+def _ladder(xi, count):
+    """The powers 1, xi, xi^2, ... as a power ladder takes them."""
+    powers, power = [], 1.0 + 0j
+    for _ in range(count):
+        powers.append(power)
+        power *= xi
+    return powers
+
+
+def _exact_series(rng, d, Kz, count):
+    """A z-series whose coefficients are small powers of two or tiny: sums
+    with power-of-two scales cancel exactly, and tiny products underflow."""
+    values = (1, -1, 2, -2, 4, -4, 1j, -2j, 1 - 1j, 1e-300, -1e-300j)
+    return TruncatedSeries(d, 1, Kz, {(0, tuple(rng.randrange(Kz) for _ in range(d))):
+                                      rng.choice(values) for _ in range(count)})
+
+
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_columns_equal_the_combination(d):
+    rng = random.Random(20241019 + d)
+    moved = 0
+    for _ in range(60):
+        count, top = rng.randint(1, 12), rng.randint(2, 9)
+        # windows that shrink with k, as the Borel coefficients' do
+        series = [_exact_series(rng, d, max(1, top - k // 2), rng.choice((0, 2, 6, 20)))
+                  for k in range(count)]
+        columns = Columns(series)
+        for xi in (0.5, -2.0, 0.5j, 1.0, complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+                   1e-200, 1e-120j, 0.0):
+            powers = _ladder(xi, count)
+            want = TruncatedSeries.combination(zip(series, powers))
+            _assert_same(columns.combination(powers), want)
+            first_seen = dict.fromkeys(k for s in series for k in s.coeffs if k in want.coeffs)
+            moved += list(first_seen) != list(want.coeffs)
+    # keys that left the sum at an exact zero and entered it again
+    assert moved > 0 or d == 0
+
+
+def test_columns_place_a_key_where_it_last_entered():
+    a = S(d=1, Kz=5, c_0_0=1, c_0_1=2, c_0_4=7)
+    b = S(d=1, Kz=4, c_0_0=-2, c_0_2=1, c_0_1=1e-300)
+    c = S(d=1, Kz=4, c_0_0=4, c_0_3=1)
+    columns = Columns([a, b, c])
+    # at xi = 1/2, (0, (0,)) cancels to exactly 0 at b and enters again at c,
+    # behind (0, (2,)); (0, (4,)) lies outside the common window
+    got = columns.combination(_ladder(0.5, 3))
+    _assert_same(got, TruncatedSeries.combination(zip([a, b, c], _ladder(0.5, 3))))
+    assert list(got.coeffs) == [(0, (1,)), (0, (2,)), (0, (0,)), (0, (3,))]
+    # at xi = 1e-200 the product 1e-300 * xi underflows, and xi^2 to a zero
+    # scale, which adds nothing; at xi = 0 only the first series counts
+    for xi in (1e-200, 1e-300, 0.0, -1.0):
+        _assert_same(columns.combination(_ladder(xi, 3)),
+                     TruncatedSeries.combination(zip([a, b, c], _ladder(xi, 3))))
+    # signed zeros: the first series' products are not added to 0j, and a
+    # sum that is exactly 0 leaves as 0j, whatever the signs of its zeros
+    neg = [TruncatedSeries(0, 1, 1, {(0, ()): c}) for c in (complex(-0.0, 1.0),
+                                                             complex(-0.0, -1.0),
+                                                             complex(-0.0, -2.0))]
+    for series, scales in ((neg[:1], [1 + 0j]),
+                           (neg, [1 + 0j, complex(1.0, -0.0), complex(1.0, -0.0)])):
+        _assert_same(Columns(series).combination(scales),
+                     TruncatedSeries.combination(zip(series, scales)))
+    assert repr(Columns(neg).combination([1 + 0j, complex(1.0, -0.0), complex(1.0, -0.0)])
+                .coeffs) == "{(0, ()): -2j}"
+    # a zero scale adds nothing, not even +0 to a signed zero
+    one = TruncatedSeries.const(1.0, 0, 1, 1)
+    got = Columns([neg[0], one]).combination([1 + 0j, 0j])
+    _assert_same(got, TruncatedSeries.combination([(neg[0], 1 + 0j), (one, 0j)]))
+    assert repr(got.coeffs) == "{(0, ()): (-0+1j)}"
+    with pytest.raises(NonFiniteError, match="non-finite coefficient"):
+        columns.combination([1.0, math.inf, 1.0])
+    with pytest.raises(ValueError, match="zero scale is followed"):
+        columns.combination([1.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_combination_of_products_equals_the_combination_of_the_products(d):
+    rng = random.Random(20241020 + d)
+    windows = [(6, 5), (7, 6), (5, 4), (6, 2)]
+    factors = (0.5, -2.0, 1j, 0, 1e-200, 2.0 ** -600, 3)
+    for _ in range(60):
+        triples = []
+        for _ in range(rng.randint(1, 6)):
+            Kt, Kz = rng.choice(windows)
+            series = rng.choice((_random_series(rng, d, Kt, Kz, rng.choice((0, 1, 3, 20))),
+                                 _exact_series(rng, d, Kz, rng.choice((1, 6)))))
+            a, b = (rng.choice(factors + (complex(rng.uniform(-3, 3), rng.uniform(-3, 3)),))
+                    for _ in range(2))
+            triples.append((series, a, b))
+        want = TruncatedSeries.combination([(s * a, b) for s, a, b in triples])
+        _assert_same(TruncatedSeries.combination_of_products(triples), want)
+        _assert_same(TruncatedSeries.combination_of_products(iter(triples)), want)
+    # a zero c * a or a zero b adds nothing, not even +0 to a signed zero
+    signed, one = (TruncatedSeries.const(c, 0, 1, 1) for c in (complex(-0.0, 1.0), 1.0))
+    for a, b in ((0.0, 1.0), (1.0, 0.0)):
+        triples = [(signed, 1 + 0j, 1 + 0j), (one, a, b)]
+        got = TruncatedSeries.combination_of_products(triples)
+        _assert_same(got, TruncatedSeries.combination([(s * a, b) for s, a, b in triples]))
+        assert repr(got.coeffs) == "{(0, ()): (-0+1j)}"
+
+
+def test_combination_of_products_errors():
+    with pytest.raises(ValueError, match="combination of no series"):
+        TruncatedSeries.combination_of_products([])
+    with pytest.raises(DimensionMismatchError):
+        TruncatedSeries.combination_of_products([(S(d=1, c_0_0=1), 1.0, 1.0),
+                                                 (S(d=2, c_0_0_0=1), 1.0, 1.0)])
+    big = S(d=1, Kt=3, Kz=3, c_0_0=1e308, c_1_1=1.0)
+    # an overflow in series * a raises also where b is 0 and adds nothing
+    for triples in ([(big, 10.0, 1.0)], [(big, 1.0, 10.0)], [(big, 10.0, 0.0)],
+                    [(big, 1.0, 1.0), (big, 10.0, 0.0)], [(big, math.inf, 1.0)],
+                    [(big, 1.0, complex(0.0, math.nan))]):
+        with pytest.raises(NonFiniteError, match="non-finite coefficient"):
+            TruncatedSeries.combination([(s * a, b) for s, a, b in triples])
+        with pytest.raises(NonFiniteError, match="non-finite coefficient"):
+            TruncatedSeries.combination_of_products(triples)
 
 
 def _ref_sum(a, b, negate):
