@@ -4,8 +4,8 @@ The inputs are the benchmark's own (perfbench/inputs.py): the three
 equation texts of the `euler` and `zseries` workloads, run through
 `run_report` at `Options()`, and the twelve `corpus-cli` documents, run
 through `qsum.cli.main` as the benchmark runs them (`report --orders 20
---mmax 20`).  Two more equation texts, with delta = 1/2 and delta = 2,
-run at `Options()` too.  Each finished report is pinned by the SHA-256
+--mmax 20`).  Three more equation texts, with delta = 1/2, delta = 2
+and the README's d=1 equation at q=3, run at `Options()` too.  Each finished report is pinned by the SHA-256
 of its JSON without `timings`: `to_dict()` in its own key order for an
 equation text, the CLI's output for a document.  A document that exits
 with an error is pinned by its exit code and message.  So every float of
@@ -41,6 +41,10 @@ EXTRA = {
     "delta-half": ("q=2; delta=1/2; m=2; d=1; "
                    "eq: S^1(X) + t*S^2(X) + t*S^0 Dz1^2(X) = 1/(1-z1)"),
     "delta-2": "q=2; delta=2; m=2; d=1; eq: S^1(X) + t*S^2(X) + t*S^0 Dz1^1(X) = 1/(1-z1)",
+    # the one input known whose report reads the key order of a sum of
+    # series: a seed sum cancels a key to exactly 0, and sup_norm adds the
+    # seed value's terms in its key order
+    "readme-d1-q3": "q=3; delta=1; m=2; d=1; eq: S^1(X) + t*S^2(X) + t*S^1 Dz1^1(X) = 1/(1-z1)",
 }
 
 
