@@ -7,7 +7,9 @@ operation returns a new series whose window is the componentwise minimum
 of its inputs' windows: results are never extrapolated beyond what the
 inputs determine, so a formal derivative costs one unit of z-window and
 that loss propagates through all downstream arithmetic.  No series
-stores a coefficient that is exactly 0.
+stores a coefficient that is exactly 0.  Every sum keeps a key where the
+key first appears and drops a sum that is exactly 0 only when it builds
+its result, so an exact cancellation on the way does not move a key.
 
 The public constructor checks every key and value of outside data.
 Results of arithmetic on series, whose keys come from in-window keys,
@@ -94,11 +96,13 @@ class TruncatedSeries:
         """The sum of series * scale over the (series, scale) pairs, built
         as one result.
 
-        Values, window and key order are those of the chained
-        s0 * c0 + s1 * c1 + ...: the same products and additions in the
-        same order, the smallest window, and a key whose sum is exactly 0
-        deleted as each __add__ deletes it, so that a later piece enters
-        it again at the end.
+        It forms the products and additions of the chained
+        s0 * c0 + s1 * c1 + ... in the same order, on the smallest window.
+        The first pair's products are taken as series * scale gives them,
+        exact zeros dropped; a later pair with a zero scale adds nothing.
+        Its key order is that of one __add__: a key stays where it first
+        appears, and a sum that is exactly 0 is dropped only when the
+        result is built.
 
         It sums the aligned parts of each march step (qborel._scaled_sum).
         The continuation's seed sums go through Columns and the kernel
@@ -123,11 +127,7 @@ class TruncatedSeries:
             if scale != 0:
                 get = out.get
                 for k, c in series.coeffs.items():
-                    v = get(k, 0j) + c * scale
-                    if v:
-                        out[k] = v
-                    else:
-                        out.pop(k, None)
+                    out[k] = get(k, 0j) + c * scale
         return _result(d, Kt, Kz, out, trim)
 
     @classmethod
@@ -158,11 +158,7 @@ class TruncatedSeries:
                 for k, c in series.coeffs.items():
                     x = c * a
                     if x:
-                        v = get(k, 0j) + x * b
-                        if v:
-                            out[k] = v
-                        else:
-                            out.pop(k, None)
+                        out[k] = get(k, 0j) + x * b
             elif not all(isfinite(c * a) for c in series.coeffs.values()):
                 # the product series * a that combination would skip
                 raise NonFiniteError("non-finite coefficient")
@@ -237,14 +233,8 @@ class TruncatedSeries:
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
             other = _scalar(other)
-            # _result's checks, done in place: on the one-term series of a
-            # kernel sum the call would add a fifth to the product's time
-            coeffs = {k: v for k, c in self.coeffs.items() if (v := c * other)}
-            if not all(map(isfinite, coeffs.values())):
-                raise NonFiniteError("non-finite coefficient")
-            out = TruncatedSeries.__new__(TruncatedSeries)
-            out.d, out.Kt, out.Kz, out.coeffs = self.d, self.Kt, self.Kz, coeffs
-            return out
+            return _result(self.d, self.Kt, self.Kz, {k: c * other for k, c in self.coeffs.items()},
+                           False)
         Kt, Kz = self._common_window(other)
         a, b = self.coeffs, other.coeffs
         if len(a) > len(b):
@@ -458,10 +448,10 @@ class Columns:
     products, which combination forms and then trims, are never formed
     and cannot raise NonFiniteError."""
 
-    __slots__ = ("series", "d", "Kt", "Kz", "columns")
+    __slots__ = ("d", "Kt", "Kz", "columns")
 
     def __init__(self, series):
-        self.series = series = tuple(series)
+        series = tuple(series)
         self.d = series[0].d
         self.Kt, self.Kz = Kt, Kz = min(s.Kt for s in series), min(s.Kz for s in series)
         gathered = {}
@@ -475,54 +465,35 @@ class Columns:
                     column[0].append(k)
                     column[1].append(c)
         # in the order in which the keys first appear, combination's order
-        # when no key leaves the sum
         self.columns = [(key, range(ks[0], ks[-1] + 1) if ks[-1] - ks[0] == len(ks) - 1
                          else tuple(ks), tuple(cs)) for key, (ks, cs) in gathered.items()]
 
     def combination(self, scales):
         """The sum of series[k] * scales[k], given a list of one finite
-        scale per series in which a zero scale is followed only by zero
-        scales, as the powers of one number are once they underflow.
+        scale per series whose first scale is 1 and in which a zero scale
+        is followed only by zero scales, as in the powers of one number
+        once they underflow.
 
         Each column is walked in k order with combination's products and
-        additions: the first series' products are not added to anything, a
-        zero scale adds nothing, and a key whose sum is exactly 0 leaves
-        the sum.  A key that entered the sum later than at the first index
-        of its column is placed by that index and its position in that
-        series, where combination's dict puts it."""
+        additions: the first series' products are not added to anything
+        and a zero scale adds nothing.  As the first scale is 1, no first
+        product is an exact zero, which combination would drop."""
         if not all(map(isfinite, scales)):
             raise NonFiniteError("non-finite coefficient")
+        if scales[0] != 1:
+            raise ValueError("the first scale is not 1")
         live = scales.index(0) if 0 in scales else len(scales)
         if any(scales[live:]):
             raise ValueError("a zero scale is followed by a nonzero one")
-        out, entered = {}, {}
+        out = {}
         for key, ks, cs in self.columns:
             if live < len(scales):
                 ks = ks[:bisect_left(ks, live)]
-            acc, entry = 0j, None
+            acc = 0j
             for k, c in zip(ks, cs):
-                v = c * scales[k] if k == 0 else acc + c * scales[k]
-                if v:
-                    if not acc:
-                        entry = k
-                    acc = v
-                else:
-                    acc = 0j
+                acc = c * scales[k] if k == 0 else acc + c * scales[k]
             if acc:
                 out[key] = acc
-                if entry != ks[0]:
-                    entered[key] = entry
-        if entered:
-            first = {key: ks[0] for key, ks, _ in self.columns}
-            positions = {}
-
-            def place(key):
-                k = entered.get(key, first[key])
-                if k not in positions:
-                    positions[k] = {p: i for i, p in enumerate(self.series[k].coeffs)}
-                return k, positions[k][key]
-
-            out = {key: out[key] for key in sorted(out, key=place)}
         return _result(self.d, self.Kt, self.Kz, out, False)
 
 

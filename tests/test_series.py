@@ -162,13 +162,29 @@ def test_divide_errors():
 
 
 def _chained(pairs):
-    """The reference linear combination: s0 * c0 + s1 * c1 + ... one
-    scalar product and one __add__ at a time."""
+    """The linear combination s0 * c0 + s1 * c1 + ... one scalar product
+    and one __add__ at a time."""
     acc = None
     for s, c in pairs:
         piece = s * c
         acc = piece if acc is None else acc + piece
     return acc
+
+
+def _one_pass(pairs):
+    """The reference linear combination: the first pair's nonzero products,
+    then each later product added where its key first appeared, a zero
+    scale skipped, and the sums built by the validating constructor on the
+    smallest window."""
+    (first, scale), *rest = pairs
+    out = {k: v for k, c in first.coeffs.items() if (v := c * complex(scale))}
+    Kt, Kz = first.Kt, first.Kz
+    for s, scale in rest:
+        Kt, Kz = min(Kt, s.Kt), min(Kz, s.Kz)
+        if scale != 0:
+            for k, c in s.coeffs.items():
+                out[k] = out.get(k, 0j) + c * complex(scale)
+    return TruncatedSeries(first.d, Kt, Kz, out)
 
 
 def _assert_same(got, want):
@@ -179,7 +195,7 @@ def _assert_same(got, want):
 
 
 @pytest.mark.parametrize("d", [0, 1, 2, 3])
-def test_combination_equals_the_chained_sum(d):
+def test_combination_equals_the_one_pass_sum(d):
     rng = random.Random(20240917 + d)
     windows = [(6, 5), (7, 6), (5, 4), (4, 3), (8, 7), (6, 2)]
     for _ in range(40):
@@ -190,29 +206,33 @@ def test_combination_equals_the_chained_sum(d):
             scale = rng.choice((complex(rng.uniform(-3, 3), rng.uniform(-3, 3)),
                                 rng.uniform(-3, 3), 2, 0, 0j, 1e-300))
             pairs.append((series, scale))
-        _assert_same(TruncatedSeries.combination(pairs), _chained(pairs))
-        _assert_same(TruncatedSeries.combination(iter(pairs)), _chained(pairs))
+        got = TruncatedSeries.combination(pairs)
+        _assert_same(got, _one_pass(pairs))
+        _assert_same(TruncatedSeries.combination(iter(pairs)), _one_pass(pairs))
+        # the chained sum's values, in its own key order
+        assert got.coeffs == _chained(pairs).coeffs
 
 
 def test_combination_cancellation_zero_scales_and_single_pairs():
     a = S(d=1, c_0_0=1, c_1_1=2.5, c_2_0=-1)
     b = S(d=1, c_1_1=-2.5, c_0_2=3)
     c = S(d=1, Kt=5, Kz=3, c_3_1=1, c_1_1=4)
-    # (1, (1,)) cancels to exactly 0, is deleted, and enters again last
+    # (1, (1,)) cancels to exactly 0 and turns nonzero again in its first place
     pairs = [(a, 1.0), (b, 1.0), (S(d=1, c_4_0=1), 0.5j), (c, 1.0)]
     got = TruncatedSeries.combination(pairs)
-    _assert_same(got, _chained(pairs))
-    assert list(got.coeffs)[-1] == (1, (1,))
+    _assert_same(got, _one_pass(pairs))
+    assert list(got.coeffs) == [(0, (0,)), (1, (1,)), (2, (0,)), (0, (2,)), (4, (0,)), (3, (1,))]
+    assert got.coeffs[(1, (1,))] == 4
     # a cancelled key that never comes back stays out
-    _assert_same(TruncatedSeries.combination(pairs[:3]), _chained(pairs[:3]))
+    _assert_same(TruncatedSeries.combination(pairs[:3]), _one_pass(pairs[:3]))
     assert (1, (1,)) not in TruncatedSeries.combination(pairs[:3]).coeffs
     # a zero scale contributes nothing but still narrows the window
     for zero in (0, 0.0, 0j):
         pairs = [(a, 2.0), (c, zero), (b, -1.0)]
         got = TruncatedSeries.combination(pairs)
-        _assert_same(got, _chained(pairs))
+        _assert_same(got, _one_pass(pairs))
         assert (got.Kt, got.Kz) == (5, 3)
-        _assert_same(TruncatedSeries.combination([(a, zero)]), _chained([(a, zero)]))
+        _assert_same(TruncatedSeries.combination([(a, zero)]), _one_pass([(a, zero)]))
     # a single pair is the scalar product
     for scale in (1.0, -0.75 + 2j, 3):
         _assert_same(TruncatedSeries.combination([(a, scale)]), a * scale)
@@ -273,7 +293,7 @@ def _exact_series(rng, d, Kz, count):
 @pytest.mark.parametrize("d", [0, 1, 2])
 def test_columns_equal_the_combination(d):
     rng = random.Random(20241019 + d)
-    moved = 0
+    reentered = 0
     for _ in range(60):
         count, top = rng.randint(1, 12), rng.randint(2, 9)
         # windows that shrink with k, as the Borel coefficients' do
@@ -285,29 +305,36 @@ def test_columns_equal_the_combination(d):
             powers = _ladder(xi, count)
             want = TruncatedSeries.combination(zip(series, powers))
             _assert_same(columns.combination(powers), want)
-            first_seen = dict.fromkeys(k for s in series for k in s.coeffs if k in want.coeffs)
-            moved += list(first_seen) != list(want.coeffs)
-    # keys that left the sum at an exact zero and entered it again
-    assert moved > 0 or d == 0
+            _assert_same(want, _one_pass(list(zip(series, powers))))
+            for key in want.coeffs:
+                acc, hit = None, False
+                for s, p in zip(series, powers):
+                    if p != 0 and key in s.coeffs:
+                        acc = s.coeffs[key] * p if acc is None else acc + s.coeffs[key] * p
+                        hit = hit or not acc
+                reentered += hit
+    # keys whose running sum is exactly 0 at some series and nonzero at the end
+    assert reentered > 0
 
 
-def test_columns_place_a_key_where_it_last_entered():
+def test_columns_keep_a_key_where_it_first_appears():
     a = S(d=1, Kz=5, c_0_0=1, c_0_1=2, c_0_4=7)
     b = S(d=1, Kz=4, c_0_0=-2, c_0_2=1, c_0_1=1e-300)
     c = S(d=1, Kz=4, c_0_0=4, c_0_3=1)
     columns = Columns([a, b, c])
-    # at xi = 1/2, (0, (0,)) cancels to exactly 0 at b and enters again at c,
-    # behind (0, (2,)); (0, (4,)) lies outside the common window
+    # at xi = 1/2, (0, (0,)) cancels to exactly 0 at b and turns nonzero at
+    # c in its first place; (0, (4,)) lies outside the common window
     got = columns.combination(_ladder(0.5, 3))
     _assert_same(got, TruncatedSeries.combination(zip([a, b, c], _ladder(0.5, 3))))
-    assert list(got.coeffs) == [(0, (1,)), (0, (2,)), (0, (0,)), (0, (3,))]
+    _assert_same(got, _one_pass(list(zip([a, b, c], _ladder(0.5, 3)))))
+    assert list(got.coeffs) == [(0, (0,)), (0, (1,)), (0, (2,)), (0, (3,))]
     # at xi = 1e-200 the product 1e-300 * xi underflows, and xi^2 to a zero
     # scale, which adds nothing; at xi = 0 only the first series counts
     for xi in (1e-200, 1e-300, 0.0, -1.0):
         _assert_same(columns.combination(_ladder(xi, 3)),
                      TruncatedSeries.combination(zip([a, b, c], _ladder(xi, 3))))
     # signed zeros: the first series' products are not added to 0j, and a
-    # sum that is exactly 0 leaves as 0j, whatever the signs of its zeros
+    # sum that is exactly 0 stays, with the signs of its zeros, for the next
     neg = [TruncatedSeries(0, 1, 1, {(0, ()): c}) for c in (complex(-0.0, 1.0),
                                                              complex(-0.0, -1.0),
                                                              complex(-0.0, -2.0))]
@@ -316,7 +343,7 @@ def test_columns_place_a_key_where_it_last_entered():
         _assert_same(Columns(series).combination(scales),
                      TruncatedSeries.combination(zip(series, scales)))
     assert repr(Columns(neg).combination([1 + 0j, complex(1.0, -0.0), complex(1.0, -0.0)])
-                .coeffs) == "{(0, ()): -2j}"
+                .coeffs) == "{(0, ()): (-0-2j)}"
     # a zero scale adds nothing, not even +0 to a signed zero
     one = TruncatedSeries.const(1.0, 0, 1, 1)
     got = Columns([neg[0], one]).combination([1 + 0j, 0j])
@@ -326,6 +353,11 @@ def test_columns_place_a_key_where_it_last_entered():
         columns.combination([1.0, math.inf, 1.0])
     with pytest.raises(ValueError, match="zero scale is followed"):
         columns.combination([1.0, 0.0, 1.0])
+    # a first scale other than 1 could make a first product an exact zero,
+    # which combination drops and a column would keep
+    for scales in ([2.0, 1.0, 1.0], [0.0, 0.0, 0.0], [1e-200, 1.0, 1.0]):
+        with pytest.raises(ValueError, match="first scale is not 1"):
+            columns.combination(scales)
 
 
 @pytest.mark.parametrize("d", [0, 1, 2])
@@ -406,14 +438,6 @@ def _ref_dz(a, axis, order):
     return TruncatedSeries(a.d, a.Kt, a.Kz - order, out)
 
 
-def _ref_combination(pairs):
-    acc = None
-    for s, scale in pairs:
-        piece = TruncatedSeries(s.d, s.Kt, s.Kz, {k: c * complex(scale) for k, c in s.coeffs.items()})
-        acc = piece if acc is None else _ref_sum(acc, piece, False)
-    return acc
-
-
 def _int_series(rng, d, Kt, Kz, count):
     """Small Gaussian-integer coefficients, whose sums and products cancel
     to exactly 0 often."""
@@ -450,7 +474,7 @@ def test_arithmetic_matches_the_validating_constructor(d):
             for order in (1, 2):
                 _assert_same(a.dz(axis, order), _ref_dz(a, axis, order))
         pairs = [(a, rng.choice((1.0, -1.0, 0.5j))), (b, rng.choice((1.0, -1.0, 2))), (a * b, 0.25)]
-        _assert_same(TruncatedSeries.combination(pairs), _ref_combination(pairs))
+        _assert_same(TruncatedSeries.combination(pairs), _one_pass(pairs))
         den = _int_series(rng, d, bKt, bKz, 3) + TruncatedSeries.const(5.0, d, bKt, bKz)
         _assert_same(divide(a, den), _window_divide(a, den))
     assert cancelled > 20 and unequal > 20
