@@ -38,7 +38,7 @@ from .errors import (ConditionsFailed, ParseError, QsumError, SchemaError,
                      SingularDirectionError, UsageError)
 from .newton import is_interior
 from .pipeline import (HARD_CONDITIONS, Options, Run, asymptotic_doc, directions_doc,
-                       json_float, polygon_doc, spiral_bound_doc)
+                       json_complex, json_float, polygon_doc, spiral_bound_doc)
 from .qlaplace import q_laplace
 from .report_schema import validate_report
 from .square import substitute_square
@@ -87,13 +87,6 @@ def _read_text(path, what):
             return fh.read()
     except UnicodeDecodeError as exc:
         raise UsageError("%s %s is not UTF-8: %s" % (what, path, exc)) from exc
-
-
-def _json_default(o):
-    """Complex numbers are written as {"re": ..., "im": ...}."""
-    if isinstance(o, complex):
-        return {"re": o.real, "im": o.imag}
-    raise TypeError(type(o).__name__)
 
 
 def _write(text, path):
@@ -186,7 +179,7 @@ def main(argv=None):
             opt.mmax = 0  # no march: pad the z-window for the recursion only
         run = Run(_read_text(args.equation, "equation file"), opt)
         doc, code = VIEWS[args.command](run, args)
-        _write(json.dumps(doc, indent=2, sort_keys=True, default=_json_default) + "\n", args.json)
+        _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.json)
         return code
     except (ParseError, SchemaError, UsageError, OSError) as exc:
         return _fail(exc, EXIT_USAGE)
@@ -267,11 +260,11 @@ def _continue(run, args):
     run.require_solvable()
     grid, fitb = run.grid, run.spiral_bound
     norms = grid.norms_logq
-    doc = {"lambda": grid.lam,
+    doc = {"lambda": json_complex(grid.lam),
            "m_min": grid.m_min, "m_max": grid.m_max, "seed_top": grid.seed_top,
            "C": fitb.A, "H": fitb.H, "bounded": fitb.settled,
            "values": [{"m": m,
-                       "value_z0": {"mantissa": grid.values[m].series.constant_term(),
+                       "value_z0": {"mantissa": json_complex(grid.values[m].series.constant_term()),
                                     "qexp": grid.values[m].qexp},
                        "sup_logq": norms[m]}
                       for m in range(max(grid.m_min, -10), grid.m_max + 1)]}
@@ -284,7 +277,8 @@ def _continue(run, args):
 
 def _resum(run, args):
     run.require_solvable()
-    return {"t": args.t, "W": q_laplace(run.grid, args.t, epsilon=run.kernel_epsilon)[0]}, EXIT_OK
+    W = q_laplace(run.grid, args.t, epsilon=run.kernel_epsilon)[0]
+    return {"t": json_complex(args.t), "W": json_complex(W)}, EXIT_OK
 
 
 def _verify(run, args):

@@ -83,7 +83,8 @@ def _verdict(ok, detail=""):
     return {"status": "pass" if ok else "fail", "detail": detail}
 
 
-def _cnum(c):
+def json_complex(c):
+    """c as the JSON object {"re": ..., "im": ...}."""
     return {"re": c.real, "im": c.imag}
 
 
@@ -147,7 +148,7 @@ def polygon_doc(polygon, shape):
 
 def directions_doc(ds):
     """The characteristic roots and the singular rays."""
-    return {"roots": [_cnum(r) for r in ds.roots], "rays": list(ds.rays)}
+    return {"roots": [json_complex(r) for r in ds.roots], "rays": list(ds.rays)}
 
 
 def asymptotic_doc(rep):
@@ -166,7 +167,7 @@ def spiral_bound_doc(run):
             "grid": {"m_min": grid.m_min, "seed_top": grid.seed_top, "m_max": grid.m_max},
             "radius_est": json_float(u.radius_est),
             "theta_budget": grid.theta_budget,
-            "lead_roots": [_cnum(r) for r in grid.lead_roots]}
+            "lead_roots": [json_complex(r) for r in grid.lead_roots]}
 
 
 def analyze_conditions(eq):
@@ -378,7 +379,7 @@ class Run:
             "max_relative": res.max_relative,
             "count": len(res.samples),
             "rejected": len(res.rejected),
-            "samples": [{"t": _cnum(s.t), "abs": s.absolute, "rel": s.relative} for s in res.samples],
+            "samples": [{"t": json_complex(s.t), "abs": s.absolute, "rel": s.relative} for s in res.samples],
         }
         verdicts["residual"] = _verdict(res.passed, str(res))
 
@@ -392,7 +393,7 @@ class Run:
         return RunReport(
             equation={"q": eq.q, "delta": {"num": eq.delta.numerator, "den": eq.delta.denominator},
                       "m": eq.m, "d": eq.d, "terms": len(eq.terms),
-                      "Kt": eq.Kt, "Kz": eq.Kz, "lambda": _cnum(lam)},
+                      "Kt": eq.Kt, "Kz": eq.Kz, "lambda": json_complex(lam)},
             polygon=polygon, verdicts=verdicts, directions=directions, gevrey=gevrey,
             spiral_bound=spiral_bound, residuals=residuals, asymptotic=asymptotic,
             timings=self.timings)

@@ -20,7 +20,6 @@ import sys
 import qsum.cli  # noqa: F401  (loads every module the hooks wrap)
 import qsum.pipeline
 import qsum.qlaplace
-from qsum.cli import _json_default
 from qsum.errors import UsageError
 from qsum.pipeline import Options, Run, run_report
 
@@ -69,7 +68,7 @@ def test_reports_match_the_benchmark_reference():
             refs = json.load(fh)["inputs"]
         for key, _, text in inputs.build(workload):
             doc = run_report(text, inputs.options(workload)).to_dict()
-            report = json.loads(json.dumps(check.stable_report(doc), default=_json_default))
+            report = json.loads(json.dumps(check.stable_report(doc)))
             _assert_matches_reference(check, report, refs[key], key)
 
 
@@ -124,7 +123,7 @@ def _assert_exact_and_summed_once(workload, summed):
             assert not summed, key
             rejected.append(key)
             continue
-        report = json.loads(json.dumps(check.stable_report(doc), default=_json_default))
+        report = json.loads(json.dumps(check.stable_report(doc)))
         _assert_matches_reference(check, report, refs[key], key)
         assert len(summed) == len(set(summed)), key
         assert set(run.asymptotic.samples) | set(run.asymptotic_half.samples) == set(summed), key

@@ -31,7 +31,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from qsum.cli import _json_default, main
+from qsum.cli import main
 from qsum.pipeline import Options, run_report
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -72,7 +72,7 @@ def text_entry(key):
     """The digest of run_report's to_dict() without timings."""
     doc = run_report(TEXTS[key], Options()).to_dict()
     doc.pop("timings")
-    return _sha(json.dumps(doc, default=_json_default))
+    return _sha(json.dumps(doc))
 
 
 def document_entry(key, workdir):
