@@ -7,9 +7,8 @@ operation returns a new series whose window is the componentwise minimum
 of its inputs' windows: results are never extrapolated beyond what the
 inputs determine, so a formal derivative costs one unit of z-window and
 that loss propagates through all downstream arithmetic.  No series
-stores a coefficient that is exactly 0.  Every sum keeps a key where the
-key first appears and drops a sum that is exactly 0 only when it builds
-its result, so an exact cancellation on the way does not move a key.
+stores a coefficient that is exactly 0: a sum keeps each key where it
+first appears and drops an exact 0 only when it builds its result.
 
 The public constructor checks every key and value of outside data.
 Results of arithmetic on series, whose keys come from in-window keys,
@@ -94,15 +93,10 @@ class TruncatedSeries:
     @classmethod
     def combination(cls, pairs):
         """The sum of series * scale over the (series, scale) pairs, built
-        as one result.
-
-        It forms the products and additions of the chained
-        s0 * c0 + s1 * c1 + ... in the same order, on the smallest window.
-        The first pair's products are taken as series * scale gives them,
-        exact zeros dropped; a later pair with a zero scale adds nothing.
-        Its key order is that of one __add__: a key stays where it first
-        appears, and a sum that is exactly 0 is dropped only when the
-        result is built.
+        as one result on the smallest window with the products and
+        additions of the chained s0 * c0 + s1 * c1 + ... in their order:
+        the first pair's products as series * scale gives them, and none
+        of a later pair whose scale is 0.  Keys keep their first places.
 
         It sums the aligned parts of each march step (qborel._scaled_sum).
         The continuation's seed sums go through Columns and the kernel
@@ -470,14 +464,13 @@ class Columns:
 
     def combination(self, scales):
         """The sum of series[k] * scales[k], given a list of one finite
-        scale per series whose first scale is 1 and in which a zero scale
-        is followed only by zero scales, as in the powers of one number
-        once they underflow.
+        scale per series that starts at 1 and in which a zero scale is
+        followed only by zero scales, as the powers of one number are.
 
         Each column is walked in k order with combination's products and
         additions: the first series' products are not added to anything
-        and a zero scale adds nothing.  As the first scale is 1, no first
-        product is an exact zero, which combination would drop."""
+        and a zero scale adds nothing.  A first scale of 1 leaves no first
+        product an exact 0, which combination would drop and a column keep."""
         if not all(map(isfinite, scales)):
             raise NonFiniteError("non-finite coefficient")
         if scales[0] != 1:
