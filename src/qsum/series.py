@@ -434,7 +434,7 @@ class Columns:
     times scales: combination(scales) is TruncatedSeries.combination(
     zip(series, scales)), with the same values, window and key order.  It
     sums the continuation's seed values, the series being the Borel
-    coefficients and the scales the powers of one point.
+    coefficients and the scales the powers of one point, from 1 up.
 
     Each key inside the common window keeps its column: the indices of the
     series that hold it, as a range where they run on without a gap, and

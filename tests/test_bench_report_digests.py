@@ -5,12 +5,13 @@ equation texts of the `euler` and `zseries` workloads, run through
 `run_report` at `Options()`, and the twelve `corpus-cli` documents, run
 through `qsum.cli.main` as the benchmark runs them (`report --orders 20
 --mmax 20`).  Three more equation texts, with delta = 1/2, delta = 2
-and the README's d=1 equation at q=3, run at `Options()` too.  Each finished report is pinned by the SHA-256
-of its JSON without `timings`: `to_dict()` in its own key order for an
-equation text, the CLI's output for a document.  A document that exits
-with an error is pinned by its exit code and message.  So every float of
-every report is pinned at the options the benchmark measures, which the
-view digests (`--orders 16 --mmax 16`) do not cover.
+and the README's d=1 equation at q=3, run at `Options()` too.  Each
+finished report is pinned by the SHA-256 of its JSON without `timings`:
+`to_dict()` in its own key order for an equation text, the CLI's output
+for a document.  A document that exits with an error is pinned by its
+exit code and message.  So every float of every report is pinned at the
+options the benchmark measures, which the view digests (`--orders 16
+--mmax 16`) do not cover.
 
 A change that means to alter a report re-records the file with
 

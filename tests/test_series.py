@@ -335,6 +335,7 @@ def test_columns_keep_a_key_where_it_first_appears():
                      TruncatedSeries.combination(zip([a, b, c], _ladder(xi, 3))))
     # signed zeros: the first series' products are not added to 0j, and a
     # sum that is exactly 0 stays, with the signs of its zeros, for the next
+    # product to add to
     neg = [TruncatedSeries(0, 1, 1, {(0, ()): c}) for c in (complex(-0.0, 1.0),
                                                              complex(-0.0, -1.0),
                                                              complex(-0.0, -2.0))]
