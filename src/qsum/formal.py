@@ -58,8 +58,8 @@ class FormalSolution:
         return fit.holds(self.log_norms, [n * (n - 1) / 2.0 * lnq for n in range(self.count + 1)])
 
     def origin_values(self, n_max):
-        """v_0..v_{n_max} at z = 0."""
-        return [v.evaluate(0.0, (0.0,) * self.d) for v in self.scaled[:n_max + 1]]
+        """v_0..v_{n_max} at z = 0: each v_n's constant term."""
+        return [v.constant_term() for v in self.scaled[:n_max + 1]]
 
 
 def _presliced(eq):

@@ -199,8 +199,8 @@ PLACEMENT = {"inside": "inside", "near-boundary": "near the boundary of"}
 
 class ZoneResult(NamedTuple):
     kind: str            # "outside" | "inside" | "near-boundary"
-    m: int = None        # witnessing index for inside/near-boundary
-    min_ratio: float = math.inf   # smallest |1 + lambda q^m / t| over scanned m
+    m: int               # witnessing index for inside/near-boundary, else None
+    min_ratio: float     # smallest |1 + lambda q^m / t| over scanned m
 
     @property
     def outside(self):
@@ -268,7 +268,7 @@ class KernelSamples:
     constant coefficient summed with the operations of series(t), and the
     terms' magnitudes times a bound on each one's relative rounding error
     (ROUNDING_UNIT), below which a difference from W is not resolved.
-    rows holds asymptotic_check's remainder rows.  Neither reader tests
+    The table holds the grid and these two readers only; neither tests
     the zone (W does not depend on epsilon, which only places the points):
     callers place t off the disks, as sample_fan and residual_check do.
     On the spiral theta is zero and the sum raises ValueError; q_laplace
@@ -300,7 +300,6 @@ class KernelSamples:
 
         self.series = cache(series)
         self.origin = cache(at_origin)
-        self.rows = {}
 
 
 def _kernel_terms(grid, t):
@@ -518,9 +517,8 @@ def asymptotic_check(sol, kernel, epsilon, n_max):
     no pair resolved the verdict is a vacuous pass.
 
     W(t, 0) and its floor are read from the kernel-sample table of the
-    grid that continues `sol`'s Borel transform.  Its remainder rows are
-    keyed by t, W(t, 0) and sol's v_N(0): calls at several epsilons with
-    one solution share the rows of the points their fans have in common.
+    grid that continues `sol`'s Borel transform, and each call builds one
+    remainder row per point of its fan.
     """
     q, lam = kernel.grid.q, kernel.grid.lam
     geom = SpiralGeometry(lam, epsilon, q)
@@ -534,12 +532,10 @@ def asymptotic_check(sol, kernel, epsilon, n_max):
     points = sample_fan(geom, ASYMPTOTIC_RAYS,
                         [r_lo * (r_max / r_lo) ** (k / (ASYMPTOTIC_RADII - 1.0))
                          for k in range(ASYMPTOTIC_RADII)])
-    values, rows, picked = tuple(sol.origin_values(n_max)), kernel.rows, []
+    values, picked = sol.origin_values(n_max), []
     for t in points:
         w, floor = kernel.origin(t)
-        if (t, w, values) not in rows:
-            rows[t, w, values] = remainder_row(q, values, w, t)
-        picked.append((w, floor, rows[t, w, values]))
+        picked.append((w, floor, remainder_row(q, values, w, t)))
     wvals = [w for w, _, _ in picked]
     floors = [floor for _, floor, _ in picked]
     EN = [[row[N] for _, _, row in picked] for N in range(0, n_max + 1)]
@@ -548,11 +544,12 @@ def asymptotic_check(sol, kernel, epsilon, n_max):
     resolved = [[e if floor < e < math.inf else None for e, floor in zip(EN[N], floors)]
                 for N in range(0, n_max + 1)]
 
-    lnq = math.log(q)
+    lnq, log_eps = math.log(q), math.log(epsilon)
+    log_r = [math.log(abs(t)) for t in points]
     # per order, the largest normalized log remainder over the resolved
     # pairs; the envelope's A is M, and its diagnostic is log rho_N
-    logs = [max((math.log(e) + math.log(epsilon) - N * (N - 1) / 2.0 * lnq - N * math.log(abs(t))
-                 for e, t in zip(resolved[N], points) if e is not None), default=None)
+    logs = [max((math.log(e) + log_eps - N * (N - 1) / 2.0 * lnq - N * lr
+                 for e, lr in zip(resolved[N], log_r) if e is not None), default=None)
             for N in range(0, n_max + 1)]
     env = fit_envelope(logs, [0.0] * (n_max + 1), 0.0)
     rho = [None if g is None else math.exp(g) for g in env.diag]
