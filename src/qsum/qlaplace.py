@@ -21,9 +21,10 @@ whose poles lie on the spiral -lambda q^Z; the monomial inversion
 identity sum_m (lambda q^m)^n / theta_q(lambda q^m / t) = q^{n(n-1)/2} t^n
 is the internal witness that this convention inverts the Borel transform;
 the tests sum it with q_laplace itself, over a grid of monomials xi^n.
-Every theta(lambda q^m / t) of one W shares one reduced argument, so a
-kernel sum takes one product.  W(t, 0) comes with the rounding floor of
-its sum, and the asymptotic verifier reads only remainders above it.
+Every theta(lambda q^m / (t / q^k)), over m and k, shares one reduced
+argument, so the kernel sums at every t / q^k take one product.  W(t, 0)
+comes with the rounding floor of its sum, and the asymptotic verifier
+reads only remainders above it.
 """
 
 import cmath
@@ -81,9 +82,10 @@ ZONE_GUARD = 1.1
 # more slowly than this power of |t|
 RHO_TREND_MAX = 0.1
 ORDER1_SLOPE_MIN = 0.5
-# asymptotic_check samples this many rays and this many radii per ray
+# asymptotic_check samples this many rays, radii per ray and radius span (lattice_fan)
 ASYMPTOTIC_RAYS = 8
 ASYMPTOTIC_RADII = 12
+ASYMPTOTIC_SPAN = 20.0
 # residual_check passes when no sample's absolute residual exceeds this
 RESIDUAL_MAX_ABS = 1e-5
 
@@ -247,7 +249,7 @@ def q_laplace_series(grid, t, epsilon=0.05):
 
 def q_laplace(grid, t, epsilon=0.05):
     """(W(t, 0), floor) at a t off the epsilon-disks (KernelSamples)."""
-    return KernelSamples(grid).origin(_outside_disks(grid, t, epsilon))
+    return KernelSamples(grid).origin(_outside_disks(grid, t, epsilon), 0)
 
 
 def _outside_disks(grid, t, epsilon):
@@ -262,32 +264,34 @@ def _outside_disks(grid, t, epsilon):
 
 
 class KernelSamples:
-    """W at the sample points t of one grid, each sum from the kept terms
-    of W(t, .) (_kernel_terms) done once (functools.cache).  series(t) is
-    W(t, .) as a z-series; origin(t) is (W(t, 0), floor): each term's
-    constant coefficient summed with the operations of series(t), and the
-    terms' magnitudes times a bound on each one's relative rounding error
-    (ROUNDING_UNIT), below which a difference from W is not resolved.
-    The table holds the grid and these two readers only; neither tests
-    the zone (W does not depend on epsilon, which only places the points):
-    callers place t off the disks, as sample_fan and residual_check do.
-    On the spiral theta is zero and the sum raises ValueError; q_laplace
-    and q_laplace_series test the zone and raise PoleProximityError."""
+    """W at the sample points of one grid, from one kernel vector per point
+    t (_kernel_vector), each sum done once (functools.cache).  series(t) is
+    W(t, .) as a z-series; origin(t, k) is (W(t / q^k, 0), floor) from t's
+    vector, as theta(lambda q^m / (t / q^k)) = theta(lambda q^(m+k) / t):
+    each term's constant coefficient summed with the operations of series,
+    and the terms' magnitudes times a bound on each one's relative
+    rounding error (ROUNDING_UNIT), below which a difference from W is not
+    resolved.  Neither reader tests the zone (W does not depend on
+    epsilon, which only places the points): callers place the points off
+    the disks, as the fans and residual_check do.  On the spiral theta is
+    zero and the sum raises ValueError; q_laplace and q_laplace_series
+    test the zone and raise PoleProximityError."""
 
     def __init__(self, grid):
         self.grid = grid
         constant = (0, (0,) * grid.d)
+        vector = cache(lambda t: _kernel_vector(grid, t))
 
         def series(t):
-            kept, top, _ = _kernel_terms(grid, t)
+            kept, top, _ = _kernel_terms(vector(t), 0)
             if not kept:
                 return TruncatedSeries.zero(grid.d, 1, grid.values[grid.m_max].series.Kz)
             acc = TruncatedSeries.combination_of_products((grid.values[m].series, inv, scale)
                                                           for m, inv, scale in kept)
             return acc * complex(grid.q ** top)
 
-        def at_origin(t):
-            kept, top, rtol = _kernel_terms(grid, t)
+        def at_origin(t, k):
+            kept, top, rtol = _kernel_terms(vector(t), k)
             acc, size = None, 0.0
             for m, inv, scale in kept:
                 piece = grid.values[m].series.coeffs.get(constant, 0j) * inv * scale
@@ -302,35 +306,45 @@ class KernelSamples:
         self.origin = cache(at_origin)
 
 
-def _kernel_terms(grid, t):
-    """The terms of W(t, .) that survive the drop rule, in index order,
-    as (m, inv, scale) with W(t, .) = q^top * sum values[m].series * inv
-    * scale: inv is the inverse theta mantissa and scale the complex
-    q^(e - top), with e the term's exponent.  A term's log_q size is its
-    value's (SpiralGrid.logq_sizes) less log_q|theta(q^k y)| = k(k+1)/2 +
-    k frac + log_q|theta(y)|, k = m + k0, in floats; the tail checks, top,
-    the drop rule and the overflow guard read those sizes, and only the
-    kept terms get a theta mantissa.  Below theta's vertex the sizing
-    stops where SpiralGrid.size_bounds shows that no lower term passes
-    the drop rule, so the grid never sums those values.  Both tails must
-    decay below KERNEL_TAIL_RTOL of the partial sum inside the grid, and a
-    term below KERNEL_DROP_RTOL relative, which would only shrink W's
-    z-window, is dropped.  Returns (terms, top, rtol), rtol the bound on a
-    term's relative rounding error that the rounding floor reads; the
-    terms are empty when every grid value is zero."""
-    q, lam = grid.q, grid.lam
-    t = complex(t)
-    lnq = math.log(q)
-    base_logq = math.log(abs(lam) / abs(t)) / lnq
-    phase = cmath.phase(lam / t)
-    # lambda / t = q^k0 y with y = q^frac e^{i phase}: one product gives
-    # theta(y), and the functional equation every theta(lambda q^m / t)
+def _kernel_vector(grid, t):
+    """What the kernel sums at every t / q^k share: (grid, k0, frac, phase,
+    log_q|theta(y)|, arg theta(y), the product's rounding units, inverses)
+    with lambda / t = q^k0 y, y = q^frac e^{i phase}.  One triple product
+    gives theta(y), and the functional equation every theta(lambda q^n /
+    t); inverses maps a theta index n to (inverse mantissa, q-exponent),
+    filled as _kernel_terms keeps the terms, for every shift."""
+    q, lnq = grid.q, math.log(grid.q)
+    base_logq = math.log(abs(grid.lam) / abs(t)) / lnq
+    phase = cmath.phase(grid.lam / t)
     k0 = math.floor(base_logq)
     frac = base_logq - k0
     y = cmath.rect(q ** frac, phase)
     th, steps = _theta_product(y, q)
+    units = (PRODUCT_STEP_UNITS * steps
+             + FACTOR_UNITS * (2.0 * q / min(abs(1.0 + y), abs(1.0 + y / q))
+                               + 3.0 * q / (q - 1.0) ** 2))
     # t lies off the spiral, so theta(y) is not zero
-    log_th, arg_th = math.log(abs(th)) / lnq, cmath.phase(th)
+    return grid, k0, frac, phase, math.log(abs(th)) / lnq, cmath.phase(th), units, {}
+
+
+def _kernel_terms(vec, k):
+    """The terms of W(t / q^k, .) that survive the drop rule, from t's
+    kernel vector, in index order, as (m, inv, scale) with W = q^top * sum
+    values[m].series * inv * scale: inv is the inverse theta mantissa and
+    scale the complex q^(e - top), e the term's exponent.  A term's log_q
+    size is its value's (SpiralGrid.logq_sizes) less log_q|theta(q^n y)| =
+    n(n+1)/2 + n frac + log_q|theta(y)|, n = m + k0 + k, in floats; the
+    tail checks, top, the drop rule and the overflow guard read those
+    sizes, and only the kept terms read a theta mantissa.  Below theta's
+    vertex the sizing stops where SpiralGrid.size_bounds shows that no
+    lower term passes the drop rule, so the grid never sums those values.
+    Both tails must decay below KERNEL_TAIL_RTOL of the partial sum inside
+    the grid, and a term below KERNEL_DROP_RTOL relative, which would only
+    shrink W's z-window, is dropped.  Returns (terms, top, rtol), rtol the
+    bound on a term's relative rounding error that the rounding floor
+    reads; the terms are empty when every grid value is zero."""
+    grid, k0, frac, phase, log_th, arg_th, product_units, inverses = vec
+    q, lnq, k0 = grid.q, math.log(grid.q), k0 + k
     # log_q sizes of the terms: the value's less log_q|theta(lambda q^m / t)|,
     # at the three indices at each end (the tail checks read them) and at
     # every index from theta's vertex (m + k0 = 0) or the upper three up
@@ -363,17 +377,15 @@ def _kernel_terms(grid, t):
     # the sized indices in index order: the lower tail's, then the walk's up
     for m in chain(range(lo, min(lo + 3, start)), range(low, hi + 1)):
         if sizes[m] >= drop:
-            r, angle, qexp = _shifted(m + k0, frac, phase, log_th, arg_th)
-            # the inverse theta mantissa, of magnitude in (1/q, 1], and the
-            # complex scale: both sums take (c * inv) * complex(scale) for
-            # each coefficient c
-            terms.append((m, cmath.rect(q ** -r, -angle),
-                          complex(q ** (grid.values[m].qexp - qexp - top))))
+            inverse = inverses.get(m + k0)
+            if inverse is None:
+                r, angle, qexp = _shifted(m + k0, frac, phase, log_th, arg_th)
+                # the inverse theta mantissa, of magnitude in (1/q, 1]; both
+                # sums take (c * inv) * complex(scale) for each coefficient c
+                inverse = inverses[m + k0] = cmath.rect(q ** -r, -angle), qexp
+            terms.append((m, inverse[0], complex(q ** (grid.values[m].qexp - inverse[1] - top))))
     k_max = max(abs(m + k0) for m, _, _ in terms)
-    units = (PRODUCT_STEP_UNITS * steps
-             + FACTOR_UNITS * (2.0 * q / min(abs(1.0 + y), abs(1.0 + y / q))
-                               + 3.0 * q / (q - 1.0) ** 2)
-             + 2.0 * (math.pi + lnq) * (k_max + 1) + 2.0 * abs(log_th * lnq)
+    units = (product_units + 2.0 * (math.pi + lnq) * (k_max + 1) + 2.0 * abs(log_th * lnq)
              + math.log(1.0 / KERNEL_DROP_RTOL) + lnq + 1.0 + TERM_UNITS + len(terms) - 1)
     return terms, top, units * ROUNDING_UNIT
 
@@ -478,6 +490,27 @@ def sample_fan(geom, rays, radii):
     return points
 
 
+def lattice_fan(geom):
+    """The asymptotic fan on a q-lattice: on ASYMPTOTIC_RAYS rays spaced
+    evenly off lambda's, the radii r_max q^(-j/s), r_max = 0.1|lambda|, j
+    < ASYMPTOTIC_RADII, ray by ray in ascending order, kept where they
+    lie outside the excluded disks.  s is the least integer >= 1 with
+    q^((ASYMPTOTIC_RADII - 1) / s) <= ASYMPTOTIC_SPAN.  Point j is t_c /
+    q^k, k = j // s, of the class base t_c = rect(r_max q^(-(j mod s)/s),
+    angle), whose kernel vector serves its class.  Returns (t, t_c, k)."""
+    q, r_max = geom.q, 0.1 * abs(geom.lam)
+    s = max(1, math.ceil((ASYMPTOTIC_RADII - 1) * math.log(q) / math.log(ASYMPTOTIC_SPAN)))
+    fan = []
+    for i in range(ASYMPTOTIC_RAYS):
+        ang = cmath.phase(geom.lam) + 2.0 * math.pi * (i + 0.5) / ASYMPTOTIC_RAYS
+        for j in range(ASYMPTOTIC_RADII - 1, -1, -1):
+            base = cmath.rect(r_max * q ** (-(j % s) / s), ang)
+            t = base / q ** (j // s)
+            if zone_membership(geom, t).outside:
+                fan.append((t, base, j // s))
+    return fan
+
+
 def remainder_row(q, values, w, t):
     """The remainders E_N = |W(t, 0) - partial_N(t)| at one point t, given
     w = W(t, 0) and values[N] = v_N(0), the formal solution's scaled
@@ -516,9 +549,10 @@ def asymptotic_check(sol, kernel, epsilon, n_max):
     read either, and counts with the unresolved pairs in `dropped`.  With
     no pair resolved the verdict is a vacuous pass.
 
-    W(t, 0) and its floor are read from the kernel-sample table of the
-    grid that continues `sol`'s Borel transform, and each call builds one
-    remainder row per point of its fan.
+    W(t, 0) and its floor at each point t = t_c / q^k of lattice_fan are
+    origin(t_c, k) of the kernel-sample table of the grid that continues
+    `sol`'s Borel transform, and each call builds one remainder row per
+    point of its fan.
     """
     q, lam = kernel.grid.q, kernel.grid.lam
     geom = SpiralGeometry(lam, epsilon, q)
@@ -526,15 +560,11 @@ def asymptotic_check(sol, kernel, epsilon, n_max):
     if n_max > sol.count:
         raise UsageError("remainder depth %d exceeds the computed formal order %d"
                          % (n_max, sol.count))
-    # ASYMPTOTIC_RADII radii spaced geometrically from r_max / 20 to r_max
-    r_max = 0.1 * abs(lam)
-    r_lo = r_max / 20.0
-    points = sample_fan(geom, ASYMPTOTIC_RAYS,
-                        [r_lo * (r_max / r_lo) ** (k / (ASYMPTOTIC_RADII - 1.0))
-                         for k in range(ASYMPTOTIC_RADII)])
+    fan = lattice_fan(geom)
+    points = [t for t, _, _ in fan]
     values, picked = sol.origin_values(n_max), []
-    for t in points:
-        w, floor = kernel.origin(t)
+    for t, base, k in fan:
+        w, floor = kernel.origin(base, k)
         picked.append((w, floor, remainder_row(q, values, w, t)))
     wvals = [w for w, _, _ in picked]
     floors = [floor for _, floor, _ in picked]

@@ -22,6 +22,7 @@ import qsum.pipeline
 import qsum.qlaplace
 from qsum.errors import UsageError
 from qsum.pipeline import Options, Run, run_report
+from qsum.qlaplace import SpiralGeometry
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -84,14 +85,15 @@ def _assert_matches_reference(check, report, ref, key):
 
 
 def _count_kernel_sums(monkeypatch):
-    """The points t at which the pipeline's kernel-sample tables sum
-    W(t, 0) ("origin") and W's z-series ("series"), in call order."""
+    """The arguments with which the pipeline's kernel-sample tables sum
+    W(t / q^k, 0) ("origin", (t, k)) and W's z-series ("series", (t,)),
+    in call order."""
     summed = {"origin": [], "series": []}
 
     def recording(fill, points):
-        def fill_and_record(t):
-            points.append(t)
-            return fill(t)
+        def fill_and_record(*args):
+            points.append(args)
+            return fill(*args)
         return functools.cache(fill_and_record)
 
     class Counting(qsum.qlaplace.KernelSamples):
@@ -104,11 +106,17 @@ def _count_kernel_sums(monkeypatch):
     return summed
 
 
+def _fan_reads(run, epsilon):
+    """The (t, t_c, k) of the lattice fan of one asymptotic stage of a run."""
+    return qsum.qlaplace.lattice_fan(SpiralGeometry(run.grid.lam, epsilon, run.grid.q))
+
+
 def _assert_exact_and_summed_once(workload, summed):
     """Each finished report matches the reference as
-    _assert_matches_reference checks, and sums W once per sample point of
-    both asymptotic stages.  Returns the keys of the inputs whose epsilon
-    is not below (q-1)/(q+1)."""
+    _assert_matches_reference checks, and sums W once per (t_c, k) that
+    the lattice fans of both asymptotic stages read, a sample point t =
+    t_c / q^k each.  Returns the keys of the inputs whose epsilon is not
+    below (q-1)/(q+1)."""
     check, inputs = _load("check"), _load("inputs")
     with open(os.path.join(PERFBENCH, "reference", workload + ".json"), encoding="utf-8") as fh:
         refs = json.load(fh)["inputs"]
@@ -126,7 +134,12 @@ def _assert_exact_and_summed_once(workload, summed):
         report = json.loads(json.dumps(check.stable_report(doc)))
         _assert_matches_reference(check, report, refs[key], key)
         assert len(summed) == len(set(summed)), key
-        assert set(run.asymptotic.samples) | set(run.asymptotic_half.samples) == set(summed), key
+        reads = set()
+        for rep in (run.asymptotic, run.asymptotic_half):
+            fan = _fan_reads(run, rep.epsilon)
+            assert [t for t, _, _ in fan] == rep.samples, key
+            reads |= {(base, k) for _, base, k in fan}
+        assert reads == set(summed), key
         assert len(run.asymptotic_half.samples) >= len(run.asymptotic.samples) > 0, key
     return rejected
 
@@ -172,7 +185,7 @@ def test_reports_build_each_row_and_residual_series_once(monkeypatch):
             assert sorted(rows, key=repr) == sorted(
                 run.asymptotic.samples + run.asymptotic_half.samples, key=repr), key
             q, shifts = run.equation.q, {term.j for term in run.equation.terms}
-            shifted = {s.t * q ** j for s in run.residuals.samples for j in shifts}
+            shifted = {(s.t * q ** j,) for s in run.residuals.samples for j in shifts}
             assert sorted(series, key=repr) == sorted(shifted, key=repr), key
             calls[key] = len(series)
     assert calls == {"euler": 15, "readme-d1": 15, "mixed-d2": 20}
@@ -181,36 +194,54 @@ def test_reports_build_each_row_and_residual_series_once(monkeypatch):
 def test_reports_test_each_zone_once_and_find_each_points_terms_once(monkeypatch):
     """Per benchmark DSL report, zone_membership runs once per point a fan
     places and once per shift of each residual sample, and no more: the
-    kernel sums do not test the zone again.  The kept kernel terms are
-    found once per distinct point the residual and asymptotic stages
-    read."""
+    kernel sums do not test the zone again.  Each point's kept kernel
+    terms are found once, and one triple product serves each kernel
+    vector: one per (ray, class) of the lattice fan, 24 at q = 2, which
+    the epsilon/2 stage reads without building one, and one per distinct
+    shifted residual point."""
     inputs = _load("inputs")
-    zone_membership, kernel_terms = qsum.qlaplace.zone_membership, qsum.qlaplace._kernel_terms
-    zones, found = [], []
+    zone_membership, kernel_vector = qsum.qlaplace.zone_membership, qsum.qlaplace._kernel_vector
+    kernel_terms, theta_product = qsum.qlaplace._kernel_terms, qsum.qlaplace._theta_product
+    zones, vectors, found, products = [], [], [], []
 
     def counting_zone(geom, t):
         zones.append(t)
         return zone_membership(geom, t)
 
-    def counting_terms(grid, t):
-        found.append(t)
-        return kernel_terms(grid, t)
+    def counting_vector(grid, t):
+        vectors.append(t)
+        return kernel_vector(grid, t)
+
+    def counting_terms(vec, k):
+        found.append((id(vec), k))
+        return kernel_terms(vec, k)
+
+    def counting_product(y, q):
+        products.append(y)
+        return theta_product(y, q)
 
     monkeypatch.setattr(qsum.qlaplace, "zone_membership", counting_zone)
+    monkeypatch.setattr(qsum.qlaplace, "_kernel_vector", counting_vector)
     monkeypatch.setattr(qsum.qlaplace, "_kernel_terms", counting_terms)
+    monkeypatch.setattr(qsum.qlaplace, "_theta_product", counting_product)
     calls = {}
     for workload in ("euler", "zseries"):
         for key, _, text in inputs.build(workload):
-            zones.clear()
-            found.clear()
+            for counted in (zones, vectors, found, products):
+                counted.clear()
             run = Run(text, inputs.options(workload))
+            run.residuals, run.asymptotic
+            built = len(vectors)
             run.report()
+            assert len(vectors) == built, key  # the epsilon/2 fan builds no vector
+            calls[key] = len(zones), len(products)
             q, shifts = run.equation.q, {term.j for term in run.equation.terms}
-            points = (set(run.asymptotic.samples) | set(run.asymptotic_half.samples)
-                      | {s.t * q ** j for s in run.residuals.samples for j in shifts})
-            assert len(found) == len(set(found)) and set(found) == points, key
-            calls[key] = len(zones)
-    assert calls == {"euler": 222, "readme-d1": 222, "mixed-d2": 232}
+            bases = {base for _, base, _ in _fan_reads(run, run.options.epsilon)}
+            points = bases | {s.t * q ** j for s in run.residuals.samples for j in shifts}
+            assert len(vectors) == len(set(vectors)) and set(vectors) == points, key
+            assert len(found) == len(set(found)), key
+            assert len(products) == len(vectors) and len(bases) == 24, key
+    assert calls == {"euler": (222, 39), "readme-d1": (222, 39), "mixed-d2": (232, 44)}
 
 
 def test_benchmark_reports_leave_no_reference_cycles():

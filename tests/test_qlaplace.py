@@ -11,9 +11,10 @@ from qsum.errors import PoleProximityError
 from qsum.formal import solve_formal
 from qsum.qborel import SpiralGrid, borel_transform, borel_transformed_equation, continue_spiral
 from qsum.pipeline import Options, Run
-from qsum.qlaplace import (KernelSamples, ResumReport, SpiralGeometry, _kernel_terms,
-                           _theta_product, asymptotic_check, q_laplace, q_laplace_series,
-                           residual_check, sample_fan, theta, zone_membership)
+from qsum.qlaplace import (ASYMPTOTIC_RADII, ASYMPTOTIC_RAYS, ASYMPTOTIC_SPAN, KernelSamples,
+                           ResumReport, SpiralGeometry, _kernel_terms, _kernel_vector,
+                           _theta_product, asymptotic_check, lattice_fan, q_laplace,
+                           q_laplace_series, residual_check, sample_fan, theta, zone_membership)
 from qsum.series import TruncatedSeries
 from conftest import EULER_TEXT, EX2_TEXT, MIXED_D2_TEXT, monomial_grid
 
@@ -102,7 +103,7 @@ def test_kernel_series_equals_the_combination_of_scaled_values(text):
     points = {s.t * q ** j for s in run.residuals.samples for j in shifts}
     assert points
     for t in points:
-        kept, top, _ = _kernel_terms(grid, t)
+        kept, top, _ = _kernel_terms(_kernel_vector(grid, t), 0)
         want = TruncatedSeries.combination([(grid.values[m].series * inv, scale)
                                             for m, inv, scale in kept]) * complex(q ** top)
         got = run.kernel_samples.series(t)
@@ -170,11 +171,16 @@ def test_theta_matches_the_mpmath_oracle(q):
 def _mp_kernel_sum(mp, grid, t, value):
     """sum_m value(m) / theta(lambda q^m / t) over the grid at mpmath's
     precision, every theta from theta(lambda / t) by the functional
-    equation, which holds exactly there."""
-    q, x0 = mp.mpf(grid.q), mp.mpc(grid.lam) / mp.mpc(t)
-    th0 = _mp_theta(mp, x0, grid.q)
-    return sum(value(m) / (q ** (mp.mpf(m) * (m + 1) / 2) * x0 ** m * th0)
-               for m in range(grid.m_min, grid.m_max + 1))
+    equation, which holds exactly there: theta(x0 q^m) = q^{m(m+1)/2}
+    x0^m theta(x0) at m_min, then times q^(m+1) x0 per step up."""
+    q, x0, lo = mp.mpf(grid.q), mp.mpc(grid.lam) / mp.mpc(t), grid.m_min
+    th = q ** (mp.mpf(lo) * (lo + 1) / 2) * x0 ** lo * _mp_theta(mp, x0, grid.q)
+    step, acc = q ** (lo + 1) * x0, mp.mpc(0)
+    for m in range(lo, grid.m_max + 1):
+        acc += value(m) / th
+        th *= step
+        step *= q
+    return acc
 
 
 @pytest.mark.parametrize("q, bound", [(1.2, 1e-5), (1.5, 1e-10), (2.0, 1e-13), (10.0, 1e-14)])
@@ -321,7 +327,7 @@ def _faulted(grid, fault):
     is fault(W(t, 0), floor)."""
     kernel = KernelSamples(grid)
     w_origin = kernel.origin
-    kernel.origin = lambda t: fault(*w_origin(t))
+    kernel.origin = lambda t, k: fault(*w_origin(t, k))
     return kernel
 
 
@@ -334,27 +340,38 @@ def test_asymptotic_constant_offset_fails(euler_sol, euler_grid):
 
 def test_a_second_epsilon_sums_no_new_w(euler_sol, euler_grid, monkeypatch):
     """On one kernel-sample table, the epsilon/2 call reads every W the
-    epsilon call summed, builds one remainder row per point of its fan in
-    fan order, and reports what a call on a fresh table does."""
+    epsilon call summed, builds no kernel vector and one remainder row per
+    point of its fan in fan order, and reports what a call on a fresh
+    table does.  The fresh call builds one vector per (ray, class), 24 at
+    q = 2, and finds the kept terms once per point t_c / q^k."""
     kernel = KernelSamples(euler_grid)
     asymptotic_check(euler_sol, kernel, 0.3, 12)
-    kernel_terms, remainder_row = qsum.qlaplace._kernel_terms, qsum.qlaplace.remainder_row
-    summed, rows = [], []
+    kernel_vector, kernel_terms = qsum.qlaplace._kernel_vector, qsum.qlaplace._kernel_terms
+    remainder_row = qsum.qlaplace.remainder_row
+    built, summed, rows = [], [], []
 
-    def counting_terms(grid, t):
-        summed.append(t)
-        return kernel_terms(grid, t)
+    def counting_vector(grid, t):
+        built.append(t)
+        return kernel_vector(grid, t)
+
+    def counting_terms(vec, k):
+        summed.append(k)
+        return kernel_terms(vec, k)
 
     def counting_row(q, values, w, t):
         rows.append(t)
         return remainder_row(q, values, w, t)
+    monkeypatch.setattr(qsum.qlaplace, "_kernel_vector", counting_vector)
     monkeypatch.setattr(qsum.qlaplace, "_kernel_terms", counting_terms)
     monkeypatch.setattr(qsum.qlaplace, "remainder_row", counting_row)
     half = asymptotic_check(euler_sol, kernel, 0.15, 12)
-    assert summed == [] and rows == half.samples
+    assert built == summed == [] and rows == half.samples
     rows.clear()
     fresh = asymptotic_check(euler_sol, KernelSamples(euler_grid), 0.15, 12)
-    assert summed == rows == fresh.samples != []
+    fan = lattice_fan(SpiralGeometry(euler_grid.lam, 0.15, euler_grid.q))
+    assert rows == fresh.samples == [t for t, _, _ in fan] != []
+    assert summed == [k for _, _, k in fan]
+    assert built == list(dict.fromkeys(base for _, base, _ in fan)) and len(built) == 24
     for name in ResumReport._fields:
         assert getattr(half, name) == getattr(fresh, name), name
 
@@ -368,7 +385,7 @@ def test_asymptotic_rows_follow_the_solution_and_w(euler_sol, euler_grid):
     doubled = solve_formal(parse_equation(EULER_TEXT.replace("= 1", "= 2"), Kt=45, Kz=1), 40)
     other = asymptotic_check(doubled, kernel, 0.3, 12)
     w_origin = kernel.origin
-    kernel.origin = lambda t: (w_origin(t)[0] + 1.0, w_origin(t)[1])
+    kernel.origin = lambda t, k: (w_origin(t, k)[0] + 1.0, w_origin(t, k)[1])
     offset = asymptotic_check(euler_sol, kernel, 0.3, 12)
     fresh = (asymptotic_check(doubled, KernelSamples(euler_grid), 0.3, 12),
              asymptotic_check(euler_sol, _faulted(euler_grid, lambda w, floor: (w + 1.0, floor)),
@@ -380,13 +397,15 @@ def test_asymptotic_rows_follow_the_solution_and_w(euler_sol, euler_grid):
 
 
 def test_asymptotic_check_reads_only_remainders_above_the_floor():
-    """At q = 1.5 the smallest-radius remainders of high order lie at W's
+    """At q = 1.3 the smallest-radius remainders of high order lie at W's
     rounding floor.  Read as they are, they trend upward and fail the
     check; dropped, the fit passes on the rest.  With every pair at or
-    below the floor nothing is resolved and the verdict is a vacuous pass."""
+    below the floor nothing is resolved and the verdict is a vacuous pass.
+    (At q = 1.5 the lattice fan reaches only r_max / 9.3, and the
+    remainders there stay above the floor.)"""
     from qsum.pipeline import Options, Run
     from conftest import EULER_TEXT
-    run = Run(EULER_TEXT.replace("q=2", "q=1.5"), Options(epsilon=0.1))
+    run = Run(EULER_TEXT.replace("q=2", "q=1.3"), Options(epsilon=0.1))
     sol, grid = run.solution, run.grid
     rep = asymptotic_check(sol, KernelSamples(grid), 0.1, 12)
     assert rep.passed and rep.dropped > 0 and rep.used > 0
@@ -453,6 +472,35 @@ def test_remainder_row_matches_the_mpmath_partial_sums(name, q):
                 X = N * abs(math.log(abs(t))) + N * (N - 1) / 2.0 * lnq + N * abs(cmath.phase(t))
                 weighted += float(abs(term)) * (3.0 * X + 6.0 + 2.0 * len(values))
                 size += float(abs(term))
+
+
+@pytest.mark.parametrize("q", [1.05, 1.2, 1.5, 2.0, 3.0, 10.0, 1e3, 1e6])
+def test_lattice_fan_radii_are_q_powers_within_the_span(q):
+    """On each ray the fan's radii, ascending, are r_max q^(-j/s) for j =
+    11 .. 0, with the least s >= 1 whose span q^(11/s) is at most 20.
+    Radius j is t_c / q^(j // s), with the class base t_c at r_max
+    q^(-(j mod s)/s) on the same ray: 8 min(s, 12) kernel vectors."""
+    lam, eps = 0.6 + 0.8j, min(0.3, 0.45 * (q - 1.0) / (q + 1.0))
+    fan = lattice_fan(SpiralGeometry(lam, eps, q))
+    s = 1
+    while q ** ((ASYMPTOTIC_RADII - 1) / s) > ASYMPTOTIC_SPAN:
+        s += 1
+    assert {1.5: 2, 2.0: 3, 3.0: 5}.get(q, s) == s
+    r_max = 0.1 * abs(lam)
+    assert len(fan) == ASYMPTOTIC_RAYS * ASYMPTOTIC_RADII
+    for i in range(ASYMPTOTIC_RAYS):
+        angle = cmath.phase(lam) + 2.0 * math.pi * (i + 0.5) / ASYMPTOTIC_RAYS
+        ray = fan[i * ASYMPTOTIC_RADII:(i + 1) * ASYMPTOTIC_RADII]
+        for (t, base, k), j in zip(ray, range(ASYMPTOTIC_RADII - 1, -1, -1)):
+            assert k == j // s and t == base / q ** k, (q, i, j)
+            assert abs(base - cmath.rect(r_max * q ** (-(j % s) / s), angle)) <= 1e-15 * r_max
+            assert abs(abs(t) / (r_max * q ** (-j / s)) - 1.0) <= 1e-13, (q, i, j)
+        assert abs(ray[-1][0]) / abs(ray[0][0]) <= ASYMPTOTIC_SPAN * (1.0 + 1e-13)
+        assert [abs(t) for t, _, _ in ray] == sorted(abs(t) for t, _, _ in ray)
+    vectors = {base for _, base, _ in fan}
+    assert len(vectors) == ASYMPTOTIC_RAYS * min(s, ASYMPTOTIC_RADII)
+    if q == 2.0:
+        assert len(vectors) == 24
 
 
 def test_remainder_row_is_infinite_once_a_term_leaves_double_range():
@@ -577,7 +625,8 @@ def test_banded_kernel_sum_equals_the_direct_sum(band_grids, name):
     origin = (0.0,) * grid.d
     for eps, t in _band_cases(grid):
         want, kept = _direct_q_laplace_series(grid, t, eps)
-        assert [m for m, _, _ in _kernel_terms(grid, t)[0]] == kept, (name, eps, t)
+        assert [m for m, _, _ in _kernel_terms(_kernel_vector(grid, t), 0)[0]] == kept, \
+            (name, eps, t)
         w, floor = q_laplace(grid, t, eps)
         assert abs(w - want.evaluate(0.0, origin)) <= floor, (name, eps, t)
 
@@ -588,18 +637,37 @@ def test_kernel_sum_error_is_below_its_floor(band_grids, name):
     difference stays below the rounding floor q_laplace returns, at
     points near a disk (ratio 3e-4) and on the sample fans.  The
     direct-sum theta this replaced misses the floor by factors up to 1.9
-    on the q = 2 grids and 209 at q = 1.5; at q = 3 it stays within."""
+    on the q = 2 grids and 209 at q = 1.5; at q = 3 it stays within.
+    The same holds for W(t_c / q^k, 0) read from t_c's kernel vector
+    (origin(t_c, k)) at every point of the lattice fans at epsilon 0.3
+    and 0.15 where below the disjointness threshold, and that read and
+    q_laplace at t_c / q^k differ by at most the sum of their floors."""
     mp = pytest.importorskip("mpmath")
     grid = band_grids[name]
     q, origin = mp.mpf(grid.q), (0, (0,) * grid.d)
+    values = {}
 
     def value(m):
-        v = grid.values[m]
-        return mp.mpc(v.series.coeffs.get(origin, 0j)) * q ** v.qexp
+        if m not in values:
+            v = grid.values[m]
+            values[m] = mp.mpc(v.series.coeffs.get(origin, 0j)) * q ** v.qexp
+        return values[m]
+    kernel, shifted = KernelSamples(grid), {}
+    for eps in (0.3, 0.15):
+        if eps < SpiralGeometry(grid.lam, eps, grid.q).disjointness_threshold():
+            for point in lattice_fan(SpiralGeometry(grid.lam, eps, grid.q)):
+                shifted.setdefault(point, eps)
+    assert shifted
     with mp.workdps(60):
         for eps, t in _band_cases(grid):
             w, floor = q_laplace(grid, t, eps)
             assert abs(mp.mpc(w) - _mp_kernel_sum(mp, grid, t, value)) <= floor, (name, eps, t)
+        for (t, base, k), eps in shifted.items():
+            assert t == base / grid.q ** k
+            w, floor = kernel.origin(base, k)
+            assert abs(mp.mpc(w) - _mp_kernel_sum(mp, grid, t, value)) <= floor, (name, t, k)
+            direct, direct_floor = q_laplace(grid, t, eps)
+            assert abs(w - direct) <= floor + direct_floor, (name, t, k)
 
 
 @pytest.mark.parametrize("name", BAND_GRIDS)
