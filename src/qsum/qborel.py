@@ -212,6 +212,26 @@ class SpiralGrid:
         return _OnDemand(lambda m: v.qexp + math.log(n) / lnq
                          if (n := (v := values[m]).series.norm_max()) > 0 else -math.inf)
 
+    @cached_property
+    def rise_bounds(self):
+        """At m - m_min, m_min <= m < m_max: the largest g[m'] over m <= m'
+        < m_max, g[m'] = L[m'+1] - L[m'] - m', L = logq_sizes.  A kernel
+        term's log_q size is L[m] - n(n+1)/2 - n frac - log_q|theta(y)|, n
+        = m + k0, so its step to m + 1 is g[m] - (k0 + 1 + frac): where
+        this bound is at most k0 + frac, every term above m is at least a
+        q-unit below the one before.  g is -inf where L[m'+1] is -inf and
+        inf where only L[m'] is; the bound is inf below max(seed_top,
+        m_min), so it sums no seed value the march did not.  A tuple: it
+        holds no grid."""
+        sizes, lo, hi = self.logq_sizes, self.m_min, self.m_max
+        floor = max(self.seed_top, lo)
+        bound, bounds = -math.inf, []
+        for m in range(hi - 1, floor - 1, -1):
+            if sizes[m + 1] > -math.inf:
+                bound = max(bound, sizes[m + 1] - sizes[m] - m if sizes[m] > -math.inf else math.inf)
+            bounds.append(bound)
+        return (math.inf,) * (floor - lo) + tuple(reversed(bounds))
+
 
 def continue_spiral(beq, u, lam, m_max):
     """March the Borel-transformed equation along lambda * q^m.

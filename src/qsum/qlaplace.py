@@ -266,8 +266,9 @@ def _outside_disks(grid, t, epsilon):
 class KernelSamples:
     """W at the sample points of one grid, from one kernel vector per point
     t (_kernel_vector), each sum done once (functools.cache).  series(t) is
-    W(t, .) as a z-series; origin(t, k) is (W(t / q^k, 0), floor) from t's
-    vector, as theta(lambda q^m / (t / q^k)) = theta(lambda q^(m+k) / t):
+    W(t, .) as a z-series, from a vector it does not keep; origin(t, k) is
+    (W(t / q^k, 0), floor) from t's vector, kept for every shift, as
+    theta(lambda q^m / (t / q^k)) = theta(lambda q^(m+k) / t):
     each term's constant coefficient summed with the operations of series,
     and the terms' magnitudes times a bound on each one's relative
     rounding error (ROUNDING_UNIT), below which a difference from W is not
@@ -283,7 +284,7 @@ class KernelSamples:
         vector = cache(lambda t: _kernel_vector(grid, t))
 
         def series(t):
-            kept, top, _ = _kernel_terms(vector(t), 0)
+            kept, top, _ = _kernel_terms(_kernel_vector(grid, t), 0)
             if not kept:
                 return TruncatedSeries.zero(grid.d, 1, grid.values[grid.m_max].series.Kz)
             acc = TruncatedSeries.combination_of_products((grid.values[m].series, inv, scale)
@@ -338,26 +339,45 @@ def _kernel_terms(vec, k):
     sizes, and only the kept terms read a theta mantissa.  Below theta's
     vertex the sizing stops where SpiralGrid.size_bounds shows that no
     lower term passes the drop rule, so the grid never sums those values.
-    Both tails must decay below KERNEL_TAIL_RTOL of the partial sum inside
-    the grid, and a term below KERNEL_DROP_RTOL relative, which would only
-    shrink W's z-window, is dropped.  Returns (terms, top, rtol), rtol the
+    Above it the sizing stops at the first m below m_max - 3 whose term
+    is below the drop threshold and whose SpiralGrid.rise_bounds entry is
+    at most k0 + k + frac: the step from term m' to m' + 1 is that table's
+    g[m'] less k0 + k + 1 + frac, so each term above m is at least a
+    q-unit, far above the rounding of the sizes, below the one before,
+    and none passes the drop rule or raises top; the upper three are
+    still sized for the tail check.  Both tails must decay below
+    KERNEL_TAIL_RTOL of the partial sum inside the grid, and a term below
+    KERNEL_DROP_RTOL relative, which would only shrink W's z-window, is
+    dropped.  Returns (terms, top, rtol), rtol the
     bound on a term's relative rounding error that the rounding floor
     reads; the terms are empty when every grid value is zero."""
     grid, k0, frac, phase, log_th, arg_th, product_units, inverses = vec
     q, lnq, k0 = grid.q, math.log(grid.q), k0 + k
     # log_q sizes of the terms: the value's less log_q|theta(lambda q^m / t)|,
     # at the three indices at each end (the tail checks read them) and at
-    # every index from theta's vertex (m + k0 = 0) or the upper three up
-    table, bounds, lo, hi = grid.logq_sizes, grid.size_bounds, grid.m_min, grid.m_max
+    # every index from theta's vertex (m + k0 = 0) or the upper three up to
+    # where the scan stops
+    table, bounds, rises = grid.logq_sizes, grid.size_bounds, grid.rise_bounds
+    lo, hi = grid.m_min, grid.m_max
     start = max(lo, min(-k0, hi - 2))
     sizes = {m: table[m] - ((m + k0) * (m + k0 + 1) / 2.0 + (m + k0) * frac + log_th)
-             for m in chain(range(lo, min(lo + 3, start)), range(start, hi + 1))}
-    top = max(sizes.values())
+             for m in chain(range(lo, min(lo + 3, start)), range(max(hi - 2, lo), hi + 1))}
+    top = max((sizes[m] for m in range(lo, min(lo + 3, start))), default=-math.inf)
+    gap = math.log(KERNEL_DROP_RTOL) / lnq
+    # the walk up, to where no higher term can pass the drop rule
+    end, stop = hi, k0 + frac
+    for m in range(start, hi + 1):
+        n = m + k0
+        size = sizes[m] = table[m] - (n * (n + 1) / 2.0 + n * frac + log_th)
+        if size > top:
+            top = size
+        elif size < top + gap and m < hi - 3 and rises[m - lo] <= stop:
+            end = m
+            break
     # below the vertex theta's size grows and the grid's size bound falls as
     # m falls: once a term's bound is a q-unit below the drop threshold, no
     # lower term can pass it, and the walk down stops before the grid sums
     # those values
-    gap = math.log(KERNEL_DROP_RTOL) / lnq
     low = start
     for m in range(start - 1, lo + 2, -1):
         th = (m + k0) * (m + k0 + 1) / 2.0 + (m + k0) * frac + log_th
@@ -374,8 +394,9 @@ def _kernel_terms(vec, k):
         raise OverflowError("resummed value magnitude q^%.1f exceeds double range" % top)
     drop = top + gap
     terms = []
-    # the sized indices in index order: the lower tail's, then the walk's up
-    for m in chain(range(lo, min(lo + 3, start)), range(low, hi + 1)):
+    # the indices that can pass, in index order: the lower tail's, then the
+    # walk's and the scan's up
+    for m in chain(range(lo, min(lo + 3, start)), range(low, end + 1)):
         if sizes[m] >= drop:
             inverse = inverses.get(m + k0)
             if inverse is None:
@@ -497,17 +518,22 @@ def lattice_fan(geom):
     lie outside the excluded disks.  s is the least integer >= 1 with
     q^((ASYMPTOTIC_RADII - 1) / s) <= ASYMPTOTIC_SPAN.  Point j is t_c /
     q^k, k = j // s, of the class base t_c = rect(r_max q^(-(j mod s)/s),
-    angle), whose kernel vector serves its class.  Returns (t, t_c, k)."""
+    angle), whose kernel vector serves its class, and whose zone test
+    places the class: |1 + lambda q^m / (t_c / q^k)| = |1 + lambda
+    q^(m+k) / t_c|, so every point of a class lies in the same disks as
+    t_c.  Returns (t, t_c, k)."""
     q, r_max = geom.q, 0.1 * abs(geom.lam)
     s = max(1, math.ceil((ASYMPTOTIC_RADII - 1) * math.log(q) / math.log(ASYMPTOTIC_SPAN)))
     fan = []
     for i in range(ASYMPTOTIC_RAYS):
         ang = cmath.phase(geom.lam) + 2.0 * math.pi * (i + 0.5) / ASYMPTOTIC_RAYS
+        outside = {}
         for j in range(ASYMPTOTIC_RADII - 1, -1, -1):
             base = cmath.rect(r_max * q ** (-(j % s) / s), ang)
-            t = base / q ** (j // s)
-            if zone_membership(geom, t).outside:
-                fan.append((t, base, j // s))
+            if j % s not in outside:
+                outside[j % s] = zone_membership(geom, base).outside
+            if outside[j % s]:
+                fan.append((base / q ** (j // s), base, j // s))
     return fan
 
 

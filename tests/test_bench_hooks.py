@@ -192,17 +192,19 @@ def test_reports_build_each_row_and_residual_series_once(monkeypatch):
 
 
 def test_reports_test_each_zone_once_and_find_each_points_terms_once(monkeypatch):
-    """Per benchmark DSL report, zone_membership runs once per point a fan
-    places and once per shift of each residual sample, and no more: the
-    kernel sums do not test the zone again.  Each point's kept kernel
-    terms are found once, and one triple product serves each kernel
-    vector: one per (ray, class) of the lattice fan, 24 at q = 2, which
-    the epsilon/2 stage reads without building one, and one per distinct
-    shifted residual point."""
+    """Per benchmark DSL report, zone_membership runs once per (ray,
+    class) of each lattice fan, whose class base t_c places every point
+    t_c / q^k of its class, and once per shift of each residual sample,
+    and no more: the kernel sums do not test the zone again.  Each
+    point's kept kernel terms are found once, and one triple product
+    serves each kernel vector: one per (ray, class) of the lattice fan,
+    24 at q = 2, which the epsilon/2 stage reads without building one,
+    and one per distinct shifted residual point.  The test holds every
+    vector it counts, so that no two share an id."""
     inputs = _load("inputs")
     zone_membership, kernel_vector = qsum.qlaplace.zone_membership, qsum.qlaplace._kernel_vector
     kernel_terms, theta_product = qsum.qlaplace._kernel_terms, qsum.qlaplace._theta_product
-    zones, vectors, found, products = [], [], [], []
+    zones, vectors, found, products, held = [], [], [], [], []
 
     def counting_zone(geom, t):
         zones.append(t)
@@ -214,6 +216,7 @@ def test_reports_test_each_zone_once_and_find_each_points_terms_once(monkeypatch
 
     def counting_terms(vec, k):
         found.append((id(vec), k))
+        held.append(vec)
         return kernel_terms(vec, k)
 
     def counting_product(y, q):
@@ -227,7 +230,7 @@ def test_reports_test_each_zone_once_and_find_each_points_terms_once(monkeypatch
     calls = {}
     for workload in ("euler", "zseries"):
         for key, _, text in inputs.build(workload):
-            for counted in (zones, vectors, found, products):
+            for counted in (zones, vectors, found, products, held):
                 counted.clear()
             run = Run(text, inputs.options(workload))
             run.residuals, run.asymptotic
@@ -241,7 +244,7 @@ def test_reports_test_each_zone_once_and_find_each_points_terms_once(monkeypatch
             assert len(vectors) == len(set(vectors)) and set(vectors) == points, key
             assert len(found) == len(set(found)), key
             assert len(products) == len(vectors) and len(bases) == 24, key
-    assert calls == {"euler": (222, 39), "readme-d1": (222, 39), "mixed-d2": (232, 44)}
+    assert calls == {"euler": (78, 39), "readme-d1": (78, 39), "mixed-d2": (88, 44)}
 
 
 def test_benchmark_reports_leave_no_reference_cycles():

@@ -7,7 +7,7 @@ import pytest
 
 import qsum.qlaplace
 from qsum.equation import parse_equation
-from qsum.errors import PoleProximityError
+from qsum.errors import GridTooShortError, PoleProximityError
 from qsum.formal import solve_formal
 from qsum.qborel import SpiralGrid, borel_transform, borel_transformed_equation, continue_spiral
 from qsum.pipeline import Options, Run
@@ -629,6 +629,236 @@ def test_banded_kernel_sum_equals_the_direct_sum(band_grids, name):
             (name, eps, t)
         w, floor = q_laplace(grid, t, eps)
         assert abs(w - want.evaluate(0.0, origin)) <= floor, (name, eps, t)
+
+
+def _full_scan_terms(vec, k):
+    """_kernel_terms without the stop rule of its upward scan: every index
+    from theta's vertex (or the upper three) up to m_max is sized, then
+    the walk down, the tail checks, the drop rule and the floor's rtol as
+    there.  Returns _kernel_terms' (terms, top, rtol) and the sizes by
+    index."""
+    from qsum.qlaplace import ROUNDING_UNIT, TERM_UNITS, _check_tail, _shifted
+    grid, k0, frac, phase, log_th, arg_th, product_units, _ = vec
+    q, lnq, k0 = grid.q, math.log(grid.q), k0 + k
+    lo, hi = grid.m_min, grid.m_max
+
+    def theta_size(m):
+        return (m + k0) * (m + k0 + 1) / 2.0 + (m + k0) * frac + log_th
+    start = max(lo, min(-k0, hi - 2))
+    sizes = {m: grid.logq_sizes[m] - theta_size(m)
+             for m in list(range(lo, min(lo + 3, start))) + list(range(start, hi + 1))}
+    top, gap = max(sizes.values()), math.log(1e-16) / lnq
+    for m in range(start - 1, lo + 2, -1):
+        if grid.size_bounds[m] - theta_size(m) < top + gap - 1.0:
+            break
+        sizes[m] = grid.logq_sizes[m] - theta_size(m)
+        top = max(top, sizes[m])
+    if top == -math.inf:
+        return ([], None, 0.0), sizes
+    _check_tail([sizes[m] for m in range(max(hi - 2, lo), hi + 1)], top, lnq, "upper")
+    _check_tail([sizes[m] for m in range(min(lo + 2, hi), lo - 1, -1)], top, lnq, "lower")
+    if abs(top * lnq) >= 690.0:
+        raise OverflowError("resummed value magnitude q^%.1f exceeds double range" % top)
+    terms = []
+    for m in sorted(sizes):
+        if sizes[m] >= top + gap:
+            r, angle, qexp = _shifted(m + k0, frac, phase, log_th, arg_th)
+            terms.append((m, cmath.rect(q ** -r, -angle),
+                          complex(q ** (grid.values[m].qexp - qexp - top))))
+    k_max = max(abs(m + k0) for m, _, _ in terms)
+    units = (product_units + 2.0 * (math.pi + lnq) * (k_max + 1) + 2.0 * abs(log_th * lnq)
+             + math.log(1e16) + lnq + 1.0 + TERM_UNITS + len(terms) - 1)
+    return (terms, top, units * ROUNDING_UNIT), sizes
+
+
+def _scan_stop(vec, k, sizes, slack=0.0):
+    """Where the upward scan of _kernel_terms stops at t / q^k, given the
+    full scan's sizes, with the rise bound allowed `slack` q-units more
+    than k0 + frac; None where it sizes every index up to m_max."""
+    grid, k0, frac = vec[0], vec[1] + k, vec[2]
+    lo, hi = grid.m_min, grid.m_max
+    start = max(lo, min(-k0, hi - 2))
+    top = max((sizes[m] for m in range(lo, min(lo + 3, start))), default=-math.inf)
+    gap = math.log(1e-16) / math.log(grid.q)
+    for m in range(start, hi - 3):
+        top = max(top, sizes[m])
+        if grid.rise_bounds[m - lo] <= k0 + frac + slack and sizes[m] < top + gap:
+            return m
+    return None
+
+
+def _boosted(grid, boost):
+    """grid with the values at the indices of `boost` raised by its q-powers,
+    in a plain dict, so its kernel sums size every index below the vertex."""
+    from qsum.qborel import ScaledSeries
+    values = {m: grid.values[m] for m in range(grid.m_min, grid.m_max + 1)}
+    for m, power in boost.items():
+        values[m] = ScaledSeries(values[m].series, values[m].qexp + power)
+    return SpiralGrid(grid.lam, grid.q, grid.m_min, grid.m_max, grid.seed_top, values,
+                      grid.lead_roots, grid.R1, grid.d)
+
+
+def _assert_equals_the_direct_sum(grid, t, eps):
+    """q_laplace, q_laplace_series and origin(t, 0) at t keep the direct
+    sum's indices and agree with it within the floor, or raise its error.
+    Returns the indices kept."""
+    try:
+        want, kept = _direct_q_laplace_series(grid, t, eps)
+    except (GridTooShortError, OverflowError) as err:
+        for read in (lambda: q_laplace(grid, t, eps), lambda: q_laplace_series(grid, t, eps),
+                     lambda: KernelSamples(grid).origin(t, 0)):
+            with pytest.raises(type(err)) as got:
+                read()
+            assert str(got.value) == str(err)
+        return None
+    origin = (0.0,) * grid.d
+    assert [m for m, _, _ in _kernel_terms(_kernel_vector(grid, t), 0)[0]] == kept, t
+    w, floor = q_laplace(grid, t, eps)
+    assert abs(w - want.evaluate(0.0, origin)) <= floor, t
+    assert KernelSamples(grid).origin(t, 0) == (w, floor)
+    assert q_laplace_series(grid, t, eps).evaluate(0.0, origin) == w
+    return kept
+
+
+@pytest.mark.parametrize("name", BAND_GRIDS)
+def test_a_raised_value_above_the_scan_stop_is_summed(band_grids, name):
+    """The upward scan stops where the rise bound proves that no higher
+    term passes the drop rule.  Raise the value at an index between that
+    stop and m_max - 3 by q^200, or by the least power that puts its term
+    over the drop threshold: the rise bound of the raised grid lets the
+    scan reach it, and the sums still equal the direct sum, which keeps
+    the term raised the least."""
+    grid = band_grids[name]
+    raised = 0
+    for eps, t in _band_cases(grid)[4:]:
+        vec = _kernel_vector(grid, t)
+        (_, top, _), sizes = _full_scan_terms(vec, 0)
+        stop = _scan_stop(vec, 0, sizes)
+        if stop is None or stop + 1 >= grid.m_max - 3:
+            continue
+        m = (stop + grid.m_max - 3) // 2
+        drop = top + math.log(1e-16) / math.log(grid.q)
+        _assert_equals_the_direct_sum(_boosted(grid, {m: 200.0}), t, eps)
+        kept = _assert_equals_the_direct_sum(_boosted(grid, {m: drop - sizes[m] + 1e-6}), t, eps)
+        assert kept is None or m in kept, (name, t)
+        raised += 1
+    assert raised >= 4, name
+
+
+def test_a_gentle_rise_above_the_scan_stop_is_summed(band_grids):
+    """At a fan point whose scan stops at m with term m less than half a
+    q-unit below the drop threshold, raise value m + 1 so that its term
+    sits half a q-unit above term m, over the threshold.  The sums keep
+    term m + 1 and equal the direct sum; a rule that allowed the rise
+    bound two q-units more would stop at m and drop it."""
+    found = 0
+    for name in BAND_GRIDS:
+        grid = band_grids[name]
+        lnq = math.log(grid.q)
+        for eps, t in _band_cases(grid)[4:]:
+            vec = _kernel_vector(grid, t)
+            (_, top, _), sizes = _full_scan_terms(vec, 0)
+            m = _scan_stop(vec, 0, sizes)
+            drop = top + math.log(1e-16) / lnq
+            if m is None or not drop - 0.45 < sizes[m] < drop - 0.05:
+                continue
+            raised = _boosted(grid, {m + 1: sizes[m] + 0.5 - sizes[m + 1]})
+            assert m + 1 in _assert_equals_the_direct_sum(raised, t, eps), (name, t)
+            vec = _kernel_vector(raised, t)
+            assert _scan_stop(vec, 0, _full_scan_terms(vec, 0)[1], slack=2.0) == m, (name, t)
+            found += 1
+    assert found >= 5
+
+
+def _kernel_points(grid, residual_points):
+    """(t, k) for every point of the lattice fans at epsilon 0.3 and 0.15
+    where below the disjointness threshold, and (t, 0) for each residual
+    point."""
+    points = [(t, 0) for t in residual_points]
+    for eps in (0.3, 0.15):
+        geom = SpiralGeometry(grid.lam, eps, grid.q)
+        if eps < geom.disjointness_threshold():
+            points += [(base, k) for _, base, k in lattice_fan(geom)]
+    return points
+
+
+def _scan_outcome(read, vec, k):
+    try:
+        return read(vec, k)
+    except (GridTooShortError, OverflowError) as err:
+        return type(err).__name__, str(err)
+
+
+@pytest.mark.parametrize("name", BAND_GRIDS + ["benchmark euler", "benchmark readme-d1",
+                                               "benchmark mixed-d2"])
+def test_kernel_terms_equal_the_full_scan(band_grids, name):
+    """_kernel_terms equals the full scan bit for bit (terms, top, rtol,
+    or the error) at every point of the lattice fans and at the residual
+    points: the shifted residual samples of a benchmark report, or the
+    band cases and the points q^j t, j = 0, 1, 2, of an 8-ray residual fan
+    on a band grid.  The scan stops early at most of them."""
+    if name.startswith("benchmark"):
+        text = {"euler": EULER_TEXT, "readme-d1": EX2_TEXT,
+                "mixed-d2": MIXED_D2_TEXT}[name.split()[1]]
+        run = Run(text, Options())
+        grid, q = run.grid, run.grid.q
+        shifts = {term.j for term in run.equation.terms}
+        residual = [s.t * q ** j for s in run.residuals.samples for j in shifts]
+    else:
+        grid, q = band_grids[name], band_grids[name].q
+        fan = sample_fan(SpiralGeometry(grid.lam, 0.1, q), 8,
+                         (0.05 * abs(grid.lam), 0.1 * abs(grid.lam)))
+        residual = [t for _, t in _band_cases(grid)] + [t * q ** j for t in fan for j in range(3)]
+    points, stops = _kernel_points(grid, residual), 0
+    for t, k in points:
+        vec = _kernel_vector(grid, t)
+        want = _scan_outcome(lambda v, s: _full_scan_terms(v, s)[0], vec, k)
+        assert _scan_outcome(_kernel_terms, vec, k) == want, (name, t, k)
+        if isinstance(want[0], list):
+            stops += _scan_stop(vec, k, _full_scan_terms(vec, k)[1]) is not None
+    assert 2 * stops > len(points), name
+
+
+def _per_point_fan(geom):
+    """lattice_fan with the zone test at every point t = t_c / q^k."""
+    q, r_max = geom.q, 0.1 * abs(geom.lam)
+    s = max(1, math.ceil((ASYMPTOTIC_RADII - 1) * math.log(q) / math.log(ASYMPTOTIC_SPAN)))
+    fan = []
+    for i in range(ASYMPTOTIC_RAYS):
+        ang = cmath.phase(geom.lam) + 2.0 * math.pi * (i + 0.5) / ASYMPTOTIC_RAYS
+        for j in range(ASYMPTOTIC_RADII - 1, -1, -1):
+            base = cmath.rect(r_max * q ** (-(j % s) / s), ang)
+            t = base / q ** (j // s)
+            if zone_membership(geom, t).outside:
+                fan.append((t, base, j // s))
+    return fan
+
+
+def test_lattice_fan_places_each_class_as_each_of_its_points(monkeypatch):
+    """|1 + lambda q^m / (t_c / q^k)| = |1 + lambda q^(m+k) / t_c|, so the
+    zone test of a class base places every point of its class: the fan
+    equals the per-point reference over q, lambda and epsilon near and
+    well below the disjointness threshold, with one zone test per (ray,
+    class).  Near the threshold the disks take whole classes."""
+    counted = []
+
+    def counting_zone(geom, t):
+        counted.append(t)
+        return zone_membership(geom, t)
+    dropped = 0
+    for q in (1.05, 1.2, 1.5, 2.0, 3.0, 10.0, 1e3):
+        s = max(1, math.ceil((ASYMPTOTIC_RADII - 1) * math.log(q) / math.log(ASYMPTOTIC_SPAN)))
+        for lam in (1.0, cmath.exp(0.5j), 3j):
+            for share in (0.9, 0.45):
+                geom = SpiralGeometry(lam, share * (q - 1.0) / (q + 1.0), q)
+                want = _per_point_fan(geom)
+                counted.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(qsum.qlaplace, "zone_membership", counting_zone)
+                    assert lattice_fan(geom) == want, (q, lam, share)
+                assert len(counted) == ASYMPTOTIC_RAYS * min(s, ASYMPTOTIC_RADII)
+                dropped += ASYMPTOTIC_RAYS * ASYMPTOTIC_RADII - len(want)
+    assert dropped > 0
 
 
 @pytest.mark.parametrize("name", BAND_GRIDS)
