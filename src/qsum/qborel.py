@@ -228,7 +228,8 @@ class SpiralGrid:
         bound, bounds = -math.inf, []
         for m in range(hi - 1, floor - 1, -1):
             if sizes[m + 1] > -math.inf:
-                bound = max(bound, sizes[m + 1] - sizes[m] - m if sizes[m] > -math.inf else math.inf)
+                bound = max(bound, sizes[m + 1] - sizes[m] - m
+                            if sizes[m] > -math.inf else math.inf)
             bounds.append(bound)
         return (math.inf,) * (floor - lo) + tuple(reversed(bounds))
 

@@ -340,17 +340,17 @@ def _kernel_terms(vec, k):
     vertex the sizing stops where SpiralGrid.size_bounds shows that no
     lower term passes the drop rule, so the grid never sums those values.
     Above it the sizing stops at the first m below m_max - 3 whose term
-    is below the drop threshold and whose SpiralGrid.rise_bounds entry is
-    at most k0 + k + frac: the step from term m' to m' + 1 is that table's
-    g[m'] less k0 + k + 1 + frac, so each term above m is at least a
-    q-unit, far above the rounding of the sizes, below the one before,
-    and none passes the drop rule or raises top; the upper three are
-    still sized for the tail check.  Both tails must decay below
-    KERNEL_TAIL_RTOL of the partial sum inside the grid, and a term below
-    KERNEL_DROP_RTOL relative, which would only shrink W's z-window, is
-    dropped.  Returns (terms, top, rtol), rtol the
-    bound on a term's relative rounding error that the rounding floor
-    reads; the terms are empty when every grid value is zero."""
+    is below the drop threshold of the largest size so far and whose
+    SpiralGrid.rise_bounds entry is at most k0 + k + frac: the step from
+    term m' to m' + 1 is that table's g[m'] less k0 + k + 1 + frac, so
+    each term above m is at least a q-unit, far above the rounding of the
+    sizes, below the one before, and none passes the drop rule or raises
+    top; the upper three are sized for the tail check.  Both tails must
+    decay below KERNEL_TAIL_RTOL of the partial sum inside the grid, and
+    a term below KERNEL_DROP_RTOL relative, which would only shrink W's
+    z-window, is dropped.  Returns (terms, top, rtol), rtol the bound on
+    a term's relative rounding error that the rounding floor reads; the
+    terms are empty when every grid value is zero."""
     grid, k0, frac, phase, log_th, arg_th, product_units, inverses = vec
     q, lnq, k0 = grid.q, math.log(grid.q), k0 + k
     # log_q sizes of the terms: the value's less log_q|theta(lambda q^m / t)|,
@@ -362,7 +362,7 @@ def _kernel_terms(vec, k):
     start = max(lo, min(-k0, hi - 2))
     sizes = {m: table[m] - ((m + k0) * (m + k0 + 1) / 2.0 + (m + k0) * frac + log_th)
              for m in chain(range(lo, min(lo + 3, start)), range(max(hi - 2, lo), hi + 1))}
-    top = max((sizes[m] for m in range(lo, min(lo + 3, start))), default=-math.inf)
+    top = max(sizes.values())
     gap = math.log(KERNEL_DROP_RTOL) / lnq
     # the walk up, to where no higher term can pass the drop rule
     end, stop = hi, k0 + frac

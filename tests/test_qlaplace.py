@@ -674,11 +674,13 @@ def _full_scan_terms(vec, k):
 def _scan_stop(vec, k, sizes, slack=0.0):
     """Where the upward scan of _kernel_terms stops at t / q^k, given the
     full scan's sizes, with the rise bound allowed `slack` q-units more
-    than k0 + frac; None where it sizes every index up to m_max."""
+    than k0 + frac; None where it sizes every index up to m_max.  The
+    scan's top starts from the three sizes at each end."""
     grid, k0, frac = vec[0], vec[1] + k, vec[2]
     lo, hi = grid.m_min, grid.m_max
     start = max(lo, min(-k0, hi - 2))
-    top = max((sizes[m] for m in range(lo, min(lo + 3, start))), default=-math.inf)
+    ends = list(range(lo, min(lo + 3, start))) + list(range(max(hi - 2, lo), hi + 1))
+    top = max(sizes[m] for m in ends)
     gap = math.log(1e-16) / math.log(grid.q)
     for m in range(start, hi - 3):
         top = max(top, sizes[m])
