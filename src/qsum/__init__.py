@@ -18,8 +18,8 @@ from .pipeline import Options, RunReport, run_report
 from .qborel import (BorelFunction, SpiralGrid, borel_transform,
                      borel_transformed_equation, continue_spiral,
                      fit_spiral_bound)
-from .qlaplace import (KernelSamples, SpiralGeometry, asymptotic_check, q_laplace,
-                       q_laplace_series, residual_check, theta,
+from .qlaplace import (KernelSamples, SpiralGeometry, asymptotic_check, asymptotic_recheck,
+                       q_laplace, q_laplace_series, residual_check, theta,
                        zone_membership)
 from .scaled import QScaled
 from .series import TruncatedSeries
@@ -37,7 +37,8 @@ __all__ = [
     "borel_transform", "borel_transformed_equation", "continue_spiral",
     "fit_spiral_bound", "BorelFunction", "SpiralGrid",
     "theta", "zone_membership", "q_laplace", "q_laplace_series",
-    "residual_check", "asymptotic_check", "SpiralGeometry", "KernelSamples",
+    "residual_check", "asymptotic_check", "asymptotic_recheck", "SpiralGeometry",
+    "KernelSamples",
     "substitute_square",
     "run_report", "Options", "RunReport",
     "__version__",

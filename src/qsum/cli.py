@@ -39,7 +39,7 @@ from .errors import (ConditionsFailed, ParseError, QsumError, SchemaError,
 from .newton import is_interior
 from .pipeline import (HARD_CONDITIONS, Options, Run, asymptotic_doc, directions_doc,
                        json_complex, json_float, polygon_doc, spiral_bound_doc)
-from .qlaplace import q_laplace
+from .qlaplace import _power, q_laplace
 from .report_schema import validate_report
 from .square import substitute_square
 
@@ -289,9 +289,10 @@ def _verify(run, args):
         rows = []
         for N in range(0, n_check + 1):
             e_max = max(rep.EN[N]) if rep.EN[N] else 0.0
-            bound = (rep.M * rep.H ** N / rep.epsilon
-                     * grid.q ** (N * (N - 1) / 2.0)
-                     * max(abs(t) for t in rep.samples) ** N)
+            # inf where a power leaves double range, as the remainders do
+            bound = (rep.M * _power(rep.H, N) / rep.epsilon
+                     * _power(grid.q, N * (N - 1) / 2.0)
+                     * _power(max(abs(t) for t in rep.samples), N))
             rows.append((N, e_max, bound, rep.rho[N] if rep.rho[N] is not None else ""))
         _emit_csv(rows, ("N", "max_E_N", "bound", "rho_N"), args.csv)
     doc = asymptotic_doc(rep)

@@ -32,7 +32,8 @@ from .newton import (SINGULAR_RAY_TOL, characteristic_polynomial, check_interior
                      reduced_coefficients, singular_directions)
 from .qborel import (SEED_RADIUS_FRACTION, borel_transform, borel_transformed_equation,
                      continue_spiral, fit_spiral_bound)
-from .qlaplace import KernelSamples, SpiralGeometry, asymptotic_check, residual_check, sample_fan
+from .qlaplace import (KernelSamples, SpiralGeometry, asymptotic_check, asymptotic_recheck,
+                       residual_check, sample_fan)
 
 # with the polygon shape, the conditions every stage past them needs
 HARD_CONDITIONS = ("interior", "nondegeneracy")
@@ -324,11 +325,11 @@ class Run:
         return residual_check(self.equation, self.kernel_samples, samples, epsilon=eps)
 
     # the expansion property quantifies over all small epsilon; the report
-    # checks a fixed pair and states each verdict separately
+    # checks a fixed pair and states each verdict separately.  The
+    # epsilon/2 fan holds the epsilon fan, so its rows serve both checks
     @_stage("asymptotic")
     def asymptotic(self):
-        return asymptotic_check(self.solution, self.kernel_samples, self.options.epsilon,
-                                self.options.n_check)
+        return asymptotic_recheck(self.asymptotic_half, self.grid, self.options.epsilon)
 
     @_stage("asymptotic")
     def asymptotic_half(self):

@@ -276,7 +276,10 @@ class KernelSamples:
     epsilon, which only places the points): callers place the points off
     the disks, as the fans and residual_check do.  On the spiral theta is
     zero and the sum raises ValueError; q_laplace and q_laplace_series
-    test the zone and raise PoleProximityError."""
+    test the zone and raise PoleProximityError.  The table keeps W, not
+    the remainder rows built from it: a report builds those once, in its
+    one asymptotic_check call, and judges its other epsilon from them
+    (asymptotic_recheck)."""
 
     def __init__(self, grid):
         self.grid = grid
@@ -537,6 +540,16 @@ def lattice_fan(geom):
     return fan
 
 
+@lru_cache(maxsize=16)
+def _quadratic_exponents(q, count):
+    """N(N-1)/2 ln q for N < count: the q-power exponents of the partial
+    sums' terms (remainder_row) and of the envelope fit's normalization
+    (asymptotic_check), the same floats in both.  A run has one q and one
+    remainder depth: a small cache keeps them for the pairs in use."""
+    lnq = math.log(q)
+    return tuple(N * (N - 1) / 2.0 * lnq for N in range(count))
+
+
 def remainder_row(q, values, w, t):
     """The remainders E_N = |W(t, 0) - partial_N(t)| at one point t, given
     w = W(t, 0) and values[N] = v_N(0), the formal solution's scaled
@@ -544,14 +557,16 @@ def remainder_row(q, values, w, t):
     sums are complex floats, the N-th term v_N exp(N log t + N(N-1)/2 ln
     q), so q^{N(N-1)/2} and t^N never leave double range apart; a term
     errs by a few units of its exponent's size.  Once a term or a partial
-    sum leaves double range, E_N is inf from that order on."""
-    log_t, lnq = cmath.log(t), math.log(q)
+    sum leaves double range, E_N is inf from that order on.  A row
+    depends on nothing else: a report builds one per point of its
+    epsilon/2 fan, and its epsilon check reads them (asymptotic_recheck)."""
+    log_t, quadratic = cmath.log(t), _quadratic_exponents(q, len(values))
     partial, row = 0j, []
     for N, vN in enumerate(values):
         row.append(abs(w - partial))
         if vN:
             try:
-                partial += vN * cmath.exp(N * log_t + N * (N - 1) / 2.0 * lnq)
+                partial += vN * cmath.exp(N * log_t + quadratic[N])
             except OverflowError:
                 partial = math.inf
             if not cmath.isfinite(partial):
@@ -577,8 +592,9 @@ def asymptotic_check(sol, kernel, epsilon, n_max):
 
     W(t, 0) and its floor at each point t = t_c / q^k of lattice_fan are
     origin(t_c, k) of the kernel-sample table of the grid that continues
-    `sol`'s Borel transform, and each call builds one remainder row per
-    point of its fan.
+    `sol`'s Borel transform, and the call builds one remainder row per
+    point of its fan.  The check at a larger epsilon reads these rows
+    (asymptotic_recheck) and builds none.
     """
     q, lam = kernel.grid.q, kernel.grid.lam
     geom = SpiralGeometry(lam, epsilon, q)
@@ -586,25 +602,51 @@ def asymptotic_check(sol, kernel, epsilon, n_max):
     if n_max > sol.count:
         raise UsageError("remainder depth %d exceeds the computed formal order %d"
                          % (n_max, sol.count))
-    fan = lattice_fan(geom)
-    points = [t for t, _, _ in fan]
-    values, picked = sol.origin_values(n_max), []
-    for t, base, k in fan:
+    values, points, wvals, floors, rows = sol.origin_values(n_max), [], [], [], []
+    for t, base, k in lattice_fan(geom):
         w, floor = kernel.origin(base, k)
-        picked.append((w, floor, remainder_row(q, values, w, t)))
-    wvals = [w for w, _, _ in picked]
-    floors = [floor for _, floor, _ in picked]
-    EN = [[row[N] for _, _, row in picked] for N in range(0, n_max + 1)]
+        points.append(t)
+        wvals.append(w)
+        floors.append(floor)
+        rows.append(remainder_row(q, values, w, t))
+    EN = [[row[N] for row in rows] for N in range(0, n_max + 1)]
+    return _judged(q, epsilon, points, wvals, floors, EN)
+
+
+def asymptotic_recheck(report, grid, epsilon):
+    """asymptotic_check at an epsilon no smaller than report's, on the same
+    solution and grid, judged from report's rows: a point outside the
+    epsilon-disks lies outside the smaller disks of report's epsilon, and
+    lattice_fan places the same floats in the same order at both, so the
+    fan at epsilon is a subsequence of report's samples, and a row
+    depends only on its point, W there and the solution.  Tests the zone
+    once per (ray, class) of that fan and sums nothing."""
+    geom = SpiralGeometry(grid.lam, epsilon, grid.q)
+    geom.require_disjoint()
+    if epsilon < report.epsilon:
+        raise UsageError("epsilon %.3g is below the rows' epsilon %.3g, whose fan lacks its points"
+                         % (epsilon, report.epsilon))
+    kept = {t for t, _, _ in lattice_fan(geom)}
+    picked = [i for i, t in enumerate(report.samples) if t in kept]
+    return _judged(grid.q, epsilon, [report.samples[i] for i in picked],
+                   [report.Wvals[i] for i in picked], [report.floors[i] for i in picked],
+                   [[row[i] for i in picked] for row in report.EN])
+
+
+def _judged(q, epsilon, points, wvals, floors, EN):
+    """The envelope fit and the verdict of asymptotic_check, as a
+    ResumReport, from the table of remainders EN[N][i] at the points."""
+    n_max = len(EN) - 1
     # the resolved remainders, per order; None where E_N is at or below the
     # floor or outside double range
     resolved = [[e if floor < e < math.inf else None for e, floor in zip(EN[N], floors)]
                 for N in range(0, n_max + 1)]
 
-    lnq, log_eps = math.log(q), math.log(epsilon)
+    log_eps, quadratic = math.log(epsilon), _quadratic_exponents(q, n_max + 1)
     log_r = [math.log(abs(t)) for t in points]
     # per order, the largest normalized log remainder over the resolved
     # pairs; the envelope's A is M, and its diagnostic is log rho_N
-    logs = [max((math.log(e) + log_eps - N * (N - 1) / 2.0 * lnq - N * lr
+    logs = [max((math.log(e) + log_eps - quadratic[N] - N * lr
                  for e, lr in zip(resolved[N], log_r) if e is not None), default=None)
             for N in range(0, n_max + 1)]
     env = fit_envelope(logs, [0.0] * (n_max + 1), 0.0)

@@ -20,6 +20,7 @@ description.
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -109,6 +110,36 @@ def test_growth_prints_the_spiral_bound_of_the_report(tmp_path, capsys, equation
         docs[command] = json.loads(capsys.readouterr().out)
     assert docs["growth"] == docs["report"]["spiral_bound"]
 
+
+
+@pytest.mark.parametrize("q, flags", [
+    (2, ["--N", "48", "--orders", "48", "--mmax", "48"]),
+    (10, ["--N", "40", "--orders", "40", "--epsilon", "0.5"]),
+])
+def test_verify_csv_bound_is_inf_outside_double_range(tmp_path, capsys, q, flags):
+    """On q-Euler at these depths q^{N(N-1)/2} leaves double range: the
+    bound cell reads inf from there on, every other cell is the bound
+    M H^N / eps q^{N(N-1)/2} |t|^N at the fan's largest radius, and
+    verify prints and exits as it does without --emit-csv."""
+    path, csv = tmp_path / "euler.qde", tmp_path / "out.csv"
+    path.write_text(EQUATIONS["euler"].replace("q=2", "q=%d" % q))
+    argv = ["--config", os.devnull, "verify", str(path), "--json", "-"] + flags
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    assert main(argv + ["--emit-csv", str(csv)]) == 0
+    assert capsys.readouterr() == plain
+    doc = json.loads(plain.out)
+    r_max = 0.1  # the largest fan radius, 0.1 |lambda|
+    rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+    overflowed = 0
+    for N, (cell, bound) in enumerate((row[0], row[2]) for row in rows):
+        assert int(cell) == N
+        try:
+            want = doc["M"] * doc["H"] ** N / doc["epsilon"] * q ** (N * (N - 1) / 2.0) * r_max ** N
+        except OverflowError:
+            want, overflowed = math.inf, overflowed + 1
+        assert float(bound) == pytest.approx(want, rel=1e-12), N
+    assert overflowed > 0 and rows[-1][2] == "inf"
 
 if __name__ == "__main__":
     old = {}

@@ -13,8 +13,9 @@ from qsum.qborel import SpiralGrid, borel_transform, borel_transformed_equation,
 from qsum.pipeline import Options, Run
 from qsum.qlaplace import (ASYMPTOTIC_RADII, ASYMPTOTIC_RAYS, ASYMPTOTIC_SPAN, KernelSamples,
                            ResumReport, SpiralGeometry, _kernel_terms, _kernel_vector,
-                           _theta_product, asymptotic_check, lattice_fan, q_laplace,
-                           q_laplace_series, residual_check, sample_fan, theta, zone_membership)
+                           _theta_product, asymptotic_check, asymptotic_recheck, lattice_fan,
+                           q_laplace, q_laplace_series, residual_check, sample_fan, theta,
+                           zone_membership)
 from qsum.series import TruncatedSeries
 from conftest import EULER_TEXT, EX2_TEXT, MIXED_D2_TEXT, monomial_grid
 
@@ -339,13 +340,13 @@ def test_asymptotic_constant_offset_fails(euler_sol, euler_grid):
 
 
 def test_a_second_epsilon_sums_no_new_w(euler_sol, euler_grid, monkeypatch):
-    """On one kernel-sample table, the epsilon/2 call reads every W the
-    epsilon call summed, builds no kernel vector and one remainder row per
-    point of its fan in fan order, and reports what a call on a fresh
-    table does.  The fresh call builds one vector per (ray, class), 24 at
-    q = 2, and finds the kept terms once per point t_c / q^k."""
+    """The epsilon/2 check, on a fresh table, builds one kernel vector per
+    (ray, class), 24 at q = 2, finds the kept terms once per point t_c /
+    q^k and builds one remainder row per point of its fan in fan order.
+    The epsilon check judged from those rows builds no kernel vector and
+    no row, so no point of the epsilon fan gets a second row, and it
+    reports what a call on a fresh table does."""
     kernel = KernelSamples(euler_grid)
-    asymptotic_check(euler_sol, kernel, 0.3, 12)
     kernel_vector, kernel_terms = qsum.qlaplace._kernel_vector, qsum.qlaplace._kernel_terms
     remainder_row = qsum.qlaplace.remainder_row
     built, summed, rows = [], [], []
@@ -365,15 +366,39 @@ def test_a_second_epsilon_sums_no_new_w(euler_sol, euler_grid, monkeypatch):
     monkeypatch.setattr(qsum.qlaplace, "_kernel_terms", counting_terms)
     monkeypatch.setattr(qsum.qlaplace, "remainder_row", counting_row)
     half = asymptotic_check(euler_sol, kernel, 0.15, 12)
-    assert built == summed == [] and rows == half.samples
-    rows.clear()
-    fresh = asymptotic_check(euler_sol, KernelSamples(euler_grid), 0.15, 12)
     fan = lattice_fan(SpiralGeometry(euler_grid.lam, 0.15, euler_grid.q))
-    assert rows == fresh.samples == [t for t, _, _ in fan] != []
+    assert rows == half.samples == [t for t, _, _ in fan] != []
     assert summed == [k for _, _, k in fan]
     assert built == list(dict.fromkeys(base for _, base, _ in fan)) and len(built) == 24
+    for counted in (built, summed, rows):
+        counted.clear()
+    report = asymptotic_recheck(half, euler_grid, 0.3)
+    assert built == summed == rows == [] and report.samples != []
+    fresh = asymptotic_check(euler_sol, KernelSamples(euler_grid), 0.3, 12)
+    assert rows == report.samples
     for name in ResumReport._fields:
-        assert getattr(half, name) == getattr(fresh, name), name
+        assert getattr(report, name) == getattr(fresh, name), name
+    with pytest.raises(ValueError):
+        asymptotic_recheck(report, euler_grid, 0.15)
+
+
+@pytest.mark.parametrize("q, epsilon, counts", [(3.0, 0.45, (82, 96)), (10.0, 0.8, (72, 90))])
+def test_rows_of_a_larger_half_fan_judge_the_epsilon_check(q, epsilon, counts):
+    """Where the epsilon/2 fan holds points the epsilon fan lacks, the
+    epsilon check judged from its rows equals a call at epsilon on a
+    fresh table, and the epsilon/2 check one at epsilon/2, field by
+    field; so do both checks of a report's run."""
+    run = Run(EULER_TEXT.replace("q=2", "q=%r" % q), Options(epsilon=epsilon))
+    sol, grid, n_check = run.solution, run.grid, run.options.n_check
+    half = asymptotic_check(sol, KernelSamples(grid), epsilon / 2.0, n_check)
+    report = asymptotic_recheck(half, grid, epsilon)
+    assert (len(report.samples), len(half.samples)) == counts
+    run.report()
+    for got, eps in ((report, epsilon), (half, epsilon / 2.0), (run.asymptotic, epsilon),
+                     (run.asymptotic_half, epsilon / 2.0)):
+        want = asymptotic_check(sol, KernelSamples(grid), eps, n_check)
+        for name in ResumReport._fields:
+            assert getattr(got, name) == getattr(want, name), (q, eps, name)
 
 
 def test_asymptotic_rows_follow_the_solution_and_w(euler_sol, euler_grid):
@@ -836,13 +861,15 @@ def test_lattice_fan_places_each_class_as_each_of_its_points(monkeypatch):
     zone test of a class base places every point of its class: the fan
     equals the per-point reference over q, lambda and epsilon near and
     well below the disjointness threshold, with one zone test per (ray,
-    class).  Near the threshold the disks take whole classes."""
+    class).  Near the threshold the disks take whole classes.  Each fan
+    is a subsequence of the fan at half its epsilon, whose rows the
+    check at epsilon reads (asymptotic_recheck)."""
     counted = []
 
     def counting_zone(geom, t):
         counted.append(t)
         return zone_membership(geom, t)
-    dropped = 0
+    dropped = gained = 0
     for q in (1.05, 1.2, 1.5, 2.0, 3.0, 10.0, 1e3):
         s = max(1, math.ceil((ASYMPTOTIC_RADII - 1) * math.log(q) / math.log(ASYMPTOTIC_SPAN)))
         for lam in (1.0, cmath.exp(0.5j), 3j):
@@ -855,7 +882,11 @@ def test_lattice_fan_places_each_class_as_each_of_its_points(monkeypatch):
                     assert lattice_fan(geom) == want, (q, lam, share)
                 assert len(counted) == ASYMPTOTIC_RAYS * min(s, ASYMPTOTIC_RADII)
                 dropped += ASYMPTOTIC_RAYS * ASYMPTOTIC_RADII - len(want)
-    assert dropped > 0
+                half = lattice_fan(geom._replace(epsilon=geom.epsilon / 2.0))
+                rest = iter(half)
+                assert all(point in rest for point in want), (q, lam, share)
+                gained += len(half) > len(want)
+    assert dropped > 0 and gained > 0
 
 
 @pytest.mark.parametrize("name", BAND_GRIDS)
