@@ -484,6 +484,7 @@ class ResumReport(NamedTuple):
     """Remainder table of the resummed solution against the formal series."""
     epsilon: float
     samples: list            # complex sample points
+    log_radii: list          # log|t| per sample, which the fit reads
     Wvals: list              # W(t, 0) per sample
     floors: list             # rounding floor of W(t, 0) per sample
     EN: list                 # EN[N][i] = |W(t_i) - partial_N(t_i)|
@@ -602,15 +603,16 @@ def asymptotic_check(sol, kernel, epsilon, n_max):
     if n_max > sol.count:
         raise UsageError("remainder depth %d exceeds the computed formal order %d"
                          % (n_max, sol.count))
-    values, points, wvals, floors, rows = sol.origin_values(n_max), [], [], [], []
+    values, points, log_r, wvals, floors, rows = sol.origin_values(n_max), [], [], [], [], []
     for t, base, k in lattice_fan(geom):
         w, floor = kernel.origin(base, k)
         points.append(t)
+        log_r.append(math.log(abs(t)))
         wvals.append(w)
         floors.append(floor)
         rows.append(remainder_row(q, values, w, t))
     EN = [[row[N] for row in rows] for N in range(0, n_max + 1)]
-    return _judged(q, epsilon, points, wvals, floors, EN)
+    return _judged(q, epsilon, points, log_r, wvals, floors, EN)
 
 
 def asymptotic_recheck(report, grid, epsilon):
@@ -620,22 +622,24 @@ def asymptotic_recheck(report, grid, epsilon):
     lattice_fan places the same floats in the same order at both, so the
     fan at epsilon is a subsequence of report's samples, and a row
     depends only on its point, W there and the solution.  Tests the zone
-    once per (ray, class) of that fan and sums nothing."""
+    once per (ray, class) of that fan and sums nothing; UsageError where
+    report's samples lack a point of that fan."""
     geom = SpiralGeometry(grid.lam, epsilon, grid.q)
     geom.require_disjoint()
-    if epsilon < report.epsilon:
-        raise UsageError("epsilon %.3g is below the rows' epsilon %.3g, whose fan lacks its points"
-                         % (epsilon, report.epsilon))
     kept = {t for t, _, _ in lattice_fan(geom)}
     picked = [i for i, t in enumerate(report.samples) if t in kept]
-    return _judged(grid.q, epsilon, [report.samples[i] for i in picked],
-                   [report.Wvals[i] for i in picked], [report.floors[i] for i in picked],
+    if len(picked) < len(kept):
+        raise UsageError("the rows at epsilon %.3g lack points of the fan at epsilon %.3g"
+                         % (report.epsilon, epsilon))
+    columns = (report.samples, report.log_radii, report.Wvals, report.floors)
+    return _judged(grid.q, epsilon, *([column[i] for i in picked] for column in columns),
                    [[row[i] for i in picked] for row in report.EN])
 
 
-def _judged(q, epsilon, points, wvals, floors, EN):
+def _judged(q, epsilon, points, log_r, wvals, floors, EN):
     """The envelope fit and the verdict of asymptotic_check, as a
-    ResumReport, from the table of remainders EN[N][i] at the points."""
+    ResumReport, from the table of remainders EN[N][i] at the points,
+    with log_r[i] = log|points[i]|."""
     n_max = len(EN) - 1
     # the resolved remainders, per order; None where E_N is at or below the
     # floor or outside double range
@@ -643,7 +647,6 @@ def _judged(q, epsilon, points, wvals, floors, EN):
                 for N in range(0, n_max + 1)]
 
     log_eps, quadratic = math.log(epsilon), _quadratic_exponents(q, n_max + 1)
-    log_r = [math.log(abs(t)) for t in points]
     # per order, the largest normalized log remainder over the resolved
     # pairs; the envelope's A is M, and its diagnostic is log rho_N
     logs = [max((math.log(e) + log_eps - quadratic[N] - N * lr
@@ -661,22 +664,22 @@ def _judged(q, epsilon, points, wvals, floors, EN):
         if slope > RHO_TREND_MAX:
             reasons.append("normalized remainders trend upward (%.3g/order); no finite envelope" % slope)
 
-    slope = _order1_slope(points, resolved[1] if n_max >= 1 else None)
+    slope = _order1_slope(log_r, resolved[1] if n_max >= 1 else None)
     if slope is not None and slope < ORDER1_SLOPE_MIN:
         reasons.append("order-1 remainder does not scale with |t| (slope %.2f)" % slope)
 
     verdict = "pass" if not reasons else "fail"
     used = sum(e is not None for row in resolved for e in row)
-    return ResumReport(epsilon, points, wvals, floors, EN, rho, env.A, env.H, verdict,
+    return ResumReport(epsilon, points, log_r, wvals, floors, EN, rho, env.A, env.H, verdict,
                        used, len(points) * (n_max + 1) - used, reasons)
 
 
-def _order1_slope(points, e1):
+def _order1_slope(log_r, e1):
     """The least-squares slope of log E_1 against log |t| over the
     resolved order-1 remainders (None where unresolved)."""
     if e1 is None:
         return None
-    data = [(math.log(abs(t)), math.log(e)) for t, e in zip(points, e1) if e is not None]
+    data = [(lr, math.log(e)) for lr, e in zip(log_r, e1) if e is not None]
     if len(data) < 4:
         return None
     return ls_slope(data, degenerate=None)

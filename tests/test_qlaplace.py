@@ -378,8 +378,6 @@ def test_a_second_epsilon_sums_no_new_w(euler_sol, euler_grid, monkeypatch):
     assert rows == report.samples
     for name in ResumReport._fields:
         assert getattr(report, name) == getattr(fresh, name), name
-    with pytest.raises(ValueError):
-        asymptotic_recheck(report, euler_grid, 0.15)
 
 
 @pytest.mark.parametrize("q, epsilon, counts", [(3.0, 0.45, (82, 96)), (10.0, 0.8, (72, 90))])
@@ -399,6 +397,8 @@ def test_rows_of_a_larger_half_fan_judge_the_epsilon_check(q, epsilon, counts):
         want = asymptotic_check(sol, KernelSamples(grid), eps, n_check)
         for name in ResumReport._fields:
             assert getattr(got, name) == getattr(want, name), (q, eps, name)
+    with pytest.raises(ValueError):  # the epsilon fan's rows lack the epsilon/2 fan's points
+        asymptotic_recheck(report, grid, epsilon / 2.0)
 
 
 def test_asymptotic_rows_follow_the_solution_and_w(euler_sol, euler_grid):
