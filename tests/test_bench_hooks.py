@@ -199,8 +199,9 @@ def test_reports_test_each_zone_once_and_find_each_points_terms_once(monkeypatch
     and no more: the kernel sums do not test the zone again.  Each
     point's kept kernel terms are found once, and one triple product
     serves each kernel vector: one per (ray, class) of the lattice fan,
-    24 at q = 2, which the epsilon/2 stage reads without building one,
-    and one per distinct shifted residual point.  The test holds every
+    24 at q = 2, which the epsilon/2 check builds and the epsilon check
+    reads without building one, and one per distinct shifted residual
+    point.  The test holds every
     vector it counts, so that no two share an id."""
     inputs = _load("inputs")
     zone_membership, kernel_vector = qsum.qlaplace.zone_membership, qsum.qlaplace._kernel_vector
@@ -237,7 +238,7 @@ def test_reports_test_each_zone_once_and_find_each_points_terms_once(monkeypatch
             run.residuals, run.asymptotic
             built = len(vectors)
             run.report()
-            assert len(vectors) == built, key  # the epsilon/2 fan builds no vector
+            assert len(vectors) == built, key  # the rest of the report builds no vector
             calls[key] = len(zones), len(products)
             q, shifts = run.equation.q, {term.j for term in run.equation.terms}
             bases = {base for _, base, _ in _fan_reads(run, run.options.epsilon)}
