@@ -18,9 +18,8 @@ from .pipeline import Options, RunReport, run_report
 from .qborel import (BorelFunction, SpiralGrid, borel_transform,
                      borel_transformed_equation, continue_spiral,
                      fit_spiral_bound)
-from .qlaplace import (KernelSamples, SpiralGeometry, asymptotic_check, asymptotic_recheck,
-                       q_laplace, q_laplace_series, residual_check, theta,
-                       zone_membership)
+from .qlaplace import (KernelSamples, SpiralGeometry, asymptotic_check, q_laplace,
+                       q_laplace_series, residual_check, theta, zone_membership)
 from .scaled import QScaled
 from .series import TruncatedSeries
 from .square import substitute_square
@@ -37,7 +36,7 @@ __all__ = [
     "borel_transform", "borel_transformed_equation", "continue_spiral",
     "fit_spiral_bound", "BorelFunction", "SpiralGrid",
     "theta", "zone_membership", "q_laplace", "q_laplace_series",
-    "residual_check", "asymptotic_check", "asymptotic_recheck", "SpiralGeometry",
+    "residual_check", "asymptotic_check", "SpiralGeometry",
     "KernelSamples",
     "substitute_square",
     "run_report", "Options", "RunReport",

@@ -284,15 +284,13 @@ def _resum(run, args):
 def _verify(run, args):
     run.require_solvable()
     run.require_epsilon()
-    rep, grid, n_check = run.asymptotic, run.grid, run.options.n_check
+    rep, q, n_check = run.asymptotic, run.grid.q, run.options.n_check
     if args.csv is not None:
+        r_max = max((abs(t) for t in rep.samples), default=None)
         rows = []
         for N in range(0, n_check + 1):
             e_max = max(rep.EN[N]) if rep.EN[N] else 0.0
-            # inf where a power leaves double range, as the remainders do
-            bound = (rep.M * _power(rep.H, N) / rep.epsilon
-                     * _power(grid.q, N * (N - 1) / 2.0)
-                     * _power(max(abs(t) for t in rep.samples), N))
+            bound = "" if r_max is None else _bound(rep, q, N, r_max)
             rows.append((N, e_max, bound, rep.rho[N] if rep.rho[N] is not None else ""))
         _emit_csv(rows, ("N", "max_E_N", "bound", "rho_N"), args.csv)
     doc = asymptotic_doc(rep)
@@ -300,6 +298,22 @@ def _verify(run, args):
         return doc, EXIT_OK
     return doc, _fail("asymptotic verdict %s: %s" % (rep.verdict, "; ".join(rep.reasons)),
                       EXIT_NUMERIC)
+
+
+def _bound(rep, q, N, r_max):
+    """The envelope (M H^N / eps) q^{N(N-1)/2} r_max^N: the product of its
+    powers where that is finite, else one exponential of the summed logs,
+    which is inf only beyond double range and 0.0 where M = 0."""
+    bound = (rep.M * _power(rep.H, N) / rep.epsilon * _power(q, N * (N - 1) / 2.0)
+             * _power(r_max, N))
+    if math.isfinite(bound):
+        return bound
+    log_m = math.log(rep.M) if rep.M > 0 else -math.inf
+    try:
+        return math.exp(log_m + N * math.log(rep.H) - math.log(rep.epsilon)
+                        + N * (N - 1) / 2.0 * math.log(q) + N * math.log(r_max))
+    except OverflowError:
+        return math.inf
 
 
 def _growth(run, args):

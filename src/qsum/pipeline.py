@@ -32,8 +32,7 @@ from .newton import (SINGULAR_RAY_TOL, characteristic_polynomial, check_interior
                      reduced_coefficients, singular_directions)
 from .qborel import (SEED_RADIUS_FRACTION, borel_transform, borel_transformed_equation,
                      continue_spiral, fit_spiral_bound)
-from .qlaplace import (KernelSamples, SpiralGeometry, asymptotic_check, asymptotic_recheck,
-                       residual_check, sample_fan)
+from .qlaplace import KernelSamples, SpiralGeometry, asymptotic_check, residual_check, sample_fan
 
 # with the polygon shape, the conditions every stage past them needs
 HARD_CONDITIONS = ("interior", "nondegeneracy")
@@ -324,16 +323,10 @@ class Run:
                              (0.05 * abs(lam), 0.1 * abs(lam)))
         return residual_check(self.equation, self.kernel_samples, samples, epsilon=eps)
 
-    # the expansion property quantifies over all small epsilon; the report
-    # checks a fixed pair and states each verdict separately.  The
-    # epsilon/2 fan holds the epsilon fan, so its rows serve both checks
     @_stage("asymptotic")
     def asymptotic(self):
-        return asymptotic_recheck(self.asymptotic_half, self.grid, self.options.epsilon)
-
-    @_stage("asymptotic")
-    def asymptotic_half(self):
-        return asymptotic_check(self.solution, self.kernel_samples, self.options.epsilon / 2.0,
+        """The asymptotic check at epsilon, with the one at epsilon/2 in its `half`."""
+        return asymptotic_check(self.solution, self.kernel_samples, self.options.epsilon,
                                 self.options.n_check)
 
     def report(self):
@@ -384,8 +377,10 @@ class Run:
         }
         verdicts["residual"] = _verdict(res.passed, str(res))
 
-        per_eps = [self.asymptotic, self.asymptotic_half]
-        primary = per_eps[0]
+        # the expansion property quantifies over all small epsilon; the
+        # report states the verdicts at epsilon and epsilon/2 separately
+        primary = self.asymptotic
+        per_eps = [primary, primary.half]
         asymptotic = dict(asymptotic_doc(primary), rho=list(primary.rho), per_epsilon=[
             {"epsilon": a.epsilon, "verdict": a.verdict, "M": a.M, "H": a.H,
              "pairs_used": a.used, "pairs_dropped": a.dropped} for a in per_eps])

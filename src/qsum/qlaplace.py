@@ -212,13 +212,17 @@ class ZoneResult(NamedTuple):
 def zone_membership(geom, t):
     """Classify t against the epsilon-disks; only finitely many m can
     contain t, namely those with q^m within (1 +- eps) * |t/lambda|.
-    Within ZONE_GUARD * eps of a disk, t is near the boundary."""
+    Within ZONE_GUARD * eps of a disk, t is near the boundary.  Every
+    reader that takes epsilon places its points here, so this is where
+    an epsilon that is not positive and finite raises UsageError."""
+    q, lam, eps = geom.q, geom.lam, geom.epsilon
+    if not (math.isfinite(eps) and eps > 0):
+        raise UsageError("epsilon must be positive and finite (got %r)" % eps)
     t = complex(t)
     if t == 0:
         raise UsageError("t must be nonzero")
     if not cmath.isfinite(t):
         raise UsageError("t must be finite (got %r)" % t)
-    q, lam, eps = geom.q, geom.lam, geom.epsilon
     # the same 1000 scale as QScaled.to_complex: beyond it q^m and theta's
     # argument lambda q^m / t leave double range
     if abs(math.log2(abs(t)) - math.log2(abs(lam))) > 1000.0:
@@ -278,8 +282,8 @@ class KernelSamples:
     zero and the sum raises ValueError; q_laplace and q_laplace_series
     test the zone and raise PoleProximityError.  The table keeps W, not
     the remainder rows built from it: a report builds those once, in its
-    one asymptotic_check call, and judges its other epsilon from them
-    (asymptotic_recheck)."""
+    one asymptotic_check call, which judges both of its epsilons from
+    them."""
 
     def __init__(self, grid):
         self.grid = grid
@@ -484,7 +488,6 @@ class ResumReport(NamedTuple):
     """Remainder table of the resummed solution against the formal series."""
     epsilon: float
     samples: list            # complex sample points
-    log_radii: list          # log|t| per sample, which the fit reads
     Wvals: list              # W(t, 0) per sample
     floors: list             # rounding floor of W(t, 0) per sample
     EN: list                 # EN[N][i] = |W(t_i) - partial_N(t_i)|
@@ -495,6 +498,7 @@ class ResumReport(NamedTuple):
     used: int                # (N, t) pairs with E_N above the floor, which the fit reads
     dropped: int             # (N, t) pairs with E_N at or below it, or infinite
     reasons: list
+    half: "ResumReport"      # the check at epsilon/2 (asymptotic_check); None on that one
 
     @property
     def passed(self):
@@ -559,8 +563,8 @@ def remainder_row(q, values, w, t):
     q), so q^{N(N-1)/2} and t^N never leave double range apart; a term
     errs by a few units of its exponent's size.  Once a term or a partial
     sum leaves double range, E_N is inf from that order on.  A row
-    depends on nothing else: a report builds one per point of its
-    epsilon/2 fan, and its epsilon check reads them (asymptotic_recheck)."""
+    depends on nothing else: asymptotic_check builds one per point of
+    its epsilon/2 fan, and its epsilon check reads them."""
     log_t, quadratic = cmath.log(t), _quadratic_exponents(q, len(values))
     partial, row = 0j, []
     for N, vN in enumerate(values):
@@ -591,11 +595,15 @@ def asymptotic_check(sol, kernel, epsilon, n_max):
     read either, and counts with the unresolved pairs in `dropped`.  With
     no pair resolved the verdict is a vacuous pass.
 
-    W(t, 0) and its floor at each point t = t_c / q^k of lattice_fan are
-    origin(t_c, k) of the kernel-sample table of the grid that continues
-    `sol`'s Borel transform, and the call builds one remainder row per
-    point of its fan.  The check at a larger epsilon reads these rows
-    (asymptotic_recheck) and builds none.
+    The expansion must hold for every small epsilon; the call judges the
+    pair epsilon, epsilon/2 and returns the epsilon report, with the
+    epsilon/2 report in its field `half`.  W(t, 0) and its floor at each
+    point t = t_c / q^k of the epsilon/2 lattice_fan are origin(t_c, k) of
+    the kernel-sample table of the grid that continues `sol`'s Borel
+    transform, and the call builds one remainder row per point of that
+    fan.  A class outside the epsilon-disks lies outside the smaller
+    epsilon/2-disks, and lattice_fan places the same floats at both, so
+    the epsilon fan picks its points and rows from those.
     """
     q, lam = kernel.grid.q, kernel.grid.lam
     geom = SpiralGeometry(lam, epsilon, q)
@@ -603,44 +611,26 @@ def asymptotic_check(sol, kernel, epsilon, n_max):
     if n_max > sol.count:
         raise UsageError("remainder depth %d exceeds the computed formal order %d"
                          % (n_max, sol.count))
-    values, points, log_r, wvals, floors, rows = sol.origin_values(n_max), [], [], [], [], []
-    for t, base, k in lattice_fan(geom):
+    values, points, wvals, floors, rows = sol.origin_values(n_max), [], [], [], []
+    for t, base, k in lattice_fan(geom._replace(epsilon=epsilon / 2.0)):
         w, floor = kernel.origin(base, k)
         points.append(t)
-        log_r.append(math.log(abs(t)))
         wvals.append(w)
         floors.append(floor)
         rows.append(remainder_row(q, values, w, t))
     EN = [[row[N] for row in rows] for N in range(0, n_max + 1)]
-    return _judged(q, epsilon, points, log_r, wvals, floors, EN)
-
-
-def asymptotic_recheck(report, grid, epsilon):
-    """asymptotic_check at an epsilon no smaller than report's, on the same
-    solution and grid, judged from report's rows: a point outside the
-    epsilon-disks lies outside the smaller disks of report's epsilon, and
-    lattice_fan places the same floats in the same order at both, so the
-    fan at epsilon is a subsequence of report's samples, and a row
-    depends only on its point, W there and the solution.  Tests the zone
-    once per (ray, class) of that fan and sums nothing; UsageError where
-    report's samples lack a point of that fan."""
-    geom = SpiralGeometry(grid.lam, epsilon, grid.q)
-    geom.require_disjoint()
+    half = _judged(q, epsilon / 2.0, points, wvals, floors, EN, None)
     kept = {t for t, _, _ in lattice_fan(geom)}
-    picked = [i for i, t in enumerate(report.samples) if t in kept]
-    if len(picked) < len(kept):
-        raise UsageError("the rows at epsilon %.3g lack points of the fan at epsilon %.3g"
-                         % (report.epsilon, epsilon))
-    columns = (report.samples, report.log_radii, report.Wvals, report.floors)
-    return _judged(grid.q, epsilon, *([column[i] for i in picked] for column in columns),
-                   [[row[i] for i in picked] for row in report.EN])
+    picked = [i for i, t in enumerate(points) if t in kept]
+    return _judged(q, epsilon, *([column[i] for i in picked] for column in (points, wvals, floors)),
+                   [[row[i] for i in picked] for row in EN], half)
 
 
-def _judged(q, epsilon, points, log_r, wvals, floors, EN):
+def _judged(q, epsilon, points, wvals, floors, EN, half):
     """The envelope fit and the verdict of asymptotic_check, as a
-    ResumReport, from the table of remainders EN[N][i] at the points,
-    with log_r[i] = log|points[i]|."""
+    ResumReport, from the table of remainders EN[N][i] at the points."""
     n_max = len(EN) - 1
+    log_r = [math.log(abs(t)) for t in points]
     # the resolved remainders, per order; None where E_N is at or below the
     # floor or outside double range
     resolved = [[e if floor < e < math.inf else None for e, floor in zip(EN[N], floors)]
@@ -670,8 +660,8 @@ def _judged(q, epsilon, points, log_r, wvals, floors, EN):
 
     verdict = "pass" if not reasons else "fail"
     used = sum(e is not None for row in resolved for e in row)
-    return ResumReport(epsilon, points, log_r, wvals, floors, EN, rho, env.A, env.H, verdict,
-                       used, len(points) * (n_max + 1) - used, reasons)
+    return ResumReport(epsilon, points, wvals, floors, EN, rho, env.A, env.H, verdict,
+                       used, len(points) * (n_max + 1) - used, reasons, half)
 
 
 def _order1_slope(log_r, e1):

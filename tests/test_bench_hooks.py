@@ -114,8 +114,8 @@ def _fan_reads(run, epsilon):
 def _assert_exact_and_summed_once(workload, summed):
     """Each finished report matches the reference as
     _assert_matches_reference checks, and sums W once per (t_c, k) that
-    the lattice fans of both asymptotic stages read, a sample point t =
-    t_c / q^k each.  Returns the keys of the inputs whose epsilon is not
+    the lattice fans of both epsilons of its asymptotic stage read, a
+    sample point t = t_c / q^k each.  Returns the keys of the inputs whose epsilon is not
     below (q-1)/(q+1)."""
     check, inputs = _load("check"), _load("inputs")
     with open(os.path.join(PERFBENCH, "reference", workload + ".json"), encoding="utf-8") as fh:
@@ -135,12 +135,12 @@ def _assert_exact_and_summed_once(workload, summed):
         _assert_matches_reference(check, report, refs[key], key)
         assert len(summed) == len(set(summed)), key
         reads = set()
-        for rep in (run.asymptotic, run.asymptotic_half):
+        for rep in (run.asymptotic, run.asymptotic.half):
             fan = _fan_reads(run, rep.epsilon)
             assert [t for t, _, _ in fan] == rep.samples, key
             reads |= {(base, k) for _, base, k in fan}
         assert reads == set(summed), key
-        assert len(run.asymptotic_half.samples) >= len(run.asymptotic.samples) > 0, key
+        assert len(run.asymptotic.half.samples) >= len(run.asymptotic.samples) > 0, key
     return rejected
 
 
@@ -163,8 +163,8 @@ def test_corpus_reports_equal_the_benchmark_reference_and_sum_each_point_once(mo
 
 def test_reports_build_each_row_and_residual_series_once(monkeypatch):
     """Each benchmark DSL report builds one remainder row per distinct
-    point of its two asymptotic fans, in the epsilon/2 fan's order, which
-    holds the epsilon fan, and sums the residual kernel series once per
+    point of its asymptotic stage's two fans, in the epsilon/2 fan's
+    order, which holds the epsilon fan, and sums the residual kernel series once per
     distinct shifted point q^j t: at q = 2 the radii 0.05|lambda| and
     0.1|lambda| put t q of one sample on another."""
     inputs = _load("inputs")
@@ -183,7 +183,7 @@ def test_reports_build_each_row_and_residual_series_once(monkeypatch):
             series.clear()
             run = Run(text, inputs.options(workload))
             run.report()
-            assert rows == run.asymptotic_half.samples, key
+            assert rows == run.asymptotic.half.samples, key
             assert set(run.asymptotic.samples) <= set(rows), key
             q, shifts = run.equation.q, {term.j for term in run.equation.terms}
             shifted = {(s.t * q ** j,) for s in run.residuals.samples for j in shifts}
@@ -199,9 +199,9 @@ def test_reports_test_each_zone_once_and_find_each_points_terms_once(monkeypatch
     and no more: the kernel sums do not test the zone again.  Each
     point's kept kernel terms are found once, and one triple product
     serves each kernel vector: one per (ray, class) of the lattice fan,
-    24 at q = 2, which the epsilon/2 check builds and the epsilon check
-    reads without building one, and one per distinct shifted residual
-    point.  The test holds every
+    24 at q = 2, which the asymptotic stage builds for its epsilon/2 fan
+    and reads again for its epsilon fan, and one per distinct shifted
+    residual point.  The test holds every
     vector it counts, so that no two share an id."""
     inputs = _load("inputs")
     zone_membership, kernel_vector = qsum.qlaplace.zone_membership, qsum.qlaplace._kernel_vector
@@ -247,6 +247,27 @@ def test_reports_test_each_zone_once_and_find_each_points_terms_once(monkeypatch
             assert len(found) == len(set(found)), key
             assert len(products) == len(vectors) and len(bases) == 24, key
     assert calls == {"euler": (78, 39), "readme-d1": (78, 39), "mixed-d2": (88, 44)}
+
+
+def test_asymptotic_stage_tests_the_zone_inside_its_one_span():
+    """The benchmark's spans time the whole asymptotic stage: with the
+    hooks installed, the zone tests of both its fans, 24 each at q = 2,
+    run inside its one qlaplace.asymptotic_check span."""
+    spans = _load("spans")
+    run = Run(EULER, Options(orders=10, mmax=10, n_check=6))
+    run.residuals  # its sample fan tests the zone outside any qlaplace span
+    inst = spans.Instrument(spans.SpanRecorder())
+    inst.install()
+    try:
+        run.report()
+    finally:
+        inst.uninstall()
+    rec = inst.rec
+    names = [rec.names[i] for i in rec.name]
+    parents = [names[rec.parent[i]] if rec.parent[i] >= 0 else None
+               for i, name in enumerate(names) if name == "qlaplace.zone_membership"]
+    assert parents == ["qlaplace.asymptotic_check"] * 48
+    assert names.count("qlaplace.asymptotic_check") == 1
 
 
 def test_benchmark_reports_leave_no_reference_cycles():

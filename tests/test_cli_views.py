@@ -112,34 +112,64 @@ def test_growth_prints_the_spiral_bound_of_the_report(tmp_path, capsys, equation
 
 
 
-@pytest.mark.parametrize("q, flags", [
-    (2, ["--N", "48", "--orders", "48", "--mmax", "48"]),
-    (10, ["--N", "40", "--orders", "40", "--epsilon", "0.5"]),
-])
-def test_verify_csv_bound_is_inf_outside_double_range(tmp_path, capsys, q, flags):
-    """On q-Euler at these depths q^{N(N-1)/2} leaves double range: the
-    bound cell reads inf from there on, every other cell is the bound
-    M H^N / eps q^{N(N-1)/2} |t|^N at the fan's largest radius, and
-    verify prints and exits as it does without --emit-csv."""
-    path, csv = tmp_path / "euler.qde", tmp_path / "out.csv"
-    path.write_text(EQUATIONS["euler"].replace("q=2", "q=%d" % q))
+def _verify_csv(tmp_path, capsys, path, flags):
+    """The JSON document and the CSV rows of `verify` with --emit-csv,
+    which prints and exits as it does without it."""
+    csv = tmp_path / "out.csv"
     argv = ["--config", os.devnull, "verify", str(path), "--json", "-"] + flags
     assert main(argv) == 0
     plain = capsys.readouterr()
     assert main(argv + ["--emit-csv", str(csv)]) == 0
     assert capsys.readouterr() == plain
-    doc = json.loads(plain.out)
+    return json.loads(plain.out), [line.split(",") for line in csv.read_text().splitlines()[1:]]
+
+
+@pytest.mark.parametrize("q, flags, finite", [
+    (2, ["--N", "48", "--orders", "48", "--mmax", "48"], 49),
+    (2, ["--N", "60", "--orders", "60", "--mmax", "60"], 50),
+    (10, ["--N", "40", "--orders", "40", "--epsilon", "0.5"], 27),
+])
+def test_verify_csv_bound_is_inf_outside_double_range(tmp_path, capsys, q, flags, finite):
+    """On q-Euler at these depths q^{N(N-1)/2} alone leaves double range
+    from N = 46 (q = 2) or 26 (q = 10) on.  The bound cell is still M
+    H^N / eps q^{N(N-1)/2} |t|^N at the fan's largest radius, summed in
+    logs where a power overflows, and reads inf only from the order
+    `finite` on, where the bound itself leaves double range."""
+    path = tmp_path / "euler.qde"
+    path.write_text(EQUATIONS["euler"].replace("q=2", "q=%d" % q))
+    doc, rows = _verify_csv(tmp_path, capsys, path, flags)
     r_max = 0.1  # the largest fan radius, 0.1 |lambda|
-    rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
-    overflowed = 0
     for N, (cell, bound) in enumerate((row[0], row[2]) for row in rows):
         assert int(cell) == N
-        try:
-            want = doc["M"] * doc["H"] ** N / doc["epsilon"] * q ** (N * (N - 1) / 2.0) * r_max ** N
-        except OverflowError:
-            want, overflowed = math.inf, overflowed + 1
-        assert float(bound) == pytest.approx(want, rel=1e-12), N
-    assert overflowed > 0 and rows[-1][2] == "inf"
+        log_bound = (math.log(doc["M"]) + N * math.log(doc["H"]) - math.log(doc["epsilon"])
+                     + N * (N - 1) / 2.0 * math.log(q) + N * math.log(r_max))
+        if N < finite:
+            assert float(bound) == pytest.approx(math.exp(log_bound), rel=1e-12), N
+        else:
+            assert bound == "inf" and log_bound > math.log(sys.float_info.max), N
+
+
+def test_verify_csv_bound_is_empty_without_a_fan_point(tmp_path, capsys):
+    """At q = 100 the disks at epsilon 0.95 cover the whole fan: verify
+    exits 0 with no sample, and each bound cell is empty."""
+    path = tmp_path / "euler.qde"
+    path.write_text(EQUATIONS["euler"].replace("q=2", "q=100"))
+    doc, rows = _verify_csv(tmp_path, capsys, path, ["--epsilon", "0.95"])
+    assert doc["samples"] == 0 and len(rows) == 13
+    assert all(row[2] == "" for row in rows)
+
+
+def test_verify_csv_bound_is_zero_where_m_is_zero(tmp_path, capsys):
+    """A corpus document whose solution is X = 0 fits M = 0: every bound
+    cell reads 0.0, also where q^{N(N-1)/2} leaves double range (N = 39
+    and 40)."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "corpus", "corpus-20240901-08.json")
+    doc, rows = _verify_csv(tmp_path, capsys, path, ["--N", "40", "--orders", "40",
+                                                     "--mmax", "40"])
+    assert doc["M"] == 0.0 and len(rows) == 41
+    assert all(row[2] == "0.0" for row in rows)
+
 
 if __name__ == "__main__":
     old = {}

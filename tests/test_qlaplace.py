@@ -7,14 +7,14 @@ import pytest
 
 import qsum.qlaplace
 from qsum.equation import parse_equation
-from qsum.errors import GridTooShortError, PoleProximityError
+from qsum.errors import GridTooShortError, PoleProximityError, UsageError
 from qsum.formal import solve_formal
 from qsum.qborel import SpiralGrid, borel_transform, borel_transformed_equation, continue_spiral
 from qsum.pipeline import Options, Run
 from qsum.qlaplace import (ASYMPTOTIC_RADII, ASYMPTOTIC_RAYS, ASYMPTOTIC_SPAN, KernelSamples,
                            ResumReport, SpiralGeometry, _kernel_terms, _kernel_vector,
-                           _theta_product, asymptotic_check, asymptotic_recheck, lattice_fan,
-                           q_laplace, q_laplace_series, residual_check, sample_fan, theta,
+                           _judged, _theta_product, asymptotic_check, lattice_fan, q_laplace,
+                           q_laplace_series, remainder_row, residual_check, sample_fan, theta,
                            zone_membership)
 from qsum.series import TruncatedSeries
 from conftest import EULER_TEXT, EX2_TEXT, MIXED_D2_TEXT, monomial_grid
@@ -339,16 +339,32 @@ def test_asymptotic_constant_offset_fails(euler_sol, euler_grid):
     assert any("order-1" in r for r in rep.reasons)
 
 
+def _fields_less_half(report):
+    return {name: getattr(report, name) for name in ResumReport._fields if name != "half"}
+
+
+def _single_check(sol, grid, epsilon, n_max):
+    """One epsilon's check built on its own fan: one row per point of the
+    lattice fan at epsilon, from a fresh table, judged as asymptotic_check
+    judges each of its pair."""
+    kernel, values = KernelSamples(grid), sol.origin_values(n_max)
+    fan = lattice_fan(SpiralGeometry(grid.lam, epsilon, grid.q))
+    points = [t for t, _, _ in fan]
+    origins = [kernel.origin(base, k) for _, base, k in fan]
+    rows = [remainder_row(grid.q, values, w, t) for t, (w, _) in zip(points, origins)]
+    return _judged(grid.q, epsilon, points, [w for w, _ in origins], [f for _, f in origins],
+                   [[row[N] for row in rows] for N in range(n_max + 1)], None)
+
+
 def test_a_second_epsilon_sums_no_new_w(euler_sol, euler_grid, monkeypatch):
-    """The epsilon/2 check, on a fresh table, builds one kernel vector per
-    (ray, class), 24 at q = 2, finds the kept terms once per point t_c /
-    q^k and builds one remainder row per point of its fan in fan order.
-    The epsilon check judged from those rows builds no kernel vector and
-    no row, so no point of the epsilon fan gets a second row, and it
-    reports what a call on a fresh table does."""
+    """One call, on a fresh table, builds one kernel vector per (ray,
+    class), 24 at q = 2, finds the kept terms once per point t_c / q^k of
+    its epsilon/2 fan and builds one remainder row per point of that fan
+    in fan order.  Its epsilon report reads those rows at the points of
+    the epsilon fan, so no point gets a second row, and both reports equal
+    the check built on each epsilon's own fan."""
     kernel = KernelSamples(euler_grid)
     kernel_vector, kernel_terms = qsum.qlaplace._kernel_vector, qsum.qlaplace._kernel_terms
-    remainder_row = qsum.qlaplace.remainder_row
     built, summed, rows = [], [], []
 
     def counting_vector(grid, t):
@@ -362,43 +378,55 @@ def test_a_second_epsilon_sums_no_new_w(euler_sol, euler_grid, monkeypatch):
     def counting_row(q, values, w, t):
         rows.append(t)
         return remainder_row(q, values, w, t)
-    monkeypatch.setattr(qsum.qlaplace, "_kernel_vector", counting_vector)
-    monkeypatch.setattr(qsum.qlaplace, "_kernel_terms", counting_terms)
-    monkeypatch.setattr(qsum.qlaplace, "remainder_row", counting_row)
-    half = asymptotic_check(euler_sol, kernel, 0.15, 12)
+    with monkeypatch.context() as patch:
+        patch.setattr(qsum.qlaplace, "_kernel_vector", counting_vector)
+        patch.setattr(qsum.qlaplace, "_kernel_terms", counting_terms)
+        patch.setattr(qsum.qlaplace, "remainder_row", counting_row)
+        report = asymptotic_check(euler_sol, kernel, 0.3, 12)
     fan = lattice_fan(SpiralGeometry(euler_grid.lam, 0.15, euler_grid.q))
-    assert rows == half.samples == [t for t, _, _ in fan] != []
+    assert rows == report.half.samples == [t for t, _, _ in fan] != []
     assert summed == [k for _, _, k in fan]
     assert built == list(dict.fromkeys(base for _, base, _ in fan)) and len(built) == 24
-    for counted in (built, summed, rows):
-        counted.clear()
-    report = asymptotic_recheck(half, euler_grid, 0.3)
-    assert built == summed == rows == [] and report.samples != []
-    fresh = asymptotic_check(euler_sol, KernelSamples(euler_grid), 0.3, 12)
-    assert rows == report.samples
-    for name in ResumReport._fields:
-        assert getattr(report, name) == getattr(fresh, name), name
+    assert report.samples == [t for t, _, _ in lattice_fan(SpiralGeometry(euler_grid.lam, 0.3,
+                                                                          euler_grid.q))] != []
+    assert report.half.half is None
+    for got, eps in ((report, 0.3), (report.half, 0.15)):
+        assert _fields_less_half(got) == _fields_less_half(
+            _single_check(euler_sol, euler_grid, eps, 12)), eps
 
 
 @pytest.mark.parametrize("q, epsilon, counts", [(3.0, 0.45, (82, 96)), (10.0, 0.8, (72, 90))])
 def test_rows_of_a_larger_half_fan_judge_the_epsilon_check(q, epsilon, counts):
     """Where the epsilon/2 fan holds points the epsilon fan lacks, the
-    epsilon check judged from its rows equals a call at epsilon on a
-    fresh table, and the epsilon/2 check one at epsilon/2, field by
-    field; so do both checks of a report's run."""
+    epsilon report, read from the epsilon/2 fan's rows, equals the check
+    built on the epsilon fan alone, and its `half` the one built on the
+    epsilon/2 fan; so do both verdicts of a report's run, and the
+    epsilon/2 report equals the epsilon report of a call at epsilon/2."""
     run = Run(EULER_TEXT.replace("q=2", "q=%r" % q), Options(epsilon=epsilon))
     sol, grid, n_check = run.solution, run.grid, run.options.n_check
-    half = asymptotic_check(sol, KernelSamples(grid), epsilon / 2.0, n_check)
-    report = asymptotic_recheck(half, grid, epsilon)
-    assert (len(report.samples), len(half.samples)) == counts
+    report = asymptotic_check(sol, KernelSamples(grid), epsilon, n_check)
+    assert (len(report.samples), len(report.half.samples)) == counts
     run.report()
-    for got, eps in ((report, epsilon), (half, epsilon / 2.0), (run.asymptotic, epsilon),
-                     (run.asymptotic_half, epsilon / 2.0)):
-        want = asymptotic_check(sol, KernelSamples(grid), eps, n_check)
-        for name in ResumReport._fields:
-            assert getattr(got, name) == getattr(want, name), (q, eps, name)
-    with pytest.raises(ValueError):  # the epsilon fan's rows lack the epsilon/2 fan's points
-        asymptotic_recheck(report, grid, epsilon / 2.0)
+    singles = {eps: _fields_less_half(_single_check(sol, grid, eps, n_check))
+               for eps in (epsilon, epsilon / 2.0)}
+    for got, eps in ((report, epsilon), (report.half, epsilon / 2.0),
+                     (run.asymptotic, epsilon), (run.asymptotic.half, epsilon / 2.0),
+                     (asymptotic_check(sol, KernelSamples(grid), epsilon / 2.0, n_check),
+                      epsilon / 2.0)):
+        assert _fields_less_half(got) == singles[eps], (q, eps)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -0.1, math.nan, math.inf])
+def test_readers_reject_an_epsilon_that_is_not_positive_and_finite(euler_eq, euler_sol,
+                                                                    euler_grid, epsilon):
+    """As Options does: zone_membership, through which each reader that
+    takes epsilon places its points, raises UsageError."""
+    kernel = KernelSamples(euler_grid)
+    for read in (lambda: asymptotic_check(euler_sol, kernel, epsilon, 12),
+                 lambda: q_laplace(euler_grid, 0.1j, epsilon),
+                 lambda: residual_check(euler_eq, kernel, [0.1j], epsilon)):
+        with pytest.raises(UsageError):
+            read()
 
 
 def test_asymptotic_rows_follow_the_solution_and_w(euler_sol, euler_grid):
@@ -863,7 +891,7 @@ def test_lattice_fan_places_each_class_as_each_of_its_points(monkeypatch):
     well below the disjointness threshold, with one zone test per (ray,
     class).  Near the threshold the disks take whole classes.  Each fan
     is a subsequence of the fan at half its epsilon, whose rows the
-    check at epsilon reads (asymptotic_recheck)."""
+    check at epsilon reads (asymptotic_check)."""
     counted = []
 
     def counting_zone(geom, t):
