@@ -213,8 +213,7 @@ def zone_membership(geom, t):
     """Classify t against the epsilon-disks; only finitely many m can
     contain t, namely those with q^m within (1 +- eps) * |t/lambda|.
     Within ZONE_GUARD * eps of a disk, t is near the boundary.  Every
-    reader that takes epsilon places its points here, so this is where
-    an epsilon that is not positive and finite raises UsageError."""
+    reader of epsilon passes here: UsageError unless it is positive and finite."""
     q, lam, eps = geom.q, geom.lam, geom.epsilon
     if not (math.isfinite(eps) and eps > 0):
         raise UsageError("epsilon must be positive and finite (got %r)" % eps)
@@ -595,15 +594,14 @@ def asymptotic_check(sol, kernel, epsilon, n_max):
     read either, and counts with the unresolved pairs in `dropped`.  With
     no pair resolved the verdict is a vacuous pass.
 
-    The expansion must hold for every small epsilon; the call judges the
-    pair epsilon, epsilon/2 and returns the epsilon report, with the
-    epsilon/2 report in its field `half`.  W(t, 0) and its floor at each
-    point t = t_c / q^k of the epsilon/2 lattice_fan are origin(t_c, k) of
-    the kernel-sample table of the grid that continues `sol`'s Borel
-    transform, and the call builds one remainder row per point of that
-    fan.  A class outside the epsilon-disks lies outside the smaller
+    The expansion must hold for every small epsilon: the call returns the
+    epsilon report, with the epsilon/2 report in its field `half`.  W(t,
+    0) and its floor at each point t = t_c / q^k of the epsilon/2
+    lattice_fan are origin(t_c, k) of the kernel-sample table of the grid
+    that continues `sol`'s Borel transform, and each point gets one
+    remainder row.  A class outside the epsilon-disks lies outside the
     epsilon/2-disks, and lattice_fan places the same floats at both, so
-    the epsilon fan picks its points and rows from those.
+    the epsilon check reads the rows at its own fan's points.
     """
     q, lam = kernel.grid.q, kernel.grid.lam
     geom = SpiralGeometry(lam, epsilon, q)
@@ -611,26 +609,28 @@ def asymptotic_check(sol, kernel, epsilon, n_max):
     if n_max > sol.count:
         raise UsageError("remainder depth %d exceeds the computed formal order %d"
                          % (n_max, sol.count))
-    values, points, wvals, floors, rows = sol.origin_values(n_max), [], [], [], []
-    for t, base, k in lattice_fan(geom._replace(epsilon=epsilon / 2.0)):
+    values, points, log_r, wvals, floors, rows = sol.origin_values(n_max), [], [], [], [], []
+    for t, base, k in lattice_fan(SpiralGeometry(lam, epsilon / 2.0, q)):
         w, floor = kernel.origin(base, k)
         points.append(t)
+        log_r.append(math.log(abs(t)))
         wvals.append(w)
         floors.append(floor)
         rows.append(remainder_row(q, values, w, t))
     EN = [[row[N] for row in rows] for N in range(0, n_max + 1)]
-    half = _judged(q, epsilon / 2.0, points, wvals, floors, EN, None)
+    half = _judged(q, epsilon / 2.0, points, log_r, wvals, floors, EN, None)
     kept = {t for t, _, _ in lattice_fan(geom)}
     picked = [i for i, t in enumerate(points) if t in kept]
-    return _judged(q, epsilon, *([column[i] for i in picked] for column in (points, wvals, floors)),
+    columns = (points, log_r, wvals, floors)
+    return _judged(q, epsilon, *([column[i] for i in picked] for column in columns),
                    [[row[i] for i in picked] for row in EN], half)
 
 
-def _judged(q, epsilon, points, wvals, floors, EN, half):
+def _judged(q, epsilon, points, log_r, wvals, floors, EN, half):
     """The envelope fit and the verdict of asymptotic_check, as a
-    ResumReport, from the table of remainders EN[N][i] at the points."""
+    ResumReport, from the table of remainders EN[N][i] at the points,
+    with log_r[i] = log|points[i]|."""
     n_max = len(EN) - 1
-    log_r = [math.log(abs(t)) for t in points]
     # the resolved remainders, per order; None where E_N is at or below the
     # floor or outside double range
     resolved = [[e if floor < e < math.inf else None for e, floor in zip(EN[N], floors)]

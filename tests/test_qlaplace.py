@@ -352,7 +352,8 @@ def _single_check(sol, grid, epsilon, n_max):
     points = [t for t, _, _ in fan]
     origins = [kernel.origin(base, k) for _, base, k in fan]
     rows = [remainder_row(grid.q, values, w, t) for t, (w, _) in zip(points, origins)]
-    return _judged(grid.q, epsilon, points, [w for w, _ in origins], [f for _, f in origins],
+    return _judged(grid.q, epsilon, points, [math.log(abs(t)) for t in points],
+                   [w for w, _ in origins], [f for _, f in origins],
                    [[row[N] for row in rows] for N in range(n_max + 1)], None)
 
 
