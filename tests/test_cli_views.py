@@ -124,29 +124,32 @@ def _verify_csv(tmp_path, capsys, path, flags):
     return json.loads(plain.out), [line.split(",") for line in csv.read_text().splitlines()[1:]]
 
 
-@pytest.mark.parametrize("q, flags, finite", [
-    (2, ["--N", "48", "--orders", "48", "--mmax", "48"], 49),
-    (2, ["--N", "60", "--orders", "60", "--mmax", "60"], 50),
-    (10, ["--N", "40", "--orders", "40", "--epsilon", "0.5"], 27),
+@pytest.mark.parametrize("q, flags", [
+    (2, ["--N", "48", "--orders", "48", "--mmax", "48"]),
+    (10, ["--N", "40", "--orders", "40", "--epsilon", "0.5"]),
+    (2, ["--N", "60", "--orders", "60", "--mmax", "60"]),
 ])
-def test_verify_csv_bound_is_inf_outside_double_range(tmp_path, capsys, q, flags, finite):
+def test_verify_csv_bound_is_inf_outside_double_range(tmp_path, capsys, q, flags):
     """On q-Euler at these depths q^{N(N-1)/2} alone leaves double range
     from N = 46 (q = 2) or 26 (q = 10) on.  The bound cell is still M
     H^N / eps q^{N(N-1)/2} |t|^N at the fan's largest radius, summed in
-    logs where a power overflows, and reads inf only from the order
-    `finite` on, where the bound itself leaves double range."""
+    logs where a power overflows, and reads inf only where the bound
+    itself leaves double range: from N = 50 on at q = 2, 27 at q = 10."""
     path = tmp_path / "euler.qde"
     path.write_text(EQUATIONS["euler"].replace("q=2", "q=%d" % q))
     doc, rows = _verify_csv(tmp_path, capsys, path, flags)
     r_max = 0.1  # the largest fan radius, 0.1 |lambda|
+    finite = []
     for N, (cell, bound) in enumerate((row[0], row[2]) for row in rows):
         assert int(cell) == N
         log_bound = (math.log(doc["M"]) + N * math.log(doc["H"]) - math.log(doc["epsilon"])
                      + N * (N - 1) / 2.0 * math.log(q) + N * math.log(r_max))
-        if N < finite:
+        if log_bound < math.log(sys.float_info.max):
             assert float(bound) == pytest.approx(math.exp(log_bound), rel=1e-12), N
+            finite.append(N)
         else:
-            assert bound == "inf" and log_bound > math.log(sys.float_info.max), N
+            assert bound == "inf", N
+    assert finite == list(range({2: 50, 10: 27}[q]))[:len(rows)]
 
 
 def test_verify_csv_bound_is_empty_without_a_fan_point(tmp_path, capsys):
