@@ -209,14 +209,18 @@ class ZoneResult(NamedTuple):
         return self.kind == "outside"
 
 
+def _require_epsilon(eps):
+    if not (math.isfinite(eps) and eps > 0):
+        raise UsageError("epsilon must be positive and finite (got %r)" % eps)
+
+
 def zone_membership(geom, t):
     """Classify t against the epsilon-disks; only finitely many m can
     contain t, namely those with q^m within (1 +- eps) * |t/lambda|.
     Within ZONE_GUARD * eps of a disk, t is near the boundary.  Every
     reader of epsilon passes here: UsageError unless it is positive and finite."""
     q, lam, eps = geom.q, geom.lam, geom.epsilon
-    if not (math.isfinite(eps) and eps > 0):
-        raise UsageError("epsilon must be positive and finite (got %r)" % eps)
+    _require_epsilon(eps)
     t = complex(t)
     if t == 0:
         raise UsageError("t must be nonzero")
@@ -458,7 +462,9 @@ def residual_check(eq, kernel, samples, epsilon=0.05):
     """Evaluate sum a_{j,alpha}(t,z) Dz^alpha W(q^j t, z) - F(t,z) at each
     sample, with W and its z-derivatives from the KernelSamples table, which
     sums each distinct point q^j t once.  A sample with a shifted point
-    inside or near the epsilon-disks is rejected."""
+    inside or near the epsilon-disks is rejected.  Epsilon is checked as
+    zone_membership checks it, also when there is no sample."""
+    _require_epsilon(epsilon)
     q = eq.q
     results = []
     rejected = []

@@ -13,7 +13,9 @@ first appears and drops an exact 0 only when it builds its result.
 The public constructor checks every key and value of outside data.
 Results of arithmetic on series, whose keys come from in-window keys,
 are built by `_result`, which checks only finiteness, zeros and, where
-the operands' windows differ, the common window.
+the operands' windows differ, the common window.  A product with a
+one-coefficient operand and a division by a constant take one pass over
+the other operand, with the general loops' bits and key order.
 """
 
 import heapq
@@ -225,17 +227,35 @@ class TruncatedSeries:
         return self._lift(other) - self
 
     def __mul__(self, other):
+        """The product on the common window, over the operand with fewer
+        coefficients; one with a single coefficient takes one pass over
+        the other, which gives the general loop's bits and key order."""
         if not isinstance(other, TruncatedSeries):
             other = _scalar(other)
             return _result(self.d, self.Kt, self.Kz, {k: c * other for k, c in self.coeffs.items()},
                            False)
         Kt, Kz = self._common_window(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) > len(b):
-            a, b = b, a
+        short, long = (other, self) if len(self.coeffs) > len(other.coeffs) else (self, other)
+        a, b = short.coeffs, long.coeffs
+        one = self.d == 1
+        if len(a) == 1:
+            # one pass over the long operand, in its key order; 0j + makes a
+            # -0.0 part +0.0 as the general loop's sum does
+            [((n1, b1), c1)] = a.items()
+            rt, rz = Kt - n1, Kz - sum(b1)
+            if long.Kt <= rt and long.Kz <= rz:
+                # the window fits only for a constant: keys stay, none is cut
+                out = {k: 0j + c1 * c2 for k, c2 in b.items()}
+            elif one:
+                z1 = b1[0]
+                out = {(n1 + n2, (z1 + w2,)): 0j + c1 * c2 for (n2, (w2,)), c2 in b.items()
+                       if n2 < rt and w2 < rz}
+            else:
+                out = {(n1 + n2, tuple(map(add, b1, b2))): 0j + c1 * c2 for (n2, b2), c2 in b.items()
+                       if n2 < rt and sum(b2) < rz}
+            return _result(self.d, Kt, Kz, out, False)
         out = {}
         get = out.get
-        one = self.d == 1
         bitems = [(n, beta, sum(beta), c) for (n, beta), c in b.items()]
         for (n1, b1), c1 in a.items():
             rt, rz = Kt - n1, Kz - sum(b1)
@@ -497,7 +517,9 @@ def divide(num, den):
     those a nonzero result coefficient reaches through a nonconstant
     divisor term.  They are taken in graded order (n, |beta|, then beta
     lexicographically), the order of a scan of the whole window, so each
-    coefficient sees the same terms in the same order as in that scan."""
+    coefficient sees the same terms in the same order as in that scan.  A
+    divisor with only its constant term divides the numerator's window
+    keys in that order, without the heap: the same bits and key order."""
     if num.d != den.d:
         raise DimensionMismatchError("series in %d and %d z-variables" % (num.d, den.d))
     den0 = den.constant_term()
@@ -505,10 +527,15 @@ def divide(num, den):
         raise NotAUnitError("division by a series with vanishing constant term")
     Kt, Kz = min(num.Kt, den.Kt), min(num.Kz, den.Kz)
     d = num.d
+    todo = [(n, w, beta) for n, beta in num.coeffs if n < Kt and (w := sum(beta)) < Kz]
+    if len(den.coeffs) == 1:
+        # only den0: the numerator's window keys in the order the heap pops them
+        coeffs = num.coeffs
+        return _result(d, Kt, Kz, {(n, beta): coeffs[n, beta] / den0 for n, _, beta in sorted(todo)},
+                       False)
     den_rest = [(n, beta, c) for (n, beta), c in den.items() if (n, beta) != (0, (0,) * d)]
     # the divisor terms that move a window key to another window key
     steps = [(dn, sum(dbeta), dbeta) for dn, dbeta, _ in den_rest if dn < Kt and sum(dbeta) < Kz]
-    todo = [(n, sum(beta), beta) for n, beta in num.coeffs if n < Kt and sum(beta) < Kz]
     heapq.heapify(todo)
     queued = set(todo)
     out = {}

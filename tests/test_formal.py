@@ -6,7 +6,9 @@ import qsum.formal
 from qsum.equation import parse_equation
 from qsum.errors import ResonanceError
 from qsum.formal import FormalSolution, gevrey_fit, solve_formal, verify_formal
+from qsum.pipeline import Run
 from qsum.series import TruncatedSeries
+from conftest import EX2_TEXT, MIXED_D2_TEXT
 
 
 def test_euler_closed_form_exact(euler_eq, euler_sol):
@@ -42,6 +44,29 @@ def test_verify_flags_perturbation(euler_eq, euler_sol, monkeypatch):
     monkeypatch.setattr(qsum.formal, "FORMAL_RESIDUAL_TOL", 1e-8)
     rep = verify_formal(euler_eq, broken)
     assert rep.flagged == [5, 6]
+
+
+@pytest.mark.parametrize("text", [EX2_TEXT, MIXED_D2_TEXT])
+def test_verify_flags_faults_in_z_series(text):
+    """On the benchmark's padded z-windows, where every term coefficient is
+    one monomial and every diagonal factor a constant: the x1e3 fault on
+    the last 4 orders breaks only the first of their relations, and a
+    1e-3 change of one z^1 coefficient of v_5 breaks orders 5 and 6 (the
+    mixed derivative of d = 2 sends a z^1 monomial to 0)."""
+    run = Run(text)
+    eq, sol = run.equation, run.solution
+    assert verify_formal(eq, sol).passed
+
+    def flagged(scaled):
+        broken = FormalSolution(sol.q, sol.count, tuple(scaled), sol.R1, sol.d)
+        return verify_formal(eq, broken).flagged
+
+    assert sol.count == 40
+    assert flagged(v * 1e3 if n > 36 else v for n, v in enumerate(sol.scaled)) == [37]
+    bad = list(sol.scaled)
+    z1 = (1,) + (0,) * (eq.d - 1)
+    bad[5] = bad[5] + TruncatedSeries.monomial(1e-3, 0, z1, eq.d, 1, bad[5].Kz)
+    assert flagged(bad) == [5, 6]
 
 
 def test_resonance_detected():

@@ -430,6 +430,15 @@ def test_readers_reject_an_epsilon_that_is_not_positive_and_finite(euler_eq, eul
             read()
 
 
+@pytest.mark.parametrize("epsilon", [0.0, -0.1, math.nan, math.inf])
+def test_residual_check_rejects_a_bad_epsilon_without_samples(euler_eq, euler_grid, epsilon):
+    """With no sample, zone_membership is never called, and the check at
+    the top of residual_check is the one that raises."""
+    with pytest.raises(UsageError, match="epsilon must be positive and finite"):
+        residual_check(euler_eq, KernelSamples(euler_grid), [], epsilon)
+    assert residual_check(euler_eq, KernelSamples(euler_grid), [], 0.1).samples == []
+
+
 def test_asymptotic_rows_follow_the_solution_and_w(euler_sol, euler_grid):
     """On a table already read, a call with another solution, or after
     W(t, 0) is faulted, reports what a call on a fresh table does: the

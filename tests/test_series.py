@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import math
 import random
@@ -613,3 +614,109 @@ def test_evaluate_linearity(a, b):
     lhs = (a + b).evaluate(t0, z0)
     rhs = a.evaluate(t0, z0) + b.evaluate(t0, z0)
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs))
+
+
+# ---------------------------------------------------------------- one-term fast paths
+
+# parts that make -0.0 products, products that underflow to 0 and
+# products that overflow
+part_st = st.one_of(st.floats(-4, 4), st.sampled_from((0.0, -0.0, 5e-324, -1e-200, 1e200, -1e300)))
+value_st = st.builds(complex, part_st, part_st)
+
+
+def _heap_divide(num, den):
+    """divide's general loop: the numerator's keys and those the divisor
+    terms reach, popped from a heap in graded order."""
+    den0 = den.constant_term()
+    Kt, Kz = min(num.Kt, den.Kt), min(num.Kz, den.Kz)
+    d = num.d
+    den_rest = [(n, beta, c) for (n, beta), c in den.items() if (n, beta) != (0, (0,) * d)]
+    steps = [(dn, sum(dbeta), dbeta) for dn, dbeta, _ in den_rest if dn < Kt and sum(dbeta) < Kz]
+    todo = [(n, sum(beta), beta) for n, beta in num.coeffs if n < Kt and sum(beta) < Kz]
+    heapq.heapify(todo)
+    queued = set(todo)
+    out = {}
+    while todo:
+        n, w, beta = heapq.heappop(todo)
+        acc = num.coeffs.get((n, beta), 0j)
+        for dn, dbeta, dc in den_rest:
+            rbeta = tuple(b - db for b, db in zip(beta, dbeta))
+            if n - dn >= 0 and min(rbeta, default=0) >= 0 and (n - dn, rbeta) in out:
+                acc -= dc * out[(n - dn, rbeta)]
+        if acc != 0:
+            out[(n, beta)] = acc / den0
+            for dn, dw, dbeta in steps:
+                key = (n + dn, w + dw, tuple(b + db for b, db in zip(beta, dbeta)))
+                if key[0] < Kt and key[1] < Kz and key not in queued:
+                    queued.add(key)
+                    heapq.heappush(todo, key)
+    return TruncatedSeries(d, Kt, Kz, out)
+
+
+def _bits(make):
+    """The window, the keys in order and every value with the signs of
+    its zero parts, or "non-finite" where make() raises NonFiniteError."""
+    try:
+        s = make()
+    except NonFiniteError:
+        return "non-finite"
+    return (s.d, s.Kt, s.Kz, [(k, c, math.copysign(1.0, c.real), math.copysign(1.0, c.imag))
+                              for k, c in s.coeffs.items()])
+
+
+@st.composite
+def _windowed(draw, d, size):
+    """A series on its own window with up to `size` keys in [0, 7) x [0, 5)^d."""
+    Kt, Kz = draw(st.integers(1, 7)), draw(st.integers(1, 5))
+    key_st = st.tuples(st.integers(0, 6), st.tuples(*[st.integers(0, 4)] * d))
+    return TruncatedSeries(d, Kt, Kz, draw(st.dictionaries(key_st, value_st, max_size=size)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_one_term_product_is_the_general_loop_bit_for_bit(data):
+    """A one-coefficient factor, a constant or a monomial, times a series on
+    another window, in either order: __mul__'s one-pass path gives the
+    general loop's values, signed zeros, key order and errors."""
+    d = data.draw(st.sampled_from((0, 1, 2)))
+    one = data.draw(_windowed(d, 1).filter(lambda s: len(s.coeffs) == 1))
+    if data.draw(st.booleans()):      # a constant
+        [c] = one.coeffs.values()
+        one = TruncatedSeries.const(c, d, one.Kt, one.Kz)
+    other = data.draw(_windowed(d, 12))
+    a, b = (one, other) if data.draw(st.booleans()) else (other, one)
+    assert _bits(lambda: a * b) == _bits(lambda: _ref_mul(a, b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_division_by_a_constant_is_the_general_loop_bit_for_bit(data):
+    """divide by a divisor with only its constant term, on another window:
+    the heap loop's and the full window scan's values, key order and errors."""
+    d = data.draw(st.sampled_from((0, 1, 2)))
+    num = data.draw(_windowed(d, 12))
+    den0 = data.draw(value_st.filter(bool))
+    den = TruncatedSeries.const(den0, d, data.draw(st.integers(1, 7)), data.draw(st.integers(1, 5)))
+    got = _bits(lambda: divide(num, den))
+    assert got == _bits(lambda: _heap_divide(num, den)) == _bits(lambda: _window_divide(num, den))
+
+
+def test_one_term_fast_paths_at_the_edges_of_double_range():
+    """A -0.0 part of c1 * c2 turns +0.0, an overflow raises and an
+    underflow to 0 drops the key; a divisor whose one term is not constant
+    is not a unit."""
+    neg = TruncatedSeries(1, 3, 3, {(0, (0,)): complex(-1.0, 0.0)})
+    long = TruncatedSeries(1, 3, 3, {(0, (1,)): complex(-2.0, 0.0), (1, (0,)): 1e-200, (2, (2,)): 3j})
+    assert math.copysign(1.0, (complex(-1.0, 0.0) * complex(-2.0, 0.0)).imag) == -1.0
+    for prod in (neg * long, long * neg):
+        assert list(prod.coeffs) == [(0, (1,)), (1, (0,)), (2, (2,))]
+        assert math.copysign(1.0, prod.coeffs[(0, (1,))].imag) == 1.0
+    tiny = TruncatedSeries.monomial(1e-200, 1, (1,), 1, 3, 3)
+    assert list((tiny * long).coeffs) == [(1, (2,))]           # 1e-400 is dropped
+    for overflow in (lambda: TruncatedSeries.const(1e300, 1, 3, 3) * (long * 1e10),
+                     lambda: divide(long, TruncatedSeries.const(1e-310, 1, 3, 3))):
+        with pytest.raises(NonFiniteError, match="non-finite coefficient"):
+            overflow()
+    assert list(divide(long, TruncatedSeries.const(1e300, 1, 3, 3)).coeffs) == [(0, (1,)), (2, (2,))]
+    with pytest.raises(NotAUnitError):
+        divide(long, TruncatedSeries.var_t(1, 3, 3))
