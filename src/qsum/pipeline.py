@@ -32,7 +32,7 @@ from .newton import (SINGULAR_RAY_TOL, characteristic_polynomial, check_interior
                      reduced_coefficients, singular_directions)
 from .qborel import (SEED_RADIUS_FRACTION, borel_transform, borel_transformed_equation,
                      continue_spiral, fit_spiral_bound)
-from .qlaplace import KernelSamples, SpiralGeometry, asymptotic_check, residual_check, sample_fan
+from .qlaplace import KernelSamples, SpiralGeometry, asymptotic_check, residual_check
 
 # with the polygon shape, the conditions every stage past them needs
 HARD_CONDITIONS = ("interior", "nondegeneracy")
@@ -318,10 +318,10 @@ class Run:
     @_stage("residual")
     def residuals(self):
         # |t| = 0.05|lambda| and 0.1|lambda| on RESIDUAL_SAMPLES / 2 rays
-        eps, lam = self.kernel_epsilon, self.grid.lam
-        samples = sample_fan(SpiralGeometry(lam, eps, self.grid.q), RESIDUAL_SAMPLES // 2,
-                             (0.05 * abs(lam), 0.1 * abs(lam)))
-        return residual_check(self.equation, self.kernel_samples, samples, epsilon=eps)
+        eps, lam, kernel = self.kernel_epsilon, self.grid.lam, self.kernel_samples
+        samples = kernel.table.sample_fan(eps, RESIDUAL_SAMPLES // 2,
+                                          (0.05 * abs(lam), 0.1 * abs(lam)))
+        return residual_check(self.equation, kernel, samples, epsilon=eps)
 
     @_stage("asymptotic")
     def asymptotic(self):

@@ -22,9 +22,11 @@ identity sum_m (lambda q^m)^n / theta_q(lambda q^m / t) = q^{n(n-1)/2} t^n
 is the internal witness that this convention inverts the Borel transform;
 the tests sum it with q_laplace itself, over a grid of monomials xi^n.
 Every theta(lambda q^m / (t / q^k)), over m and k, shares one reduced
-argument, so the kernel sums at every t / q^k take one product.  W(t, 0)
-comes with the rounding floor of its sum, and the asymptotic verifier
-reads only remainders above it.
+argument, so the kernel sums at every t / q^k take one product; those
+products, the fans and their zone tests depend on (q, lambda) alone, and
+kernel_table keeps them for every report of a process.  W(t, 0) comes
+with the rounding floor of its sum, and the asymptotic verifier reads
+only remainders above it.
 """
 
 import cmath
@@ -32,6 +34,7 @@ import math
 import sys
 from functools import cache, lru_cache
 from itertools import chain
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from .errors import GridTooShortError, PoleProximityError, UsageError
@@ -88,19 +91,22 @@ ASYMPTOTIC_RADII = 12
 ASYMPTOTIC_SPAN = 20.0
 # residual_check passes when no sample's absolute residual exceeds this
 RESIDUAL_MAX_ABS = 1e-5
+# kernel_table's tables kept, and each table's arguments kept per kind of entry
+KERNEL_TABLES = 16
+TABLE_ENTRIES = 256
 
 
 def theta(x, q):
     """theta_q(x) as a QScaled, from the Jacobi triple product.
 
     x = q^k y with 1 <= |y| < q, and theta(q^k y) = q^{k(k+1)/2} y^k
-    theta(y) with theta(y) from _theta_product; the kernel sums use the
-    same product and closed form.  The reduction divides x by q**k, so at
-    x = -q**k it gives y = -1 exactly and the mantissa is 0.
-    No terms cancel: near a zero the relative error is a few units of
-    2^-53 over x's relative distance from it, the condition number of
-    theta there.  A base q outside (1, inf) and an x that is zero or not
-    finite raise ValueError."""
+    theta(y) with theta(y) from _theta_product on kernel_table(q, 1.0)'s
+    factors; the kernel sums use the same product and closed form.  The
+    reduction divides x by q**k, so at x = -q**k it gives y = -1 exactly
+    and the mantissa is 0.  No terms cancel: near a zero the relative
+    error is a few units of 2^-53 over x's relative distance from it, the
+    condition number of theta there.  A base q outside (1, inf) and an x
+    that is zero or not finite raise ValueError."""
     x = complex(x)
     if not 1.0 < q < math.inf:
         raise ValueError("theta needs a base q in (1, inf), got %r" % q)
@@ -117,7 +123,7 @@ def theta(x, q):
     # by two normal powers there
     s = q ** k
     y = x / s if s >= sys.float_info.min else x / q ** (k // 2) / q ** (k - k // 2)
-    th = _theta_product(y, q)[0]
+    th = _theta_product(y, kernel_table(q, 1.0).factors)[0]
     if th == 0:
         return QScaled(q, 0j, 0)
     r, angle, qexp = _shifted(k, math.log(abs(y)) / lnq, cmath.phase(y),
@@ -133,28 +139,24 @@ def _power(q, k):
         return math.inf
 
 
-def _theta_product(y, q):
+def _theta_product(y, factors):
     """theta_q(y) for 1 <= |y| < q, and the number of product steps:
 
         theta_q(y) = (1 + y) prod_{n >= 1} (1 - p^n)(1 + y p^n)(1 + p^n / y),
 
-    p = 1/q, with the factors p^n and 1 - p^n of _theta_factors."""
+    p = 1/q, with q's factors p^n and 1 - p^n (_theta_factors)."""
     inv_y = 1.0 / y
     acc = 1.0 + y
-    factors = _theta_factors(q)
     for pn, one_less in factors:
         acc *= one_less * (1.0 + pn * y) * (1.0 + pn * inv_y)
     return acc, len(factors)
 
 
-@lru_cache(maxsize=16)
 def _theta_factors(q):
     """The pairs (p^n, 1 - p^n), p = 1/q, of _theta_product's steps n = 1,
     2, ...  After step n the factors left differ from 1 by at most
     (2 + q) p^{n+1} / (1 - p) = (2 + q) p^n / (q - 1) in all; the product
-    stops once that is below 2^-54, half a unit in the last place of 1.
-    They depend on q alone, and a run has one q: a small cache keeps them
-    for the q values in use."""
+    stops once that is below 2^-54, half a unit in the last place of 1."""
     tail = (2.0 + q) / (q - 1.0)
     factors = []
     n = 0
@@ -270,31 +272,51 @@ def _outside_disks(grid, t, epsilon):
     return t
 
 
+@lru_cache(maxsize=KERNEL_TABLES)
+def kernel_table(q, lam):
+    """What the kernel sums and the sample placement at (q, lambda) share,
+    each computed on first read: the triple product's factors; vector(t),
+    t's kernel vector (_kernel_vector); lattice_fan(epsilon),
+    sample_fan(epsilon, rays, radii) and zone(epsilon, t, j), the zone of
+    t q^j.  No grid or equation enters, and an entry is the same code on
+    the same floats as a fresh one, so the reports at one (q, lambda)
+    share a table and stay the same; a one-report process (the CLI) gains
+    nothing.  The entries close over q, lambda and the factors, not the
+    table: a dropped table is freed by reference counting."""
+    lam, factors, kept = complex(lam), _theta_factors(q), lru_cache(maxsize=TABLE_ENTRIES)
+    return SimpleNamespace(
+        lam=lam, factors=factors, vector=kept(lambda t: _kernel_vector(q, lam, factors, t)),
+        lattice_fan=kept(lambda eps: tuple(lattice_fan(SpiralGeometry(lam, eps, q)))),
+        sample_fan=kept(lambda eps, rays, radii: tuple(
+            sample_fan(SpiralGeometry(lam, eps, q), rays, radii))),
+        zone=kept(lambda eps, t, j: zone_membership(SpiralGeometry(lam, eps, q), t * q ** j)))
+
+
 class KernelSamples:
-    """W at the sample points of one grid, from one kernel vector per point
-    t (_kernel_vector), each sum done once (functools.cache).  series(t) is
-    W(t, .) as a z-series, from a vector it does not keep; origin(t, k) is
-    (W(t / q^k, 0), floor) from t's vector, kept for every shift, as
-    theta(lambda q^m / (t / q^k)) = theta(lambda q^(m+k) / t):
-    each term's constant coefficient summed with the operations of series,
-    and the terms' magnitudes times a bound on each one's relative
-    rounding error (ROUNDING_UNIT), below which a difference from W is not
-    resolved.  Neither reader tests the zone (W does not depend on
-    epsilon, which only places the points): callers place the points off
-    the disks, as the fans and residual_check do.  On the spiral theta is
-    zero and the sum raises ValueError; q_laplace and q_laplace_series
-    test the zone and raise PoleProximityError.  The table keeps W, not
-    the remainder rows built from it: a report builds those once, in its
-    one asymptotic_check call, which judges both of its epsilons from
-    them."""
+    """W at the sample points of one grid, each sum done once
+    (functools.cache), from one kernel vector per point t
+    (kernel_table).  series(t) is W(t, .) as a z-series; origin(t, k) is
+    (W(t / q^k, 0), floor) from t's vector, as theta(lambda q^m / (t /
+    q^k)) = theta(lambda q^(m+k) / t): each term's constant coefficient
+    summed with the operations of series, and the terms' magnitudes
+    times a bound on each one's relative rounding error (ROUNDING_UNIT),
+    below which a difference from W is not resolved.  Neither reader
+    tests the zone (W does not depend on epsilon, which only places the
+    points): callers place the points off the disks, as the fans and
+    residual_check do.  On the spiral theta is zero and the sum raises
+    ValueError; q_laplace and q_laplace_series test the zone and raise
+    PoleProximityError.  It keeps W, not the remainder rows built from
+    it: a report builds those once, in asymptotic_check."""
 
     def __init__(self, grid):
         self.grid = grid
+        self.table = table = kernel_table(grid.q, grid.lam)
+        if repr(table.lam) != repr(complex(grid.lam)):  # 0.0 == -0.0, but not as a ray
+            self.table = table = kernel_table.__wrapped__(grid.q, grid.lam)
         constant = (0, (0,) * grid.d)
-        vector = cache(lambda t: _kernel_vector(grid, t))
 
         def series(t):
-            kept, top, _ = _kernel_terms(_kernel_vector(grid, t), 0)
+            kept, top, _ = _kernel_terms(grid, table.vector(t), 0)
             if not kept:
                 return TruncatedSeries.zero(grid.d, 1, grid.values[grid.m_max].series.Kz)
             acc = TruncatedSeries.combination_of_products((grid.values[m].series, inv, scale)
@@ -302,7 +324,7 @@ class KernelSamples:
             return acc * complex(grid.q ** top)
 
         def at_origin(t, k):
-            kept, top, rtol = _kernel_terms(vector(t), k)
+            kept, top, rtol = _kernel_terms(grid, table.vector(t), k)
             acc, size = None, 0.0
             for m, inv, scale in kept:
                 piece = grid.values[m].series.coeffs.get(constant, 0j) * inv * scale
@@ -317,29 +339,29 @@ class KernelSamples:
         self.origin = cache(at_origin)
 
 
-def _kernel_vector(grid, t):
-    """What the kernel sums at every t / q^k share: (grid, k0, frac, phase,
-    log_q|theta(y)|, arg theta(y), the product's rounding units, inverses)
-    with lambda / t = q^k0 y, y = q^frac e^{i phase}.  One triple product
-    gives theta(y), and the functional equation every theta(lambda q^n /
-    t); inverses maps a theta index n to (inverse mantissa, q-exponent),
-    filled as _kernel_terms keeps the terms, for every shift."""
-    q, lnq = grid.q, math.log(grid.q)
-    base_logq = math.log(abs(grid.lam) / abs(t)) / lnq
-    phase = cmath.phase(grid.lam / t)
+def _kernel_vector(q, lam, factors, t):
+    """What the kernel sums at every t / q^k share, on any grid: (k0, frac,
+    phase, log_q|theta(y)|, arg theta(y), the product's rounding units,
+    inverses) with lambda / t = q^k0 y, y = q^frac e^{i phase}.  One triple
+    product gives theta(y), and the functional equation every
+    theta(lambda q^n / t); inverses maps a theta index n to (inverse
+    mantissa, q-exponent), filled as _kernel_terms keeps the terms."""
+    lnq = math.log(q)
+    base_logq = math.log(abs(lam) / abs(t)) / lnq
+    phase = cmath.phase(lam / t)
     k0 = math.floor(base_logq)
     frac = base_logq - k0
     y = cmath.rect(q ** frac, phase)
-    th, steps = _theta_product(y, q)
+    th, steps = _theta_product(y, factors)
     units = (PRODUCT_STEP_UNITS * steps
              + FACTOR_UNITS * (2.0 * q / min(abs(1.0 + y), abs(1.0 + y / q))
                                + 3.0 * q / (q - 1.0) ** 2))
     # t lies off the spiral, so theta(y) is not zero
-    return grid, k0, frac, phase, math.log(abs(th)) / lnq, cmath.phase(th), units, {}
+    return k0, frac, phase, math.log(abs(th)) / lnq, cmath.phase(th), units, {}
 
 
-def _kernel_terms(vec, k):
-    """The terms of W(t / q^k, .) that survive the drop rule, from t's
+def _kernel_terms(grid, vec, k):
+    """The grid's terms of W(t / q^k, .) surviving the drop rule, from t's
     kernel vector, in index order, as (m, inv, scale) with W = q^top * sum
     values[m].series * inv * scale: inv is the inverse theta mantissa and
     scale the complex q^(e - top), e the term's exponent.  A term's log_q
@@ -361,7 +383,7 @@ def _kernel_terms(vec, k):
     z-window, is dropped.  Returns (terms, top, rtol), rtol the bound on
     a term's relative rounding error that the rounding floor reads; the
     terms are empty when every grid value is zero."""
-    grid, k0, frac, phase, log_th, arg_th, product_units, inverses = vec
+    k0, frac, phase, log_th, arg_th, product_units, inverses = vec
     q, lnq, k0 = grid.q, math.log(grid.q), k0 + k
     # log_q sizes of the terms: the value's less log_q|theta(lambda q^m / t)|,
     # at the three indices at each end (the tail checks read them) and at
@@ -462,19 +484,18 @@ def residual_check(eq, kernel, samples, epsilon=0.05):
     """Evaluate sum a_{j,alpha}(t,z) Dz^alpha W(q^j t, z) - F(t,z) at each
     sample, with W and its z-derivatives from the KernelSamples table, which
     sums each distinct point q^j t once.  A sample with a shifted point
-    inside or near the epsilon-disks is rejected.  Epsilon is checked as
-    zone_membership checks it, also when there is no sample."""
+    inside or near the epsilon-disks (kernel.table.zone) is rejected.
+    Epsilon is checked as zone_membership checks it, also when there is
+    no sample."""
     _require_epsilon(epsilon)
     q = eq.q
-    results = []
-    rejected = []
+    results, rejected = [], []
     worst_abs = worst_rel = 0.0
-    geom = SpiralGeometry(kernel.grid.lam, epsilon, q)
     shifts = sorted({term.j for term in eq.terms})
     for t in samples:
         t = complex(t)
         for j in shifts:
-            zone = zone_membership(geom, t * q ** j)
+            zone = kernel.table.zone(epsilon, t, j)
             if not zone.outside:
                 rejected.append((t, "shift q^%d t lies %s the excluded disks"
                                  % (j, PLACEMENT[zone.kind])))
@@ -602,21 +623,20 @@ def asymptotic_check(sol, kernel, epsilon, n_max):
 
     The expansion must hold for every small epsilon: the call returns the
     epsilon report, with the epsilon/2 report in its field `half`.  W(t,
-    0) and its floor at each point t = t_c / q^k of the epsilon/2
-    lattice_fan are origin(t_c, k) of the kernel-sample table of the grid
-    that continues `sol`'s Borel transform, and each point gets one
-    remainder row.  A class outside the epsilon-disks lies outside the
+    0) and its floor at each point t = t_c / q^k of the epsilon/2 fan
+    (kernel.table.lattice_fan) are origin(t_c, k) of the kernel samples
+    of the grid that continues `sol`'s Borel transform; each point gets
+    one remainder row.  A class outside the epsilon-disks lies outside the
     epsilon/2-disks, and lattice_fan places the same floats at both, so
     the epsilon check reads the rows at its own fan's points.
     """
-    q, lam = kernel.grid.q, kernel.grid.lam
-    geom = SpiralGeometry(lam, epsilon, q)
-    geom.require_disjoint()
+    q, table = kernel.grid.q, kernel.table
+    SpiralGeometry(kernel.grid.lam, epsilon, q).require_disjoint()
     if n_max > sol.count:
         raise UsageError("remainder depth %d exceeds the computed formal order %d"
                          % (n_max, sol.count))
     values, points, log_r, wvals, floors, rows = sol.origin_values(n_max), [], [], [], [], []
-    for t, base, k in lattice_fan(SpiralGeometry(lam, epsilon / 2.0, q)):
+    for t, base, k in table.lattice_fan(epsilon / 2.0):
         w, floor = kernel.origin(base, k)
         points.append(t)
         log_r.append(math.log(abs(t)))
@@ -625,7 +645,7 @@ def asymptotic_check(sol, kernel, epsilon, n_max):
         rows.append(remainder_row(q, values, w, t))
     EN = [[row[N] for row in rows] for N in range(0, n_max + 1)]
     half = _judged(q, epsilon / 2.0, points, log_r, wvals, floors, EN, None)
-    kept = {t for t, _, _ in lattice_fan(geom)}
+    kept = {t for t, _, _ in table.lattice_fan(epsilon)}
     picked = [i for i, t in enumerate(points) if t in kept]
     columns = (points, log_r, wvals, floors)
     return _judged(q, epsilon, *([column[i] for i in picked] for column in columns),

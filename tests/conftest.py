@@ -5,6 +5,7 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
+import qsum.qlaplace
 from qsum.equation import parse_equation
 from qsum.formal import solve_formal
 from qsum.newton import check_shape, newton_polygon
@@ -28,6 +29,16 @@ def monomial_grid(q, n, reach=60):
     one = TruncatedSeries.const(1.0, 0, 1, 1)
     values = {m: ScaledSeries(one, float(n * m)) for m in range(-reach, reach + 1)}
     return SpiralGrid(1.0, q, -reach, reach, 0, values, [], 1.0, 0)
+
+
+@pytest.fixture
+def cold_kernel_tables():
+    """qsum.qlaplace.kernel_table.cache_clear, called once before the
+    test: the work a test counts is a cold table's.  A test that counts
+    per report calls it again before each one."""
+    clear = qsum.qlaplace.kernel_table.cache_clear
+    clear()
+    return clear
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,7 @@
 """Digests of a fixed sweep of 240 reports, to check that a change leaves
 every report byte-identical.
 
-    python tests/report_sweep.py --src PATH
+    python tests/report_sweep.py --src PATH [--reverse]
 
 imports qsum from PATH (a directory that holds the `qsum` package, such
 as `src`) and runs `run_report` on the 40 equations of `corpus(40, seed)`
@@ -12,7 +12,10 @@ min(0.3, 0.45 (q-1)/(q+1)).  It prints one line per report, its key and
 the SHA-256 of its `to_dict()` without `timings` as JSON, or of the
 error's type and message, and a last line with the SHA-256 of all those
 lines.  Run it on two trees and compare the totals; the file name keeps
-pytest from collecting it.
+pytest from collecting it.  With --reverse the reports run in the
+opposite order and their lines print in the same order as without it, so
+equal totals show that no report depends on what the process ran before
+it (qsum.qlaplace.kernel_table keeps tables across reports).
 """
 
 import argparse
@@ -49,7 +52,10 @@ def _outcome(run_report, text, opt):
 def main(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", required=True, help="a directory that holds the qsum package")
-    src = os.path.abspath(parser.parse_args(argv).src)
+    parser.add_argument("--reverse", action="store_true",
+                        help="run the reports last to first; print them in the usual order")
+    args = parser.parse_args(argv)
+    src = os.path.abspath(args.src)
     sys.path.insert(0, src)
     import qsum
     if not os.path.abspath(qsum.__file__).startswith(os.path.join(src, "qsum") + os.sep):
@@ -58,20 +64,24 @@ def main(argv):
     from qsum.pipeline import Options, run_report
     inputs = _inputs()
     sized = Options(orders=20, mmax=20)
-    total, finished, lines = hashlib.sha256(), 0, 0
+    jobs = []  # (key, text, options), in the order of the lines
     for seed in SEEDS:
         for i, eq in enumerate(corpus(COUNT, seed, Kt=sized.kt(), Kz=12)):
             text = inputs.sized_json(eq, sized)
             for eps in (0.3, min(0.3, 0.45 * (eq.q - 1.0) / (eq.q + 1.0))):
-                outcome, ok = _outcome(run_report, text, Options(orders=20, mmax=20, epsilon=eps))
-                line = "%d-%02d eps=%r %s" % (seed, i, eps,
-                                              hashlib.sha256(outcome.encode("utf-8")).hexdigest())
-                print(line)
-                total.update((line + "\n").encode("utf-8"))
-                finished += ok
-                lines += 1
+                jobs.append(("%d-%02d eps=%r" % (seed, i, eps), text,
+                             Options(orders=20, mmax=20, epsilon=eps)))
+    outcomes = [None] * len(jobs)
+    for n in (reversed(range(len(jobs))) if args.reverse else range(len(jobs))):
+        outcomes[n] = _outcome(run_report, *jobs[n][1:])
+    total, finished = hashlib.sha256(), 0
+    for (key, _, _), (outcome, ok) in zip(jobs, outcomes):
+        line = "%s %s" % (key, hashlib.sha256(outcome.encode("utf-8")).hexdigest())
+        print(line)
+        total.update((line + "\n").encode("utf-8"))
+        finished += ok
     print("total %s (%d reports: %d finished, %d errors)"
-          % (total.hexdigest(), lines, finished, lines - finished))
+          % (total.hexdigest(), len(jobs), finished, len(jobs) - finished))
 
 
 if __name__ == "__main__":

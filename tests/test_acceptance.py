@@ -85,10 +85,15 @@ def test_criterion_3_resummed_residuals(euler_eq, euler_grid, ex2_eq, ex2_parts)
 
 def test_criterion_4_asymptotic_verifier(euler_sol, euler_grid, monkeypatch):
     base = asymptotic_check(euler_sol, KernelSamples(euler_grid), 0.3, 12)
+    # the kernel tables keep fans placed with the fan constants: none may
+    # serve the dense check, or keep its fans for the tests after it
+    clear = qsum.qlaplace.kernel_table.cache_clear
     with monkeypatch.context() as patch:
         patch.setattr(qsum.qlaplace, "ASYMPTOTIC_RAYS", 16)
         patch.setattr(qsum.qlaplace, "ASYMPTOTIC_RADII", 24)
+        clear()
         dense = asymptotic_check(euler_sol, KernelSamples(euler_grid), 0.3, 12)
+    clear()
     # H is clamped to 1 on these fans, so its agreement alone cannot fail;
     # the normalized remainder at the deepest order must agree too
     stable = (abs(dense.H - base.H) <= 0.2 * base.H

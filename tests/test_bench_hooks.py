@@ -192,8 +192,10 @@ def test_reports_build_each_row_and_residual_series_once(monkeypatch):
     assert calls == {"euler": (96, 15), "readme-d1": (96, 15), "mixed-d2": (96, 20)}
 
 
-def test_reports_test_each_zone_once_and_find_each_points_terms_once(monkeypatch):
-    """Per benchmark DSL report, zone_membership runs once per (ray,
+def test_reports_test_each_zone_once_and_find_each_points_terms_once(cold_kernel_tables,
+                                                                     monkeypatch):
+    """Per benchmark DSL report, on no kernel table kept (the inputs
+    share q = 2 and lambda = 1), zone_membership runs once per (ray,
     class) of each lattice fan, whose class base t_c places every point
     t_c / q^k of its class, and once per shift of each residual sample,
     and no more: the kernel sums do not test the zone again.  Each
@@ -212,18 +214,18 @@ def test_reports_test_each_zone_once_and_find_each_points_terms_once(monkeypatch
         zones.append(t)
         return zone_membership(geom, t)
 
-    def counting_vector(grid, t):
+    def counting_vector(q, lam, factors, t):
         vectors.append(t)
-        return kernel_vector(grid, t)
+        return kernel_vector(q, lam, factors, t)
 
-    def counting_terms(vec, k):
+    def counting_terms(grid, vec, k):
         found.append((id(vec), k))
         held.append(vec)
-        return kernel_terms(vec, k)
+        return kernel_terms(grid, vec, k)
 
-    def counting_product(y, q):
+    def counting_product(y, factors):
         products.append(y)
-        return theta_product(y, q)
+        return theta_product(y, factors)
 
     monkeypatch.setattr(qsum.qlaplace, "zone_membership", counting_zone)
     monkeypatch.setattr(qsum.qlaplace, "_kernel_vector", counting_vector)
@@ -234,6 +236,7 @@ def test_reports_test_each_zone_once_and_find_each_points_terms_once(monkeypatch
         for key, _, text in inputs.build(workload):
             for counted in (zones, vectors, found, products, held):
                 counted.clear()
+            cold_kernel_tables()
             run = Run(text, inputs.options(workload))
             run.residuals, run.asymptotic
             built = len(vectors)
@@ -249,10 +252,11 @@ def test_reports_test_each_zone_once_and_find_each_points_terms_once(monkeypatch
     assert calls == {"euler": (78, 39), "readme-d1": (78, 39), "mixed-d2": (88, 44)}
 
 
-def test_asymptotic_stage_tests_the_zone_inside_its_one_span():
+def test_asymptotic_stage_tests_the_zone_inside_its_one_span(cold_kernel_tables):
     """The benchmark's spans time the whole asymptotic stage: with the
-    hooks installed, the zone tests of both its fans, 24 each at q = 2,
-    run inside its one qlaplace.asymptotic_check span."""
+    hooks installed and no kernel table kept, the zone tests of both its
+    fans, 24 each at q = 2, run inside its one qlaplace.asymptotic_check
+    span."""
     spans = _load("spans")
     run = Run(EULER, Options(orders=10, mmax=10, n_check=6))
     run.residuals  # its sample fan tests the zone outside any qlaplace span

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import random
 import sys
@@ -12,10 +13,10 @@ from qsum.formal import solve_formal
 from qsum.qborel import SpiralGrid, borel_transform, borel_transformed_equation, continue_spiral
 from qsum.pipeline import Options, Run
 from qsum.qlaplace import (ASYMPTOTIC_RADII, ASYMPTOTIC_RAYS, ASYMPTOTIC_SPAN, KernelSamples,
-                           ResumReport, SpiralGeometry, _kernel_terms, _kernel_vector,
-                           _judged, _theta_product, asymptotic_check, lattice_fan, q_laplace,
-                           q_laplace_series, remainder_row, residual_check, sample_fan, theta,
-                           zone_membership)
+                           ResumReport, SpiralGeometry, _judged, _kernel_terms, _theta_factors,
+                           _theta_product, asymptotic_check, kernel_table, lattice_fan,
+                           q_laplace, q_laplace_series, remainder_row, residual_check,
+                           sample_fan, theta, zone_membership)
 from qsum.series import TruncatedSeries
 from conftest import EULER_TEXT, EX2_TEXT, MIXED_D2_TEXT, monomial_grid
 
@@ -89,7 +90,12 @@ def test_theta_product_equals_the_stepwise_product(q):
     points = [1.0, -1.0, 1j, complex(-q ** 0.5, 0.0)] + [
         cmath.rect(q ** rng.random(), rng.uniform(-math.pi, math.pi)) for _ in range(40)]
     for y in points:
-        assert repr(_theta_product(y, q)) == repr(_stepwise_theta_product(y, q)), y
+        assert repr(_theta_product(y, _theta_factors(q))) == repr(_stepwise_theta_product(y, q)), y
+
+
+def _vector(grid, t):
+    """t's kernel vector, from the table of the grid's (q, lambda)."""
+    return kernel_table(grid.q, grid.lam).vector(t)
 
 
 @pytest.mark.parametrize("text", [EULER_TEXT, EX2_TEXT, MIXED_D2_TEXT])
@@ -104,7 +110,7 @@ def test_kernel_series_equals_the_combination_of_scaled_values(text):
     points = {s.t * q ** j for s in run.residuals.samples for j in shifts}
     assert points
     for t in points:
-        kept, top, _ = _kernel_terms(_kernel_vector(grid, t), 0)
+        kept, top, _ = _kernel_terms(grid, _vector(grid, t), 0)
         want = TruncatedSeries.combination([(grid.values[m].series * inv, scale)
                                             for m, inv, scale in kept]) * complex(q ** top)
         got = run.kernel_samples.series(t)
@@ -267,6 +273,24 @@ def test_q_laplace_representative_invariance(euler_eq, euler_sol):
         assert abs(a - b) <= 1e-9 * abs(a)
 
 
+@pytest.mark.parametrize("lam", [1.0, cmath.exp(0.5j)])
+def test_w_at_lambda_and_q_lambda_agree_within_their_floors(lam):
+    """lambda and q lambda lie in one class of C*/q^Z, so W_{q lambda} is
+    the kernel sum of W_lambda re-indexed: the same W.  The two runs
+    continue two grids, with their own seed sums, and read two kernel
+    tables.  At every point of the lattice fan at epsilon 0.15, for the
+    three benchmark equations, |W_lambda - W_{q lambda}| stays within 1%
+    of the sum of the two floors (the largest measured is 0.36%)."""
+    for text in (EULER_TEXT, EX2_TEXT, MIXED_D2_TEXT):
+        kernels = [Run(text, Options(lam=lam * q)).kernel_samples for q in (1.0, Q)]
+        assert kernels[0].table is not kernels[1].table
+        fan = kernels[0].table.lattice_fan(0.15)
+        assert len(fan) == 96
+        for _, base, k in fan:
+            (w, floor), (w_q, floor_q) = (kernel.origin(base, k) for kernel in kernels)
+            assert abs(w - w_q) <= 0.01 * (floor + floor_q), (text, lam, base, k)
+
+
 def test_q_laplace_pole_blowup(euler_grid):
     # approaching the pole at t = -1 radially: |W| must keep growing
     vals = []
@@ -357,24 +381,25 @@ def _single_check(sol, grid, epsilon, n_max):
                    [[row[N] for row in rows] for N in range(n_max + 1)], None)
 
 
-def test_a_second_epsilon_sums_no_new_w(euler_sol, euler_grid, monkeypatch):
-    """One call, on a fresh table, builds one kernel vector per (ray,
-    class), 24 at q = 2, finds the kept terms once per point t_c / q^k of
-    its epsilon/2 fan and builds one remainder row per point of that fan
-    in fan order.  Its epsilon report reads those rows at the points of
-    the epsilon fan, so no point gets a second row, and both reports equal
-    the check built on each epsilon's own fan."""
+def test_a_second_epsilon_sums_no_new_w(cold_kernel_tables, euler_sol, euler_grid, monkeypatch):
+    """One call, on fresh kernel samples and no kernel table kept, builds
+    one kernel vector per (ray, class), 24 at q = 2, finds the kept terms
+    once per point t_c / q^k of its epsilon/2 fan and builds one
+    remainder row per point of that fan in fan order.  Its epsilon report
+    reads those rows at the points of the epsilon fan, so no point gets a
+    second row, and both reports equal the check built on each epsilon's
+    own fan."""
     kernel = KernelSamples(euler_grid)
     kernel_vector, kernel_terms = qsum.qlaplace._kernel_vector, qsum.qlaplace._kernel_terms
     built, summed, rows = [], [], []
 
-    def counting_vector(grid, t):
+    def counting_vector(q, lam, factors, t):
         built.append(t)
-        return kernel_vector(grid, t)
+        return kernel_vector(q, lam, factors, t)
 
-    def counting_terms(vec, k):
+    def counting_terms(grid, vec, k):
         summed.append(k)
-        return kernel_terms(vec, k)
+        return kernel_terms(grid, vec, k)
 
     def counting_row(q, values, w, t):
         rows.append(t)
@@ -605,7 +630,7 @@ def _direct_q_laplace_series(grid, t, epsilon):
     phase = cmath.phase(lam / t)
     k0 = math.floor(base_logq)
     frac = base_logq - k0
-    th, _ = _theta_product(cmath.rect(q ** frac, phase), q)
+    th, _ = _theta_product(cmath.rect(q ** frac, phase), _theta_factors(q))
     log_th, arg_th = math.log(abs(th)) / math.log(q), cmath.phase(th)
     terms = []
     for m in range(grid.m_min, grid.m_max + 1):
@@ -659,7 +684,8 @@ def band_grids(euler_grid, ex2_parts):
             "euler q=1.5": Run(EULER_TEXT.replace("q=2", "q=1.5"), Options(**small)).grid,
             "euler q=3": Run(EULER_TEXT.replace("q=2", "q=3"), Options(**small)).grid,
             "readme-d1 q=3": Run(EX2_TEXT.replace("q=2", "q=3"), Options(**small)).grid,
-            "euler lambda=0.6+0.8i": Run(EULER_TEXT, Options(lam=0.6 + 0.8j, **small)).grid}
+            "euler lambda=0.6+0.8i": Run(EULER_TEXT, Options(lam=0.6 + 0.8j, **small)).grid,
+            "mixed-d2": Run(MIXED_D2_TEXT, Options()).grid}
 
 
 BAND_GRIDS = ["euler", "readme-d1", "euler q=1.5", "euler q=3", "readme-d1 q=3",
@@ -689,14 +715,14 @@ def test_banded_kernel_sum_equals_the_direct_sum(band_grids, name):
         assert _assert_equals_the_direct_sum(grid, t, eps) is not None, (name, eps, t)
 
 
-def _full_scan_terms(vec, k):
+def _full_scan_terms(grid, vec, k):
     """_kernel_terms without the stop rule of its upward scan: every index
     from theta's vertex (or the upper three) up to m_max is sized, then
     the walk down, the tail checks, the drop rule and the floor's rtol as
     there.  Returns _kernel_terms' (terms, top, rtol) and the sizes by
     index."""
     from qsum.qlaplace import ROUNDING_UNIT, TERM_UNITS, _check_tail, _shifted
-    grid, k0, frac, phase, log_th, arg_th, product_units, _ = vec
+    k0, frac, phase, log_th, arg_th, product_units, _ = vec
     q, lnq, k0 = grid.q, math.log(grid.q), k0 + k
     lo, hi = grid.m_min, grid.m_max
 
@@ -729,12 +755,12 @@ def _full_scan_terms(vec, k):
     return (terms, top, units * ROUNDING_UNIT), sizes
 
 
-def _scan_stop(vec, k, sizes, slack=0.0):
+def _scan_stop(grid, vec, k, sizes, slack=0.0):
     """Where the upward scan of _kernel_terms stops at t / q^k, given the
     full scan's sizes, with the rise bound allowed `slack` q-units more
     than k0 + frac; None where it sizes every index up to m_max.  The
     scan's top starts from the three sizes at each end."""
-    grid, k0, frac = vec[0], vec[1] + k, vec[2]
+    k0, frac = vec[0] + k, vec[1]
     lo, hi = grid.m_min, grid.m_max
     start = max(lo, min(-k0, hi - 2))
     ends = list(range(lo, min(lo + 3, start))) + list(range(max(hi - 2, lo), hi + 1))
@@ -772,7 +798,7 @@ def _assert_equals_the_direct_sum(grid, t, eps):
             assert str(got.value) == str(err)
         return None
     origin = (0.0,) * grid.d
-    assert [m for m, _, _ in _kernel_terms(_kernel_vector(grid, t), 0)[0]] == kept, t
+    assert [m for m, _, _ in _kernel_terms(grid, _vector(grid, t), 0)[0]] == kept, t
     w, floor = q_laplace(grid, t, eps)
     assert abs(w - want.evaluate(0.0, origin)) <= floor, t
     assert KernelSamples(grid).origin(t, 0) == (w, floor)
@@ -791,9 +817,9 @@ def test_a_raised_value_above_the_scan_stop_is_summed(band_grids, name):
     grid = band_grids[name]
     raised = 0
     for eps, t in _band_cases(grid)[4:]:
-        vec = _kernel_vector(grid, t)
-        (_, top, _), sizes = _full_scan_terms(vec, 0)
-        stop = _scan_stop(vec, 0, sizes)
+        vec = _vector(grid, t)
+        (_, top, _), sizes = _full_scan_terms(grid, vec, 0)
+        stop = _scan_stop(grid, vec, 0, sizes)
         if stop is None or stop + 1 >= grid.m_max - 3:
             continue
         m = (stop + grid.m_max - 3) // 2
@@ -816,16 +842,17 @@ def test_a_gentle_rise_above_the_scan_stop_is_summed(band_grids):
         grid = band_grids[name]
         lnq = math.log(grid.q)
         for eps, t in _band_cases(grid)[4:]:
-            vec = _kernel_vector(grid, t)
-            (_, top, _), sizes = _full_scan_terms(vec, 0)
-            m = _scan_stop(vec, 0, sizes)
+            vec = _vector(grid, t)
+            (_, top, _), sizes = _full_scan_terms(grid, vec, 0)
+            m = _scan_stop(grid, vec, 0, sizes)
             drop = top + math.log(1e-16) / lnq
             if m is None or not drop - 0.45 < sizes[m] < drop - 0.05:
                 continue
             raised = _boosted(grid, {m + 1: sizes[m] + 0.5 - sizes[m + 1]})
             assert m + 1 in _assert_equals_the_direct_sum(raised, t, eps), (name, t)
-            vec = _kernel_vector(raised, t)
-            assert _scan_stop(vec, 0, _full_scan_terms(vec, 0)[1], slack=2.0) == m, (name, t)
+            vec = _vector(raised, t)
+            assert _scan_stop(raised, vec, 0, _full_scan_terms(raised, vec, 0)[1],
+                              slack=2.0) == m, (name, t)
             found += 1
     assert found >= 5
 
@@ -842,9 +869,9 @@ def _kernel_points(grid, residual_points):
     return points
 
 
-def _scan_outcome(read, vec, k):
+def _scan_outcome(read, grid, vec, k):
     try:
-        return read(vec, k)
+        return read(grid, vec, k)
     except (GridTooShortError, OverflowError) as err:
         return type(err).__name__, str(err)
 
@@ -871,11 +898,11 @@ def test_kernel_terms_equal_the_full_scan(band_grids, name):
         residual = [t for _, t in _band_cases(grid)] + [t * q ** j for t in fan for j in range(3)]
     points, stops = _kernel_points(grid, residual), 0
     for t, k in points:
-        vec = _kernel_vector(grid, t)
-        want = _scan_outcome(lambda v, s: _full_scan_terms(v, s)[0], vec, k)
-        assert _scan_outcome(_kernel_terms, vec, k) == want, (name, t, k)
+        vec = _vector(grid, t)
+        want = _scan_outcome(lambda g, v, s: _full_scan_terms(g, v, s)[0], grid, vec, k)
+        assert _scan_outcome(_kernel_terms, grid, vec, k) == want, (name, t, k)
         if isinstance(want[0], list):
-            stops += _scan_stop(vec, k, _full_scan_terms(vec, k)[1]) is not None
+            stops += _scan_stop(grid, vec, k, _full_scan_terms(grid, vec, k)[1]) is not None
     assert 2 * stops > len(points), name
 
 
@@ -894,7 +921,7 @@ def _per_point_fan(geom):
     return fan
 
 
-def test_lattice_fan_places_each_class_as_each_of_its_points(monkeypatch):
+def test_lattice_fan_places_each_class_as_each_of_its_points(cold_kernel_tables, monkeypatch):
     """|1 + lambda q^m / (t_c / q^k)| = |1 + lambda q^(m+k) / t_c|, so the
     zone test of a class base places every point of its class: the fan
     equals the per-point reference over q, lambda and epsilon near and
@@ -927,7 +954,7 @@ def test_lattice_fan_places_each_class_as_each_of_its_points(monkeypatch):
     assert dropped > 0 and gained > 0
 
 
-@pytest.mark.parametrize("name", BAND_GRIDS)
+@pytest.mark.parametrize("name", BAND_GRIDS + ["mixed-d2"])
 def test_kernel_sum_error_is_below_its_floor(band_grids, name):
     """W(t, 0) against the same grid values summed at 60 digits: the
     difference stays below the rounding floor q_laplace returns, at
@@ -1125,3 +1152,64 @@ def test_grid_too_short_at_q_near_one(name, text):
     with pytest.raises(GridTooShortError) as err:
         run_report(eq, Options(epsilon=0.5 * 0.05 / 2.05))
     assert str(err.value) == text
+
+
+def test_a_warm_kernel_table_gives_the_cold_tables_report(cold_kernel_tables, monkeypatch):
+    """Each benchmark DSL report is the same, to_dict() without timings
+    as JSON, on no kernel table kept, on the table its first run left,
+    and after a report at another q and lambda.  The warm run takes no
+    triple product and tests no zone: it reads every kernel vector, both
+    lattice fans, the residual fan and the zones of the shifted residual
+    points from the table.  The three share q = 2 and lambda = 1, and on
+    the one table that all three fill each report is its cold one, so no
+    entry holds anything of a grid or an equation."""
+    from qsum.pipeline import run_report
+    theta_product, zone = qsum.qlaplace._theta_product, qsum.qlaplace.zone_membership
+    products, zones = [], []
+
+    def counting_product(y, factors):
+        products.append(y)
+        return theta_product(y, factors)
+
+    def counting_zone(geom, t):
+        zones.append(t)
+        return zone(geom, t)
+    monkeypatch.setattr(qsum.qlaplace, "_theta_product", counting_product)
+    monkeypatch.setattr(qsum.qlaplace, "zone_membership", counting_zone)
+
+    def report(text, lam=1.0):
+        doc = run_report(text, Options(lam=lam)).to_dict()
+        doc.pop("timings")
+        return json.dumps(doc)
+    texts, colds = (EULER_TEXT, EX2_TEXT, MIXED_D2_TEXT), {}
+    for text in texts:
+        cold_kernel_tables()
+        cold = colds[text] = report(text)
+        assert products and zones
+        products.clear()
+        zones.clear()
+        assert report(text) == cold
+        assert products == zones == []
+        report(text.replace("q=2", "q=3"), cmath.exp(0.5j))
+        assert report(text) == cold
+    cold_kernel_tables()
+    for text in texts + texts[::-1]:
+        assert report(text) == colds[text]
+
+
+def test_a_lambda_equal_but_for_a_zero_sign_reads_its_own_table(cold_kernel_tables):
+    """-1 + 0j == -1 - 0j, so the two key one kernel table, but their
+    phases are pi and -pi, and the fans' rays differ in the last bits:
+    the report at -1 - 0j is the same after a report at -1 + 0j as on no
+    table kept."""
+    from qsum.pipeline import run_report
+    text = "q=2; delta=1; m=1; d=0; eq: -t*S^1(X) + S^0(X) = 1"
+
+    def report(lam):
+        doc = run_report(text, Options(lam=lam)).to_dict()
+        doc.pop("timings")
+        return json.dumps(doc)
+    cold = report(complex(-1.0, -0.0))
+    cold_kernel_tables()
+    report(complex(-1.0, 0.0))
+    assert report(complex(-1.0, -0.0)) == cold
