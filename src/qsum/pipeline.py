@@ -32,7 +32,8 @@ from .newton import (SINGULAR_RAY_TOL, characteristic_polynomial, check_interior
                      reduced_coefficients, singular_directions)
 from .qborel import (SEED_RADIUS_FRACTION, borel_transform, borel_transformed_equation,
                      continue_spiral, fit_spiral_bound)
-from .qlaplace import KernelSamples, SpiralGeometry, asymptotic_check, residual_check
+from .qlaplace import (KernelSamples, SpiralGeometry, _require_epsilon, asymptotic_check,
+                       residual_check)
 
 # with the polygon shape, the conditions every stage past them needs
 HARD_CONDITIONS = ("interior", "nondegeneracy")
@@ -53,8 +54,7 @@ class Options:
                                ("n_check", "N", 1), ("Kz", "zorder", 0)):
             if getattr(self, name) < low:
                 raise UsageError("%s must be at least %d (got %d)" % (key, low, getattr(self, name)))
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
-            raise UsageError("epsilon must be positive and finite (got %r)" % self.epsilon)
+        _require_epsilon(self.epsilon)
         lam = complex(self.lam)
         if not (cmath.isfinite(lam) and lam != 0):
             raise UsageError("lambda must be nonzero and finite (got %r)" % lam)

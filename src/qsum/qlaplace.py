@@ -100,13 +100,14 @@ def theta(x, q):
     """theta_q(x) as a QScaled, from the Jacobi triple product.
 
     x = q^k y with 1 <= |y| < q, and theta(q^k y) = q^{k(k+1)/2} y^k
-    theta(y) with theta(y) from _theta_product on kernel_table(q, 1.0)'s
-    factors; the kernel sums use the same product and closed form.  The
-    reduction divides x by q**k, so at x = -q**k it gives y = -1 exactly
-    and the mantissa is 0.  No terms cancel: near a zero the relative
-    error is a few units of 2^-53 over x's relative distance from it, the
-    condition number of theta there.  A base q outside (1, inf) and an x
-    that is zero or not finite raise ValueError."""
+    theta(y) with theta(y) from _theta_product on q's factors
+    (_theta_factors, built per call: theta makes no kernel table); the
+    kernel sums use the same product and closed form.  The reduction
+    divides x by q**k, so at x = -q**k it gives y = -1 exactly and the
+    mantissa is 0.  No terms cancel: near a zero the relative error is a
+    few units of 2^-53 over x's relative distance from it, the condition
+    number of theta there.  A base q outside (1, inf) and an x that is
+    zero or not finite raise ValueError."""
     x = complex(x)
     if not 1.0 < q < math.inf:
         raise ValueError("theta needs a base q in (1, inf), got %r" % q)
@@ -123,7 +124,7 @@ def theta(x, q):
     # by two normal powers there
     s = q ** k
     y = x / s if s >= sys.float_info.min else x / q ** (k // 2) / q ** (k - k // 2)
-    th = _theta_product(y, kernel_table(q, 1.0).factors)[0]
+    th = _theta_product(y, _theta_factors(q))[0]
     if th == 0:
         return QScaled(q, 0j, 0)
     r, angle, qexp = _shifted(k, math.log(abs(y)) / lnq, cmath.phase(y),
@@ -276,37 +277,49 @@ def _outside_disks(grid, t, epsilon):
 def kernel_table(q, lam):
     """What the kernel sums and the sample placement at (q, lambda) share,
     each computed on first read: the triple product's factors; vector(t),
-    t's kernel vector (_kernel_vector); lattice_fan(epsilon),
-    sample_fan(epsilon, rays, radii) and zone(epsilon, t, j), the zone of
-    t q^j.  No grid or equation enters, and an entry is the same code on
-    the same floats as a fresh one, so the reports at one (q, lambda)
-    share a table and stay the same; a one-report process (the CLI) gains
-    nothing.  The entries close over q, lambda and the factors, not the
-    table: a dropped table is freed by reference counting."""
+    t's kernel vector (_kernel_vector); zone(epsilon, t), t's
+    zone_membership, one entry per point, as a q-shift of t lies where t
+    does: it places the residual fan's points, the residual samples and
+    the lattice fan's class bases at epsilon; lattice_fan(epsilon); and
+    sample_fan(epsilon, rays, radii), the points at each radius on `rays`
+    rays spaced evenly off lambda's, kept where zone places them outside
+    the disks.  No grid or equation enters, and an entry is the same code
+    on the same floats as a fresh one, so the reports at one (q, lambda)
+    share a table and stay the same; a one-report process (the CLI)
+    gains nothing.  The entries close over q, lambda and the factors, not
+    the table: a dropped table is freed by reference counting."""
     lam, factors, kept = complex(lam), _theta_factors(q), lru_cache(maxsize=TABLE_ENTRIES)
+    zone = kept(lambda eps, t: zone_membership(SpiralGeometry(lam, eps, q), t))
     return SimpleNamespace(
-        lam=lam, factors=factors, vector=kept(lambda t: _kernel_vector(q, lam, factors, t)),
+        lam=lam, factors=factors, zone=zone,
+        vector=kept(lambda t: _kernel_vector(q, lam, factors, t)),
         lattice_fan=kept(lambda eps: tuple(lattice_fan(SpiralGeometry(lam, eps, q)))),
         sample_fan=kept(lambda eps, rays, radii: tuple(
-            sample_fan(SpiralGeometry(lam, eps, q), rays, radii))),
-        zone=kept(lambda eps, t, j: zone_membership(SpiralGeometry(lam, eps, q), t * q ** j)))
+            t for t in (cmath.rect(r, ang) for ang in _ray_angles(lam, rays) for r in radii)
+            if zone(eps, t).outside)))
+
+
+def _ray_angles(lam, rays):
+    """The arguments of `rays` rays spaced evenly off lambda's, the first
+    half a spacing from it."""
+    return [cmath.phase(lam) + 2.0 * math.pi * (i + 0.5) / rays for i in range(rays)]
 
 
 class KernelSamples:
-    """W at the sample points of one grid, each sum done once
-    (functools.cache), from one kernel vector per point t
-    (kernel_table).  series(t) is W(t, .) as a z-series; origin(t, k) is
-    (W(t / q^k, 0), floor) from t's vector, as theta(lambda q^m / (t /
-    q^k)) = theta(lambda q^(m+k) / t): each term's constant coefficient
-    summed with the operations of series, and the terms' magnitudes
-    times a bound on each one's relative rounding error (ROUNDING_UNIT),
-    below which a difference from W is not resolved.  Neither reader
-    tests the zone (W does not depend on epsilon, which only places the
-    points): callers place the points off the disks, as the fans and
-    residual_check do.  On the spiral theta is zero and the sum raises
-    ValueError; q_laplace and q_laplace_series test the zone and raise
-    PoleProximityError.  It keeps W, not the remainder rows built from
-    it: a report builds those once, in asymptotic_check."""
+    """W at the sample points of one grid, from one kernel vector per point
+    t (kernel_table).  series(t) is W(t, .) as a z-series, each sum done
+    once (functools.cache): a residual sample's shifted points q^j t
+    meet those of other samples.  origin(t, k) is (W(t / q^k, 0), floor)
+    from t's vector, as theta(lambda q^m / (t / q^k)) = theta(lambda
+    q^(m+k) / t): each term's constant coefficient summed with the
+    operations of series, and the terms' magnitudes times a bound on each
+    one's relative rounding error (ROUNDING_UNIT), below which a
+    difference from W is not resolved.  It is not kept: asymptotic_check
+    reads it once per point.  Neither reader tests the zone (W does not
+    depend on epsilon, which only places the points): callers place the
+    points off the disks, as the fans and residual_check do.  On the
+    spiral theta is zero and the sum raises ValueError; q_laplace and
+    q_laplace_series test the zone and raise PoleProximityError."""
 
     def __init__(self, grid):
         self.grid = grid
@@ -323,7 +336,7 @@ class KernelSamples:
                                                           for m, inv, scale in kept)
             return acc * complex(grid.q ** top)
 
-        def at_origin(t, k):
+        def origin(t, k):
             kept, top, rtol = _kernel_terms(grid, table.vector(t), k)
             acc, size = None, 0.0
             for m, inv, scale in kept:
@@ -335,8 +348,7 @@ class KernelSamples:
             unit = complex(grid.q ** top)
             return acc * unit, size * abs(unit) * rtol
 
-        self.series = cache(series)
-        self.origin = cache(at_origin)
+        self.series, self.origin = cache(series), origin
 
 
 def _kernel_vector(q, lam, factors, t):
@@ -483,30 +495,26 @@ class KernelResidualReport(NamedTuple):
 def residual_check(eq, kernel, samples, epsilon=0.05):
     """Evaluate sum a_{j,alpha}(t,z) Dz^alpha W(q^j t, z) - F(t,z) at each
     sample, with W and its z-derivatives from the KernelSamples table, which
-    sums each distinct point q^j t once.  A sample with a shifted point
-    inside or near the epsilon-disks (kernel.table.zone) is rejected.
-    Epsilon is checked as zone_membership checks it, also when there is
-    no sample."""
+    sums each distinct point q^j t once.  A sample inside or near the
+    epsilon-disks (kernel.table.zone) is rejected; the disks are invariant
+    under t -> q t, so its shifted points q^j t lie where it does (see
+    lattice_fan).  Epsilon is checked as zone_membership checks it, also
+    when there is no sample."""
     _require_epsilon(epsilon)
-    q = eq.q
     results, rejected = [], []
     worst_abs = worst_rel = 0.0
-    shifts = sorted({term.j for term in eq.terms})
     for t in samples:
         t = complex(t)
-        for j in shifts:
-            zone = kernel.table.zone(epsilon, t, j)
-            if not zone.outside:
-                rejected.append((t, "shift q^%d t lies %s the excluded disks"
-                                 % (j, PLACEMENT[zone.kind])))
-                break
-        else:
-            res, rel = residual_norms((term.coeff.eval_t(t)
-                                       * kernel.series(t * q ** term.j).dz_multi(term.alpha)
-                                       for term in eq.terms), eq.rhs.eval_t(t))
-            results.append(SampleResidual(t, res, rel))
-            worst_abs = max(worst_abs, res)
-            worst_rel = max(worst_rel, rel)
+        zone = kernel.table.zone(epsilon, t)
+        if not zone.outside:
+            rejected.append((t, "sample lies %s the excluded disks" % PLACEMENT[zone.kind]))
+            continue
+        res, rel = residual_norms((term.coeff.eval_t(t)
+                                   * kernel.series(t * eq.q ** term.j).dz_multi(term.alpha)
+                                   for term in eq.terms), eq.rhs.eval_t(t))
+        results.append(SampleResidual(t, res, rel))
+        worst_abs = max(worst_abs, res)
+        worst_rel = max(worst_rel, rel)
     return KernelResidualReport(results, worst_abs, worst_rel, rejected)
 
 
@@ -531,36 +539,21 @@ class ResumReport(NamedTuple):
         return self.verdict == "pass"
 
 
-def sample_fan(geom, rays, radii):
-    """Points at each of the given radii on `rays` rays spaced evenly off
-    lambda's, kept where they lie outside the excluded disks."""
-    base = cmath.phase(geom.lam)
-    points = []
-    for i in range(rays):
-        ang = base + 2.0 * math.pi * (i + 0.5) / rays
-        for r in radii:
-            t = cmath.rect(r, ang)
-            if zone_membership(geom, t).outside:
-                points.append(t)
-    return points
-
-
 def lattice_fan(geom):
     """The asymptotic fan on a q-lattice: on ASYMPTOTIC_RAYS rays spaced
-    evenly off lambda's, the radii r_max q^(-j/s), r_max = 0.1|lambda|, j
-    < ASYMPTOTIC_RADII, ray by ray in ascending order, kept where they
-    lie outside the excluded disks.  s is the least integer >= 1 with
-    q^((ASYMPTOTIC_RADII - 1) / s) <= ASYMPTOTIC_SPAN.  Point j is t_c /
-    q^k, k = j // s, of the class base t_c = rect(r_max q^(-(j mod s)/s),
-    angle), whose kernel vector serves its class, and whose zone test
-    places the class: |1 + lambda q^m / (t_c / q^k)| = |1 + lambda
-    q^(m+k) / t_c|, so every point of a class lies in the same disks as
-    t_c.  Returns (t, t_c, k)."""
+    evenly off lambda's (_ray_angles), the radii r_max q^(-j/s), r_max =
+    0.1|lambda|, j < ASYMPTOTIC_RADII, ray by ray in ascending order, kept
+    where they lie outside the excluded disks.  s is the least integer >=
+    1 with q^((ASYMPTOTIC_RADII - 1) / s) <= ASYMPTOTIC_SPAN.  Point j is
+    t_c / q^k, k = j // s, of the class base t_c = rect(r_max q^(-(j mod
+    s)/s), angle), whose kernel vector serves its class, and whose zone
+    test places the class: the disks are invariant under t -> q t, as
+    |1 + lambda q^m / (t_c / q^k)| = |1 + lambda q^(m+k) / t_c|, so every
+    point of a class lies in the same disks as t_c.  Returns (t, t_c, k)."""
     q, r_max = geom.q, 0.1 * abs(geom.lam)
     s = max(1, math.ceil((ASYMPTOTIC_RADII - 1) * math.log(q) / math.log(ASYMPTOTIC_SPAN)))
     fan = []
-    for i in range(ASYMPTOTIC_RAYS):
-        ang = cmath.phase(geom.lam) + 2.0 * math.pi * (i + 0.5) / ASYMPTOTIC_RAYS
+    for ang in _ray_angles(geom.lam, ASYMPTOTIC_RAYS):
         outside = {}
         for j in range(ASYMPTOTIC_RADII - 1, -1, -1):
             base = cmath.rect(r_max * q ** (-(j % s) / s), ang)
@@ -626,9 +619,10 @@ def asymptotic_check(sol, kernel, epsilon, n_max):
     0) and its floor at each point t = t_c / q^k of the epsilon/2 fan
     (kernel.table.lattice_fan) are origin(t_c, k) of the kernel samples
     of the grid that continues `sol`'s Borel transform; each point gets
-    one remainder row.  A class outside the epsilon-disks lies outside the
-    epsilon/2-disks, and lattice_fan places the same floats at both, so
-    the epsilon check reads the rows at its own fan's points.
+    one remainder row.  The epsilon report reads the rows of the points
+    whose class base t_c kernel.table.zone places outside the
+    epsilon-disks: such a class lies outside the epsilon/2-disks too, so
+    these are the points, in order, of the fan at epsilon.
     """
     q, table = kernel.grid.q, kernel.table
     SpiralGeometry(kernel.grid.lam, epsilon, q).require_disjoint()
@@ -636,7 +630,8 @@ def asymptotic_check(sol, kernel, epsilon, n_max):
         raise UsageError("remainder depth %d exceeds the computed formal order %d"
                          % (n_max, sol.count))
     values, points, log_r, wvals, floors, rows = sol.origin_values(n_max), [], [], [], [], []
-    for t, base, k in table.lattice_fan(epsilon / 2.0):
+    fan = table.lattice_fan(epsilon / 2.0)
+    for t, base, k in fan:
         w, floor = kernel.origin(base, k)
         points.append(t)
         log_r.append(math.log(abs(t)))
@@ -645,8 +640,7 @@ def asymptotic_check(sol, kernel, epsilon, n_max):
         rows.append(remainder_row(q, values, w, t))
     EN = [[row[N] for row in rows] for N in range(0, n_max + 1)]
     half = _judged(q, epsilon / 2.0, points, log_r, wvals, floors, EN, None)
-    kept = {t for t, _, _ in table.lattice_fan(epsilon)}
-    picked = [i for i, t in enumerate(points) if t in kept]
+    picked = [i for i, (_, base, _) in enumerate(fan) if table.zone(epsilon, base).outside]
     columns = (points, log_r, wvals, floors)
     return _judged(q, epsilon, *([column[i] for i in picked] for column in columns),
                    [[row[i] for i in picked] for row in EN], half)

@@ -1,4 +1,4 @@
-"""Digests of a fixed sweep of 240 reports, to check that a change leaves
+"""Digests of a fixed sweep of 261 reports, to check that a change leaves
 every report byte-identical.
 
     python tests/report_sweep.py --src PATH [--reverse]
@@ -8,14 +8,22 @@ as `src`) and runs `run_report` on the 40 equations of `corpus(40, seed)`
 for the seeds 20240901, 1 and 2, each written as a JSON document with
 `perfbench/inputs.sized_json` (from this checkout) at `Options(orders=20,
 mmax=20)` and run with those options at epsilon 0.3 and at epsilon
-min(0.3, 0.45 (q-1)/(q+1)).  It prints one line per report, its key and
-the SHA-256 of its `to_dict()` without `timings` as JSON, or of the
-error's type and message, and a last line with the SHA-256 of all those
-lines.  Run it on two trees and compare the totals; the file name keeps
-pytest from collecting it.  With --reverse the reports run in the
-opposite order and their lines print in the same order as without it, so
-equal totals show that no report depends on what the process ran before
-it (qsum.qlaplace.kernel_table keeps tables across reports).
+min(0.3, 0.45 (q-1)/(q+1)).  Then come 21 reports that share lambda = 1
+and one q per block, and whose sample fans change with epsilon: the
+benchmark's three DSL equations (perfbench/inputs.py) at the same
+options, at q = 1.4 with epsilon 0.15, 0.04 and 0.02 (8, 9 and 10
+residual samples), at q = 3 with 0.3 and 0.45 (96 and 82 points in the
+asymptotic fan at epsilon) and at q = 10 with 0.72 and 0.8 (92 and 90
+points at epsilon/2, which rounds to 0.4 at both).  It prints one line
+per report, its key and the SHA-256 of its `to_dict()` without `timings`
+as JSON, or of the error's type and message, and a last line with the
+SHA-256 of all those lines.  Run it on two trees and compare the totals;
+the file name keeps pytest from collecting it.  With --reverse the
+reports run in the opposite order and their lines print in the same
+order as without it, so equal totals show that no report depends on what
+the process ran before it (qsum.qlaplace.kernel_table keeps tables
+across reports); a table entry keyed by less than its value depends on
+shows there as a report that differs in the two orders.
 """
 
 import argparse
@@ -28,6 +36,8 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (20240901, 1, 2)
 COUNT = 40
+# (q, epsilons) of the blocks of reports that share a kernel table
+SHARED = ((1.4, (0.15, 0.04, 0.02)), (3.0, (0.3, 0.45)), (10.0, (0.72, 0.8)))
 
 
 def _inputs():
@@ -70,6 +80,12 @@ def main(argv):
             text = inputs.sized_json(eq, sized)
             for eps in (0.3, min(0.3, 0.45 * (eq.q - 1.0) / (eq.q + 1.0))):
                 jobs.append(("%d-%02d eps=%r" % (seed, i, eps), text,
+                             Options(orders=20, mmax=20, epsilon=eps)))
+    for q, epsilons in SHARED:
+        for name, text in (("euler", inputs.EULER), ("readme-d1", inputs.README_D1),
+                           ("mixed-d2", inputs.MIXED_D2)):
+            for eps in epsilons:
+                jobs.append(("%s q=%r eps=%r" % (name, q, eps), text.replace("q=2;", "q=%r;" % q),
                              Options(orders=20, mmax=20, epsilon=eps)))
     outcomes = [None] * len(jobs)
     for n in (reversed(range(len(jobs))) if args.reverse else range(len(jobs))):

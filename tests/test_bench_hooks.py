@@ -21,7 +21,7 @@ import qsum.cli  # noqa: F401  (loads every module the hooks wrap)
 import qsum.pipeline
 import qsum.qlaplace
 from qsum.errors import UsageError
-from qsum.pipeline import Options, Run, run_report
+from qsum.pipeline import RESIDUAL_SAMPLES, Options, Run, run_report
 from qsum.qlaplace import SpiralGeometry
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -87,20 +87,22 @@ def _assert_matches_reference(check, report, ref, key):
 def _count_kernel_sums(monkeypatch):
     """The arguments with which the pipeline's kernel-sample tables sum
     W(t / q^k, 0) ("origin", (t, k)) and W's z-series ("series", (t,)),
-    in call order."""
+    in call order.  origin keeps no memo, so each of its calls sums;
+    series sums once per point."""
     summed = {"origin": [], "series": []}
 
     def recording(fill, points):
         def fill_and_record(*args):
             points.append(args)
             return fill(*args)
-        return functools.cache(fill_and_record)
+        return fill_and_record
 
     class Counting(qsum.qlaplace.KernelSamples):
         def __init__(self, grid):
             super().__init__(grid)
-            for name, points in summed.items():
-                setattr(self, name, recording(getattr(self, name).__wrapped__, points))
+            assert not hasattr(self.origin, "__wrapped__")
+            self.origin = recording(self.origin, summed["origin"])
+            self.series = functools.cache(recording(self.series.__wrapped__, summed["series"]))
 
     monkeypatch.setattr(qsum.pipeline, "KernelSamples", Counting)
     return summed
@@ -195,23 +197,26 @@ def test_reports_build_each_row_and_residual_series_once(monkeypatch):
 def test_reports_test_each_zone_once_and_find_each_points_terms_once(cold_kernel_tables,
                                                                      monkeypatch):
     """Per benchmark DSL report, on no kernel table kept (the inputs
-    share q = 2 and lambda = 1), zone_membership runs once per (ray,
-    class) of each lattice fan, whose class base t_c places every point
-    t_c / q^k of its class, and once per shift of each residual sample,
-    and no more: the kernel sums do not test the zone again.  Each
-    point's kept kernel terms are found once, and one triple product
-    serves each kernel vector: one per (ray, class) of the lattice fan,
-    24 at q = 2, which the asymptotic stage builds for its epsilon/2 fan
-    and reads again for its epsilon fan, and one per distinct shifted
-    residual point.  The test holds every
-    vector it counts, so that no two share an id."""
+    share q = 2 and lambda = 1), zone_membership runs 58 times: once per
+    (ray, class) of the one lattice fan, at epsilon/2, whose class base
+    t_c places every point t_c / q^k of its class; once per class base
+    at epsilon (the table's zone), which picks the epsilon fan's points
+    from it; and once per residual sample, never at a shifted point q^j
+    t, which lies in the disks its sample does.  residual_check reads the
+    zones the residual fan left in the table, and the kernel sums do not
+    test the zone again.  Each point's kept kernel terms are found once,
+    and one triple product serves each kernel vector: one per (ray,
+    class) of the lattice fan, 24 at q = 2, and one per distinct shifted
+    residual point.  The test holds every vector it counts, so that no
+    two share an id."""
     inputs = _load("inputs")
     zone_membership, kernel_vector = qsum.qlaplace.zone_membership, qsum.qlaplace._kernel_vector
     kernel_terms, theta_product = qsum.qlaplace._kernel_terms, qsum.qlaplace._theta_product
-    zones, vectors, found, products, held = [], [], [], [], []
+    lattice_fan = qsum.qlaplace.lattice_fan
+    zones, vectors, found, products, held, fans = [], [], [], [], [], []
 
     def counting_zone(geom, t):
-        zones.append(t)
+        zones.append((geom.epsilon, t))
         return zone_membership(geom, t)
 
     def counting_vector(q, lam, factors, t):
@@ -227,14 +232,19 @@ def test_reports_test_each_zone_once_and_find_each_points_terms_once(cold_kernel
         products.append(y)
         return theta_product(y, factors)
 
+    def counting_fan(geom):
+        fans.append(geom.epsilon)
+        return lattice_fan(geom)
+
     monkeypatch.setattr(qsum.qlaplace, "zone_membership", counting_zone)
     monkeypatch.setattr(qsum.qlaplace, "_kernel_vector", counting_vector)
     monkeypatch.setattr(qsum.qlaplace, "_kernel_terms", counting_terms)
     monkeypatch.setattr(qsum.qlaplace, "_theta_product", counting_product)
+    monkeypatch.setattr(qsum.qlaplace, "lattice_fan", counting_fan)
     calls = {}
     for workload in ("euler", "zseries"):
         for key, _, text in inputs.build(workload):
-            for counted in (zones, vectors, found, products, held):
+            for counted in (zones, vectors, found, products, held, fans):
                 counted.clear()
             cold_kernel_tables()
             run = Run(text, inputs.options(workload))
@@ -242,21 +252,29 @@ def test_reports_test_each_zone_once_and_find_each_points_terms_once(cold_kernel
             built = len(vectors)
             run.report()
             assert len(vectors) == built, key  # the rest of the report builds no vector
-            calls[key] = len(zones), len(products)
-            q, shifts = run.equation.q, {term.j for term in run.equation.terms}
-            bases = {base for _, base, _ in _fan_reads(run, run.options.epsilon)}
-            points = bases | {s.t * q ** j for s in run.residuals.samples for j in shifts}
+            calls[key] = len(zones), len(fans), len(products)
+            tested, built_fans = list(zones), list(fans)  # before _fan_reads adds its own
+            q, eps = run.equation.q, run.options.epsilon
+            shifts = {term.j for term in run.equation.terms}
+            bases = {base for _, base, _ in _fan_reads(run, eps)}
+            samples = [s.t for s in run.residuals.samples]
+            assert sorted(tested, key=repr) == sorted(
+                [(eps / 2.0, t) for t in bases] + [(eps, t) for t in bases]
+                + [(run.kernel_epsilon, t) for t in samples], key=repr), key
+            assert built_fans == [eps / 2.0], key
+            points = bases | {t * q ** j for t in samples for j in shifts}
             assert len(vectors) == len(set(vectors)) and set(vectors) == points, key
             assert len(found) == len(set(found)), key
             assert len(products) == len(vectors) and len(bases) == 24, key
-    assert calls == {"euler": (78, 39), "readme-d1": (78, 39), "mixed-d2": (88, 44)}
+            assert len(samples) == RESIDUAL_SAMPLES, key  # all the fan's points are kept
+    assert calls == {"euler": (58, 1, 39), "readme-d1": (58, 1, 39), "mixed-d2": (58, 1, 44)}
 
 
 def test_asymptotic_stage_tests_the_zone_inside_its_one_span(cold_kernel_tables):
     """The benchmark's spans time the whole asymptotic stage: with the
-    hooks installed and no kernel table kept, the zone tests of both its
-    fans, 24 each at q = 2, run inside its one qlaplace.asymptotic_check
-    span."""
+    hooks installed and no kernel table kept, the zone tests of its
+    epsilon/2 fan and of the class bases at epsilon, 24 each at q = 2,
+    run inside its one qlaplace.asymptotic_check span."""
     spans = _load("spans")
     run = Run(EULER, Options(orders=10, mmax=10, n_check=6))
     run.residuals  # its sample fan tests the zone outside any qlaplace span
