@@ -176,8 +176,10 @@ class SpiralGrid:
     """Continued Borel values on the grid lambda * q^m: values maps m to
     a ScaledSeries, seed_top is the largest index filled by direct
     summation, lead_roots the roots in xi of the leading symbol at z = 0
-    and R1 the polydisc radius of the sup norms.  A plain class, not a
-    named tuple: its cached properties need an instance dict."""
+    and R1 the polydisc radius of the sup norms.  The per-index tables
+    the kernel sums read (logq_sizes, constants, norms_logq) fill on
+    first read and are kept with the grid.  A plain class, not a named
+    tuple: its cached properties need an instance dict."""
 
     def __init__(self, lam, q, m_min, m_max, seed_top, values, lead_roots, R1, d):
         self.lam, self.q, self.m_min, self.m_max, self.seed_top = lam, q, m_min, m_max, seed_top
@@ -211,6 +213,14 @@ class SpiralGrid:
         values, lnq = self.values, math.log(self.q)
         return _OnDemand(lambda m: v.qexp + math.log(n) / lnq
                          if (n := (v := values[m]).series.norm_max()) > 0 else -math.inf)
+
+    @cached_property
+    def constants(self):
+        """Each value's constant coefficient, its mantissa at z = 0: W(t,
+        0) sums these (KernelSamples.origin).  Filled per index on first
+        read, so a change to values after that read is not seen."""
+        values = self.values
+        return _OnDemand(lambda m: values[m].series.constant_term())
 
     @cached_property
     def rise_bounds(self):

@@ -280,20 +280,26 @@ def kernel_table(q, lam):
     t's kernel vector (_kernel_vector); zone(epsilon, t), t's
     zone_membership, one entry per point, as a q-shift of t lies where t
     does: it places the residual fan's points, the residual samples and
-    the lattice fan's class bases at epsilon; lattice_fan(epsilon); and
-    sample_fan(epsilon, rays, radii), the points at each radius on `rays`
-    rays spaced evenly off lambda's, kept where zone places them outside
-    the disks.  No grid or equation enters, and an entry is the same code
-    on the same floats as a fresh one, so the reports at one (q, lambda)
-    share a table and stay the same; a one-report process (the CLI)
-    gains nothing.  The entries close over q, lambda and the factors, not
-    the table: a dropped table is freed by reference counting."""
+    the lattice fan's class bases at epsilon; lattice_fan(epsilon);
+    powers(epsilon, count), per point of that fan in its order, log|t|
+    and t^N q^{N(N-1)/2} for N < count (_fan_powers: count complex
+    floats or None per point, 96 points in the default fan), which the
+    remainder rows read; and sample_fan(epsilon, rays, radii), the
+    points at each radius on `rays` rays spaced evenly off lambda's, kept
+    where zone places them outside the disks.  powers is built from the
+    entry lattice_fan keeps and tests no zone.  No grid or equation
+    enters, and an entry is the same code on the same floats as a fresh
+    one, so the reports at one (q, lambda) share a table and stay the
+    same; a one-report process (the CLI) gains nothing.  The entries
+    close over q, lambda and the factors, not the table: a dropped table
+    is freed by reference counting."""
     lam, factors, kept = complex(lam), _theta_factors(q), lru_cache(maxsize=TABLE_ENTRIES)
     zone = kept(lambda eps, t: zone_membership(SpiralGeometry(lam, eps, q), t))
+    fan = kept(lambda eps: tuple(lattice_fan(SpiralGeometry(lam, eps, q))))
     return SimpleNamespace(
-        lam=lam, factors=factors, zone=zone,
+        lam=lam, factors=factors, zone=zone, lattice_fan=fan,
         vector=kept(lambda t: _kernel_vector(q, lam, factors, t)),
-        lattice_fan=kept(lambda eps: tuple(lattice_fan(SpiralGeometry(lam, eps, q)))),
+        powers=kept(lambda eps, count: tuple(_fan_powers(q, t, count) for t, _, _ in fan(eps))),
         sample_fan=kept(lambda eps, rays, radii: tuple(
             t for t in (cmath.rect(r, ang) for ang in _ray_angles(lam, rays) for r in radii)
             if zone(eps, t).outside)))
@@ -311,22 +317,22 @@ class KernelSamples:
     once (functools.cache): a residual sample's shifted points q^j t
     meet those of other samples.  origin(t, k) is (W(t / q^k, 0), floor)
     from t's vector, as theta(lambda q^m / (t / q^k)) = theta(lambda
-    q^(m+k) / t): each term's constant coefficient summed with the
-    operations of series, and the terms' magnitudes times a bound on each
-    one's relative rounding error (ROUNDING_UNIT), below which a
-    difference from W is not resolved.  It is not kept: asymptotic_check
-    reads it once per point.  Neither reader tests the zone (W does not
-    depend on epsilon, which only places the points): callers place the
-    points off the disks, as the fans and residual_check do.  On the
-    spiral theta is zero and the sum raises ValueError; q_laplace and
-    q_laplace_series test the zone and raise PoleProximityError."""
+    q^(m+k) / t): each term's constant coefficient (SpiralGrid.constants,
+    read once per grid index) summed with the operations of series, and
+    the terms' magnitudes times a bound on each one's relative rounding
+    error (ROUNDING_UNIT), below which a difference from W is not
+    resolved.  It is not kept: asymptotic_check reads it once per point.
+    Neither reader tests the zone (W does not depend on epsilon, which
+    only places the points): callers place the points off the disks, as
+    the fans and residual_check do.  On the spiral theta is zero and the
+    sum raises ValueError; q_laplace and q_laplace_series test the zone
+    and raise PoleProximityError."""
 
     def __init__(self, grid):
         self.grid = grid
         self.table = table = kernel_table(grid.q, grid.lam)
         if repr(table.lam) != repr(complex(grid.lam)):  # 0.0 == -0.0, but not as a ray
             self.table = table = kernel_table.__wrapped__(grid.q, grid.lam)
-        constant = (0, (0,) * grid.d)
 
         def series(t):
             kept, top, _ = _kernel_terms(grid, table.vector(t), 0)
@@ -338,9 +344,9 @@ class KernelSamples:
 
         def origin(t, k):
             kept, top, rtol = _kernel_terms(grid, table.vector(t), k)
-            acc, size = None, 0.0
+            acc, size, constants = None, 0.0, grid.constants
             for m, inv, scale in kept:
-                piece = grid.values[m].series.coeffs.get(constant, 0j) * inv * scale
+                piece = constants[m] * inv * scale
                 acc = piece if acc is None else acc + piece
                 size += abs(piece)
             if acc is None:
@@ -428,7 +434,8 @@ def _kernel_terms(grid, vec, k):
         if bounds[m] - th < top + gap - 1.0:
             break
         size = sizes[m] = table[m] - th
-        top = max(top, size)
+        if size > top:
+            top = size
         low = m
     if top == -math.inf:
         return [], None, 0.0
@@ -436,20 +443,21 @@ def _kernel_terms(grid, vec, k):
     _check_tail([sizes[m] for m in range(min(lo + 2, hi), lo - 1, -1)], top, lnq, "lower")
     if abs(top * lnq) >= 690.0:
         raise OverflowError("resummed value magnitude q^%.1f exceeds double range" % top)
-    drop = top + gap
-    terms = []
+    drop, values, terms = top + gap, grid.values, []
     # the indices that can pass, in index order: the lower tail's, then the
     # walk's and the scan's up
     for m in chain(range(lo, min(lo + 3, start)), range(low, end + 1)):
         if sizes[m] >= drop:
-            inverse = inverses.get(m + k0)
+            n = m + k0
+            inverse = inverses.get(n)
             if inverse is None:
-                r, angle, qexp = _shifted(m + k0, frac, phase, log_th, arg_th)
+                r, angle, qexp = _shifted(n, frac, phase, log_th, arg_th)
                 # the inverse theta mantissa, of magnitude in (1/q, 1]; both
                 # sums take (c * inv) * complex(scale) for each coefficient c
-                inverse = inverses[m + k0] = cmath.rect(q ** -r, -angle), qexp
-            terms.append((m, inverse[0], complex(q ** (grid.values[m].qexp - inverse[1] - top))))
-    k_max = max(abs(m + k0) for m, _, _ in terms)
+                inverse = inverses[n] = cmath.rect(q ** -r, -angle), qexp
+            terms.append((m, inverse[0], complex(q ** (values[m].qexp - inverse[1] - top))))
+    # the terms are in index order: the largest |n| is at one end
+    k_max = max(abs(terms[0][0] + k0), abs(terms[-1][0] + k0))
     units = (product_units + 2.0 * (math.pi + lnq) * (k_max + 1) + 2.0 * abs(log_th * lnq)
              + math.log(1.0 / KERNEL_DROP_RTOL) + lnq + 1.0 + TERM_UNITS + len(terms) - 1)
     return terms, top, units * ROUNDING_UNIT
@@ -567,32 +575,44 @@ def lattice_fan(geom):
 @lru_cache(maxsize=16)
 def _quadratic_exponents(q, count):
     """N(N-1)/2 ln q for N < count: the q-power exponents of the partial
-    sums' terms (remainder_row) and of the envelope fit's normalization
-    (asymptotic_check), the same floats in both.  A run has one q and one
+    sums' terms (_fan_powers) and of the envelope fit's normalization
+    (_judged), the same floats in both.  A run has one q and one
     remainder depth: a small cache keeps them for the pairs in use."""
     lnq = math.log(q)
     return tuple(N * (N - 1) / 2.0 * lnq for N in range(count))
 
 
-def remainder_row(q, values, w, t):
+def _fan_powers(q, t, count):
+    """(log|t|, powers) at one fan point t, with powers[N] = t^N
+    q^{N(N-1)/2} for N < count as one complex float, exp(N log t +
+    N(N-1)/2 ln q), so q^{N(N-1)/2} and t^N never leave double range
+    apart; a power errs by a few units of its exponent's size.  A power
+    outside double range (cmath.exp raises OverflowError) is None.
+    Nothing here depends on an equation: kernel_table keeps them per fan."""
+    log_t, quadratic, powers = cmath.log(t), _quadratic_exponents(q, count), []
+    for N in range(count):
+        try:
+            powers.append(cmath.exp(N * log_t + quadratic[N]))
+        except OverflowError:
+            powers.append(None)
+    return math.log(abs(t)), tuple(powers)
+
+
+def remainder_row(values, w, powers):
     """The remainders E_N = |W(t, 0) - partial_N(t)| at one point t, given
-    w = W(t, 0) and values[N] = v_N(0), the formal solution's scaled
-    coefficients at z = 0 (FormalSolution.origin_values).  The partial
-    sums are complex floats, the N-th term v_N exp(N log t + N(N-1)/2 ln
-    q), so q^{N(N-1)/2} and t^N never leave double range apart; a term
-    errs by a few units of its exponent's size.  Once a term or a partial
-    sum leaves double range, E_N is inf from that order on.  A row
-    depends on nothing else: asymptotic_check builds one per point of
-    its epsilon/2 fan, and its epsilon check reads them."""
-    log_t, quadratic = cmath.log(t), _quadratic_exponents(q, len(values))
+    w = W(t, 0), values[N] = v_N(0), the formal solution's scaled
+    coefficients at z = 0 (FormalSolution.origin_values), and t's powers
+    (_fan_powers, at least one per value).  The partial sums are complex
+    floats, the N-th term v_N powers[N].  Once a power (None) or a
+    partial sum leaves double range, E_N is inf from that order on.  A
+    row depends on nothing else: asymptotic_check builds one per point
+    of its epsilon/2 fan, and its epsilon check reads them."""
     partial, row = 0j, []
     for N, vN in enumerate(values):
         row.append(abs(w - partial))
         if vN:
-            try:
-                partial += vN * cmath.exp(N * log_t + quadratic[N])
-            except OverflowError:
-                partial = math.inf
+            power = powers[N]
+            partial = math.inf if power is None else partial + vN * power
             if not cmath.isfinite(partial):
                 return row + [math.inf] * (len(values) - 1 - N)
     return row
@@ -619,7 +639,9 @@ def asymptotic_check(sol, kernel, epsilon, n_max):
     0) and its floor at each point t = t_c / q^k of the epsilon/2 fan
     (kernel.table.lattice_fan) are origin(t_c, k) of the kernel samples
     of the grid that continues `sol`'s Borel transform; each point gets
-    one remainder row.  The epsilon report reads the rows of the points
+    one remainder row, from its log|t| and powers in
+    kernel.table.powers, and the log of each resolved E_N in it is taken
+    once.  The epsilon report reads the rows and logs of the points
     whose class base t_c kernel.table.zone places outside the
     epsilon-disks: such a class lies outside the epsilon/2-disks too, so
     these are the points, in order, of the fan at epsilon.
@@ -629,38 +651,44 @@ def asymptotic_check(sol, kernel, epsilon, n_max):
     if n_max > sol.count:
         raise UsageError("remainder depth %d exceeds the computed formal order %d"
                          % (n_max, sol.count))
-    values, points, log_r, wvals, floors, rows = sol.origin_values(n_max), [], [], [], [], []
+    values = sol.origin_values(n_max)
+    points, log_r, wvals, floors, rows, logs = [], [], [], [], [], []
     fan = table.lattice_fan(epsilon / 2.0)
-    for t, base, k in fan:
+    for (t, base, k), (lr, powers) in zip(fan, table.powers(epsilon / 2.0, len(values))):
         w, floor = kernel.origin(base, k)
+        row = remainder_row(values, w, powers)
         points.append(t)
-        log_r.append(math.log(abs(t)))
+        log_r.append(lr)
         wvals.append(w)
         floors.append(floor)
-        rows.append(remainder_row(q, values, w, t))
-    EN = [[row[N] for row in rows] for N in range(0, n_max + 1)]
-    half = _judged(q, epsilon / 2.0, points, log_r, wvals, floors, EN, None)
-    picked = [i for i, (_, base, _) in enumerate(fan) if table.zone(epsilon, base).outside]
-    columns = (points, log_r, wvals, floors)
-    return _judged(q, epsilon, *([column[i] for i in picked] for column in columns),
-                   [[row[i] for i in picked] for row in EN], half)
+        rows.append(row)
+        # the resolved remainders' logs; None where E_N is at or below the
+        # floor or outside double range
+        logs.append([math.log(e) if floor < e < math.inf else None for e in row])
+
+    def judged(eps, picked, half):
+        """_judged on the points `picked`, the rows and logs read per order."""
+        columns = (points, log_r, wvals, floors)
+        return _judged(q, eps, *([column[i] for i in picked] for column in columns),
+                       *([[cells[i][N] for i in picked] for N in range(0, n_max + 1)]
+                         for cells in (rows, logs)), half)
+    half = judged(epsilon / 2.0, range(len(points)), None)
+    return judged(epsilon, [i for i, (_, base, _) in enumerate(fan)
+                            if table.zone(epsilon, base).outside], half)
 
 
-def _judged(q, epsilon, points, log_r, wvals, floors, EN, half):
+def _judged(q, epsilon, points, log_r, wvals, floors, EN, log_EN, half):
     """The envelope fit and the verdict of asymptotic_check, as a
     ResumReport, from the table of remainders EN[N][i] at the points,
-    with log_r[i] = log|points[i]|."""
+    with log_r[i] = log|points[i]| and log_EN[N][i] = log EN[N][i] where
+    that remainder is resolved, above floors[i] and finite, else None
+    (asymptotic_check takes each log once for both epsilons)."""
     n_max = len(EN) - 1
-    # the resolved remainders, per order; None where E_N is at or below the
-    # floor or outside double range
-    resolved = [[e if floor < e < math.inf else None for e, floor in zip(EN[N], floors)]
-                for N in range(0, n_max + 1)]
-
     log_eps, quadratic = math.log(epsilon), _quadratic_exponents(q, n_max + 1)
     # per order, the largest normalized log remainder over the resolved
     # pairs; the envelope's A is M, and its diagnostic is log rho_N
-    logs = [max((math.log(e) + log_eps - quadratic[N] - N * lr
-                 for e, lr in zip(resolved[N], log_r) if e is not None), default=None)
+    logs = [max((g + log_eps - quadratic[N] - N * lr
+                 for g, lr in zip(log_EN[N], log_r) if g is not None), default=None)
             for N in range(0, n_max + 1)]
     env = fit_envelope(logs, [0.0] * (n_max + 1), 0.0)
     rho = [None if g is None else math.exp(g) for g in env.diag]
@@ -674,22 +702,22 @@ def _judged(q, epsilon, points, log_r, wvals, floors, EN, half):
         if slope > RHO_TREND_MAX:
             reasons.append("normalized remainders trend upward (%.3g/order); no finite envelope" % slope)
 
-    slope = _order1_slope(log_r, resolved[1] if n_max >= 1 else None)
+    slope = _order1_slope(log_r, log_EN[1] if n_max >= 1 else None)
     if slope is not None and slope < ORDER1_SLOPE_MIN:
         reasons.append("order-1 remainder does not scale with |t| (slope %.2f)" % slope)
 
     verdict = "pass" if not reasons else "fail"
-    used = sum(e is not None for row in resolved for e in row)
+    used = sum(g is not None for row in log_EN for g in row)
     return ResumReport(epsilon, points, wvals, floors, EN, rho, env.A, env.H, verdict,
                        used, len(points) * (n_max + 1) - used, reasons, half)
 
 
-def _order1_slope(log_r, e1):
+def _order1_slope(log_r, log_e1):
     """The least-squares slope of log E_1 against log |t| over the
-    resolved order-1 remainders (None where unresolved)."""
-    if e1 is None:
+    resolved order-1 remainders (their logs; None where unresolved)."""
+    if log_e1 is None:
         return None
-    data = [(lr, math.log(e)) for lr, e in zip(log_r, e1) if e is not None]
+    data = [(lr, g) for lr, g in zip(log_r, log_e1) if g is not None]
     if len(data) < 4:
         return None
     return ls_slope(data, degenerate=None)

@@ -1,4 +1,4 @@
-"""Digests of a fixed sweep of 261 reports, to check that a change leaves
+"""Digests of a fixed sweep of 270 reports, to check that a change leaves
 every report byte-identical.
 
     python tests/report_sweep.py --src PATH [--reverse]
@@ -14,7 +14,10 @@ benchmark's three DSL equations (perfbench/inputs.py) at the same
 options, at q = 1.4 with epsilon 0.15, 0.04 and 0.02 (8, 9 and 10
 residual samples), at q = 3 with 0.3 and 0.45 (96 and 82 points in the
 asymptotic fan at epsilon) and at q = 10 with 0.72 and 0.8 (92 and 90
-points at epsilon/2, which rounds to 0.4 at both).  It prints one line
+points at epsilon/2, which rounds to 0.4 at both).  The last 9 share
+q = 2, lambda = 1 and epsilon 0.3, and so the asymptotic fan, and
+differ in the remainder depth: the three equations with N = 6, 9 and
+12.  It prints one line
 per report, its key and the SHA-256 of its `to_dict()` without `timings`
 as JSON, or of the error's type and message, and a last line with the
 SHA-256 of all those lines.  Run it on two trees and compare the totals;
@@ -38,6 +41,8 @@ SEEDS = (20240901, 1, 2)
 COUNT = 40
 # (q, epsilons) of the blocks of reports that share a kernel table
 SHARED = ((1.4, (0.15, 0.04, 0.02)), (3.0, (0.3, 0.45)), (10.0, (0.72, 0.8)))
+# the remainder depths of the last block, at q = 2 and epsilon 0.3
+DEPTHS = (6, 9, 12)
 
 
 def _inputs():
@@ -81,12 +86,16 @@ def main(argv):
             for eps in (0.3, min(0.3, 0.45 * (eq.q - 1.0) / (eq.q + 1.0))):
                 jobs.append(("%d-%02d eps=%r" % (seed, i, eps), text,
                              Options(orders=20, mmax=20, epsilon=eps)))
+    dsl = (("euler", inputs.EULER), ("readme-d1", inputs.README_D1), ("mixed-d2", inputs.MIXED_D2))
     for q, epsilons in SHARED:
-        for name, text in (("euler", inputs.EULER), ("readme-d1", inputs.README_D1),
-                           ("mixed-d2", inputs.MIXED_D2)):
+        for name, text in dsl:
             for eps in epsilons:
                 jobs.append(("%s q=%r eps=%r" % (name, q, eps), text.replace("q=2;", "q=%r;" % q),
                              Options(orders=20, mmax=20, epsilon=eps)))
+    for name, text in dsl:
+        for depth in DEPTHS:
+            jobs.append(("%s q=2.0 eps=0.3 N=%d" % (name, depth), text,
+                         Options(orders=20, mmax=20, epsilon=0.3, n_check=depth)))
     outcomes = [None] * len(jobs)
     for n in (reversed(range(len(jobs))) if args.reverse else range(len(jobs))):
         outcomes[n] = _outcome(run_report, *jobs[n][1:])

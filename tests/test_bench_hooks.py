@@ -166,16 +166,17 @@ def test_corpus_reports_equal_the_benchmark_reference_and_sum_each_point_once(mo
 def test_reports_build_each_row_and_residual_series_once(monkeypatch):
     """Each benchmark DSL report builds one remainder row per distinct
     point of its asymptotic stage's two fans, in the epsilon/2 fan's
-    order, which holds the epsilon fan, and sums the residual kernel series once per
+    order, which holds the epsilon fan, each from that point's powers in
+    the kernel table, and sums the residual kernel series once per
     distinct shifted point q^j t: at q = 2 the radii 0.05|lambda| and
     0.1|lambda| put t q of one sample on another."""
     inputs = _load("inputs")
     remainder_row = qsum.qlaplace.remainder_row
     rows, series = [], _count_kernel_sums(monkeypatch)["series"]
 
-    def counting_row(q, values, w, t):
-        rows.append(t)
-        return remainder_row(q, values, w, t)
+    def counting_row(values, w, powers):
+        rows.append(powers)
+        return remainder_row(values, w, powers)
 
     monkeypatch.setattr(qsum.qlaplace, "remainder_row", counting_row)
     calls = {}
@@ -185,8 +186,11 @@ def test_reports_build_each_row_and_residual_series_once(monkeypatch):
             series.clear()
             run = Run(text, inputs.options(workload))
             run.report()
-            assert rows == run.asymptotic.half.samples, key
-            assert set(run.asymptotic.samples) <= set(rows), key
+            half = run.asymptotic.half
+            assert rows == [powers for _, powers in run.kernel_samples.table.powers(
+                half.epsilon, run.options.n_check + 1)], key
+            assert len(rows) == len(half.samples), key
+            assert set(run.asymptotic.samples) <= set(half.samples), key
             q, shifts = run.equation.q, {term.j for term in run.equation.terms}
             shifted = {(s.t * q ** j,) for s in run.residuals.samples for j in shifts}
             assert sorted(series, key=repr) == sorted(shifted, key=repr), key

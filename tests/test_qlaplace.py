@@ -14,10 +14,10 @@ from qsum.formal import solve_formal
 from qsum.qborel import SpiralGrid, borel_transform, borel_transformed_equation, continue_spiral
 from qsum.pipeline import Options, Run
 from qsum.qlaplace import (ASYMPTOTIC_RADII, ASYMPTOTIC_RAYS, ASYMPTOTIC_SPAN, KernelSamples,
-                           ResumReport, SpiralGeometry, _judged, _kernel_terms, _theta_factors,
-                           _theta_product, asymptotic_check, kernel_table, lattice_fan,
-                           q_laplace, q_laplace_series, remainder_row, residual_check, theta,
-                           zone_membership)
+                           ResumReport, SpiralGeometry, _fan_powers, _judged, _kernel_terms,
+                           _theta_factors, _theta_product, asymptotic_check, kernel_table,
+                           lattice_fan, q_laplace, q_laplace_series, remainder_row, residual_check,
+                           theta, zone_membership)
 from qsum.series import TruncatedSeries
 from conftest import EULER_TEXT, EX2_TEXT, MIXED_D2_TEXT, monomial_grid
 
@@ -441,28 +441,54 @@ def _fields_less_half(report):
     return {name: getattr(report, name) for name in ResumReport._fields if name != "half"}
 
 
+def _direct_row(q, values, w, t):
+    """remainder_row with each term's power taken where it is added: v_N
+    exp(N log t + N(N-1)/2 ln q), and inf from the first OverflowError
+    or non-finite partial sum on.  The reference for the rows built from
+    kernel_table's powers."""
+    log_t = cmath.log(t)
+    partial, row = 0j, []
+    for N, vN in enumerate(values):
+        row.append(abs(w - partial))
+        if vN:
+            try:
+                partial += vN * cmath.exp(N * log_t + N * (N - 1) / 2.0 * math.log(q))
+            except OverflowError:
+                partial = math.inf
+            if not cmath.isfinite(partial):
+                return row + [math.inf] * (len(values) - 1 - N)
+    return row
+
+
+def _fresh_logs(EN, floors):
+    """log E_N of each remainder above its point's floor and finite, else
+    None, taken afresh: what _judged reads."""
+    return [[math.log(e) if floor < e < math.inf else None for e, floor in zip(row, floors)]
+            for row in EN]
+
+
 def _single_check(sol, grid, epsilon, n_max):
     """One epsilon's check built on its own fan: one row per point of the
-    lattice fan at epsilon, from a fresh table, judged as asymptotic_check
-    judges each of its pair."""
+    lattice fan at epsilon (_direct_row), from a fresh table, judged as
+    asymptotic_check judges each of its pair, on logs taken afresh."""
     kernel, values = KernelSamples(grid), sol.origin_values(n_max)
     fan = lattice_fan(SpiralGeometry(grid.lam, epsilon, grid.q))
     points = [t for t, _, _ in fan]
     origins = [kernel.origin(base, k) for _, base, k in fan]
-    rows = [remainder_row(grid.q, values, w, t) for t, (w, _) in zip(points, origins)]
+    rows = [_direct_row(grid.q, values, w, t) for t, (w, _) in zip(points, origins)]
+    EN, floors = [[row[N] for row in rows] for N in range(n_max + 1)], [f for _, f in origins]
     return _judged(grid.q, epsilon, points, [math.log(abs(t)) for t in points],
-                   [w for w, _ in origins], [f for _, f in origins],
-                   [[row[N] for row in rows] for N in range(n_max + 1)], None)
+                   [w for w, _ in origins], floors, EN, _fresh_logs(EN, floors), None)
 
 
 def test_a_second_epsilon_sums_no_new_w(cold_kernel_tables, euler_sol, euler_grid, monkeypatch):
     """One call, on fresh kernel samples and no kernel table kept, builds
     one kernel vector per (ray, class), 24 at q = 2, finds the kept terms
     once per point t_c / q^k of its epsilon/2 fan and builds one
-    remainder row per point of that fan in fan order.  Its epsilon report
-    reads those rows at the points of the epsilon fan, so no point gets a
-    second row, and both reports equal the check built on each epsilon's
-    own fan."""
+    remainder row per point of that fan in fan order, from the point's
+    powers in the kernel table.  Its epsilon report reads those rows at
+    the points of the epsilon fan, so no point gets a second row, and
+    both reports equal the check built on each epsilon's own fan."""
     kernel = KernelSamples(euler_grid)
     kernel_vector, kernel_terms = qsum.qlaplace._kernel_vector, qsum.qlaplace._kernel_terms
     built, summed, rows = [], [], []
@@ -475,16 +501,17 @@ def test_a_second_epsilon_sums_no_new_w(cold_kernel_tables, euler_sol, euler_gri
         summed.append(k)
         return kernel_terms(grid, vec, k)
 
-    def counting_row(q, values, w, t):
-        rows.append(t)
-        return remainder_row(q, values, w, t)
+    def counting_row(values, w, powers):
+        rows.append(powers)
+        return remainder_row(values, w, powers)
     with monkeypatch.context() as patch:
         patch.setattr(qsum.qlaplace, "_kernel_vector", counting_vector)
         patch.setattr(qsum.qlaplace, "_kernel_terms", counting_terms)
         patch.setattr(qsum.qlaplace, "remainder_row", counting_row)
         report = asymptotic_check(euler_sol, kernel, 0.3, 12)
     fan = lattice_fan(SpiralGeometry(euler_grid.lam, 0.15, euler_grid.q))
-    assert rows == report.half.samples == [t for t, _, _ in fan] != []
+    assert report.half.samples == [t for t, _, _ in fan] != []
+    assert rows == [_fan_powers(euler_grid.q, t, 13)[1] for t, _, _ in fan]
     assert summed == [k for _, _, k in fan]
     assert built == list(dict.fromkeys(base for _, base, _ in fan)) and len(built) == 24
     assert report.samples == [t for t, _, _ in lattice_fan(SpiralGeometry(euler_grid.lam, 0.3,
@@ -613,7 +640,7 @@ def test_remainder_row_matches_the_mpmath_partial_sums(name, q):
     the bound fails by factors up to 6 at q = 10."""
     mp = pytest.importorskip("mpmath")
     from qsum.pipeline import Options, Run
-    from qsum.qlaplace import ROUNDING_UNIT, remainder_row
+    from qsum.qlaplace import ROUNDING_UNIT
     from conftest import EULER_TEXT, EX2_TEXT
     eps = min(0.3, 0.5 * (q - 1.0) / (q + 1.0))
     text = {"euler": EULER_TEXT, "readme-d1": EX2_TEXT}[name]
@@ -623,7 +650,7 @@ def test_remainder_row_matches_the_mpmath_partial_sums(name, q):
     lnq = math.log(q)
     with mp.workdps(60):
         for t, w in zip(rep.samples, rep.Wvals):
-            row = remainder_row(q, values, w, t)
+            row = remainder_row(values, w, _fan_powers(q, t, len(values))[1])
             partial, weighted, size = mp.mpc(0), 0.0, 0.0
             for N, vN in enumerate(values):
                 want = abs(mp.mpc(w) - partial)
@@ -673,7 +700,6 @@ def test_remainder_row_is_infinite_once_a_term_leaves_double_range():
     turned inf above 2^1020 rather than the largest double, one order
     earlier on the radius 0.026 here."""
     from qsum.pipeline import Options, Run
-    from qsum.qlaplace import remainder_row
     from conftest import EULER_TEXT
     q = 10.0
     run = Run(EULER_TEXT.replace("q=2", "q=10"), Options(orders=40, n_check=40))
@@ -681,11 +707,65 @@ def test_remainder_row_is_infinite_once_a_term_leaves_double_range():
     assert all(abs(v) == 1.0 for v in values)
     largest = math.log(sys.float_info.max)
     for t, w in zip(run.asymptotic.samples, run.asymptotic.Wvals):
-        row = remainder_row(q, values, w, t)
+        row = remainder_row(values, w, _fan_powers(q, t, len(values))[1])
         first = next(N for N in range(41)
                      if N * math.log(abs(t)) + N * (N - 1) / 2.0 * math.log(q) > largest)
         assert all(math.isfinite(e) for e in row[:first + 1]), t
         assert row[first + 1:] == [math.inf] * (40 - first), t
+
+
+@pytest.mark.parametrize("lam", [1.0, cmath.exp(0.5j)])
+@pytest.mark.parametrize("q", [1.2, 2.0, 10.0, 1e3])
+def test_kernel_table_powers_are_the_direct_exponentials(cold_kernel_tables, q, lam):
+    """At every point of the epsilon/2 lattice fan, the table's log|t| and
+    powers t^N q^{N(N-1)/2}, N <= 40, are the floats of one cmath.exp
+    each, signed zeros included, and None exactly where that call raises
+    OverflowError (at q = 10 and 1000 the fan's points reach it)."""
+    eps = min(0.3, 0.45 * (q - 1.0) / (q + 1.0))
+    table = kernel_table(q, lam)
+    fan, entry = table.lattice_fan(eps / 2.0), table.powers(eps / 2.0, 41)
+    assert len(entry) == len(fan) == 96
+    overflows = 0
+    for (t, _, _), (log_r, powers) in zip(fan, entry):
+        assert log_r == math.log(abs(t)), t
+        log_t = cmath.log(t)
+        for N in range(41):
+            try:
+                want = cmath.exp(N * log_t + N * (N - 1) / 2.0 * math.log(q))
+            except OverflowError:
+                want = None
+            overflows += want is None
+            assert repr(powers[N]) == repr(want), (t, N)
+    assert (overflows > 0) == (q >= 10.0)
+
+
+def test_q_euler_at_q_1000_turns_inf_where_the_direct_row_does():
+    """At q = 1000 and 40 orders the first fan point's row turns inf at N =
+    17.  Built from the table's powers, both reports are the ones built
+    from rows that take each power where it is added (_direct_row)."""
+    from qsum.pipeline import Options, Run
+    from conftest import EULER_TEXT
+    run = Run(EULER_TEXT.replace("q=2", "q=1000"), Options(orders=40, n_check=40))
+    report = run.asymptotic
+    for got in (report, report.half):
+        column = [row[0] for row in got.EN]
+        assert column.index(math.inf) == 17 and all(math.isfinite(e) for e in column[:17])
+        assert _fields_less_half(got) == _fields_less_half(
+            _single_check(run.solution, run.grid, got.epsilon, 40)), got.epsilon
+
+
+@pytest.mark.parametrize("text", [EULER_TEXT, EX2_TEXT, MIXED_D2_TEXT],
+                         ids=["euler", "readme-d1", "mixed-d2"])
+def test_both_epsilon_reports_are_judged_on_fresh_logs(text):
+    """asymptotic_check takes the log of each resolved remainder once for
+    both epsilons; each report equals _judged run on its own table with
+    those logs taken afresh."""
+    run = Run(text, Options())
+    report = run.asymptotic
+    for got, half in ((report, report.half), (report.half, None)):
+        log_r = [math.log(abs(t)) for t in got.samples]
+        assert got == _judged(run.grid.q, got.epsilon, got.samples, log_r, got.Wvals, got.floors,
+                              got.EN, _fresh_logs(got.EN, got.floors), half)
 
 
 def _direct_q_laplace_series(grid, t, epsilon):
@@ -1236,7 +1316,10 @@ def test_a_warm_kernel_table_gives_the_cold_tables_report(cold_kernel_tables, mo
     lattice fan, the residual fan and the zones of the residual samples
     and of the class bases at epsilon from the table.  The three share q = 2 and lambda = 1, and on
     the one table that all three fill each report is its cold one, so no
-    entry holds anything of a grid or an equation."""
+    entry holds anything of a grid or an equation.  A report with
+    remainder depth 6 after one with 12 at the same (q, lambda, epsilon),
+    and one with 12 after 6, are their cold ones too: the fan's powers
+    are kept per depth."""
     from qsum.pipeline import run_report
     theta_product, zone = qsum.qlaplace._theta_product, qsum.qlaplace.zone_membership
     products, zones = [], []
@@ -1251,8 +1334,8 @@ def test_a_warm_kernel_table_gives_the_cold_tables_report(cold_kernel_tables, mo
     monkeypatch.setattr(qsum.qlaplace, "_theta_product", counting_product)
     monkeypatch.setattr(qsum.qlaplace, "zone_membership", counting_zone)
 
-    def report(text, lam=1.0):
-        doc = run_report(text, Options(lam=lam)).to_dict()
+    def report(text, lam=1.0, n_check=12):
+        doc = run_report(text, Options(lam=lam, n_check=n_check)).to_dict()
         doc.pop("timings")
         return json.dumps(doc)
     texts, colds = (EULER_TEXT, EX2_TEXT, MIXED_D2_TEXT), {}
@@ -1269,6 +1352,13 @@ def test_a_warm_kernel_table_gives_the_cold_tables_report(cold_kernel_tables, mo
     cold_kernel_tables()
     for text in texts + texts[::-1]:
         assert report(text) == colds[text]
+    for text in texts:
+        cold_kernel_tables()
+        shallow = report(text, n_check=6)
+        assert report(text) == colds[text]
+        cold_kernel_tables()
+        assert report(text) == colds[text]
+        assert report(text, n_check=6) == shallow
 
 
 def test_a_lambda_equal_but_for_a_zero_sign_reads_its_own_table(cold_kernel_tables):
