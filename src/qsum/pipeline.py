@@ -32,7 +32,7 @@ from .newton import (SINGULAR_RAY_TOL, characteristic_polynomial, check_interior
                      reduced_coefficients, singular_directions)
 from .qborel import (SEED_RADIUS_FRACTION, borel_transform, borel_transformed_equation,
                      continue_spiral, fit_spiral_bound)
-from .qlaplace import (KernelSamples, SpiralGeometry, _require_epsilon, asymptotic_check,
+from .qlaplace import (KernelSamples, _require_epsilon, asymptotic_check, require_asymptotic,
                        residual_check)
 
 # with the polygon shape, the conditions every stage past them needs
@@ -260,10 +260,7 @@ class Run:
         below the disk-disjointness threshold (q-1)/(q+1), and the
         remainder depth N must not exceed the formal orders."""
         opt = self.options
-        SpiralGeometry(complex(opt.lam), opt.epsilon, self.equation.q).require_disjoint()
-        if opt.n_check > opt.orders:
-            raise UsageError("remainder depth %d exceeds the computed formal order %d"
-                             % (opt.n_check, opt.orders))
+        require_asymptotic(self.equation.q, complex(opt.lam), opt.epsilon, opt.n_check, opt.orders)
 
     @_stage("parse")
     def equation(self):

@@ -283,13 +283,12 @@ def continue_spiral(beq, u, lam, m_max):
         xi = lam * q ** float(m)
         powers = []
         power = 1.0 + 0j
-        peak = 0.0
         term_norms = []
         for norm in norms:
             powers.append(power)
             term_norms.append(norm * abs(power))
-            peak = max(peak, term_norms[-1])
             power *= xi
+        peak = max(term_norms, default=0.0)
         ratios = [term_norms[k] / term_norms[k - 1]
                   for k in range(max(1, len(term_norms) - 5), len(term_norms))
                   if term_norms[k - 1] > 0.0]
@@ -310,9 +309,11 @@ def continue_spiral(beq, u, lam, m_max):
     else:
         top = math.floor(math.log(1.0 / abs(lam), q)) if abs(lam) > 1 else 0
     top = min(top, m_max)
+    # one ladder per index, which the search, the seed sums and their
+    # bounds read
+    ladders = _OnDemand(seed_terms)
     for _ in range(400):
-        _, rel, _ = seed_terms(top)
-        if rel <= SEED_TAIL_RTOL:
+        if ladders[top][1] <= SEED_TAIL_RTOL:
             break
         top -= 1
     else:
@@ -326,15 +327,12 @@ def continue_spiral(beq, u, lam, m_max):
 
     columns = Columns(u.coeffs)
 
-    def seed_value(m):
-        powers, _, _ = seed_terms(m)
-        return _normalize(q, columns.combination(powers), 0.0)
-
     def seed_bound(m):
-        total = seed_terms(m)[2]
+        total = ladders[m][2]
         return math.log(total) / math.log(q) if total > 0 else -math.inf
 
-    values = SeedValues(seed_value, range(m_min, top + 1), seed_bound)
+    values = SeedValues(lambda m: _normalize(q, columns.combination(ladders[m][0]), 0.0),
+                        range(m_min, top + 1), seed_bound)
 
     lead_slices = beq.lead.t_slices()
     lead_deg = max((i for i, _ in lead_slices), default=0)

@@ -101,13 +101,12 @@ def theta(x, q):
 
     x = q^k y with 1 <= |y| < q, and theta(q^k y) = q^{k(k+1)/2} y^k
     theta(y) with theta(y) from _theta_product on q's factors
-    (_theta_factors, built per call: theta makes no kernel table); the
-    kernel sums use the same product and closed form.  The reduction
-    divides x by q**k, so at x = -q**k it gives y = -1 exactly and the
-    mantissa is 0.  No terms cancel: near a zero the relative error is a
-    few units of 2^-53 over x's relative distance from it, the condition
-    number of theta there.  A base q outside (1, inf) and an x that is
-    zero or not finite raise ValueError."""
+    (_theta_factors); the kernel sums use the same product and closed
+    form.  The reduction divides x by q**k, so at x = -q**k it gives y =
+    -1 exactly and the mantissa is 0.  No terms cancel: near a zero the
+    relative error is a few units of 2^-53 over x's relative distance
+    from it, the condition number of theta there.  A base q outside (1,
+    inf) and an x that is zero or not finite raise ValueError."""
     x = complex(x)
     if not 1.0 < q < math.inf:
         raise ValueError("theta needs a base q in (1, inf), got %r" % q)
@@ -252,20 +251,33 @@ def zone_membership(geom, t):
     return ZoneResult("outside", None, best)
 
 
+def require_asymptotic(q, lam, epsilon, n_max, orders):
+    """asymptotic_check's gate, which Run.require_epsilon runs before
+    anything is solved: UsageError unless epsilon lies below the
+    disk-disjointness threshold and n_max does not exceed `orders`."""
+    SpiralGeometry(lam, epsilon, q).require_disjoint()
+    if n_max > orders:
+        raise UsageError("remainder depth %d exceeds the computed formal order %d"
+                         % (n_max, orders))
+
+
 def q_laplace_series(grid, t, epsilon=0.05):
     """W(t, .) as a z-series at a t off the epsilon-disks (KernelSamples)."""
-    return KernelSamples(grid).series(_outside_disks(grid, t, epsilon))
+    kernel = KernelSamples(grid)
+    return kernel.series(_outside_disks(kernel, t, epsilon))
 
 
 def q_laplace(grid, t, epsilon=0.05):
     """(W(t, 0), floor) at a t off the epsilon-disks (KernelSamples)."""
-    return KernelSamples(grid).origin(_outside_disks(grid, t, epsilon), 0)
+    kernel = KernelSamples(grid)
+    return kernel.origin(_outside_disks(kernel, t, epsilon), 0)
 
 
-def _outside_disks(grid, t, epsilon):
-    """complex(t); PoleProximityError where t lies inside or near an epsilon-disk."""
+def _outside_disks(kernel, t, epsilon):
+    """complex(t); PoleProximityError where the kernel table's zone places
+    t inside or near an epsilon-disk."""
     t = complex(t)
-    zone = zone_membership(SpiralGeometry(grid.lam, epsilon, grid.q), t)
+    zone = kernel.table.zone(epsilon, t)
     if not zone.outside:
         raise PoleProximityError(
             "t = %s lies %s the excluded spiral disks (m=%s, ratio %.3g)"
@@ -276,30 +288,26 @@ def _outside_disks(grid, t, epsilon):
 @lru_cache(maxsize=KERNEL_TABLES)
 def kernel_table(q, lam):
     """What the kernel sums and the sample placement at (q, lambda) share,
-    each computed on first read: the triple product's factors; vector(t),
-    t's kernel vector (_kernel_vector); zone(epsilon, t), t's
-    zone_membership, one entry per point, as a q-shift of t lies where t
-    does: it places the residual fan's points, the residual samples and
-    the lattice fan's class bases at epsilon; lattice_fan(epsilon);
-    powers(epsilon, count), per point of that fan in its order, log|t|
-    and t^N q^{N(N-1)/2} for N < count (_fan_powers: count complex
-    floats or None per point, 96 points in the default fan), which the
-    remainder rows read; and sample_fan(epsilon, rays, radii), the
-    points at each radius on `rays` rays spaced evenly off lambda's, kept
-    where zone places them outside the disks.  powers is built from the
-    entry lattice_fan keeps and tests no zone.  No grid or equation
-    enters, and an entry is the same code on the same floats as a fresh
-    one, so the reports at one (q, lambda) share a table and stay the
-    same; a one-report process (the CLI) gains nothing.  The entries
-    close over q, lambda and the factors, not the table: a dropped table
-    is freed by reference counting."""
+    each entry computed on first read: the triple product's factors;
+    vector(t), t's kernel vector (_kernel_vector); zone(epsilon, t), t's
+    zone_membership, through which every point is placed (a q-shift of
+    t lies where t does, so no shift enters the key);
+    lattice_fan(epsilon, count), the asymptotic fan placed by zone, with
+    each point's log|t| and powers t^N q^{N(N-1)/2}, N < count; and
+    sample_fan(epsilon, rays, radii), the points at each radius on `rays`
+    rays spaced evenly off lambda's, in that order, that zone places
+    outside the disks.  No grid or equation enters an entry, and an
+    entry holds the floats a fresh computation gives, so every report at
+    one (q, lambda) is the same on a cold table and a warm one.  The
+    entries close over q, lambda, the factors and zone, never the table,
+    which reference counting alone frees."""
     lam, factors, kept = complex(lam), _theta_factors(q), lru_cache(maxsize=TABLE_ENTRIES)
     zone = kept(lambda eps, t: zone_membership(SpiralGeometry(lam, eps, q), t))
-    fan = kept(lambda eps: tuple(lattice_fan(SpiralGeometry(lam, eps, q))))
     return SimpleNamespace(
-        lam=lam, factors=factors, zone=zone, lattice_fan=fan,
+        lam=lam, factors=factors, zone=zone,
         vector=kept(lambda t: _kernel_vector(q, lam, factors, t)),
-        powers=kept(lambda eps, count: tuple(_fan_powers(q, t, count) for t, _, _ in fan(eps))),
+        lattice_fan=kept(lambda eps, count: tuple(lattice_fan(SpiralGeometry(lam, eps, q),
+                                                              count, zone))),
         sample_fan=kept(lambda eps, rays, radii: tuple(
             t for t in (cmath.rect(r, ang) for ang in _ray_angles(lam, rays) for r in radii)
             if zone(eps, t).outside)))
@@ -321,12 +329,12 @@ class KernelSamples:
     read once per grid index) summed with the operations of series, and
     the terms' magnitudes times a bound on each one's relative rounding
     error (ROUNDING_UNIT), below which a difference from W is not
-    resolved.  It is not kept: asymptotic_check reads it once per point.
-    Neither reader tests the zone (W does not depend on epsilon, which
-    only places the points): callers place the points off the disks, as
-    the fans and residual_check do.  On the spiral theta is zero and the
-    sum raises ValueError; q_laplace and q_laplace_series test the zone
-    and raise PoleProximityError."""
+    resolved, summed at each call: asymptotic_check reads it once per
+    point.  Neither reader tests the zone (W does not depend on epsilon,
+    which only places the points): callers place the points off the
+    disks, as the fans and residual_check do.  On the spiral theta is
+    zero and the sum raises ValueError; q_laplace and q_laplace_series
+    place t through the table's zone and raise PoleProximityError."""
 
     def __init__(self, grid):
         self.grid = grid
@@ -547,28 +555,27 @@ class ResumReport(NamedTuple):
         return self.verdict == "pass"
 
 
-def lattice_fan(geom):
+def lattice_fan(geom, count, zone):
     """The asymptotic fan on a q-lattice: on ASYMPTOTIC_RAYS rays spaced
     evenly off lambda's (_ray_angles), the radii r_max q^(-j/s), r_max =
     0.1|lambda|, j < ASYMPTOTIC_RADII, ray by ray in ascending order, kept
-    where they lie outside the excluded disks.  s is the least integer >=
+    where they lie outside the epsilon-disks.  s is the least integer >=
     1 with q^((ASYMPTOTIC_RADII - 1) / s) <= ASYMPTOTIC_SPAN.  Point j is
-    t_c / q^k, k = j // s, of the class base t_c = rect(r_max q^(-(j mod
-    s)/s), angle), whose kernel vector serves its class, and whose zone
-    test places the class: the disks are invariant under t -> q t, as
-    |1 + lambda q^m / (t_c / q^k)| = |1 + lambda q^(m+k) / t_c|, so every
-    point of a class lies in the same disks as t_c.  Returns (t, t_c, k)."""
+    t = t_c / q^k, k = j // s, of the class base t_c = rect(r_max
+    q^(-(j mod s)/s), angle), whose kernel vector serves the class.  As
+    |1 + lambda q^m / (t_c / q^k)| = |1 + lambda q^(m+k) / t_c|, every
+    point of a class lies in the disks t_c does, and zone(epsilon, t_c),
+    the kernel table's zone, places the class.  Returns, in fan order,
+    (t, t_c, k, log|t|, powers), with t's powers from _fan_powers."""
     q, r_max = geom.q, 0.1 * abs(geom.lam)
     s = max(1, math.ceil((ASYMPTOTIC_RADII - 1) * math.log(q) / math.log(ASYMPTOTIC_SPAN)))
     fan = []
     for ang in _ray_angles(geom.lam, ASYMPTOTIC_RAYS):
-        outside = {}
         for j in range(ASYMPTOTIC_RADII - 1, -1, -1):
             base = cmath.rect(r_max * q ** (-(j % s) / s), ang)
-            if j % s not in outside:
-                outside[j % s] = zone_membership(geom, base).outside
-            if outside[j % s]:
-                fan.append((base / q ** (j // s), base, j // s))
+            if zone(geom.epsilon, base).outside:
+                t = base / q ** (j // s)
+                fan.append((t, base, j // s, *_fan_powers(q, t, count)))
     return fan
 
 
@@ -618,6 +625,17 @@ def remainder_row(values, w, powers):
     return row
 
 
+class PointRow(NamedTuple):
+    """asymptotic_check's row at one point t = t_c / q^k of its epsilon/2 fan."""
+    t: complex
+    base: complex            # the class base t_c
+    log_r: float             # log|t|
+    w: complex               # W(t, 0)
+    floor: float             # the rounding floor of W(t, 0)
+    E: list                  # E[N] = |W(t, 0) - partial_N(t)|, N <= n_max (remainder_row)
+    logs: list               # log E[N] where E[N] is above the floor and finite, else None
+
+
 def asymptotic_check(sol, kernel, epsilon, n_max):
     """Fit (M, H) with  |W - partial_N| <= (M H^N / eps) q^{N(N-1)/2} |t|^N
     over a ray/radius sample fan, and judge the expansion:
@@ -635,60 +653,39 @@ def asymptotic_check(sol, kernel, epsilon, n_max):
     no pair resolved the verdict is a vacuous pass.
 
     The expansion must hold for every small epsilon: the call returns the
-    epsilon report, with the epsilon/2 report in its field `half`.  W(t,
-    0) and its floor at each point t = t_c / q^k of the epsilon/2 fan
-    (kernel.table.lattice_fan) are origin(t_c, k) of the kernel samples
-    of the grid that continues `sol`'s Borel transform; each point gets
-    one remainder row, from its log|t| and powers in
-    kernel.table.powers, and the log of each resolved E_N in it is taken
-    once.  The epsilon report reads the rows and logs of the points
-    whose class base t_c kernel.table.zone places outside the
-    epsilon-disks: such a class lies outside the epsilon/2-disks too, so
-    these are the points, in order, of the fan at epsilon.
+    epsilon report, with the epsilon/2 report in its field `half`, each
+    the report built on its own epsilon's fan, and raises UsageError
+    where require_asymptotic does.  W(t, 0) and its floor at each point t
+    = t_c / q^k of the epsilon/2 fan (kernel.table.lattice_fan) are
+    kernel.origin(t_c, k), read once into the point's PointRow.  A class
+    outside the epsilon-disks lies outside the epsilon/2-disks, so the
+    epsilon report reads the rows whose t_c kernel.table.zone places
+    outside the epsilon-disks.
     """
     q, table = kernel.grid.q, kernel.table
-    SpiralGeometry(kernel.grid.lam, epsilon, q).require_disjoint()
-    if n_max > sol.count:
-        raise UsageError("remainder depth %d exceeds the computed formal order %d"
-                         % (n_max, sol.count))
-    values = sol.origin_values(n_max)
-    points, log_r, wvals, floors, rows, logs = [], [], [], [], [], []
-    fan = table.lattice_fan(epsilon / 2.0)
-    for (t, base, k), (lr, powers) in zip(fan, table.powers(epsilon / 2.0, len(values))):
+    require_asymptotic(q, kernel.grid.lam, epsilon, n_max, sol.count)
+    values, rows = sol.origin_values(n_max), []
+    for t, base, k, log_r, powers in table.lattice_fan(epsilon / 2.0, len(values)):
         w, floor = kernel.origin(base, k)
         row = remainder_row(values, w, powers)
-        points.append(t)
-        log_r.append(lr)
-        wvals.append(w)
-        floors.append(floor)
-        rows.append(row)
-        # the resolved remainders' logs; None where E_N is at or below the
-        # floor or outside double range
-        logs.append([math.log(e) if floor < e < math.inf else None for e in row])
-
-    def judged(eps, picked, half):
-        """_judged on the points `picked`, the rows and logs read per order."""
-        columns = (points, log_r, wvals, floors)
-        return _judged(q, eps, *([column[i] for i in picked] for column in columns),
-                       *([[cells[i][N] for i in picked] for N in range(0, n_max + 1)]
-                         for cells in (rows, logs)), half)
-    half = judged(epsilon / 2.0, range(len(points)), None)
-    return judged(epsilon, [i for i, (_, base, _) in enumerate(fan)
-                            if table.zone(epsilon, base).outside], half)
+        rows.append(PointRow(t, base, log_r, w, floor, row,
+                             [math.log(e) if floor < e < math.inf else None for e in row]))
+    half = _judged(q, epsilon / 2.0, n_max, rows, None)
+    outside = [row for row in rows if table.zone(epsilon, row.base).outside]
+    return _judged(q, epsilon, n_max, outside, half)
 
 
-def _judged(q, epsilon, points, log_r, wvals, floors, EN, log_EN, half):
-    """The envelope fit and the verdict of asymptotic_check, as a
-    ResumReport, from the table of remainders EN[N][i] at the points,
-    with log_r[i] = log|points[i]| and log_EN[N][i] = log EN[N][i] where
-    that remainder is resolved, above floors[i] and finite, else None
-    (asymptotic_check takes each log once for both epsilons)."""
-    n_max = len(EN) - 1
+def _judged(q, epsilon, n_max, rows, half):
+    """asymptotic_check's envelope fit and verdict at epsilon, as a
+    ResumReport on the points of `rows` (PointRow) in their order, with
+    `half` as its field: the fit and both rules read only the resolved
+    remainders' logs, `used` counts them and `dropped` the other pairs
+    (N, t), N <= n_max."""
     log_eps, quadratic = math.log(epsilon), _quadratic_exponents(q, n_max + 1)
     # per order, the largest normalized log remainder over the resolved
     # pairs; the envelope's A is M, and its diagnostic is log rho_N
-    logs = [max((g + log_eps - quadratic[N] - N * lr
-                 for g, lr in zip(log_EN[N], log_r) if g is not None), default=None)
+    logs = [max((row.logs[N] + log_eps - quadratic[N] - N * row.log_r
+                 for row in rows if row.logs[N] is not None), default=None)
             for N in range(0, n_max + 1)]
     env = fit_envelope(logs, [0.0] * (n_max + 1), 0.0)
     rho = [None if g is None else math.exp(g) for g in env.diag]
@@ -702,22 +699,16 @@ def _judged(q, epsilon, points, log_r, wvals, floors, EN, log_EN, half):
         if slope > RHO_TREND_MAX:
             reasons.append("normalized remainders trend upward (%.3g/order); no finite envelope" % slope)
 
-    slope = _order1_slope(log_r, log_EN[1] if n_max >= 1 else None)
+    # the least-squares slope of log E_1 against log|t| over the resolved
+    # order-1 remainders
+    order1 = [(row.log_r, row.logs[1]) for row in rows if n_max >= 1 and row.logs[1] is not None]
+    slope = ls_slope(order1, degenerate=None) if len(order1) >= 4 else None
     if slope is not None and slope < ORDER1_SLOPE_MIN:
         reasons.append("order-1 remainder does not scale with |t| (slope %.2f)" % slope)
 
     verdict = "pass" if not reasons else "fail"
-    used = sum(g is not None for row in log_EN for g in row)
-    return ResumReport(epsilon, points, wvals, floors, EN, rho, env.A, env.H, verdict,
-                       used, len(points) * (n_max + 1) - used, reasons, half)
-
-
-def _order1_slope(log_r, log_e1):
-    """The least-squares slope of log E_1 against log |t| over the
-    resolved order-1 remainders (their logs; None where unresolved)."""
-    if log_e1 is None:
-        return None
-    data = [(lr, g) for lr, g in zip(log_r, log_e1) if g is not None]
-    if len(data) < 4:
-        return None
-    return ls_slope(data, degenerate=None)
+    used = sum(g is not None for row in rows for g in row.logs)
+    EN = [[row.E[N] for row in rows] for N in range(0, n_max + 1)]
+    return ResumReport(epsilon, [row.t for row in rows], [row.w for row in rows],
+                       [row.floor for row in rows], EN, rho, env.A, env.H, verdict, used,
+                       len(rows) * (n_max + 1) - used, reasons, half)

@@ -22,7 +22,6 @@ import qsum.pipeline
 import qsum.qlaplace
 from qsum.errors import UsageError
 from qsum.pipeline import RESIDUAL_SAMPLES, Options, Run, run_report
-from qsum.qlaplace import SpiralGeometry
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -109,8 +108,10 @@ def _count_kernel_sums(monkeypatch):
 
 
 def _fan_reads(run, epsilon):
-    """The (t, t_c, k) of the lattice fan of one asymptotic stage of a run."""
-    return qsum.qlaplace.lattice_fan(SpiralGeometry(run.grid.lam, epsilon, run.grid.q))
+    """The (t, t_c, k) of the lattice fan of one asymptotic stage of a run,
+    placed by a fresh kernel table's zone."""
+    table = qsum.qlaplace.kernel_table.__wrapped__(run.grid.q, run.grid.lam)
+    return [point[:3] for point in table.lattice_fan(epsilon, 1)]
 
 
 def _assert_exact_and_summed_once(workload, summed):
@@ -187,7 +188,7 @@ def test_reports_build_each_row_and_residual_series_once(monkeypatch):
             run = Run(text, inputs.options(workload))
             run.report()
             half = run.asymptotic.half
-            assert rows == [powers for _, powers in run.kernel_samples.table.powers(
+            assert rows == [powers for *_, powers in run.kernel_samples.table.lattice_fan(
                 half.epsilon, run.options.n_check + 1)], key
             assert len(rows) == len(half.samples), key
             assert set(run.asymptotic.samples) <= set(half.samples), key
@@ -236,9 +237,9 @@ def test_reports_test_each_zone_once_and_find_each_points_terms_once(cold_kernel
         products.append(y)
         return theta_product(y, factors)
 
-    def counting_fan(geom):
+    def counting_fan(geom, count, zone):
         fans.append(geom.epsilon)
-        return lattice_fan(geom)
+        return lattice_fan(geom, count, zone)
 
     monkeypatch.setattr(qsum.qlaplace, "zone_membership", counting_zone)
     monkeypatch.setattr(qsum.qlaplace, "_kernel_vector", counting_vector)

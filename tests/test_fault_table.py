@@ -1,6 +1,7 @@
-"""The fault table of the `residual` and `asymptotic` verdicts: faults
-injected into a report's run, and whether each verdict whose stage reads
-the fault flags it, on the three benchmark DSL equations.
+"""The fault table of the `residual`, `asymptotic`, `formal_residual`
+and `gevrey_certificate` verdicts: faults injected into a report's run,
+and whether each verdict whose stage reads the fault flags it, on the
+three benchmark DSL equations.
 
 The faults:
   * "W+1": W(t, 0) + 1 at every point KernelSamples.origin gives, which
@@ -8,29 +9,36 @@ The faults:
   * "c*xi", c = 1e-8, 1e-6, 1e-4 and 1e-2: c lambda q^m added to
     u*(lambda q^m) at every grid index, which moves W by c t (the kernel
     inversion identity at n = 1).  The residual and the asymptotic stage
-    read it.
+    read it;
+  * "1e3*v37..40": the formal solution's scaled coefficients v_37..v_40
+    multiplied by 1e3, which the formal checks read; the asymptotic
+    stage reads v_0..v_12 only.
 
 Each is injected after the continuation and before the stages that read
-the grid or its kernel samples, so every per-index table of the grid
-(SpiralGrid.constants, logq_sizes, ...) is filled from the faulted
-values.  A (verdict, fault) pair the verdict does not flag is listed in
-EXPECTED_UNDETECTED with the ROADMAP item that will catch it.  The list
-only shrinks: an item that catches a fault deletes its entry."""
+the grid, its kernel samples or the solution, so every per-index table
+of the grid (SpiralGrid.constants, logq_sizes, ...) is filled from the
+faulted values, and the grid from the unfaulted solution.  A (verdict,
+fault) pair the verdict does not flag is listed in EXPECTED_UNDETECTED
+with the ROADMAP item that will catch it.  The list only shrinks: an
+item that catches a fault deletes its entry."""
 
 import math
 
 import pytest
 
 from conftest import EULER_TEXT, EX2_TEXT, MIXED_D2_TEXT
+from qsum.formal import FormalSolution
 from qsum.pipeline import Options, Run
 from qsum.qborel import ScaledSeries, SeedValues, SpiralGrid, _scaled_sum
 from qsum.qlaplace import KernelSamples
 from qsum.series import TruncatedSeries
 
 SCALES = (1e-8, 1e-6, 1e-4, 1e-2)
+FORMAL_FAULT = "1e3*v37..40"
 # fault -> the verdicts whose stages read it
 FAULTS = dict([("W+1", ("asymptotic",))]
-              + [("%g*xi" % c, ("residual", "asymptotic")) for c in SCALES])
+              + [("%g*xi" % c, ("residual", "asymptotic")) for c in SCALES]
+              + [(FORMAL_FAULT, ("formal_residual", "gevrey_certificate"))])
 # (verdict, fault) -> the ROADMAP item that will flag it
 EXPECTED_UNDETECTED = {
     # the residual gate is absolute, 1e-5: W moved by 1e-8 t or 1e-6 t
@@ -44,6 +52,10 @@ EXPECTED_UNDETECTED = {
     ("asymptotic", "1e-06*xi"): 5,
     ("asymptotic", "0.0001*xi"): 5,
     ("asymptotic", "0.01*xi"): 5,
+    # the certificate checks the norms against the Gevrey fit of those
+    # same norms, which absorbs the fault (item 11: h from the
+    # characteristic polynomial)
+    ("gevrey_certificate", FORMAL_FAULT): 11,
 }
 
 
@@ -75,10 +87,22 @@ def _xi_on_the_grid(run, c):
                                       grid.lead_roots, grid.R1, grid.d)
 
 
+def _scaled_tail(run):
+    """The run's formal solution with v_37..v_40 multiplied by 1e3, after
+    the continuation has read the unfaulted one."""
+    run.grid
+    sol = run.solution
+    run.__dict__["solution"] = FormalSolution(
+        sol.q, sol.count, sol.scaled[:37] + tuple(v * 1e3 for v in sol.scaled[37:41]), sol.R1,
+        sol.d)
+
+
 def _faulted_report(text, fault):
     run = Run(text, Options())
     if fault == "W+1":
         _w_plus_one(run)
+    elif fault == FORMAL_FAULT:
+        _scaled_tail(run)
     else:
         _xi_on_the_grid(run, float(fault.split("*")[0]))
     return run.report()
@@ -86,22 +110,29 @@ def _faulted_report(text, fault):
 
 def test_every_undetected_entry_names_a_fault_its_verdict_reads():
     assert set(EXPECTED_UNDETECTED) <= {(v, f) for f, verdicts in FAULTS.items() for v in verdicts}
-    assert set(EXPECTED_UNDETECTED.values()) <= {2, 3, 5}
+    assert set(EXPECTED_UNDETECTED.values()) <= {2, 3, 5, 11}
 
 
 @pytest.mark.parametrize("text", [EULER_TEXT, EX2_TEXT, MIXED_D2_TEXT],
                          ids=["euler", "readme-d1", "mixed-d2"])
 def test_fault_table(text):
-    """Unfaulted, both verdicts pass.  Each fault moves the sections that
-    read it, and each verdict that reads a fault fails on it unless the
-    pair is expected undetected.  The c*xi faults move the residual by
-    0.1-0.3 c, which shows they reach W at every scale."""
+    """Unfaulted, every verdict of the table passes.  Each fault moves the
+    sections that read it, and each verdict that reads a fault fails on
+    it unless the pair is expected undetected.  The c*xi faults move the
+    residual by 0.1-0.3 c, which shows they reach W at every scale; the
+    formal fault is flagged at order 37, its first, and leaves the
+    asymptotic section as it was."""
     base = Run(text, Options()).report()
-    assert base.verdicts["residual"]["status"] == base.verdicts["asymptotic"]["status"] == "pass"
+    assert {base.verdicts[v]["status"] for _, verdicts in FAULTS.items() for v in verdicts} == {
+        "pass"}
     for fault, verdicts in FAULTS.items():
         report = _faulted_report(text, fault)
-        assert report.asymptotic != base.asymptotic, fault
-        if fault != "W+1":
+        if fault == FORMAL_FAULT:
+            assert report.gevrey != base.gevrey and report.asymptotic == base.asymptotic
+            assert report.verdicts["formal_residual"]["detail"].endswith("flagged orders 37")
+        else:
+            assert report.asymptotic != base.asymptotic, fault
+        if fault.endswith("*xi"):
             c = float(fault.split("*")[0])
             assert 0.1 * c < report.residuals["max_absolute"] < 0.3 * c, fault
         for verdict in verdicts:

@@ -14,10 +14,10 @@ from qsum.formal import solve_formal
 from qsum.qborel import SpiralGrid, borel_transform, borel_transformed_equation, continue_spiral
 from qsum.pipeline import Options, Run
 from qsum.qlaplace import (ASYMPTOTIC_RADII, ASYMPTOTIC_RAYS, ASYMPTOTIC_SPAN, KernelSamples,
-                           ResumReport, SpiralGeometry, _fan_powers, _judged, _kernel_terms,
-                           _theta_factors, _theta_product, asymptotic_check, kernel_table,
-                           lattice_fan, q_laplace, q_laplace_series, remainder_row, residual_check,
-                           theta, zone_membership)
+                           PointRow, ResumReport, SpiralGeometry, _fan_powers, _judged,
+                           _kernel_terms, _theta_factors, _theta_product, asymptotic_check,
+                           kernel_table, q_laplace, q_laplace_series, remainder_row,
+                           residual_check, theta, zone_membership)
 from qsum.series import TruncatedSeries
 from conftest import EULER_TEXT, EX2_TEXT, MIXED_D2_TEXT, monomial_grid
 
@@ -26,6 +26,13 @@ Q = 2.0
 # value of theta(1) for q=2, pinned on the first verified run against the
 # symmetric direct sum
 THETA_ONE_Q2 = 3.2832651213103077
+
+
+def _fan(geom):
+    """The (t, t_c, k) of the lattice fan at geom's epsilon, placed by a
+    fresh kernel table's zone."""
+    return [point[:3] for point in kernel_table.__wrapped__(geom.q, geom.lam).lattice_fan(
+        geom.epsilon, 1)]
 
 
 def direct_theta(x, q, nrange=60):
@@ -230,7 +237,7 @@ def test_euler_w_matches_the_exact_resummation(q, bound):
             want = _mp_kernel_sum(mp, grid, t, exact.get)[0]
             assert abs(mp.mpc(w) - want) <= bound * abs(want), (q, t)
         classes = {}
-        for _, base, k in kernel.table.lattice_fan(eps / 2.0):
+        for _, base, k, _, _ in kernel.table.lattice_fan(eps / 2.0, 1):
             classes.setdefault(base, []).append(k)
         assert sum(map(len, classes.values())) == 96
         for base, ks in classes.items():
@@ -340,9 +347,9 @@ def test_w_at_lambda_and_q_lambda_agree_within_their_floors(lam):
     for text in (EULER_TEXT, EX2_TEXT, MIXED_D2_TEXT):
         kernels = [Run(text, Options(lam=lam * q)).kernel_samples for q in (1.0, Q)]
         assert kernels[0].table is not kernels[1].table
-        fan = kernels[0].table.lattice_fan(0.15)
+        fan = kernels[0].table.lattice_fan(0.15, 1)
         assert len(fan) == 96
-        for _, base, k in fan:
+        for _, base, k, _, _ in fan:
             (w, floor), (w_q, floor_q) = (kernel.origin(base, k) for kernel in kernels)
             assert abs(w - w_q) <= 0.01 * (floor + floor_q), (text, lam, base, k)
 
@@ -460,11 +467,12 @@ def _direct_row(q, values, w, t):
     return row
 
 
-def _fresh_logs(EN, floors):
-    """log E_N of each remainder above its point's floor and finite, else
-    None, taken afresh: what _judged reads."""
-    return [[math.log(e) if floor < e < math.inf else None for e, floor in zip(row, floors)]
-            for row in EN]
+def _fresh_row(t, base, w, floor, E):
+    """The PointRow of remainders E at t, with log|t| and the log E_N of
+    each remainder above the floor and finite, else None, taken afresh:
+    what _judged reads."""
+    return PointRow(t, base, math.log(abs(t)), w, floor, E,
+                    [math.log(e) if floor < e < math.inf else None for e in E])
 
 
 def _single_check(sol, grid, epsilon, n_max):
@@ -472,13 +480,11 @@ def _single_check(sol, grid, epsilon, n_max):
     lattice fan at epsilon (_direct_row), from a fresh table, judged as
     asymptotic_check judges each of its pair, on logs taken afresh."""
     kernel, values = KernelSamples(grid), sol.origin_values(n_max)
-    fan = lattice_fan(SpiralGeometry(grid.lam, epsilon, grid.q))
-    points = [t for t, _, _ in fan]
-    origins = [kernel.origin(base, k) for _, base, k in fan]
-    rows = [_direct_row(grid.q, values, w, t) for t, (w, _) in zip(points, origins)]
-    EN, floors = [[row[N] for row in rows] for N in range(n_max + 1)], [f for _, f in origins]
-    return _judged(grid.q, epsilon, points, [math.log(abs(t)) for t in points],
-                   [w for w, _ in origins], floors, EN, _fresh_logs(EN, floors), None)
+    rows = []
+    for t, base, k in _fan(SpiralGeometry(grid.lam, epsilon, grid.q)):
+        w, floor = kernel.origin(base, k)
+        rows.append(_fresh_row(t, base, w, floor, _direct_row(grid.q, values, w, t)))
+    return _judged(grid.q, epsilon, n_max, rows, None)
 
 
 def test_a_second_epsilon_sums_no_new_w(cold_kernel_tables, euler_sol, euler_grid, monkeypatch):
@@ -509,13 +515,13 @@ def test_a_second_epsilon_sums_no_new_w(cold_kernel_tables, euler_sol, euler_gri
         patch.setattr(qsum.qlaplace, "_kernel_terms", counting_terms)
         patch.setattr(qsum.qlaplace, "remainder_row", counting_row)
         report = asymptotic_check(euler_sol, kernel, 0.3, 12)
-    fan = lattice_fan(SpiralGeometry(euler_grid.lam, 0.15, euler_grid.q))
+    fan = _fan(SpiralGeometry(euler_grid.lam, 0.15, euler_grid.q))
     assert report.half.samples == [t for t, _, _ in fan] != []
     assert rows == [_fan_powers(euler_grid.q, t, 13)[1] for t, _, _ in fan]
     assert summed == [k for _, _, k in fan]
     assert built == list(dict.fromkeys(base for _, base, _ in fan)) and len(built) == 24
-    assert report.samples == [t for t, _, _ in lattice_fan(SpiralGeometry(euler_grid.lam, 0.3,
-                                                                          euler_grid.q))] != []
+    assert report.samples == [t for t, _, _ in _fan(SpiralGeometry(euler_grid.lam, 0.3,
+                                                                   euler_grid.q))] != []
     assert report.half.half is None
     for got, eps in ((report, 0.3), (report.half, 0.15)):
         assert _fields_less_half(got) == _fields_less_half(
@@ -670,7 +676,7 @@ def test_lattice_fan_radii_are_q_powers_within_the_span(q):
     Radius j is t_c / q^(j // s), with the class base t_c at r_max
     q^(-(j mod s)/s) on the same ray: 8 min(s, 12) kernel vectors."""
     lam, eps = 0.6 + 0.8j, min(0.3, 0.45 * (q - 1.0) / (q + 1.0))
-    fan = lattice_fan(SpiralGeometry(lam, eps, q))
+    fan = _fan(SpiralGeometry(lam, eps, q))
     s = 1
     while q ** ((ASYMPTOTIC_RADII - 1) / s) > ASYMPTOTIC_SPAN:
         s += 1
@@ -723,10 +729,11 @@ def test_kernel_table_powers_are_the_direct_exponentials(cold_kernel_tables, q, 
     OverflowError (at q = 10 and 1000 the fan's points reach it)."""
     eps = min(0.3, 0.45 * (q - 1.0) / (q + 1.0))
     table = kernel_table(q, lam)
-    fan, entry = table.lattice_fan(eps / 2.0), table.powers(eps / 2.0, 41)
-    assert len(entry) == len(fan) == 96
+    fan = table.lattice_fan(eps / 2.0, 41)
+    assert [point[:3] for point in fan] == [point[:3] for point in table.lattice_fan(eps / 2.0, 1)]
+    assert len(fan) == 96
     overflows = 0
-    for (t, _, _), (log_r, powers) in zip(fan, entry):
+    for t, _, _, log_r, powers in fan:
         assert log_r == math.log(abs(t)), t
         log_t = cmath.log(t)
         for N in range(41):
@@ -763,9 +770,10 @@ def test_both_epsilon_reports_are_judged_on_fresh_logs(text):
     run = Run(text, Options())
     report = run.asymptotic
     for got, half in ((report, report.half), (report.half, None)):
-        log_r = [math.log(abs(t)) for t in got.samples]
-        assert got == _judged(run.grid.q, got.epsilon, got.samples, log_r, got.Wvals, got.floors,
-                              got.EN, _fresh_logs(got.EN, got.floors), half)
+        # _judged reads no class base
+        rows = [_fresh_row(t, None, w, floor, [column[i] for column in got.EN])
+                for i, (t, w, floor) in enumerate(zip(got.samples, got.Wvals, got.floors))]
+        assert got == _judged(run.grid.q, got.epsilon, len(got.EN) - 1, rows, half)
 
 
 def _direct_q_laplace_series(grid, t, epsilon):
@@ -1019,7 +1027,7 @@ def _kernel_points(grid, residual_points):
     for eps in (0.3, 0.15):
         geom = SpiralGeometry(grid.lam, eps, grid.q)
         if eps < geom.disjointness_threshold():
-            points += [(base, k) for _, base, k in lattice_fan(geom)]
+            points += [(base, k) for _, base, k in _fan(geom)]
     return points
 
 
@@ -1061,7 +1069,8 @@ def test_kernel_terms_equal_the_full_scan(band_grids, name):
 
 
 def _per_point_fan(geom):
-    """lattice_fan with the zone test at every point t = t_c / q^k."""
+    """The lattice fan's (t, t_c, k) with the zone test at every point t =
+    t_c / q^k."""
     q, r_max = geom.q, 0.1 * abs(geom.lam)
     s = max(1, math.ceil((ASYMPTOTIC_RADII - 1) * math.log(q) / math.log(ASYMPTOTIC_SPAN)))
     fan = []
@@ -1098,10 +1107,10 @@ def test_lattice_fan_places_each_class_as_each_of_its_points(cold_kernel_tables,
                 counted.clear()
                 with monkeypatch.context() as patch:
                     patch.setattr(qsum.qlaplace, "zone_membership", counting_zone)
-                    assert lattice_fan(geom) == want, (q, lam, share)
+                    assert _fan(geom) == want, (q, lam, share)
                 assert len(counted) == ASYMPTOTIC_RAYS * min(s, ASYMPTOTIC_RADII)
                 dropped += ASYMPTOTIC_RAYS * ASYMPTOTIC_RADII - len(want)
-                half = lattice_fan(geom._replace(epsilon=geom.epsilon / 2.0))
+                half = _fan(geom._replace(epsilon=geom.epsilon / 2.0))
                 rest = iter(half)
                 assert all(point in rest for point in want), (q, lam, share)
                 gained += len(half) > len(want)
@@ -1132,7 +1141,7 @@ def test_kernel_sum_error_is_below_its_floor(band_grids, name):
     kernel, shifted = KernelSamples(grid), {}
     for eps in (0.3, 0.15):
         if eps < SpiralGeometry(grid.lam, eps, grid.q).disjointness_threshold():
-            for point in lattice_fan(SpiralGeometry(grid.lam, eps, grid.q)):
+            for point in _fan(SpiralGeometry(grid.lam, eps, grid.q)):
                 shifted.setdefault(point, eps)
     assert shifted
     with mp.workdps(60):
@@ -1377,3 +1386,25 @@ def test_a_lambda_equal_but_for_a_zero_sign_reads_its_own_table(cold_kernel_tabl
     cold_kernel_tables()
     report(complex(-1.0, 0.0))
     assert report(complex(-1.0, -0.0)) == cold
+
+
+def test_q_laplace_reads_the_placements_a_report_made(cold_kernel_tables, monkeypatch):
+    """q_laplace and q_laplace_series place t through the kernel table's
+    zone: after a report, W at a residual sample, which the report placed
+    at the kernel epsilon, tests no zone and equals the report's kernel
+    sums there; a point no report placed is tested once, for both."""
+    run = Run(EULER_TEXT, Options())
+    run.report()
+    zone, zones = qsum.qlaplace.zone_membership, []
+
+    def counting_zone(geom, t):
+        zones.append(t)
+        return zone(geom, t)
+    monkeypatch.setattr(qsum.qlaplace, "zone_membership", counting_zone)
+    t, eps = run.residuals.samples[0].t, run.kernel_epsilon
+    assert q_laplace(run.grid, t, eps) == run.kernel_samples.origin(t, 0)
+    assert q_laplace_series(run.grid, t, eps) == run.kernel_samples.series(t)
+    assert zones == []
+    q_laplace(run.grid, 0.01j, eps)
+    q_laplace_series(run.grid, 0.01j, eps)
+    assert zones == [0.01j]
